@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 
-from .harness import ExperimentConfig
+from .harness import ExperimentConfig, floor_wall_clearance
 
 
 class ConfigError(ValueError):
@@ -89,7 +89,15 @@ def load_config(path=None) -> ExperimentConfig:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {raw!r} ({exc})"
                 ) from None
-    return ExperimentConfig(**overrides)
+    cfg = ExperimentConfig(**overrides)
+    clearance = floor_wall_clearance(cfg)
+    if clearance <= cfg.wall_margin_m:
+        raise ConfigError(
+            f"[scene] wall_margin_m = {cfg.wall_margin_m:g} leaves no floor "
+            f"position for the UE: the floor reaches {clearance:g} m from the "
+            "RIS wall at most"
+        )
+    return cfg
 
 
 def config_template() -> str:

@@ -35,7 +35,7 @@ from .labeling import run_spl
 from .psp import PspAssignment, assign
 from .spectrum import ToaGroups, extract_toas, spectrum_2d
 from .tdoa import PositionEstimationError, build_system, solve_position
-from .waveform import WaveformConfig, synthesize_frames
+from .waveform import FrameMatrix, WaveformConfig, synthesize_frames
 
 THREADS_ENV = "RIS_NFLOC_THREADS"
 
@@ -158,20 +158,37 @@ class MetricsTable:
     points: tuple[SweepPoint, ...]
 
 
+def _wall_normal(cfg: ExperimentConfig) -> np.ndarray | None:
+    """Horizontal unit normal of the RIS wall; None for a vertical RIS axis."""
+    normal = np.cross(np.asarray(cfg.ris_axis, dtype=float), [0.0, 0.0, 1.0])
+    norm = np.linalg.norm(normal)
+    return None if norm < 1e-9 else normal / norm
+
+
+def floor_wall_clearance(cfg: ExperimentConfig) -> float:
+    """Largest distance of a floor point from the RIS wall plane.
+
+    UE draws need a clearance above ``wall_margin_m``; the distance is convex
+    over the floor rectangle, so its maximum sits at a corner.
+    """
+    normal = _wall_normal(cfg)
+    if normal is None:
+        return float("inf")
+    lo, hi = cfg.room_min_m, cfg.room_max_m
+    corners = np.array([[x, y, 0.0] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])
+    offsets = corners - np.asarray(cfg.ris_center_m, dtype=float)
+    return float(np.max(np.abs(offsets @ normal)))
+
+
 def _draw_ue(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform floor position, rejecting draws hugging the RIS wall."""
     lo = np.asarray(cfg.room_min_m, dtype=float)
     hi = np.asarray(cfg.room_max_m, dtype=float)
     center = np.asarray(cfg.ris_center_m, dtype=float)
-    axis = np.asarray(cfg.ris_axis, dtype=float)
-    up = np.array([0.0, 0.0, 1.0])
-    normal = np.cross(axis, up)
-    norm = np.linalg.norm(normal)
+    normal = _wall_normal(cfg)
     while True:
         p = np.array([rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0])
-        if norm < 1e-9:
-            return p
-        if abs(np.dot(p - center, normal / norm)) >= cfg.wall_margin_m:
+        if normal is None or abs(np.dot(p - center, normal)) >= cfg.wall_margin_m:
             return p
 
 
@@ -481,20 +498,32 @@ def _fixed_ue_trial(cfg: ExperimentConfig, ue: np.ndarray, trial_seed) -> float:
         return float("nan")
 
 
-def _time_callable(fn, min_time_s: float = 0.02, repeats: int = 3) -> float:
-    """Per-call seconds, repetition-adjusted; min over repeats."""
-    fn()  # warm up (JIT compilation, caches)
-    best = float("inf")
+def _time_callables(fns, min_time_s: float = 0.02, repeats: int = 5) -> list[float]:
+    """Per-call seconds of each callable: the minimum over ``repeats`` rounds.
+
+    Every round times each callable in turn for at least ``min_time_s``, so a
+    burst of outside load slows one round of all of them rather than every
+    round of one of them, and the minimum discards it.
+    """
+    for fn in fns:
+        fn()  # warm up (JIT compilation, caches)
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        calls = 0
-        start = time.perf_counter()
-        elapsed = 0.0
-        while elapsed < min_time_s:
-            fn()
-            calls += 1
-            elapsed = time.perf_counter() - start
-        best = min(best, elapsed / calls)
+        for i, fn in enumerate(fns):
+            calls = 0
+            start = time.perf_counter()
+            elapsed = 0.0
+            while elapsed < min_time_s:
+                fn()
+                calls += 1
+                elapsed = time.perf_counter() - start
+            best[i] = min(best[i], elapsed / calls)
     return best
+
+
+def _time_callable(fn, min_time_s: float = 0.02, repeats: int = 5) -> float:
+    """Per-call seconds of one callable; min over repeats."""
+    return _time_callables([fn], min_time_s, repeats)[0]
 
 
 def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
@@ -508,8 +537,8 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
     """
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    fast_sizes, fast_times = [], []
     wcfg_l = 16
+    fast_sizes, fast_calls = [], []
     for n_sub in sizes:
         wcfg = WaveformConfig(
             n_subcarriers=int(n_sub),
@@ -522,14 +551,13 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
         s = rng.standard_normal((n_sub, wcfg_l)) + 1j * rng.standard_normal(
             (n_sub, wcfg_l)
         )
-        from .waveform import FrameMatrix
-
         frames = FrameMatrix(s=s, config=wcfg)
-        seconds = _time_callable(lambda: spectrum_2d(frames, cfg.oversampling))
-        size = cfg.oversampling * n_sub * wcfg_l
-        rows.append(("spectrum_fft", size, seconds))
-        fast_sizes.append(size)
-        fast_times.append(seconds)
+        fast_sizes.append(cfg.oversampling * n_sub * wcfg_l)
+        fast_calls.append(lambda frames=frames: spectrum_2d(frames, cfg.oversampling))
+    # the growth exponent is fitted to these rows: long windows and many
+    # interleaved rounds keep outside load from bending the fit
+    fast_times = _time_callables(fast_calls, min_time_s=0.05, repeats=9)
+    rows.extend(("spectrum_fft", n, t) for n, t in zip(fast_sizes, fast_times))
 
     # dense reference kernel: jitted vs vectorized numpy
     n_dense, l_dense = 128, 8

@@ -12,6 +12,7 @@ damped Gauss-Newton fit over the ground plane is used instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,47 +55,34 @@ def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
     entries = list(getattr(labels, "entries", labels))
     if len(entries) < 3:
         raise ValueError("need at least 3 labeled arrivals")
-    tiles = [int(t) for _, t in entries]
-    if len(set(tiles)) != len(tiles):
+    tile_list = [int(t) for _, t in entries]
+    if len(set(tile_list)) != len(tile_list):
         raise ValueError("duplicate tile labels")
-    p_bs = np.asarray(p_bs, dtype=float)
-    tile_positions = np.asarray(tile_positions, dtype=float)
+    tiles = np.array(tile_list)
+    toas = np.array([t for t, _ in entries], dtype=float)
+    positions = np.asarray(tile_positions, dtype=float)[tiles - 1]
+    to_bs = np.asarray(p_bs, dtype=float) - positions
+    d_bs = np.sqrt(np.einsum("ij,ij->i", to_bs, to_bs))
 
-    toas = np.array([t for t, _ in entries])
-    ref_i = min(range(len(entries)), key=lambda i: (toas[i], tiles[i]))
-    ref_tile = tiles[ref_i]
-    ref_pos = tile_positions[ref_tile - 1]
-    d_bs_ref = np.linalg.norm(p_bs - ref_pos)
-
-    rows, cvec, bvec, gammas, anchors = [], [], [], [], []
+    ref_i = int(np.lexsort((tiles, toas))[0])  # smallest ToA, then tile index
+    ref_tile = int(tiles[ref_i])
+    ref_pos = positions[ref_i]
+    rest = np.arange(len(entries)) != ref_i
+    anchors = positions[rest]
+    gammas = (toas[rest] - toas[ref_i]) * SPEED_OF_LIGHT - (d_bs[rest] - d_bs[ref_i])
+    b_vector = 0.5 * (
+        np.einsum("ij,ij->i", anchors, anchors) - ref_pos @ ref_pos - gammas * gammas
+    )
     gamma_by_tile = {ref_tile: 0.0}
-    for i, (tau, k) in enumerate(zip(toas, tiles)):
-        if i == ref_i:
-            continue
-        pos = tile_positions[k - 1]
-        d_bs_k = np.linalg.norm(p_bs - pos)
-        gamma = (tau - toas[ref_i]) * SPEED_OF_LIGHT - (d_bs_k - d_bs_ref)
-        gamma_by_tile[k] = gamma
-        rows.append(pos - ref_pos)
-        cvec.append(-gamma)
-        bvec.append(
-            0.5
-            * (
-                np.dot(pos, pos)
-                - np.dot(ref_pos, ref_pos)
-                - gamma * gamma
-            )
-        )
-        gammas.append(gamma)
-        anchors.append(pos)
+    gamma_by_tile.update(zip(tiles[rest].tolist(), gammas.tolist()))
     return TdoaSystem(
-        a_matrix=np.array(rows),
-        c_vector=np.array(cvec),
-        b_vector=np.array(bvec),
+        a_matrix=anchors - ref_pos,
+        c_vector=-gammas,
+        b_vector=b_vector,
         ref_tile=ref_tile,
         ref_pos=ref_pos,
-        anchor_positions=np.array(anchors),
-        gammas=np.array(gammas),
+        anchor_positions=anchors,
+        gammas=gammas,
         gamma_by_tile=gamma_by_tile,
     )
 
@@ -153,27 +141,22 @@ class _ResidualWhitener:
     """Inverse covariance of the range-difference residuals.
 
     The reference anchor's range error is common to every residual, so the
-    covariance is diagonal plus a rank-one term; the inverse is applied with
-    the Sherman-Morrison identity.  With no sigmas this is the identity and
-    the fit reduces to plain least squares.
+    covariance is ``diag(sigmas**2) + sigma_ref**2 * 1 1^T``; by the
+    Sherman-Morrison identity its inverse is ``D - k * (D 1)(D 1)^T`` with
+    ``D = diag(dinv)`` and ``k = sigma_ref**2 / (1 + sigma_ref**2 * sum(dinv))``.
+    With no sigmas ``dinv`` is None and the fit is plain least squares.
     """
 
     def __init__(self, sigmas: np.ndarray | None, sigma_ref: float, n: int):
         if sigmas is None:
-            self._dinv = None
+            self.dinv = None
             return
         sigmas = np.asarray(sigmas, dtype=float)
         if sigmas.shape != (n,):
             raise ValueError("sigmas must have one entry per non-reference anchor")
-        self._dinv = 1.0 / np.maximum(sigmas, 1e-30) ** 2
-        self._s2_ref = float(sigma_ref) ** 2
-        self._denom = 1.0 + self._s2_ref * np.sum(self._dinv)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self._dinv is None:
-            return v
-        dv = self._dinv * v
-        return dv - self._dinv * (self._s2_ref * np.sum(dv) / self._denom)
+        self.dinv = 1.0 / np.maximum(sigmas, 1e-30) ** 2
+        s2_ref = float(sigma_ref) ** 2
+        self.k = s2_ref / (1.0 + s2_ref * float(np.sum(self.dinv)))
 
 
 def _anchor_line_mirror(system: TdoaSystem, xy: np.ndarray) -> np.ndarray | None:
@@ -203,57 +186,92 @@ def _gn_descend(
     max_iter: int,
     whitener: _ResidualWhitener,
 ) -> tuple[np.ndarray, float, bool]:
-    """Clamped, damped Gauss-Newton from one start; returns (p, cost, done)."""
-    if room is not None:
-        lo = np.asarray(room[0], dtype=float)[:2]
-        hi = np.asarray(room[1], dtype=float)[:2]
-        start_xy = np.clip(start_xy, lo, hi)
-    p = np.array([start_xy[0], start_xy[1], ground_z])
+    """Clamped, damped Gauss-Newton from one start; returns (p, cost, done).
 
-    def cost_of(r):
-        return float(np.dot(r, whitener.apply(r)))
+    The arrays are tiny (one row per anchor), so the step is written to keep
+    numpy calls few: distances and residuals of the accepted point are reused
+    for the next Jacobian, the rank-one whitening is folded into the 2x2
+    normal equations, and the damped system is solved in closed form.
+    """
+    anchors = system.anchor_positions
+    anchor_xy = anchors[:, :2]
+    dz2 = (ground_z - anchors[:, 2]) ** 2
+    ref_x, ref_y, ref_z = system.ref_pos.tolist()
+    ref_dz2 = (ground_z - ref_z) ** 2
+    gammas = system.gammas
+    dinv = whitener.dinv
+    if dinv is not None:
+        k = whitener.k
+        dinv_col = dinv[:, None]
+
+    def evaluate(x, y):
+        """Offsets, distances, residuals, whitened residual sum and cost."""
+        diff = np.array((x, y)) - anchor_xy
+        sq = diff * diff
+        d = np.sqrt(sq[:, 0] + sq[:, 1] + dz2)
+        d_ref = math.sqrt((x - ref_x) ** 2 + (y - ref_y) ** 2 + ref_dz2)
+        r = gammas - (d - d_ref)
+        if dinv is None:
+            return diff, d, d_ref, r, 0.0, float(r @ r)
+        q_sum = float(dinv @ r)
+        return diff, d, d_ref, r, q_sum, float((dinv * r) @ r) - k * q_sum * q_sum
+
+    x, y = float(start_xy[0]), float(start_xy[1])
+    if room is not None:
+        lo_x, lo_y = float(room[0][0]), float(room[0][1])
+        hi_x, hi_y = float(room[1][0]), float(room[1][1])
+        x = min(max(x, lo_x), hi_x)
+        y = min(max(y, lo_y), hi_y)
 
     lam = 1e-3
-    r = _range_diff_residuals(p, system)
-    cost = cost_of(r)
+    diff, d, d_ref, r, q_sum, cost = evaluate(x, y)
     for _ in range(max_iter):
-        d_ref = max(np.linalg.norm(p - system.ref_pos), 1e-12)
-        d = np.maximum(np.linalg.norm(p - system.anchor_positions, axis=1), 1e-12)
         # d(residual)/d(p) = -(unit_k - unit_ref), restricted to x, y
-        unit_k = (p[None, :2] - system.anchor_positions[:, :2]) / d[:, None]
-        unit_ref = (p[:2] - system.ref_pos[:2]) / d_ref
-        jac = -(unit_k - unit_ref[None, :])
-        jt_si = np.column_stack(
-            [whitener.apply(jac[:, 0]), whitener.apply(jac[:, 1])]
-        ).T
-        jtj = jt_si @ jac
-        jtr = jt_si @ r
+        d_ref = max(d_ref, 1e-12)
+        unit_ref = np.array(((x - ref_x) / d_ref, (y - ref_y) / d_ref))
+        jac = unit_ref - diff / np.maximum(d, 1e-12)[:, None]
+        if dinv is None:
+            (h_xx, h_xy), (_, h_yy) = (jac.T @ jac).tolist()
+            g_x, g_y = (r @ jac).tolist()
+        else:
+            w = dinv_col * jac
+            (h_xx, h_xy), (_, h_yy) = (w.T @ jac).tolist()
+            g_x, g_y = (r @ w).tolist()
+            s_x, s_y = (dinv @ jac).tolist()
+            h_xx -= k * s_x * s_x
+            h_xy -= k * s_x * s_y
+            h_yy -= k * s_y * s_y
+            g_x -= k * s_x * q_sum
+            g_y -= k * s_y * q_sum
         accepted = False
         while lam < 1e14:
-            try:
-                step = np.linalg.solve(jtj + lam * np.eye(2), -jtr)
-            except np.linalg.LinAlgError:
+            a = h_xx + lam
+            c = h_yy + lam
+            det = a * c - h_xy * h_xy
+            if det == 0.0:
                 lam *= 10.0
                 continue
-            trial = p.copy()
-            trial[:2] = p[:2] + step
+            tx = x - (c * g_x - h_xy * g_y) / det
+            ty = y - (a * g_y - h_xy * g_x) / det
             if room is not None:
-                trial[:2] = np.clip(trial[:2], lo, hi)
-            r_trial = _range_diff_residuals(trial, system)
-            cost_trial = cost_of(r_trial)
+                tx = min(max(tx, lo_x), hi_x)
+                ty = min(max(ty, lo_y), hi_y)
+            trial = evaluate(tx, ty)
+            cost_trial = trial[-1]
             if cost_trial <= cost:
-                moved = float(np.linalg.norm(trial - p))
-                p, r, cost = trial, r_trial, cost_trial
+                moved = math.hypot(tx - x, ty - y)
+                x, y = tx, ty
+                diff, d, d_ref, r, q_sum, cost = trial
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 if moved < 1e-11:
-                    return p, cost, True
+                    return np.array([x, y, ground_z]), cost, True
                 break
             lam *= 10.0
         if not accepted:
             # damping exhausted: gradient numerically stationary
-            return p, cost, True
-    return p, cost, False
+            return np.array([x, y, ground_z]), cost, True
+    return np.array([x, y, ground_z]), cost, False
 
 
 def _gauss_newton_ground(

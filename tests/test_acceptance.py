@@ -453,5 +453,5 @@ def test_criterion_5_full_scale_anchor():
         f"full-scale proposed {point.rmse_proposed:.3f} m in [0.15, 0.45]; "
         f"baseline {point.rmse_baseline:.3f} m in [0.6, 1.6] "
         "(baseline band known unattainable: collided-group arrival artifacts "
-        "dominate; see notes)",
+        "dominate; see README)",
     )

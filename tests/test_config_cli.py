@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ris_nfloc
 from ris_nfloc.cli import main
 from ris_nfloc.config import ConfigError, config_template, load_config
 
@@ -58,6 +64,23 @@ def test_unknown_key_rejected(tmp_path):
     missing = tmp_path / "nothere.ini"
     with pytest.raises(ConfigError):
         load_config(str(missing))
+
+
+def test_wall_margin_without_floor_rejected(tmp_path):
+    # the RIS wall is y=10 and the floor spans y in [0, 10]: no floor point
+    # lies 12 m from the wall, so UE draws could never succeed
+    path = tmp_path / "margin.ini"
+    path.write_text("[scene]\nwall_margin_m = 12\n")
+    with pytest.raises(ConfigError, match="wall_margin_m"):
+        load_config(str(path))
+    # exit 2 from the command line; a subprocess so a hang fails, not stalls
+    src = str(Path(ris_nfloc.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    argv = [sys.executable, "-m", "ris_nfloc.cli", "--config", str(path),
+            "--trials", "1", "--out", str(tmp_path / "out"), "simulate"]
+    done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert done.returncode == 2
 
 
 def test_config_template_round_trips(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import RisLayout, build_scene, toa_vector
-from ris_nfloc.tdoa import build_system, solve_position
+from ris_nfloc.tdoa import PositionEstimationError, build_system, solve_position
 
 ROOM = ((0.0, 0.0, 0.0), (10.0, 10.0, 3.0))
 
@@ -63,6 +63,42 @@ def test_build_system_validation():
         build_system([(1e-8, 1), (2e-8, 2)], anchors, p_bs)
     with pytest.raises(ValueError):
         build_system([(1e-8, 1), (2e-8, 1), (3e-8, 2)], anchors, p_bs)
+
+
+def test_build_system_matches_loop_reference():
+    rng = np.random.default_rng(2)
+    tiles_xyz = random_general_anchors(rng, n=12)
+    p_bs = np.array([-2.0, 4.0, 1.5])
+    taus = rng.uniform(1e-8, 2e-8, 12)
+    taus[[4, 9]] = taus.min() - 1e-9  # smallest ToA tied: tile 5 is the reference
+    order = rng.permutation(12)
+    entries = [(float(taus[i]), int(i) + 1) for i in order]
+    system = build_system(entries, tiles_xyz, p_bs)
+
+    ref_tau, ref_tile = min((tau, k) for tau, k in entries)
+    ref_pos = tiles_xyz[ref_tile - 1]
+    d_ref = np.linalg.norm(p_bs - ref_pos)
+    rows, gammas, b = [], [], []
+    for tau, k in entries:
+        if k == ref_tile:
+            continue
+        pos = tiles_xyz[k - 1]
+        gamma = (tau - ref_tau) * SPEED_OF_LIGHT - (np.linalg.norm(p_bs - pos) - d_ref)
+        rows.append(pos - ref_pos)
+        gammas.append(gamma)
+        b.append(0.5 * (pos @ pos - ref_pos @ ref_pos - gamma * gamma))
+    assert system.ref_tile == ref_tile == 5
+    np.testing.assert_array_equal(system.ref_pos, ref_pos)
+    np.testing.assert_array_equal(system.a_matrix, rows)
+    np.testing.assert_allclose(system.gammas, gammas, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(system.c_vector, -np.array(gammas), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(system.b_vector, b, rtol=1e-14, atol=1e-12)
+    tiles = [k for _, k in entries if k != ref_tile]
+    assert list(system.gamma_by_tile) == [ref_tile] + tiles
+    assert system.gamma_by_tile[ref_tile] == 0.0
+    np.testing.assert_allclose(
+        [system.gamma_by_tile[k] for k in tiles], gammas, rtol=0, atol=1e-12
+    )
 
 
 def test_exact_inversion_general_anchors():
@@ -191,3 +227,51 @@ def test_weighted_solve_downweights_corrupt_anchor():
             )
         )
     assert np.median(errs["weighted"]) < np.median(errs["plain"])
+
+
+def noisy_linear_system(seed):
+    # a linear RIS: the anchor matrix is rank one, so the ground-plane
+    # Gauss-Newton fit runs instead of the closed form
+    rng = np.random.default_rng(seed)
+    layout = RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0])
+    scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
+    taus = toa_vector(scene) + rng.normal(0, 2e-10, 8)
+    entries = [(float(taus[i]), i + 1) for i in range(8)]
+    system = build_system(entries, scene.tile_centers, scene.p_bs)
+    sigmas = rng.uniform(0.02, 0.2, len(system.gammas))
+    return system, sigmas
+
+
+def test_weighted_fallback_is_stationary_for_dense_gls_cost():
+    system, sigmas = noisy_linear_system(11)
+    sigma_ref = 0.05
+    n = len(sigmas)
+    cov_inv = np.linalg.inv(np.diag(sigmas**2) + sigma_ref**2 * np.ones((n, n)))
+
+    def gradient(p, h=1e-5):
+        def cost(xy):
+            q = np.array([xy[0], xy[1], 0.0])
+            d = np.linalg.norm(q - system.anchor_positions, axis=1)
+            r = system.gammas - (d - np.linalg.norm(q - system.ref_pos))
+            return r @ cov_inv @ r
+
+        return np.array(
+            [(cost(p[:2] + e) - cost(p[:2] - e)) / (2 * h) for e in np.eye(2) * h]
+        )
+
+    p = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=sigma_ref)
+    assert np.all((p[:2] > 0.5) & (p[:2] < 9.5))  # an interior minimum
+    assert np.linalg.norm(gradient(p)) < 1e-6
+    # the common-mode term matters: dropping it moves the fit off the minimum
+    p_diag = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=0.0)
+    assert np.linalg.norm(gradient(p_diag)) > 1e-3
+
+
+def test_fallback_out_of_iterations_raises_with_estimate_in_room():
+    system, sigmas = noisy_linear_system(12)
+    for kwargs in ({}, {"sigmas": sigmas, "sigma_ref": 0.05}):
+        with pytest.raises(PositionEstimationError) as excinfo:
+            solve_position(system, room=ROOM, max_iter=1, **kwargs)
+        p = excinfo.value.best_estimate
+        assert p is not None and p[2] == 0.0
+        assert np.all(p >= np.array(ROOM[0])) and np.all(p <= np.array(ROOM[1]))
