@@ -11,6 +11,7 @@ from .channel import (
 )
 from .geometry import RisLayout, Scene, TilePose, build_scene, toa, toa_vector
 from .labeling import (
+    BootstrapError,
     Discriminant,
     LabelHypothesis,
     LabelMap,
@@ -39,6 +40,7 @@ from .waveform import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BootstrapError",
     "ChannelRealization",
     "Discriminant",
     "FimResult",

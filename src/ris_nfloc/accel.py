@@ -1,34 +1,3 @@
-"""Numba acceleration shim.
+"""No acceleration layer; ``perfbench/worker.py`` still imports this flag."""
 
-Hot kernels in :mod:`ris_nfloc.kernels` are compiled with ``@njit`` when numba
-is importable.  Setting the environment variable ``RIS_NFLOC_NO_NUMBA=1``
-(before first import) forces the pure-numpy fallback path; the ``bench``
-CLI subcommand times both paths side by side.
-"""
-
-import os
-
-try:
-    import numba as _nb
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    _nb = None
-    _HAVE_NUMBA = False
-
-
-def _flag_disabled() -> bool:
-    return os.environ.get("RIS_NFLOC_NO_NUMBA", "") not in ("", "0")
-
-
-#: True when jitted kernels are active in this process.
-NUMBA_ENABLED = _HAVE_NUMBA and not _flag_disabled()
-
-
-def njit(*args, **kwargs):
-    """``numba.njit`` when enabled, identity decorator otherwise."""
-    if NUMBA_ENABLED:
-        return _nb.njit(*args, **kwargs)
-    if args and callable(args[0]):
-        return args[0]
-    return lambda func: func
+NUMBA_ENABLED = False

@@ -18,10 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
-from .bounds import cascade_snrs, fim
-from .channel import MultipathConfig, realize_channel
-from .config import ConfigError, config_template, load_config
-from .geometry import build_scene, toa_vector
+from .config import ConfigError, check_config, config_template, load_config
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -101,25 +98,12 @@ def _apply_overrides(cfg, args):
 
 
 def _peb_at(cfg, ue_xy, bandwidth=None) -> float:
+    """PEB at a floor point, with no clock or phase offset and the multipath
+    realization of the config seed."""
     sub = cfg if bandwidth is None else harness.apply_sweep_value(cfg, "B", bandwidth)
-    scene = build_scene(
-        sub.layout(),
-        np.asarray(sub.bs_position_m, dtype=float),
-        np.array([ue_xy[0], ue_xy[1], 0.0]),
-        wavelength=sub.wavelength_m,
-    )
-    mp = MultipathConfig(
-        j_paths=sub.multipath_paths,
-        power_rel_db=sub.multipath_power_db,
-        excess_min_m=sub.multipath_excess_min_m,
-        excess_max_m=sub.multipath_excess_max_m,
-        seed=sub.seed,
-    )
-    channel = realize_channel(scene, sub.wavelength_m, mp)
-    cascade = sub.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))
-    k_ref = int(np.argmin(toa_vector(scene))) + 1
-    result = fim(scene, cascade_snrs(cascade, sub.waveform_config()), sub.bandwidth_hz, k_ref)
-    return result.peb if np.isfinite(result.peb) else result.peb_observable
+    ue = np.array([ue_xy[0], ue_xy[1], 0.0])
+    scene, cascade = harness.normalized_cascade(sub, ue, 0.0, 0.0, sub.seed)
+    return harness.position_error_bound(sub, scene, cascade)
 
 
 def main(argv=None) -> int:
@@ -132,7 +116,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = check_config(_apply_overrides(load_config(args.config), args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -69,7 +69,8 @@ _SCHEMA = {
 
 
 def load_config(path=None) -> ExperimentConfig:
-    """Defaults, optionally overridden from an INI file."""
+    """Defaults, optionally overridden from an INI file and then checked
+    by :func:`check_config`."""
     if path is None:
         return ExperimentConfig()
     parser = configparser.ConfigParser()
@@ -89,13 +90,41 @@ def load_config(path=None) -> ExperimentConfig:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {raw!r} ({exc})"
                 ) from None
-    cfg = ExperimentConfig(**overrides)
+    return check_config(ExperimentConfig(**overrides))
+
+
+def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Reject field combinations no trial can run with; returns ``cfg``.
+
+    The UE needs floor area beyond ``wall_margin_m``; the slope assignment
+    must exist for (tile_count, frames, exclusive_tiles) and give at least
+    three exclusive-slope tiles; and its largest slope group must fit the
+    residual labeler's ``residual_cap``.
+    """
     clearance = floor_wall_clearance(cfg)
     if clearance <= cfg.wall_margin_m:
         raise ConfigError(
             f"[scene] wall_margin_m = {cfg.wall_margin_m:g} leaves no floor "
             f"position for the UE: the floor reaches {clearance:g} m from the "
             "RIS wall at most"
+        )
+    try:
+        assignment = cfg.assignment()
+    except ValueError as exc:
+        raise ConfigError(
+            f"no slope assignment for [scene] tile_count = {cfg.tile_count} "
+            f"with [assignment] frames = {cfg.frames}, "
+            f"exclusive_tiles = {cfg.exclusive_tiles}: {exc}"
+        ) from None
+    if assignment.k0_size < 3:
+        raise ConfigError(
+            f"[scene] tile_count = {cfg.tile_count} leaves {assignment.k0_size} "
+            "exclusive-slope tiles; a position fix needs at least 3"
+        )
+    if assignment.max_dod > cfg.residual_cap:
+        raise ConfigError(
+            f"[experiment] residual_cap = {cfg.residual_cap} is below the "
+            f"largest slope group ({assignment.max_dod} tiles)"
         )
     return cfg
 

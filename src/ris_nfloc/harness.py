@@ -1,11 +1,13 @@
 """Monte Carlo experiments, the fixed-order baseline, metrics and timing.
 
-A trial draws the UE on the room floor, the clock and phase offsets, a
-multipath realization and receiver noise, then runs the shared pipeline
-(channel, frames, spectrum, peak extraction) once.  Two labelers consume the
-same extraction: the geometric one and the fixed-order baseline that models
-code-collision failure.  Censored trials (position fit failures) are counted,
-never dropped silently.
+A trial draws the UE on the room floor, then :func:`observe` draws the clock
+and phase offsets, a multipath realization and receiver noise and runs the
+shared pipeline (channel, frames, spectrum, peak extraction) once; the
+heatmap runs the same pipeline at fixed UE positions.  Two labelers consume
+the same extraction: the geometric one and the fixed-order baseline that
+models code-collision failure.  Censored trials (a failed position fit, or
+too few exclusive-slope arrivals to bootstrap one) are counted, never
+dropped silently.
 
 Power bookkeeping: the nominal absolute powers are meaningless against raw
 double-bounce path loss, so cascade gains are path-loss-normalized per trial
@@ -26,15 +28,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .accel import NUMBA_ENABLED
 from .bounds import cascade_snrs, fim
 from .channel import MultipathConfig, realize_channel
 from .constants import SPEED_OF_LIGHT
-from .geometry import RisLayout, build_scene, toa_vector
-from .labeling import run_spl
+from .geometry import RisLayout, Scene, build_scene, toa_vector
+from .labeling import BootstrapError, run_spl, solve_labeled
 from .psp import PspAssignment, assign
 from .spectrum import ToaGroups, extract_toas, spectrum_2d
-from .tdoa import PositionEstimationError, build_system, solve_position
+# harness itself no longer calls solve_position; perfbench/test_smoke.py
+# checks that tracing rebinds it in this namespace
+from .tdoa import PositionEstimationError, solve_position  # noqa: F401
 from .waveform import FrameMatrix, WaveformConfig, synthesize_frames
 
 THREADS_ENV = "RIS_NFLOC_THREADS"
@@ -248,28 +251,24 @@ def label_baseline_dft(
     return entries, mags
 
 
-def _solve_entries(entries, mags, scene, cfg: ExperimentConfig) -> np.ndarray:
-    system = build_system(entries, scene.tile_centers, scene.p_bs)
-    if not cfg.magnitude_weighting:
-        return solve_position(system, room=cfg.room)
-    by_tile = {k: m for (_, k), m in zip(entries, mags)}
-    sigma_ref = 1.0 / max(by_tile[system.ref_tile], 1e-30)
-    sigmas = np.array(
-        [1.0 / max(by_tile[k], 1e-30) for _, k in entries if k != system.ref_tile]
-    )
-    return solve_position(system, room=cfg.room, sigmas=sigmas, sigma_ref=sigma_ref)
+@dataclass(frozen=True)
+class Observation:
+    """What the receiver sees in one trial, with the scene that caused it.
 
-
-def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
-    """One Monte Carlo trial: shared pipeline, two labelers, one bound.
-
-    ``trial_seed`` is any seed accepted by ``numpy.random.default_rng``;
-    the harness derives it deterministically from (config seed, trial index).
+    ``cascade`` holds the path-loss-normalized cascade gains; ``toa_groups``
+    the arrivals extracted from the trial's spectrum.
     """
-    rng = np.random.default_rng(trial_seed)
-    ue = _draw_ue(cfg, rng)
-    t0 = rng.uniform(0.0, cfg.clock_uncertainty_s)
-    phi0 = rng.uniform(0.0, 2.0 * np.pi)
+
+    scene: Scene
+    cascade: np.ndarray
+    assignment: PspAssignment
+    toa_groups: ToaGroups
+
+
+def normalized_cascade(
+    cfg: ExperimentConfig, ue: np.ndarray, t0: float, phi0: float, multipath_seed: int
+) -> tuple[Scene, np.ndarray]:
+    """Scene at ``ue`` and its cascade gains scaled to ``gain_reference``."""
     scene = build_scene(
         cfg.layout(),
         np.asarray(cfg.bs_position_m, dtype=float),
@@ -283,57 +282,101 @@ def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
         power_rel_db=cfg.multipath_power_db,
         excess_min_m=cfg.multipath_excess_min_m,
         excess_max_m=cfg.multipath_excess_max_m,
-        seed=int(rng.integers(2**63)),
+        seed=multipath_seed,
     )
     channel = realize_channel(scene, cfg.wavelength_m, mp)
     cascade = cfg.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))
+    return scene, cascade
+
+
+def position_error_bound(
+    cfg: ExperimentConfig, scene: Scene, cascade: np.ndarray
+) -> float:
+    """PEB referenced to the earliest arrival; the observable-subspace PEB
+    stands in when the full FIM is singular."""
+    k_ref = int(np.argmin(toa_vector(scene))) + 1
+    snrs = cascade_snrs(cascade, cfg.waveform_config())
+    bound = fim(scene, snrs, cfg.bandwidth_hz, k_ref)
+    return bound.peb if np.isfinite(bound.peb) else bound.peb_observable
+
+
+def observe(
+    cfg: ExperimentConfig, ue: np.ndarray, rng: np.random.Generator
+) -> Observation:
+    """The trial pipeline from scene to extracted arrivals, for a UE at ``ue``.
+
+    Draws, in this order: the clock offset, the phase offset, the multipath
+    seed and the receiver-noise seed.
+    """
+    t0 = rng.uniform(0.0, cfg.clock_uncertainty_s)
+    phi0 = rng.uniform(0.0, 2.0 * np.pi)
+    scene, cascade = normalized_cascade(cfg, ue, t0, phi0, int(rng.integers(2**63)))
     assignment = cfg.assignment()
-    wcfg = cfg.waveform_config()
     frames = synthesize_frames(
-        scene, cascade, assignment, wcfg, noise_seed=int(rng.integers(2**63))
+        scene, cascade, assignment, cfg.waveform_config(),
+        noise_seed=int(rng.integers(2**63)),
     )
     spec_map = spectrum_2d(frames, cfg.oversampling)
     toa_groups = extract_toas(
         spec_map, assignment, refine=cfg.refine, threshold_factor=cfg.peak_threshold
     )
-    true_toas = toa_vector(scene)
-    truth = _truth_sequences(assignment, true_toas)
+    return Observation(scene, cascade, assignment, toa_groups)
+
+
+def _label_and_solve(cfg: ExperimentConfig, obs: Observation):
+    """The geometric labeler on one observation: (label map, position)."""
+    label_map, p_hat, _ = run_spl(
+        obs.toa_groups,
+        obs.assignment,
+        obs.scene,
+        room=cfg.room,
+        residual_cap=cfg.residual_cap,
+        min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
+        magnitude_weighting=cfg.magnitude_weighting,
+    )
+    return label_map, p_hat
+
+
+def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
+    """One Monte Carlo trial: shared pipeline, two labelers, one bound.
+
+    ``trial_seed`` is any seed accepted by ``numpy.random.default_rng``;
+    the harness derives it deterministically from (config seed, trial index).
+    A failed position fix (:class:`PositionEstimationError`) or too few
+    exclusive-slope arrivals (:class:`BootstrapError`) censors an arm; any
+    other error propagates.
+    """
+    rng = np.random.default_rng(trial_seed)
+    ue = _draw_ue(cfg, rng)
+    obs = observe(cfg, ue, rng)
+    assignment = obs.assignment
+    truth = _truth_sequences(assignment, toa_vector(obs.scene))
 
     err_p, acc_p, nlab_p, cens_p = np.nan, 0.0, 0, True
     try:
-        label_map, p_hat, _ = run_spl(
-            toa_groups,
-            assignment,
-            scene,
-            room=cfg.room,
-            residual_cap=cfg.residual_cap,
-            min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
-            magnitude_weighting=cfg.magnitude_weighting,
-        )
+        label_map, p_hat = _label_and_solve(cfg, obs)
         err_p = float(np.linalg.norm(p_hat - ue))
         acc_p, nlab_p = _label_accuracy(label_map.entries, assignment, truth)
         cens_p = False
     except PositionEstimationError as exc:
         if exc.best_estimate is not None:
             err_p = float(np.linalg.norm(exc.best_estimate - ue))
-    except ValueError:
+    except BootstrapError:
         pass
 
     err_b, acc_b, nlab_b, cens_b = np.nan, 0.0, 0, True
-    base_entries, base_mags = label_baseline_dft(toa_groups, assignment)
+    base_entries, base_mags = label_baseline_dft(obs.toa_groups, assignment)
     if len(base_entries) >= 3:
         try:
-            p_base = _solve_entries(base_entries, base_mags, scene, cfg)
+            p_base = solve_labeled(
+                base_entries, base_mags, obs.scene, cfg.room, cfg.magnitude_weighting
+            )
             err_b = float(np.linalg.norm(p_base - ue))
             acc_b, nlab_b = _label_accuracy(base_entries, assignment, truth)
             cens_b = False
         except PositionEstimationError as exc:
             if exc.best_estimate is not None:
                 err_b = float(np.linalg.norm(exc.best_estimate - ue))
-
-    k_ref = int(np.argmin(true_toas)) + 1
-    bound = fim(scene, cascade_snrs(cascade, wcfg), cfg.bandwidth_hz, k_ref)
-    peb = bound.peb if np.isfinite(bound.peb) else bound.peb_observable
 
     return TrialResult(
         error_proposed=err_p,
@@ -344,7 +387,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
         labeled_baseline=nlab_b,
         censored_proposed=cens_p,
         censored_baseline=cens_b,
-        peb=peb,
+        peb=position_error_bound(cfg, obs.scene, obs.cascade),
     )
 
 
@@ -430,72 +473,33 @@ def cdf(errors) -> np.ndarray:
 
 
 def heatmap(cfg: ExperimentConfig, grid_resolution_m: float) -> list[tuple[float, float, float]]:
-    """Per-cell RMSE of the geometric labeler over a fixed floor grid."""
+    """Per-cell RMSE of the geometric labeler over a fixed floor grid.
+
+    A censored trial counts as NaN, so it drops out of its cell's RMSE.
+    """
     if grid_resolution_m <= 0:
         raise ValueError("grid resolution must be positive")
     lo = np.asarray(cfg.room_min_m, dtype=float)
     hi = np.asarray(cfg.room_max_m, dtype=float)
     xs = np.arange(lo[0] + grid_resolution_m / 2, hi[0], grid_resolution_m)
     ys = np.arange(lo[1] + grid_resolution_m / 2, hi[1], grid_resolution_m)
-    point_cfg = replace(cfg, wall_margin_m=0.0)
     rows = []
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):
+            ue = np.array([x, y, 0.0])
             errors = []
             for t in range(cfg.trials):
                 seed = np.random.SeedSequence(
                     entropy=cfg.seed, spawn_key=(ix, iy, t)
                 )
-                res = _fixed_ue_trial(point_cfg, np.array([x, y, 0.0]), seed)
-                errors.append(res)
-            rmse = _rmse(np.array(errors))
-            rows.append((float(x), float(y), rmse))
+                obs = observe(cfg, ue, np.random.default_rng(seed))
+                try:
+                    _, p_hat = _label_and_solve(cfg, obs)
+                    errors.append(float(np.linalg.norm(p_hat - ue)))
+                except (PositionEstimationError, BootstrapError):
+                    errors.append(float("nan"))
+            rows.append((float(x), float(y), _rmse(np.array(errors))))
     return rows
-
-
-def _fixed_ue_trial(cfg: ExperimentConfig, ue: np.ndarray, trial_seed) -> float:
-    rng = np.random.default_rng(trial_seed)
-    t0 = rng.uniform(0.0, cfg.clock_uncertainty_s)
-    phi0 = rng.uniform(0.0, 2.0 * np.pi)
-    scene = build_scene(
-        cfg.layout(),
-        np.asarray(cfg.bs_position_m, dtype=float),
-        ue,
-        t0=t0,
-        phi0=phi0,
-        wavelength=cfg.wavelength_m,
-    )
-    mp = MultipathConfig(
-        j_paths=cfg.multipath_paths,
-        power_rel_db=cfg.multipath_power_db,
-        excess_min_m=cfg.multipath_excess_min_m,
-        excess_max_m=cfg.multipath_excess_max_m,
-        seed=int(rng.integers(2**63)),
-    )
-    channel = realize_channel(scene, cfg.wavelength_m, mp)
-    cascade = cfg.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))
-    assignment = cfg.assignment()
-    frames = synthesize_frames(
-        scene, cascade, assignment, cfg.waveform_config(),
-        noise_seed=int(rng.integers(2**63)),
-    )
-    spec_map = spectrum_2d(frames, cfg.oversampling)
-    toa_groups = extract_toas(
-        spec_map, assignment, refine=cfg.refine, threshold_factor=cfg.peak_threshold
-    )
-    try:
-        _, p_hat, _ = run_spl(
-            toa_groups,
-            assignment,
-            scene,
-            room=cfg.room,
-            residual_cap=cfg.residual_cap,
-            min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
-            magnitude_weighting=cfg.magnitude_weighting,
-        )
-        return float(np.linalg.norm(p_hat - ue))
-    except (PositionEstimationError, ValueError):
-        return float("nan")
 
 
 def _time_callables(fns, min_time_s: float = 0.02, repeats: int = 5) -> list[float]:
@@ -506,7 +510,7 @@ def _time_callables(fns, min_time_s: float = 0.02, repeats: int = 5) -> list[flo
     round of one of them, and the minimum discards it.
     """
     for fn in fns:
-        fn()  # warm up (JIT compilation, caches)
+        fn()  # warm up caches
     best = [float("inf")] * len(fns)
     for _ in range(repeats):
         for i, fn in enumerate(fns):
@@ -531,8 +535,8 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
 
     Returns (rows, exponent) where rows are (stage, size, seconds) entries:
     the fast spectrum path across a 16x range of padded grid sizes, the dense
-    reference kernel under both its numba and numpy implementations, and the
-    labeling-plus-solve stage versus tile count.  The exponent fits
+    reference transform and the peak scan of :mod:`ris_nfloc.kernels`, and
+    the labeling-plus-solve stage versus tile count.  The exponent fits
     ``time ~ (n*log2(n))^e`` for the fast path, ``n`` the padded grid size.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -559,41 +563,25 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
     fast_times = _time_callables(fast_calls, min_time_s=0.05, repeats=9)
     rows.extend(("spectrum_fft", n, t) for n, t in zip(fast_sizes, fast_times))
 
-    # dense reference kernel: jitted vs vectorized numpy
+    # the numpy reference kernels
     n_dense, l_dense = 128, 8
     s = rng.standard_normal((n_dense, l_dense)) + 1j * rng.standard_normal(
         (n_dense, l_dense)
     )
     n_bar = cfg.oversampling * n_dense
-    if NUMBA_ENABLED:
-        rows.append(
-            (
-                "spectrum_dense_numba",
-                n_bar * l_dense,
-                _time_callable(lambda: kernels.idft2_dense_numba(s, n_bar)),
-            )
-        )
     rows.append(
         (
             "spectrum_dense_numpy",
             n_bar * l_dense,
-            _time_callable(lambda: kernels.idft2_dense_numpy(s, n_bar)),
+            _time_callable(lambda: kernels.idft2_dense(s, n_bar)),
         )
     )
     mag = np.abs(rng.standard_normal(4096))
-    if NUMBA_ENABLED:
-        rows.append(
-            (
-                "peak_scan_numba",
-                4096,
-                _time_callable(lambda: kernels.column_peak_mask_numba(mag, 0.5)),
-            )
-        )
     rows.append(
         (
             "peak_scan_numpy",
             4096,
-            _time_callable(lambda: kernels.column_peak_mask_numpy(mag, 0.5)),
+            _time_callable(lambda: kernels.column_peak_mask(mag, 0.5)),
         )
     )
 

@@ -1,63 +1,14 @@
-"""Hot numeric kernels with jitted and pure-numpy implementations.
+"""Numpy reference kernels: the dense 2-D transform and the peak scan.
 
-Two kernels dominate the strict-fidelity code paths: the dense two-dimensional
-IDFT used as the reference transform, and the cyclic local-maximum scan run on
-every spectrum column during peak extraction.  Both exist in a numba ``@njit``
-variant and a vectorized numpy variant; :data:`ris_nfloc.accel.NUMBA_ENABLED`
-selects which one the dispatchers use (env var ``RIS_NFLOC_NO_NUMBA=1`` forces
-numpy).  The equivalence of the two variants is covered by tests and their
-speed compared by the ``bench`` subcommand.
+``idft2_dense`` is the literal double sum behind ``spectrum_2d(method=
+"dense")`` and the oracle the fast FFT path is tested against;
+``column_peak_mask`` is the cyclic local-maximum scan run on every spectrum
+column during peak extraction.  The ``bench`` subcommand times both.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .accel import NUMBA_ENABLED, njit
-
-
-def _idft2_tables(n: int, l: int, n_bar: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phase tables for the 1-based dense transform."""
-    u = np.arange(n_bar)
-    nn = np.arange(1, n + 1)
-    v = np.arange(l)
-    ll = np.arange(1, l + 1)
-    w_u = np.exp(-2j * np.pi * np.outer(u, nn) / n_bar)  # (n_bar, N)
-    w_v = np.exp(-2j * np.pi * np.outer(ll, v) / l)  # (L, L)
-    return w_u, w_v
-
-
-def idft2_dense_numpy(s: np.ndarray, n_bar: int) -> np.ndarray:
-    """Dense double-sum transform via two precomputed phase matmuls."""
-    n, l = s.shape
-    w_u, w_v = _idft2_tables(n, l, n_bar)
-    return w_u @ s @ w_v
-
-
-@njit(cache=True)
-def _idft2_dense_jit(s, w_u, w_v, out):  # pragma: no cover - jitted
-    n_bar, n = w_u.shape
-    l = w_v.shape[0]
-    for u in range(n_bar):
-        col = np.empty(l, dtype=np.complex128)
-        for li in range(l):
-            acc = 0.0 + 0.0j
-            for ni in range(n):
-                acc += s[ni, li] * w_u[u, ni]
-            col[li] = acc
-        for v in range(l):
-            acc = 0.0 + 0.0j
-            for li in range(l):
-                acc += col[li] * w_v[li, v]
-            out[u, v] = acc
-
-
-def idft2_dense_numba(s: np.ndarray, n_bar: int) -> np.ndarray:
-    n, l = s.shape
-    w_u, w_v = _idft2_tables(n, l, n_bar)
-    out = np.empty((n_bar, l), dtype=np.complex128)
-    _idft2_dense_jit(np.ascontiguousarray(s), w_u, w_v, out)
-    return out
 
 
 def idft2_dense(s: np.ndarray, n_bar: int) -> np.ndarray:
@@ -65,14 +16,15 @@ def idft2_dense(s: np.ndarray, n_bar: int) -> np.ndarray:
 
     Indices are 1-based inside the sums, matching the frame synthesis model;
     the fast FFT path in :mod:`ris_nfloc.spectrum` must agree with this to
-    1e-9 relative.
+    1e-9 relative.  Evaluated as two precomputed phase matmuls.
     """
-    if NUMBA_ENABLED:
-        return idft2_dense_numba(s, n_bar)
-    return idft2_dense_numpy(s, n_bar)
+    n, l = s.shape
+    w_u = np.exp(-2j * np.pi * np.outer(np.arange(n_bar), np.arange(1, n + 1)) / n_bar)
+    w_v = np.exp(-2j * np.pi * np.outer(np.arange(1, l + 1), np.arange(l)) / l)
+    return w_u @ s @ w_v
 
 
-def column_peak_mask_numpy(mag: np.ndarray, threshold: float) -> np.ndarray:
+def column_peak_mask(mag: np.ndarray, threshold: float) -> np.ndarray:
     """Cyclic strict local maxima of a 1-D magnitude profile.
 
     A bin is a peak when it beats its left neighbor strictly and its right
@@ -82,25 +34,3 @@ def column_peak_mask_numpy(mag: np.ndarray, threshold: float) -> np.ndarray:
     left = np.roll(mag, 1)
     right = np.roll(mag, -1)
     return (mag > left) & (mag >= right) & (mag >= threshold)
-
-
-@njit(cache=True)
-def _column_peak_mask_jit(mag, threshold, out):  # pragma: no cover - jitted
-    n = mag.shape[0]
-    for u in range(n):
-        m = mag[u]
-        lo = mag[u - 1] if u > 0 else mag[n - 1]
-        hi = mag[u + 1] if u < n - 1 else mag[0]
-        out[u] = m > lo and m >= hi and m >= threshold
-
-
-def column_peak_mask_numba(mag: np.ndarray, threshold: float) -> np.ndarray:
-    out = np.empty(mag.shape[0], dtype=np.bool_)
-    _column_peak_mask_jit(mag, threshold, out)
-    return out
-
-
-def column_peak_mask(mag: np.ndarray, threshold: float) -> np.ndarray:
-    if NUMBA_ENABLED:
-        return column_peak_mask_numba(mag, threshold)
-    return column_peak_mask_numpy(mag, threshold)

@@ -267,31 +267,40 @@ def spl_residual(
     return LabelHypothesis(sequence=tuple(best_seq), residual=float(best_err))
 
 
+class BootstrapError(ValueError):
+    """Fewer than three exclusive-slope arrivals: no first position fix."""
+
+
+def _exclusive_arrivals(
+    toa_groups: ToaGroups, assignment: PspAssignment
+) -> tuple[list[tuple[float, int]], list[float], list[TraceRow]]:
+    """Entries, peak heights and trace rows of the detected singleton groups.
+
+    Raises :class:`BootstrapError` when fewer than three are detected.
+    """
+    entries, mags, trace = [], [], []
+    for i in sorted(assignment.groups):
+        tiles = assignment.groups[i]
+        if len(tiles) == 1 and i in toa_groups.toas:
+            entries.append((float(toa_groups.toas[i][0]), tiles[0]))
+            mags.append(float(toa_groups.magnitudes[i][0]))
+            trace.append(TraceRow(i, 1, "exclusive", 0, 0.0))
+    if len(entries) < 3:
+        raise BootstrapError(
+            f"bootstrap needs at least 3 exclusive-slope arrivals, got {len(entries)}"
+        )
+    return entries, mags, trace
+
+
 def bootstrap_position(
     toa_groups: ToaGroups,
     assignment: PspAssignment,
     scene: Scene,
     room=None,
 ) -> np.ndarray:
-    """First position fix from the exclusive-slope tiles alone."""
-    entries = _singleton_entries(toa_groups, assignment)
-    if len(entries) < 3:
-        raise ValueError(
-            f"bootstrap needs at least 3 exclusive-slope arrivals, got {len(entries)}"
-        )
-    system = build_system(entries, scene.tile_centers, scene.p_bs)
-    return solve_position(system, room=room)
-
-
-def _singleton_entries(
-    toa_groups: ToaGroups, assignment: PspAssignment
-) -> list[tuple[float, int]]:
-    entries = []
-    for i in sorted(assignment.groups):
-        tiles = assignment.groups[i]
-        if len(tiles) == 1 and i in toa_groups.toas:
-            entries.append((float(toa_groups.toas[i][0]), tiles[0]))
-    return entries
+    """First position fix from the exclusive-slope tiles alone (unweighted)."""
+    entries, mags, _ = _exclusive_arrivals(toa_groups, assignment)
+    return solve_labeled(entries, mags, scene, room, weighted=False)
 
 
 def _group_resolvable(
@@ -317,21 +326,20 @@ def _group_resolvable(
     return float(np.min(np.diff(predicted))) >= min_gap
 
 
-def _magnitude_sigmas(entries, tile_mags, system):
-    """Relative delay-error scales from peak heights (sigma ~ 1/height)."""
-    by_tile = {k: m for (_, k), m in zip(entries, tile_mags)}
+def solve_labeled(entries, mags, scene: Scene, room, weighted: bool) -> np.ndarray:
+    """Position fix from labeled arrivals ``(toa, tile)``.
+
+    With ``weighted`` each arrival's delay-error scale is the inverse of its
+    peak height in ``mags`` (delay error scales inversely with it).
+    """
+    system = build_system(entries, scene.tile_centers, scene.p_bs)
+    if not weighted:
+        return solve_position(system, room=room)
+    by_tile = {k: m for (_, k), m in zip(entries, mags)}
     sigma_ref = 1.0 / max(by_tile[system.ref_tile], 1e-30)
     sigmas = np.array(
         [1.0 / max(by_tile[k], 1e-30) for _, k in entries if k != system.ref_tile]
     )
-    return sigmas, sigma_ref
-
-
-def _solve_labeled(entries, tile_mags, scene, room, weighted):
-    system = build_system(entries, scene.tile_centers, scene.p_bs)
-    if not weighted:
-        return solve_position(system, room=room)
-    sigmas, sigma_ref = _magnitude_sigmas(entries, tile_mags, system)
     return solve_position(system, room=room, sigmas=sigmas, sigma_ref=sigma_ref)
 
 
@@ -357,22 +365,8 @@ def run_spl(
     inversely with it).  Returns the label map, the final position estimate
     and a trace of the method used per group.
     """
-    entries = _singleton_entries(toa_groups, assignment)
-    mags = [
-        float(toa_groups.magnitudes[i][0])
-        for i in sorted(assignment.groups)
-        if len(assignment.groups[i]) == 1 and i in toa_groups.toas
-    ]
-    trace = [
-        TraceRow(i, 1, "exclusive", 0, 0.0)
-        for i in sorted(assignment.groups)
-        if len(assignment.groups[i]) == 1 and i in toa_groups.toas
-    ]
-    if len(entries) < 3:
-        raise ValueError(
-            f"bootstrap needs at least 3 exclusive-slope arrivals, got {len(entries)}"
-        )
-    p_est = _solve_labeled(entries, mags, scene, room, magnitude_weighting)
+    entries, mags, trace = _exclusive_arrivals(toa_groups, assignment)
+    p_est = solve_labeled(entries, mags, scene, room, magnitude_weighting)
 
     multi = [i for i in assignment.groups if len(assignment.groups[i]) > 1]
     for i in sorted(multi, key=lambda i: (len(assignment.groups[i]), i)):
@@ -408,7 +402,7 @@ def run_spl(
                 trace.append(TraceRow(i, dod, "residual", swaps, hyp.residual))
         entries.extend((float(t), k) for t, k in zip(toas, seq))
         mags.extend(float(m) for m in toa_groups.magnitudes[i])
-        p_est = _solve_labeled(entries, mags, scene, room, magnitude_weighting)
+        p_est = solve_labeled(entries, mags, scene, room, magnitude_weighting)
 
     label_map = LabelMap(
         entries=tuple(entries), complete=len(entries) == scene.n_tiles

@@ -102,6 +102,40 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(bad), "simulate"]) == 2
 
 
+BAD_ASSIGNMENTS = {
+    # too few anchors to bootstrap a position fix
+    "two_exclusive_tiles": "[scene]\ntile_count = 16\n[assignment]\nframes = 8\n"
+    "exclusive_tiles = 2\n",
+    # every tile exclusive, but too few of them
+    "two_tiles": "[scene]\ntile_count = 2\n[assignment]\nframes = 8\n",
+    # no slope left over for the shared groups
+    "frames_equal_exclusive": "[scene]\ntile_count = 16\n[assignment]\nframes = 4\n"
+    "exclusive_tiles = 4\n",
+    # groups of 3 tiles, beyond the residual labeler's cap
+    "group_above_residual_cap": "[scene]\ntile_count = 16\n[assignment]\nframes = 8\n"
+    "[experiment]\nresidual_cap = 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ASSIGNMENTS))
+def test_invalid_assignment_rejected_at_load(name, tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BAD_ASSIGNMENTS[name])
+    with pytest.raises(ConfigError):
+        load_config(str(bad))
+    # peb runs no trial, so only the load check can reject it
+    for command in (["simulate"], ["peb"]):
+        args = ["--config", str(bad), "--out", str(tmp_path / "out")] + command
+        assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_invalid_assignment_from_override_exits_2(desk_config, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["--config", desk_config, "--out", out, "--frames", "4", "peb"]) == 2
+    assert main(["--config", desk_config, "--out", out, "--frames", "16", "peb"]) == 0
+
+
 def test_cli_simulate_writes_trials(desk_config, tmp_path):
     out = tmp_path / "out"
     assert main(["--config", desk_config, "--out", str(out), "simulate"]) == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,40 @@ def test_sufficient_budget_arms_identical():
     for r in run_trials(cfg):
         if not (r.censored_proposed or r.censored_baseline):
             assert r.error_proposed == pytest.approx(r.error_baseline, rel=1e-12)
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_bootstrap_shortfall_censors_proposed_arm(monkeypatch):
+    from ris_nfloc import harness
+    from ris_nfloc.labeling import BootstrapError
+
+    plain = run_trial(DESK, 1234)
+    monkeypatch.setattr(harness, "run_spl", _raise(BootstrapError("too few")))
+    r = run_trial(DESK, 1234)
+    assert r.censored_proposed
+    assert np.isnan(r.error_proposed)
+    assert (r.label_acc_proposed, r.labeled_proposed) == (0.0, 0)
+    # the baseline arm and the bound do not depend on the labeler
+    assert r.error_baseline == plain.error_baseline
+    assert r.peb == plain.peb
+    rows = heatmap(replace(DESK, trials=1), 5.0)
+    assert all(np.isnan(rmse) for _, _, rmse in rows)
+
+
+def test_unnamed_value_error_propagates(monkeypatch):
+    from ris_nfloc import harness
+
+    monkeypatch.setattr(harness, "run_spl", _raise(ValueError("a bug")))
+    with pytest.raises(ValueError, match="a bug"):
+        run_trial(DESK, 1234)
+    with pytest.raises(ValueError, match="a bug"):
+        heatmap(replace(DESK, trials=1), 5.0)
 
 
 def test_baseline_fixed_order_labels():
