@@ -9,11 +9,13 @@ constrains the normal plane) are reported through a restricted pseudo-inverse
 together with the condition number.
 
 SNR bookkeeping: the per-cell SNR of a demodulated symbol is
-``P*|c_k|^2/(N*N0)`` and coherent integration over the N x L grid multiplies
-it by ``N*L``.  The channel gains used here are path-loss-normalized by the
-experiment harness (mean cascade magnitude scaled to 1), which is disclosed
-wherever the bound is reported; the nominal powers are meaningless against
-raw double-bounce path loss.
+``P*|c_k|^2/(N*N0)`` and :func:`cascade_snrs` multiplies it by the
+frame-coherent gain ``L`` only; the subcarrier aggregation is the
+bandwidth-squared factor of :func:`toa_variance`.  The channel gains used here
+are path-loss-normalized by the experiment harness (mean cascade magnitude
+scaled to ``gain_reference``, 2.0 by default), which is disclosed wherever the
+bound is reported; the nominal powers are meaningless against raw
+double-bounce path loss.
 """
 
 from __future__ import annotations

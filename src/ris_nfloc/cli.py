@@ -136,6 +136,8 @@ def main(argv=None) -> int:
             )
         elif args.command == "sweep":
             values = _parse_values(args.values)
+            for value in values:
+                check_config(harness.apply_sweep_value(cfg, args.var, value))
             table = harness.sweep(cfg, args.var, values)
             harness.write_sweep_csv(table, os.path.join(args.out, "sweep.csv"))
             for p in table.points:
@@ -144,6 +146,10 @@ def main(argv=None) -> int:
                     f"rmse_baseline={p.rmse_baseline:.4g} peb={p.peb:.4g}"
                 )
         elif args.command == "heatmap":
+            if not args.resolution_m > 0:
+                raise ConfigError(
+                    f"--resolution-m {args.resolution_m:g} must be positive"
+                )
             rows = harness.heatmap(cfg, args.resolution_m)
             harness.write_heatmap_csv(rows, os.path.join(args.out, "heatmap.csv"))
             print(f"heatmap cells={len(rows)}")
@@ -164,6 +170,8 @@ def main(argv=None) -> int:
             bandwidths = (
                 _parse_values(args.values) if args.values else [cfg.bandwidth_hz]
             )
+            for b in bandwidths:
+                check_config(harness.apply_sweep_value(cfg, "B", b))
             rows = [(b, _peb_at(cfg, ue_xy, b)) for b in bandwidths]
             with open(os.path.join(args.out, "peb.csv"), "w", newline="") as fh:
                 writer = csv.writer(fh)

@@ -96,11 +96,18 @@ def load_config(path=None) -> ExperimentConfig:
 def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Reject field combinations no trial can run with; returns ``cfg``.
 
-    The UE needs floor area beyond ``wall_margin_m``; the slope assignment
-    must exist for (tile_count, frames, exclusive_tiles) and give at least
-    three exclusive-slope tiles; and its largest slope group must fit the
-    residual labeler's ``residual_cap``.
+    A run needs at least one trial and a positive subcarrier spacing; the UE
+    needs floor area beyond ``wall_margin_m``; the slope assignment must
+    exist for (tile_count, frames, exclusive_tiles) and give at least three
+    exclusive-slope tiles; and its largest slope group must fit the residual
+    labeler's ``residual_cap``.
     """
+    if cfg.trials < 1:
+        raise ConfigError(f"[experiment] trials = {cfg.trials} must be at least 1")
+    if not cfg.spacing_hz > 0:
+        raise ConfigError(
+            f"[waveform] spacing_hz = {cfg.spacing_hz:g} must be positive"
+        )
     clearance = floor_wall_clearance(cfg)
     if clearance <= cfg.wall_margin_m:
         raise ConfigError(

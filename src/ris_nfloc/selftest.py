@@ -96,7 +96,7 @@ def _check_exact_inversion():
     )
     p = solve_position(system, room=((0, 0, 0), (10, 10, 3)))
     ok = np.linalg.norm(p - scene.p_ue) < 1e-4
-    return ok, "exact inversion (general anchors 1e-6, collinear fallback 1e-4)"
+    return ok, "exact inversion (general anchors 1e-6, collinear 1e-4)"
 
 
 def _check_gradients():

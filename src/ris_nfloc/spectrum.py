@@ -149,10 +149,10 @@ def extract_toas(
 ) -> ToaGroups:
     """Pull each slope group's arrival times out of its spectrum column.
 
-    For slope i/L the column is ``round(L * i/L) mod L``; the group needs as
-    many admissible local maxima (at least ``threshold_factor`` times the
-    column median) as it has tiles, the largest ones win, and ties in
-    magnitude resolve toward the smaller bin.  Columns that cannot supply
+    For slope i/L the column is ``i mod L``; the group needs as many
+    admissible local maxima (at least ``threshold_factor`` times the column
+    median) as it has tiles, the largest ones win, and ties in magnitude
+    resolve toward the smaller bin.  Columns that cannot supply
     enough peaks mark their group under-detected.  With ``refine`` a one-tile
     group's peak is refined by a parabola, and a group of m >= 2 tiles is
     estimated by matrix pencil (see :func:`_pencil_groups`) from the map's
@@ -175,7 +175,7 @@ def extract_toas(
 
     for i in sorted(assignment.groups):
         tiles = assignment.groups[i]
-        v = int(np.round(l * (i / l))) % l
+        v = i % l
         column = np.abs(spec.grid[:, v])
         threshold = threshold_factor * float(np.median(column))
         mask = kernels.column_peak_mask(column, threshold)

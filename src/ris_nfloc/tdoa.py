@@ -1,13 +1,12 @@
 """Position estimation from labeled arrival times.
 
 Differencing every labeled arrival against the smallest one cancels the
-unknown clock offset and leaves range differences to the anchor tiles.  For
-anchor sets spanning 3-D the classic two-step linear system applies: solve the
-stacked linear equations for the position as an affine function of the
-unknown reference range, then close the loop with the scalar quadratic that
-the reference-range definition imposes.  Anchor sets that are (nearly)
-collinear, such as a linear RIS, make the linear system rank deficient; a
-damped Gauss-Newton fit over the ground plane is used instead.
+unknown clock offset and leaves range differences to the anchor tiles.  The
+UE lies on the floor (z = 0), so the position is fitted over the ground plane
+by a clamped, damped Gauss-Newton descent with deterministic restarts.  This
+one fit serves every anchor set the simulator builds: a linear RIS gives
+collinear anchors, which leave the classic linear two-step TDoA system rank
+deficient.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from .constants import SPEED_OF_LIGHT
 
 
 class PositionEstimationError(RuntimeError):
-    """Raised when neither solve path produces an acceptable estimate."""
+    """Raised when no Gauss-Newton descent converges within its iteration
+    budget; ``best_estimate`` holds the lowest-cost endpoint."""
 
     def __init__(self, message: str, best_estimate: np.ndarray | None = None):
         super().__init__(message)
@@ -30,20 +30,16 @@ class PositionEstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TdoaSystem:
-    """Stacked range-difference equations relative to the reference anchor."""
+    """Range differences of the labeled anchors relative to the reference."""
 
-    a_matrix: np.ndarray  # (rows, 3) anchor offsets from the reference
-    c_vector: np.ndarray  # (rows,) negated range differences
-    b_vector: np.ndarray  # (rows,) constant terms
     ref_tile: int
     ref_pos: np.ndarray
     anchor_positions: np.ndarray  # (rows, 3) non-reference anchors
     gammas: np.ndarray  # (rows,) range differences of non-reference anchors
-    gamma_by_tile: dict[int, float]  # includes the reference at 0.0
 
 
 def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
-    """Assemble the linear system from labeled arrivals.
+    """Form the range differences of labeled arrivals.
 
     ``labels`` is an iterable of ``(toa_seconds, tile_index)`` pairs (or any
     object exposing such pairs via ``.entries``); ``tile_positions`` holds all
@@ -68,73 +64,13 @@ def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
     ref_tile = int(tiles[ref_i])
     ref_pos = positions[ref_i]
     rest = np.arange(len(entries)) != ref_i
-    anchors = positions[rest]
     gammas = (toas[rest] - toas[ref_i]) * SPEED_OF_LIGHT - (d_bs[rest] - d_bs[ref_i])
-    b_vector = 0.5 * (
-        np.einsum("ij,ij->i", anchors, anchors) - ref_pos @ ref_pos - gammas * gammas
-    )
-    gamma_by_tile = {ref_tile: 0.0}
-    gamma_by_tile.update(zip(tiles[rest].tolist(), gammas.tolist()))
     return TdoaSystem(
-        a_matrix=anchors - ref_pos,
-        c_vector=-gammas,
-        b_vector=b_vector,
         ref_tile=ref_tile,
         ref_pos=ref_pos,
-        anchor_positions=anchors,
+        anchor_positions=positions[rest],
         gammas=gammas,
-        gamma_by_tile=gamma_by_tile,
     )
-
-
-def _range_diff_residuals(p: np.ndarray, system: TdoaSystem) -> np.ndarray:
-    d_ref = np.linalg.norm(p - system.ref_pos)
-    d = np.linalg.norm(p - system.anchor_positions, axis=1)
-    return system.gammas - (d - d_ref)
-
-
-def _solve_quadratic_path(
-    system: TdoaSystem, room, rtol: float, row_weights: np.ndarray | None = None
-) -> np.ndarray | None:
-    a_mat = system.a_matrix
-    rhs = np.column_stack([system.c_vector, system.b_vector])
-    if row_weights is not None:
-        w = np.sqrt(row_weights)[:, None]
-        a_mat = a_mat * w
-        rhs = rhs * w
-    sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    g, h = sol[:, 0], sol[:, 1]
-    diff = h - system.ref_pos
-    qa = float(np.dot(g, g) - 1.0)
-    qb = 2.0 * float(np.dot(g, diff))
-    qc = float(np.dot(diff, diff))
-
-    roots = []
-    if abs(qa) < 1e-14:
-        if abs(qb) > 1e-300:
-            roots = [-qc / qb]
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= 0.0:
-            sq = np.sqrt(disc)
-            roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
-    candidates = []
-    for d_ref in roots:
-        if d_ref <= 0.0:
-            continue
-        p = g * d_ref + h
-        if room is not None and not _in_room(p, room, rtol):
-            continue
-        res = float(np.sum(np.abs(_range_diff_residuals(p, system))))
-        candidates.append((res, p))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda t: t[0])[1]
-
-
-def _in_room(p: np.ndarray, room, tol: float) -> bool:
-    lo, hi = np.asarray(room[0], dtype=float), np.asarray(room[1], dtype=float)
-    return bool(np.all(p >= lo - tol) and np.all(p <= hi + tol))
 
 
 class _ResidualWhitener:
@@ -182,7 +118,6 @@ def _gn_descend(
     system: TdoaSystem,
     start_xy: np.ndarray,
     room,
-    ground_z: float,
     max_iter: int,
     whitener: _ResidualWhitener,
 ) -> tuple[np.ndarray, float, bool]:
@@ -195,9 +130,9 @@ def _gn_descend(
     """
     anchors = system.anchor_positions
     anchor_xy = anchors[:, :2]
-    dz2 = (ground_z - anchors[:, 2]) ** 2
+    dz2 = anchors[:, 2] ** 2  # the UE is on the floor, z = 0
     ref_x, ref_y, ref_z = system.ref_pos.tolist()
-    ref_dz2 = (ground_z - ref_z) ** 2
+    ref_dz2 = ref_z ** 2
     gammas = system.gammas
     dinv = whitener.dinv
     if dinv is not None:
@@ -265,19 +200,18 @@ def _gn_descend(
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 if moved < 1e-11:
-                    return np.array([x, y, ground_z]), cost, True
+                    return np.array([x, y, 0.0]), cost, True
                 break
             lam *= 10.0
         if not accepted:
             # damping exhausted: gradient numerically stationary
-            return np.array([x, y, ground_z]), cost, True
-    return np.array([x, y, ground_z]), cost, False
+            return np.array([x, y, 0.0]), cost, True
+    return np.array([x, y, 0.0]), cost, False
 
 
 def _gauss_newton_ground(
     system: TdoaSystem,
     room,
-    ground_z: float,
     max_iter: int,
     whitener: _ResidualWhitener,
 ) -> tuple[np.ndarray, bool]:
@@ -294,9 +228,7 @@ def _gauss_newton_ground(
         center = 0.5 * (lo[:2] + hi[:2])
     else:
         center = np.mean(system.anchor_positions[:, :2], axis=0)
-    best_p, best_cost, done = _gn_descend(
-        system, center, room, ground_z, max_iter, whitener
-    )
+    best_p, best_cost, done = _gn_descend(system, center, room, max_iter, whitener)
     any_done = done
 
     starts = []
@@ -309,7 +241,7 @@ def _gauss_newton_ground(
         starts.extend(np.array([x, y]) for x in qx for y in qy)
     for start in starts:
         p, cost, done = _gn_descend(
-            system, np.asarray(start, dtype=float), room, ground_z, max_iter, whitener
+            system, np.asarray(start, dtype=float), room, max_iter, whitener
         )
         any_done = any_done or done
         if cost < best_cost:
@@ -319,25 +251,21 @@ def _gauss_newton_ground(
 
 def solve_position(
     system: TdoaSystem,
-    ref_pos=None,
     room=None,
     *,
     sigmas: np.ndarray | None = None,
     sigma_ref: float = 0.0,
-    ground_z: float = 0.0,
-    cond_threshold: float = 1e8,
     max_iter: int = 100,
-    room_tol: float = 1e-6,
 ) -> np.ndarray:
-    """Estimate the source position from a built system.
+    """Estimate the UE's floor position from a built system.
 
-    The closed-form path runs when the anchor offset matrix has full column
-    rank (condition number below ``cond_threshold``); the admissible root is
-    the positive reference range whose position falls inside ``room`` (ties
-    resolve by range-difference residual).  Rank-deficient geometries and
-    root failures fall back to the ground-plane Gauss-Newton fit.  Raises
-    :class:`PositionEstimationError` with the best iterate if that fit does
-    not converge within ``max_iter`` iterations.
+    Runs the ground-plane Gauss-Newton fit: a descent from the room center
+    (without ``room``, the floor centroid of the non-reference anchors),
+    then restarts from that endpoint's mirror about the anchor line and,
+    with ``room``, from the four room quadrant midpoints, every iterate
+    clamped to the room.  The lowest-cost endpoint is returned with z = 0.
+    Raises :class:`PositionEstimationError` with that endpoint if no descent
+    converges within ``max_iter`` iterations.
 
     With ``sigmas`` (per non-reference anchor, ordered like the system rows)
     and ``sigma_ref`` the fit becomes a generalized least squares: the
@@ -345,23 +273,8 @@ def solve_position(
     covariance is diagonal plus rank one.  Without them the fit is the plain
     unweighted sum of squares.
     """
-    if ref_pos is not None and not np.allclose(ref_pos, system.ref_pos):
-        raise ValueError("ref_pos does not match the system's reference anchor")
     whitener = _ResidualWhitener(sigmas, sigma_ref, len(system.gammas))
-    svals = np.linalg.svd(system.a_matrix, compute_uv=False)
-    full_rank = (
-        system.a_matrix.shape[0] >= 3
-        and svals[-1] > 0
-        and svals[0] / svals[-1] < cond_threshold
-    )
-    if full_rank:
-        row_weights = None
-        if sigmas is not None:
-            row_weights = 1.0 / np.maximum(np.asarray(sigmas, dtype=float), 1e-30) ** 2
-        p = _solve_quadratic_path(system, room, room_tol, row_weights)
-        if p is not None:
-            return p
-    p, converged = _gauss_newton_ground(system, room, ground_z, max_iter, whitener)
+    p, converged = _gauss_newton_ground(system, room, max_iter, whitener)
     if not converged:
         raise PositionEstimationError(
             "position fit did not converge", best_estimate=p

@@ -102,7 +102,7 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(bad), "simulate"]) == 2
 
 
-BAD_ASSIGNMENTS = {
+BAD_CONFIGS = {
     # too few anchors to bootstrap a position fix
     "two_exclusive_tiles": "[scene]\ntile_count = 16\n[assignment]\nframes = 8\n"
     "exclusive_tiles = 2\n",
@@ -114,13 +114,17 @@ BAD_ASSIGNMENTS = {
     # groups of 3 tiles, beyond the residual labeler's cap
     "group_above_residual_cap": "[scene]\ntile_count = 16\n[assignment]\nframes = 8\n"
     "[experiment]\nresidual_cap = 2\n",
+    # no bandwidth
+    "zero_spacing": "[waveform]\nspacing_hz = 0\n",
+    # nothing to run
+    "zero_trials": "[experiment]\ntrials = 0\n",
 }
 
 
-@pytest.mark.parametrize("name", sorted(BAD_ASSIGNMENTS))
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
 def test_invalid_assignment_rejected_at_load(name, tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text(BAD_ASSIGNMENTS[name])
+    bad.write_text(BAD_CONFIGS[name])
     with pytest.raises(ConfigError):
         load_config(str(bad))
     # peb runs no trial, so only the load check can reject it
@@ -134,6 +138,29 @@ def test_invalid_assignment_from_override_exits_2(desk_config, tmp_path, capsys)
     out = str(tmp_path / "out")
     assert main(["--config", desk_config, "--out", out, "--frames", "4", "peb"]) == 2
     assert main(["--config", desk_config, "--out", out, "--frames", "16", "peb"]) == 0
+
+
+BAD_ARGUMENTS = {
+    "bandwidth_override": ["--bandwidth-hz", "0", "simulate"],
+    "trials_override": ["--trials", "0", "simulate"],
+    # sweep points no trial can run with: no shared-group slope left, too
+    # few exclusive-slope tiles, no bandwidth
+    "sweep_L": ["sweep", "--var", "L", "--values", "8,4"],
+    "sweep_K": ["sweep", "--var", "K", "--values", "2"],
+    "sweep_B": ["sweep", "--var", "B", "--values", "0"],
+    "peb_bandwidth": ["peb", "--values", "4e8,0"],
+    "heatmap_resolution": ["heatmap", "--resolution-m", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGUMENTS))
+def test_bad_command_line_value_exits_2(name, desk_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["--config", desk_config, "--out", str(out)] + BAD_ARGUMENTS[name]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+    # rejected before the first trial: no result file is written
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_simulate_writes_trials(desk_config, tmp_path):

@@ -40,20 +40,35 @@ def test_symmetric_tiles_equal_gammas():
     anchors = np.array([[4.0, 10.0, 2.0], [6.0, 10.0, 2.0], [5.0, 8.0, 1.0]])
     p_bs = np.array([5.0, 0.0, 2.0])  # equidistant from tiles 1 and 2
     ue = np.array([5.0, 5.0, 0.0])  # likewise
-    system = build_system(exact_entries(anchors, p_bs, ue), anchors, p_bs)
-    g1 = system.gamma_by_tile[1]
-    g2 = system.gamma_by_tile[2]
+    entries = exact_entries(anchors, p_bs, ue)
+    system = build_system(entries, anchors, p_bs)
+    tiles = [k for _, k in entries if k != system.ref_tile]
+    g1 = system.gammas[tiles.index(1)]
+    g2 = system.gammas[tiles.index(2)]
     assert g1 == pytest.approx(g2, abs=1e-12)
 
 
-def test_collinear_anchor_matrix_rank_one():
-    layout = RisLayout(tile_count=4, tile_spacing=0.5, center=[5, 10, 2], axis=[1, 0, 0])
-    scene = build_scene(layout, [0, 5, 2], [5, 5, 0])
+@pytest.mark.parametrize(
+    "axis",
+    [(1, 0, 0), (0.6, 0.8, 0), (0, 1, 0), (0.6, 0, 0.8), (0, 0, 1)],
+    ids=["x", "xy", "y", "xz", "vertical"],
+)
+def test_linear_ris_anchors_are_collinear(axis):
+    # every scene the simulator builds has collinear anchors, which is why the
+    # ground-plane fit is the only solve path
+    layout = RisLayout(tile_count=16, tile_spacing=0.1, center=[5, 10, 2], axis=axis)
+    ue = np.array([3.0, 4.0, 0.0])
+    scene = build_scene(layout, [0, 5, 2], ue, t0=2e-7)
     taus = toa_vector(scene)
     system = build_system(
-        [(taus[i], i + 1) for i in range(4)], scene.tile_centers, scene.p_bs
+        [(taus[i], i + 1) for i in range(16)], scene.tile_centers, scene.p_bs
     )
-    assert np.linalg.matrix_rank(system.a_matrix, tol=1e-9) == 1
+    offsets = system.anchor_positions - system.ref_pos
+    assert np.linalg.matrix_rank(offsets, tol=1e-9) == 1
+    if axis != (0, 0, 1):
+        # a vertical RIS stands over one floor point: its delays fix only the
+        # UE's distance from that point
+        assert np.linalg.norm(solve_position(system, room=ROOM) - ue) < 1e-4
 
 
 def test_build_system_validation():
@@ -78,27 +93,18 @@ def test_build_system_matches_loop_reference():
     ref_tau, ref_tile = min((tau, k) for tau, k in entries)
     ref_pos = tiles_xyz[ref_tile - 1]
     d_ref = np.linalg.norm(p_bs - ref_pos)
-    rows, gammas, b = [], [], []
+    rows, gammas = [], []
     for tau, k in entries:
         if k == ref_tile:
             continue
         pos = tiles_xyz[k - 1]
         gamma = (tau - ref_tau) * SPEED_OF_LIGHT - (np.linalg.norm(p_bs - pos) - d_ref)
-        rows.append(pos - ref_pos)
+        rows.append(pos)
         gammas.append(gamma)
-        b.append(0.5 * (pos @ pos - ref_pos @ ref_pos - gamma * gamma))
     assert system.ref_tile == ref_tile == 5
     np.testing.assert_array_equal(system.ref_pos, ref_pos)
-    np.testing.assert_array_equal(system.a_matrix, rows)
+    np.testing.assert_array_equal(system.anchor_positions, rows)
     np.testing.assert_allclose(system.gammas, gammas, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(system.c_vector, -np.array(gammas), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(system.b_vector, b, rtol=1e-14, atol=1e-12)
-    tiles = [k for _, k in entries if k != ref_tile]
-    assert list(system.gamma_by_tile) == [ref_tile] + tiles
-    assert system.gamma_by_tile[ref_tile] == 0.0
-    np.testing.assert_allclose(
-        [system.gamma_by_tile[k] for k in tiles], gammas, rtol=0, atol=1e-12
-    )
 
 
 def test_exact_inversion_general_anchors():
@@ -230,8 +236,7 @@ def test_weighted_solve_downweights_corrupt_anchor():
 
 
 def noisy_linear_system(seed):
-    # a linear RIS: the anchor matrix is rank one, so the ground-plane
-    # Gauss-Newton fit runs instead of the closed form
+    # a linear RIS: collinear anchors, as in every simulated trial
     rng = np.random.default_rng(seed)
     layout = RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
