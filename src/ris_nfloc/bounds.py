@@ -36,8 +36,6 @@ class FimResult:
     fim: np.ndarray  # (3, 3)
     peb: float  # root trace of the full inverse; inf when rank deficient
     peb_observable: float  # restricted to the numerically observable subspace
-    per_tile_sigma: np.ndarray  # (K,) delay variance per tile, nan at reference
-    per_tile_snr: np.ndarray  # (K,) linear SNR input
     condition_number: float
     rank: int
 
@@ -112,13 +110,11 @@ def fim(
     snrs = np.asarray(snrs, dtype=float)
     grads = tdoa_gradients(scene, k_ref)
 
-    sigma = np.full(k, np.nan)
     j = np.zeros((3, 3))
     for tile in range(1, k + 1):
         if tile == k_ref:
             continue
         var = toa_variance(bandwidth, snrs[tile - 1], snrs[k_ref - 1])
-        sigma[tile - 1] = var
         if not np.isfinite(var) or var <= 0:
             continue
         g = grads[tile - 1]
@@ -138,8 +134,6 @@ def fim(
         fim=j,
         peb=peb,
         peb_observable=peb_obs,
-        per_tile_sigma=sigma,
-        per_tile_snr=snrs,
         condition_number=cond,
         rank=rank,
     )

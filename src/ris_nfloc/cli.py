@@ -10,7 +10,6 @@ error, 3 pipeline failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import harness
 from .config import ConfigError, check_config, config_template, load_config
+from .csvfile import write_csv
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -31,6 +31,17 @@ def _parse_values(text: str) -> list[float]:
         return [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"bad numeric list {text!r}") from None
+
+
+def _sweep_points(cfg, variable: str, text: str) -> list[float]:
+    """Parse ``--values`` and check the config of every sweep point before
+    the first trial runs."""
+    values = _parse_values(text)
+    for value in values:
+        if variable in ("K", "L") and not value.is_integer():
+            raise ConfigError(f"{variable} = {value:g} is not an integer")
+        check_config(harness.apply_sweep_value(cfg, variable, value))
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,12 +99,11 @@ def _apply_overrides(cfg, args):
         cfg = replace(cfg, seed=args.seed)
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
-    if args.tiles is not None:
-        cfg = replace(cfg, tile_count=args.tiles)
-    if args.frames is not None:
-        cfg = replace(cfg, frames=args.frames)
-    if args.bandwidth_hz is not None:
-        cfg = replace(cfg, spacing_hz=args.bandwidth_hz / cfg.subcarriers)
+    for variable, value in (
+        ("K", args.tiles), ("L", args.frames), ("B", args.bandwidth_hz)
+    ):
+        if value is not None:
+            cfg = harness.apply_sweep_value(cfg, variable, value)
     return cfg
 
 
@@ -135,9 +145,7 @@ def main(argv=None) -> int:
                 f"censored={point.censored_fraction:.4g}"
             )
         elif args.command == "sweep":
-            values = _parse_values(args.values)
-            for value in values:
-                check_config(harness.apply_sweep_value(cfg, args.var, value))
+            values = _sweep_points(cfg, args.var, args.values)
             table = harness.sweep(cfg, args.var, values)
             harness.write_sweep_csv(table, os.path.join(args.out, "sweep.csv"))
             for p in table.points:
@@ -167,17 +175,11 @@ def main(argv=None) -> int:
             ue_xy = _parse_values(args.ue)
             if len(ue_xy) != 2:
                 raise ConfigError("--ue expects x,y")
-            bandwidths = (
-                _parse_values(args.values) if args.values else [cfg.bandwidth_hz]
-            )
-            for b in bandwidths:
-                check_config(harness.apply_sweep_value(cfg, "B", b))
+            bandwidths = [cfg.bandwidth_hz]
+            if args.values:
+                bandwidths = _sweep_points(cfg, "B", args.values)
             rows = [(b, _peb_at(cfg, ue_xy, b)) for b in bandwidths]
-            with open(os.path.join(args.out, "peb.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["sweep_value", "peb"])
-                for b, peb in rows:
-                    writer.writerow([f"{b:.12g}", f"{peb:.12g}"])
+            write_csv(os.path.join(args.out, "peb.csv"), ["sweep_value", "peb"], rows)
             for b, peb in rows:
                 print(f"bandwidth={b:g} peb={peb:.6g}")
         elif args.command == "bench":

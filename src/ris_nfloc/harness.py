@@ -19,7 +19,6 @@ in :mod:`ris_nfloc.bounds`.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +30,7 @@ from . import kernels
 from .bounds import cascade_snrs, fim
 from .channel import MultipathConfig, realize_channel
 from .constants import SPEED_OF_LIGHT
+from .csvfile import write_csv
 from .geometry import RisLayout, Scene, build_scene, toa_vector
 from .labeling import BootstrapError, run_spl, solve_labeled
 from .psp import PspAssignment, assign
@@ -616,74 +616,60 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
 
 def write_sweep_csv(table: MetricsTable, path) -> None:
     """sweep.csv with the fixed column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sweep_value", "rmse_proposed", "rmse_baseline", "peb", "label_acc"]
-        )
-        for p in table.points:
-            writer.writerow(
-                [
-                    f"{p.sweep_value:.12g}",
-                    f"{p.rmse_proposed:.12g}",
-                    f"{p.rmse_baseline:.12g}",
-                    f"{p.peb:.12g}",
-                    f"{p.label_acc:.12g}",
-                ]
-            )
+    write_csv(
+        path,
+        ["sweep_value", "rmse_proposed", "rmse_baseline", "peb", "label_acc"],
+        (
+            (p.sweep_value, p.rmse_proposed, p.rmse_baseline, p.peb, p.label_acc)
+            for p in table.points
+        ),
+    )
 
 
 def write_cdf_csv(errors, path) -> None:
     samples = cdf(errors)
     n = len(samples)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["error_m", "cum_prob"])
-        for i, e in enumerate(samples):
-            writer.writerow([f"{e:.12g}", f"{(i + 1) / n:.12g}"])
+    write_csv(
+        path, ["error_m", "cum_prob"], ((e, (i + 1) / n) for i, e in enumerate(samples))
+    )
 
 
 def write_heatmap_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "rmse"])
-        for x, y, rmse in rows:
-            writer.writerow([f"{x:.12g}", f"{y:.12g}", f"{rmse:.12g}"])
+    write_csv(path, ["x", "y", "rmse"], rows)
 
 
 def write_timing_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "size", "seconds"])
-        for stage, size, seconds in rows:
-            writer.writerow([stage, size, f"{seconds:.6g}"])
+    write_csv(
+        path,
+        ["stage", "size", "seconds"],
+        ((stage, size, f"{seconds:.6g}") for stage, size, seconds in rows),
+    )
 
 
 def write_trials_csv(results: list[TrialResult], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "trial",
-                "error_proposed_m",
-                "error_baseline_m",
-                "label_acc_proposed",
-                "label_acc_baseline",
-                "censored_proposed",
-                "censored_baseline",
-                "peb_m",
-            ]
-        )
-        for t, r in enumerate(results):
-            writer.writerow(
-                [
-                    t,
-                    f"{r.error_proposed:.12g}",
-                    f"{r.error_baseline:.12g}",
-                    f"{r.label_acc_proposed:.12g}",
-                    f"{r.label_acc_baseline:.12g}",
-                    int(r.censored_proposed),
-                    int(r.censored_baseline),
-                    f"{r.peb:.12g}",
-                ]
+    write_csv(
+        path,
+        [
+            "trial",
+            "error_proposed_m",
+            "error_baseline_m",
+            "label_acc_proposed",
+            "label_acc_baseline",
+            "censored_proposed",
+            "censored_baseline",
+            "peb_m",
+        ],
+        (
+            (
+                t,
+                r.error_proposed,
+                r.error_baseline,
+                r.label_acc_proposed,
+                r.label_acc_baseline,
+                int(r.censored_proposed),
+                int(r.censored_baseline),
+                r.peb,
             )
+            for t, r in enumerate(results)
+        ),
+    )

@@ -13,13 +13,13 @@ exhaustive residual-error search over the group's permutations takes over.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
+from .csvfile import write_csv
 from .geometry import Scene
 from .psp import PspAssignment
 from .spectrum import ToaGroups
@@ -412,11 +412,9 @@ def run_spl(
 
 def trace_to_csv(trace: list[TraceRow], path) -> None:
     """Dump the per-group labeling trace for diagnostics."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group_id", "dod", "method", "swap_count", "residual"])
-        for row in trace:
-            writer.writerow(
-                [row.group_id, row.dod, row.method, row.swap_count,
-                 f"{row.residual:.12g}"]
-            )
+    write_csv(
+        path,
+        ["group_id", "dod", "method", "swap_count", "residual"],
+        ((row.group_id, row.dod, row.method, row.swap_count, row.residual)
+         for row in trace),
+    )

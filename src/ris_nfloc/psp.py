@@ -10,10 +10,11 @@ apart as possible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .csvfile import write_csv
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,6 @@ class PspAssignment:
     def max_dod(self) -> int:
         """Largest number of tiles sharing one slope."""
         return max(len(g) for g in self.groups.values())
-
-    def group_of_tile(self, k: int) -> int:
-        """Slope index i with tile ``k`` in groups[i]."""
-        return round(self.beta[k - 1] * self.l_frames)
 
 
 def psp_list(l_frames: int) -> np.ndarray:
@@ -147,8 +144,9 @@ def assignment_to_csv(assignment: PspAssignment, path) -> None:
     for i, tiles in assignment.groups.items():
         for k in tiles:
             tile_group[k] = i
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tile_index", "beta", "group_id"])
-        for k in range(1, assignment.n_tiles + 1):
-            writer.writerow([k, f"{assignment.beta[k - 1]:.12g}", tile_group[k]])
+    write_csv(
+        path,
+        ["tile_index", "beta", "group_id"],
+        ((k, assignment.beta[k - 1], tile_group[k])
+         for k in range(1, assignment.n_tiles + 1)),
+    )

@@ -19,12 +19,12 @@ keeps the peak-picker result.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
+from .csvfile import write_csv
 from .psp import PspAssignment
 from .waveform import FrameMatrix, WaveformConfig
 
@@ -302,9 +302,9 @@ def _unwrap_inplace(toas: dict[int, np.ndarray], period: float) -> None:
 def spectrum_to_csv(spec: SpectrumMap, path) -> None:
     """Dump (u, v, magnitude) triplets for heatmap rendering."""
     mag = np.abs(spec.grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "magnitude"])
-        for u in range(spec.n_bar):
-            for v in range(spec.cfg.l_frames):
-                writer.writerow([u, v, f"{mag[u, v]:.12g}"])
+    write_csv(
+        path,
+        ["u", "v", "magnitude"],
+        ((u, v, mag[u, v])
+         for u in range(spec.n_bar) for v in range(spec.cfg.l_frames)),
+    )

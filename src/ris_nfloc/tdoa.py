@@ -80,13 +80,13 @@ class _ResidualWhitener:
     covariance is ``diag(sigmas**2) + sigma_ref**2 * 1 1^T``; by the
     Sherman-Morrison identity its inverse is ``D - k * (D 1)(D 1)^T`` with
     ``D = diag(dinv)`` and ``k = sigma_ref**2 / (1 + sigma_ref**2 * sum(dinv))``.
-    With no sigmas ``dinv`` is None and the fit is plain least squares.
+    With no sigmas the fit takes unit sigmas and no reference term, so
+    ``dinv`` is all ones and ``k`` is zero: plain least squares, bit for bit.
     """
 
     def __init__(self, sigmas: np.ndarray | None, sigma_ref: float, n: int):
         if sigmas is None:
-            self.dinv = None
-            return
+            sigmas, sigma_ref = np.ones(n), 0.0
         sigmas = np.asarray(sigmas, dtype=float)
         if sigmas.shape != (n,):
             raise ValueError("sigmas must have one entry per non-reference anchor")
@@ -135,9 +135,8 @@ def _gn_descend(
     ref_dz2 = ref_z ** 2
     gammas = system.gammas
     dinv = whitener.dinv
-    if dinv is not None:
-        k = whitener.k
-        dinv_col = dinv[:, None]
+    k = whitener.k
+    dinv_col = dinv[:, None]
 
     def evaluate(x, y):
         """Offsets, distances, residuals, whitened residual sum and cost."""
@@ -146,8 +145,6 @@ def _gn_descend(
         d = np.sqrt(sq[:, 0] + sq[:, 1] + dz2)
         d_ref = math.sqrt((x - ref_x) ** 2 + (y - ref_y) ** 2 + ref_dz2)
         r = gammas - (d - d_ref)
-        if dinv is None:
-            return diff, d, d_ref, r, 0.0, float(r @ r)
         q_sum = float(dinv @ r)
         return diff, d, d_ref, r, q_sum, float((dinv * r) @ r) - k * q_sum * q_sum
 
@@ -165,19 +162,15 @@ def _gn_descend(
         d_ref = max(d_ref, 1e-12)
         unit_ref = np.array(((x - ref_x) / d_ref, (y - ref_y) / d_ref))
         jac = unit_ref - diff / np.maximum(d, 1e-12)[:, None]
-        if dinv is None:
-            (h_xx, h_xy), (_, h_yy) = (jac.T @ jac).tolist()
-            g_x, g_y = (r @ jac).tolist()
-        else:
-            w = dinv_col * jac
-            (h_xx, h_xy), (_, h_yy) = (w.T @ jac).tolist()
-            g_x, g_y = (r @ w).tolist()
-            s_x, s_y = (dinv @ jac).tolist()
-            h_xx -= k * s_x * s_x
-            h_xy -= k * s_x * s_y
-            h_yy -= k * s_y * s_y
-            g_x -= k * s_x * q_sum
-            g_y -= k * s_y * q_sum
+        w = dinv_col * jac
+        (h_xx, h_xy), (_, h_yy) = (w.T @ jac).tolist()
+        g_x, g_y = (r @ w).tolist()
+        s_x, s_y = (dinv @ jac).tolist()
+        h_xx -= k * s_x * s_x
+        h_xy -= k * s_x * s_y
+        h_yy -= k * s_y * s_y
+        g_x -= k * s_x * q_sum
+        g_y -= k * s_y * q_sum
         accepted = False
         while lam < 1e14:
             a = h_xx + lam

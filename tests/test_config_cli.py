@@ -148,6 +148,9 @@ BAD_ARGUMENTS = {
     "sweep_L": ["sweep", "--var", "L", "--values", "8,4"],
     "sweep_K": ["sweep", "--var", "K", "--values", "2"],
     "sweep_B": ["sweep", "--var", "B", "--values", "0"],
+    # K and L count tiles and frames; a fraction would be truncated
+    "sweep_K_fraction": ["sweep", "--var", "K", "--values", "16.7"],
+    "sweep_L_fraction": ["sweep", "--var", "L", "--values", "8.5"],
     "peb_bandwidth": ["peb", "--values", "4e8,0"],
     "heatmap_resolution": ["heatmap", "--resolution-m", "0"],
 }

@@ -5,6 +5,9 @@ import pytest
 
 from ris_nfloc.harness import (
     ExperimentConfig,
+    MetricsTable,
+    SweepPoint,
+    TrialResult,
     apply_sweep_value,
     cdf,
     heatmap,
@@ -20,6 +23,10 @@ from ris_nfloc.harness import (
     write_timing_csv,
     write_trials_csv,
 )
+from ris_nfloc.labeling import TraceRow, trace_to_csv
+from ris_nfloc.psp import PspAssignment, assignment_to_csv
+from ris_nfloc.spectrum import SpectrumMap, spectrum_to_csv
+from ris_nfloc.waveform import WaveformConfig
 
 DESK = ExperimentConfig(
     tile_count=16,
@@ -198,6 +205,87 @@ def test_trials_csv(tmp_path):
     write_trials_csv(results, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + DESK.trials
+
+
+_THIRD = 1.0 / 3.0
+_NAN = float("nan")
+_SWEEP_POINT = SweepPoint(
+    sweep_value=4e8, rmse_proposed=_THIRD, rmse_baseline=_NAN, peb=1.5e-13,
+    label_acc=1.0, label_acc_baseline=0.5, rmse_proposed_all=_THIRD,
+    rmse_baseline_all=_NAN, censored_fraction=0.5, wall_time_s=_THIRD,
+)
+_TRIAL = TrialResult(
+    error_proposed=_THIRD, error_baseline=_NAN, label_acc_proposed=1.0,
+    label_acc_baseline=0.0, labeled_proposed=4, labeled_baseline=0,
+    censored_proposed=False, censored_baseline=True, peb=np.float64(2.5e-3),
+)
+_ASSIGNMENT = PspAssignment(
+    l_frames=3, beta=np.array([1.0, 2.0, 3.0, 1.0]) / 3.0, k0_set=(2, 3),
+    groups={1: (1, 4), 2: (2,), 3: (3,)}, k0_size=2,
+)
+_SPECTRUM = SpectrumMap(
+    grid=np.array([[3 + 4j, _THIRD], [0, 2]]), oversampling=2, n_bar=2,
+    cfg=WaveformConfig(n_subcarriers=1, spacing=1.0, carrier=1.0,
+                       tx_power=1.0, noise_psd=0.0, l_frames=2),
+)
+
+
+@pytest.mark.parametrize(
+    "write, expected",
+    [
+        (
+            lambda p: write_trials_csv([_TRIAL, _TRIAL], p),
+            b"trial,error_proposed_m,error_baseline_m,label_acc_proposed,"
+            b"label_acc_baseline,censored_proposed,censored_baseline,peb_m\r\n"
+            b"0,0.333333333333,nan,1,0,0,1,0.0025\r\n"
+            b"1,0.333333333333,nan,1,0,0,1,0.0025\r\n",
+        ),
+        (
+            lambda p: write_sweep_csv(MetricsTable("B", (_SWEEP_POINT,)), p),
+            b"sweep_value,rmse_proposed,rmse_baseline,peb,label_acc\r\n"
+            b"400000000,0.333333333333,nan,1.5e-13,1\r\n",
+        ),
+        (
+            lambda p: write_cdf_csv([2.0, _NAN, _THIRD], p),
+            b"error_m,cum_prob\r\n0.333333333333,0.5\r\n2,1\r\n",
+        ),
+        (
+            lambda p: write_heatmap_csv([(0.5, 1.5, _THIRD), (2.5, 1.5, _NAN)], p),
+            b"x,y,rmse\r\n0.5,1.5,0.333333333333\r\n2.5,1.5,nan\r\n",
+        ),
+        (
+            lambda p: write_timing_csv(
+                [("spectrum_2d", 256, _THIRD * 1e-3), ("spl_tdoa", 16, 1.5)], p
+            ),
+            b"stage,size,seconds\r\nspectrum_2d,256,0.000333333\r\n"
+            b"spl_tdoa,16,1.5\r\n",
+        ),
+        (
+            lambda p: assignment_to_csv(_ASSIGNMENT, p),
+            b"tile_index,beta,group_id\r\n1,0.333333333333,1\r\n"
+            b"2,0.666666666667,2\r\n3,1,3\r\n4,0.333333333333,1\r\n",
+        ),
+        (
+            lambda p: trace_to_csv(
+                [TraceRow(1, 2, "pair", 1, _THIRD), TraceRow(2, 3, "skipped", 0, _NAN)],
+                p,
+            ),
+            b"group_id,dod,method,swap_count,residual\r\n"
+            b"1,2,pair,1,0.333333333333\r\n2,3,skipped,0,nan\r\n",
+        ),
+        (
+            lambda p: spectrum_to_csv(_SPECTRUM, p),
+            b"u,v,magnitude\r\n0,0,5\r\n0,1,0.333333333333\r\n"
+            b"1,0,0\r\n1,1,2\r\n",
+        ),
+    ],
+    ids=["trials", "sweep", "cdf", "heatmap", "timing", "assignment", "trace",
+         "spectrum"],
+)
+def test_csv_writers_bytes(tmp_path, write, expected):
+    path = tmp_path / "out.csv"
+    write(path)
+    assert path.read_bytes() == expected
 
 
 def test_thread_pool_matches_serial(monkeypatch):

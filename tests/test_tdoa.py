@@ -208,6 +208,29 @@ def test_weighted_solve_matches_unweighted_on_exact_data():
     assert np.linalg.norm(p_weighted - ue) < 1e-6
 
 
+def _noisy_general_system(seed):
+    rng = np.random.default_rng(seed)
+    anchors = random_general_anchors(rng)
+    p_bs = np.array([-1.0, 4.0, 2.0])
+    entries = exact_entries(anchors, p_bs, np.array([7.0, 2.0, 0.0]))
+    entries = [(t + rng.normal(0, 2e-10), k) for t, k in entries]
+    return build_system(entries, anchors, p_bs)
+
+
+@pytest.mark.parametrize("room", [None, ROOM], ids=["no_room", "room"])
+@pytest.mark.parametrize(
+    "make_system",
+    [lambda: noisy_linear_system(4)[0], lambda: _noisy_general_system(4)],
+    ids=["collinear", "general"],
+)
+def test_unit_weights_give_the_unweighted_fix_bit_for_bit(make_system, room):
+    system = make_system()
+    n = len(system.gammas)
+    plain = solve_position(system, room=room)
+    unit = solve_position(system, room=room, sigmas=np.ones(n), sigma_ref=0.0)
+    assert np.array_equal(plain, unit)
+
+
 def test_weighted_solve_downweights_corrupt_anchor():
     rng = np.random.default_rng(10)
     layout = RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0])
