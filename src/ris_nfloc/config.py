@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import configparser
 
+import numpy as np
+
 from .harness import ExperimentConfig, floor_wall_clearance
 
 
@@ -21,6 +23,10 @@ def _vector(text: str) -> tuple:
         return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _point(values) -> str:
+    return "(" + ", ".join(f"{v:g}" for v in values) + ")"
 
 
 def _boolean(text: str) -> bool:
@@ -96,7 +102,8 @@ def load_config(path=None) -> ExperimentConfig:
 def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Reject field combinations no trial can run with; returns ``cfg``.
 
-    A run needs at least one trial and a positive subcarrier spacing; the UE
+    A run needs at least one trial and a positive subcarrier spacing; the
+    closed room box must contain the BS and every RIS tile center; the UE
     needs floor area beyond ``wall_margin_m``; the slope assignment must
     exist for (tile_count, frames, exclusive_tiles) and give at least three
     exclusive-slope tiles; and its largest slope group must fit the residual
@@ -107,6 +114,28 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if not cfg.spacing_hz > 0:
         raise ConfigError(
             f"[waveform] spacing_hz = {cfg.spacing_hz:g} must be positive"
+        )
+    points = ("ris_center_m", "ris_axis", "bs_position_m", "room_min_m", "room_max_m")
+    for field in points:
+        if len(getattr(cfg, field)) != 3:
+            raise ConfigError(f"[scene] {field} needs 3 components (x, y, z)")
+    try:
+        layout = cfg.layout()
+    except ValueError as exc:
+        raise ConfigError(f"bad RIS layout in [scene]: {exc}") from None
+    lo, hi = np.asarray(cfg.room_min_m), np.asarray(cfg.room_max_m)
+    if not np.all((lo <= cfg.bs_position_m) & (cfg.bs_position_m <= hi)):
+        raise ConfigError(
+            f"[scene] bs_position_m = {_point(cfg.bs_position_m)} lies outside "
+            f"the room {_point(lo)} to {_point(hi)}"
+        )
+    centers = layout.tile_centers()
+    outside = np.flatnonzero(~np.all((lo <= centers) & (centers <= hi), axis=1))
+    if outside.size:
+        raise ConfigError(
+            f"[scene] RIS tile {outside[0] + 1} of {cfg.tile_count} at "
+            f"{_point(centers[outside[0]])} lies outside the room "
+            f"{_point(lo)} to {_point(hi)}"
         )
     clearance = floor_wall_clearance(cfg)
     if clearance <= cfg.wall_margin_m:

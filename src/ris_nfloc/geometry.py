@@ -44,6 +44,12 @@ class RisLayout:
         if self.elements_x < 1 or self.elements_z < 1:
             raise ValueError("element grid counts must be >= 1")
 
+    def tile_centers(self) -> np.ndarray:
+        """(K, 3) tile centers, placed symmetrically about ``center``."""
+        k = self.tile_count
+        offsets = (np.arange(1, k + 1) - (k + 1) / 2.0) * self.tile_spacing
+        return self.center[None, :] + offsets[:, None] * self.axis[None, :]
+
 
 @dataclass(frozen=True)
 class TilePose:
@@ -139,11 +145,9 @@ def build_scene(
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    k = layout.tile_count
     u, v = _grid_directions(layout.axis)
     half = wavelength / 2.0
 
-    offsets = (np.arange(1, k + 1) - (k + 1) / 2.0) * layout.tile_spacing
     ix = (np.arange(1, layout.elements_x + 1) - (layout.elements_x + 1) / 2.0) * half
     iz = (np.arange(1, layout.elements_z + 1) - (layout.elements_z + 1) / 2.0) * half
     # local element offsets, x-index fastest
@@ -151,8 +155,7 @@ def build_scene(
     local = local.reshape(-1, 3)
 
     tiles = []
-    for off in offsets:
-        center = layout.center + off * layout.axis
+    for center in layout.tile_centers():
         tiles.append(
             TilePose(
                 center=center,

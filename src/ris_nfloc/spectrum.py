@@ -108,10 +108,11 @@ def spectrum_2d(
         # the 1-based frame index becomes a per-column phase
         samples = np.fft.fft(s, axis=1) * np.exp(-2j * np.pi * np.arange(l) / l)
         # frame-major padding puts each slope column in contiguous memory; the
-        # row placement handles the 1-based subcarrier index
+        # row placement handles the 1-based subcarrier index; the FFT runs in
+        # place, so a trial allocates one n_bar x L buffer, not two
         padded = np.zeros((l, n_bar), dtype=np.complex128)
         padded[:, np.arange(1, n + 1) % n_bar] = samples.T
-        grid = np.fft.fft(padded, axis=1).T
+        grid = np.fft.fft(padded, axis=1, out=padded).T
     else:
         raise ValueError(f"unknown method {method!r}")
     return SpectrumMap(

@@ -6,10 +6,19 @@ is the sum over tiles of the conjugated cascade gain rotated by the subcarrier
 delay phase and the tile's frame-ramp phase, plus circular Gaussian receiver
 noise of variance P*N0/N per cell.  A quadrature test validates the closed
 form against the integral demodulator once on a tiny case.
+
+The delay phases are never formed as an (N, K) array.  Subcarrier n is split
+as n = a*m + b + 1 with block length m = isqrt(N - 1) + 1: a block-start
+exponential table (A, K) is contracted in one matmul with the in-block
+exponentials (K, m) times the tile gains and frame ramps (K, L).  The result
+differs from the direct exp(j2*pi*f_n*tau_k) by about 1e-11 of the summed
+path amplitude, the rounding of the direct exponential itself at arguments
+of about 1.8e5 rad (28 GHz, 1 us).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -82,13 +91,20 @@ def frames_from_paths(
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
-    freqs = cfg.subcarrier_frequencies()
-    ells = np.arange(1, cfg.l_frames + 1)
+    if not len(taus) == len(betas) == len(amplitudes):
+        raise ValueError("taus, betas and amplitudes need one entry per path")
+    n, l, k = cfg.n_subcarriers, cfg.l_frames, len(taus)
+    ells = np.arange(1, l + 1)
 
-    delay_phase = np.exp(2j * np.pi * freqs[:, None] * taus[None, :])  # (N, K)
-    ramp_phase = np.exp(2j * np.pi * betas[:, None] * ells[None, :])  # (K, L)
+    m = math.isqrt(n - 1) + 1  # subcarrier n = a*m + b + 1
+    blocks = -(-n // m)
+    starts = cfg.carrier + (np.arange(blocks) * m + 1 - (n + 1) / 2.0) * cfg.spacing
+    coarse = np.exp(2j * np.pi * starts[:, None] * taus[None, :])  # (A, K)
+    fine = np.exp(2j * np.pi * cfg.spacing * taus[:, None] * np.arange(m))  # (K, m)
+    ramp = np.exp(2j * np.pi * betas[:, None] * ells[None, :])  # (K, L)
     scale = cfg.tx_power / cfg.n_subcarriers
-    s = scale * (delay_phase * amplitudes[None, :]) @ ramp_phase
+    gains = (scale * amplitudes)[:, None, None] * fine[:, :, None] * ramp[:, None, :]
+    s = (coarse @ gains.reshape(k, m * l)).reshape(blocks * m, l)[:n]
 
     if rng is not None and cfg.noise_psd > 0:
         var = cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers

@@ -118,6 +118,14 @@ BAD_CONFIGS = {
     "zero_spacing": "[waveform]\nspacing_hz = 0\n",
     # nothing to run
     "zero_trials": "[experiment]\ntrials = 0\n",
+    # the room must contain the BS and the RIS
+    "bs_outside_room": "[scene]\nbs_position_m = -1,5,2\n",
+    "ris_center_outside_room": "[scene]\nris_center_m = 5,10.5,2\n",
+    # 128 tiles at 0.1 m span 12.7 m along a 10 m wall
+    "tiles_overhang_wall": "[scene]\ntile_count = 128\n[assignment]\nframes = 32\n",
+    # a point needs three coordinates, and the RIS axis must be a unit vector
+    "bs_two_components": "[scene]\nbs_position_m = 1,5\n",
+    "ris_axis_not_unit": "[scene]\nris_axis = 1,1,0\n",
 }
 
 

@@ -130,3 +130,55 @@ def test_frame_dump_round_trip(tmp_path):
     assert np.allclose(loaded.s, frames.s, atol=1e-6)  # float32 round trip
     with pytest.raises(ValueError):
         load_frames(path, small_cfg(l=8, n=16))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_few_subcarriers_shape(n):
+    cfg = small_cfg(n=n, l=3)
+    frames = frames_from_paths([100e-9, 140e-9], [0.25, 0.5], [1.0, 0.3j], cfg)
+    assert frames.s.shape == (n, 3)
+    assert frames.s.flags.c_contiguous
+    expected = frames_from_paths([100e-9], [0.25], [1.0], cfg).s + frames_from_paths(
+        [140e-9], [0.5], [0.3j], cfg
+    ).s
+    assert np.allclose(frames.s, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_no_paths_give_zero_frames(n):
+    cfg = small_cfg(n=n, l=4)
+    frames = frames_from_paths([], [], [], cfg)
+    assert frames.s.shape == (n, 4)
+    assert frames.s.flags.c_contiguous
+    assert not np.any(frames.s)
+
+
+def test_path_arrays_must_have_equal_length():
+    with pytest.raises(ValueError):
+        frames_from_paths([100e-9, 140e-9], [0.25], [1.0, 0.5], small_cfg())
+    with pytest.raises(ValueError):
+        frames_from_paths([100e-9, 140e-9], [0.25, 0.5], [1.0], small_cfg())
+
+
+@pytest.mark.parametrize("l_frames", [16, 64])
+def test_block_product_matches_direct_exponential(l_frames):
+    # full-scale grid: N=3200 at 120 kHz around 28 GHz, 64 paths near 1 us
+    cfg = WaveformConfig(
+        n_subcarriers=3200,
+        spacing=120e3,
+        carrier=28e9,
+        tx_power=0.1,
+        noise_psd=0.0,
+        l_frames=l_frames,
+    )
+    rng = np.random.default_rng(l_frames)
+    taus = rng.uniform(1e-6, 1.06e-6, 64)
+    betas = rng.integers(1, l_frames + 1, 64) / l_frames
+    amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    scale = cfg.tx_power / cfg.n_subcarriers
+    freqs = cfg.subcarrier_frequencies()
+    ramp = np.exp(2j * np.pi * betas[:, None] * np.arange(1, l_frames + 1)[None, :])
+    direct = scale * (np.exp(2j * np.pi * freqs[:, None] * taus[None, :]) * amps) @ ramp
+    frames = frames_from_paths(taus, betas, amps, cfg)
+    # the direct exponential is itself rounded at ~1e-11 for ~1.8e5 rad arguments
+    assert np.max(np.abs(frames.s - direct)) <= 1e-10 * scale * np.sum(np.abs(amps))
