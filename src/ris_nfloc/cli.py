@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
-from .config import ConfigError, check_config, config_template, load_config
+from .config import ConfigError, check_config, config_template, floor_point, load_config
 from .csvfile import write_csv
 from .selftest import run_selftest
 
@@ -31,17 +31,6 @@ def _parse_values(text: str) -> list[float]:
         return [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"bad numeric list {text!r}") from None
-
-
-def _sweep_points(cfg, variable: str, text: str) -> list[float]:
-    """Parse ``--values`` and check the config of every sweep point before
-    the first trial runs."""
-    values = _parse_values(text)
-    for value in values:
-        if variable in ("K", "L") and not value.is_integer():
-            raise ConfigError(f"{variable} = {value:g} is not an integer")
-        check_config(harness.apply_sweep_value(cfg, variable, value))
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,25 +84,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    for variable, value in (
-        ("K", args.tiles), ("L", args.frames), ("B", args.bandwidth_hz)
-    ):
-        if value is not None:
-            cfg = harness.apply_sweep_value(cfg, variable, value)
-    return cfg
+    """The config with the flags applied at once; the caller checks it."""
+    fields = {"seed": args.seed, "trials": args.trials, "tile_count": args.tiles,
+              "frames": args.frames}
+    if args.bandwidth_hz is not None:
+        fields["spacing_hz"] = args.bandwidth_hz / cfg.subcarriers
+    return replace(cfg, **{k: v for k, v in fields.items() if v is not None})
 
 
-def _peb_at(cfg, ue_xy, bandwidth=None) -> float:
-    """PEB at a floor point, with no clock or phase offset and the multipath
+def _peb_at(cfg, ue) -> float:
+    """PEB at a UE position, with no clock or phase offset and the multipath
     realization of the config seed."""
-    sub = cfg if bandwidth is None else harness.apply_sweep_value(cfg, "B", bandwidth)
-    ue = np.array([ue_xy[0], ue_xy[1], 0.0])
-    scene, cascade = harness.normalized_cascade(sub, ue, 0.0, 0.0, sub.seed)
-    return harness.position_error_bound(sub, scene, cascade)
+    scene, cascade = harness.normalized_cascade(cfg, ue, 0.0, 0.0, cfg.seed)
+    return harness.position_error_bound(cfg, scene, cascade)
 
 
 def main(argv=None) -> int:
@@ -145,8 +128,7 @@ def main(argv=None) -> int:
                 f"censored={point.censored_fraction:.4g}"
             )
         elif args.command == "sweep":
-            values = _sweep_points(cfg, args.var, args.values)
-            table = harness.sweep(cfg, args.var, values)
+            table = harness.sweep(cfg, args.var, _parse_values(args.values))
             harness.write_sweep_csv(table, os.path.join(args.out, "sweep.csv"))
             for p in table.points:
                 print(
@@ -154,10 +136,6 @@ def main(argv=None) -> int:
                     f"rmse_baseline={p.rmse_baseline:.4g} peb={p.peb:.4g}"
                 )
         elif args.command == "heatmap":
-            if not args.resolution_m > 0:
-                raise ConfigError(
-                    f"--resolution-m {args.resolution_m:g} must be positive"
-                )
             rows = harness.heatmap(cfg, args.resolution_m)
             harness.write_heatmap_csv(rows, os.path.join(args.out, "heatmap.csv"))
             print(f"heatmap cells={len(rows)}")
@@ -175,10 +153,12 @@ def main(argv=None) -> int:
             ue_xy = _parse_values(args.ue)
             if len(ue_xy) != 2:
                 raise ConfigError("--ue expects x,y")
+            ue = floor_point(cfg, ue_xy)
             bandwidths = [cfg.bandwidth_hz]
             if args.values:
-                bandwidths = _sweep_points(cfg, "B", args.values)
-            rows = [(b, _peb_at(cfg, ue_xy, b)) for b in bandwidths]
+                bandwidths = _parse_values(args.values)
+            subs = [harness.apply_sweep_value(cfg, "B", b) for b in bandwidths]
+            rows = [(b, _peb_at(sub, ue)) for b, sub in zip(bandwidths, subs)]
             write_csv(os.path.join(args.out, "peb.csv"), ["sweep_value", "peb"], rows)
             for b, peb in rows:
                 print(f"bandwidth={b:g} peb={peb:.6g}")

@@ -39,6 +39,8 @@ class RisLayout:
         object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float))
         if self.tile_count < 1:
             raise ValueError("tile_count must be >= 1")
+        if not self.tile_spacing > 0:
+            raise ValueError("tile_spacing must be positive")
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-9:
             raise ValueError("axis must be a unit vector")
         if self.elements_x < 1 or self.elements_z < 1:

@@ -7,7 +7,8 @@ heatmap runs the same pipeline at fixed UE positions.  Two labelers consume
 the same extraction: the geometric one and the fixed-order baseline that
 models code-collision failure.  Censored trials (a failed position fit, or
 too few exclusive-slope arrivals to bootstrap one) are counted, never
-dropped silently.
+dropped silently.  The experiment config and every check that decides
+whether it can run live in :mod:`ris_nfloc.config`.
 
 Power bookkeeping: the nominal absolute powers are meaningless against raw
 double-bounce path loss, so cascade gains are path-loss-normalized per trial
@@ -28,12 +29,12 @@ import numpy as np
 
 from . import kernels
 from .bounds import cascade_snrs, fim
-from .channel import MultipathConfig, realize_channel
-from .constants import SPEED_OF_LIGHT
+from .channel import realize_channel
+from .config import ConfigError, ExperimentConfig, apply_sweep_value
 from .csvfile import write_csv
-from .geometry import RisLayout, Scene, build_scene, toa_vector
+from .geometry import Scene, build_scene, toa_vector
 from .labeling import BootstrapError, run_spl, solve_labeled
-from .psp import PspAssignment, assign
+from .psp import PspAssignment
 from .spectrum import ToaGroups, extract_toas, spectrum_2d
 # harness itself no longer calls solve_position; perfbench/test_smoke.py
 # checks that tracing rebinds it in this namespace
@@ -41,89 +42,6 @@ from .tdoa import PositionEstimationError, solve_position  # noqa: F401
 from .waveform import FrameMatrix, WaveformConfig, synthesize_frames
 
 THREADS_ENV = "RIS_NFLOC_THREADS"
-
-
-def _dbm_to_watt(dbm: float) -> float:
-    return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full experiment description; defaults follow the reference setup
-    (64-tile linear RIS on the y=10 wall of a 10x10x3 room, 400 MHz OFDM
-    at 28 GHz)."""
-
-    # scene
-    tile_count: int = 64
-    tile_spacing_m: float = 0.1
-    ris_center_m: tuple = (5.0, 10.0, 2.0)
-    ris_axis: tuple = (1.0, 0.0, 0.0)
-    elements_x: int = 4
-    elements_z: int = 10
-    bs_position_m: tuple = (0.0, 5.0, 2.0)
-    room_min_m: tuple = (0.0, 0.0, 0.0)
-    room_max_m: tuple = (10.0, 10.0, 3.0)
-    wall_margin_m: float = 0.5
-    # waveform
-    subcarriers: int = 3200
-    spacing_hz: float = 120e3
-    carrier_hz: float = 28e9
-    power_dbm: float = 20.0
-    noise_dbm: float = -8.0
-    # slope assignment
-    frames: int = 16
-    exclusive_tiles: int = 4
-    # multipath
-    multipath_paths: int = 3
-    multipath_power_db: float = -15.0
-    multipath_excess_min_m: float = 0.5
-    multipath_excess_max_m: float = 5.0
-    # experiment
-    trials: int = 1000
-    seed: int = 1
-    oversampling: int = 4
-    clock_uncertainty_s: float = 1e-6
-    refine: bool = True
-    peak_threshold: float = 6.0
-    residual_cap: int = 8
-    gain_reference: float = 2.0
-    resolvability_margin: float = 2.0
-    magnitude_weighting: bool = True
-
-    @property
-    def bandwidth_hz(self) -> float:
-        return self.subcarriers * self.spacing_hz
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
-
-    @property
-    def room(self) -> tuple:
-        return (self.room_min_m, self.room_max_m)
-
-    def waveform_config(self) -> WaveformConfig:
-        return WaveformConfig(
-            n_subcarriers=self.subcarriers,
-            spacing=self.spacing_hz,
-            carrier=self.carrier_hz,
-            tx_power=_dbm_to_watt(self.power_dbm),
-            noise_psd=_dbm_to_watt(self.noise_dbm),
-            l_frames=self.frames,
-        )
-
-    def layout(self) -> RisLayout:
-        return RisLayout(
-            tile_count=self.tile_count,
-            tile_spacing=self.tile_spacing_m,
-            center=np.asarray(self.ris_center_m, dtype=float),
-            axis=np.asarray(self.ris_axis, dtype=float),
-            elements_x=self.elements_x,
-            elements_z=self.elements_z,
-        )
-
-    def assignment(self) -> PspAssignment:
-        return assign(self.tile_count, self.frames, self.exclusive_tiles)
 
 
 @dataclass(frozen=True)
@@ -161,34 +79,12 @@ class MetricsTable:
     points: tuple[SweepPoint, ...]
 
 
-def _wall_normal(cfg: ExperimentConfig) -> np.ndarray | None:
-    """Horizontal unit normal of the RIS wall; None for a vertical RIS axis."""
-    normal = np.cross(np.asarray(cfg.ris_axis, dtype=float), [0.0, 0.0, 1.0])
-    norm = np.linalg.norm(normal)
-    return None if norm < 1e-9 else normal / norm
-
-
-def floor_wall_clearance(cfg: ExperimentConfig) -> float:
-    """Largest distance of a floor point from the RIS wall plane.
-
-    UE draws need a clearance above ``wall_margin_m``; the distance is convex
-    over the floor rectangle, so its maximum sits at a corner.
-    """
-    normal = _wall_normal(cfg)
-    if normal is None:
-        return float("inf")
-    lo, hi = cfg.room_min_m, cfg.room_max_m
-    corners = np.array([[x, y, 0.0] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])
-    offsets = corners - np.asarray(cfg.ris_center_m, dtype=float)
-    return float(np.max(np.abs(offsets @ normal)))
-
-
 def _draw_ue(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform floor position, rejecting draws hugging the RIS wall."""
     lo = np.asarray(cfg.room_min_m, dtype=float)
     hi = np.asarray(cfg.room_max_m, dtype=float)
     center = np.asarray(cfg.ris_center_m, dtype=float)
-    normal = _wall_normal(cfg)
+    normal = cfg.wall_normal()
     while True:
         p = np.array([rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0])
         if normal is None or abs(np.dot(p - center, normal)) >= cfg.wall_margin_m:
@@ -277,14 +173,7 @@ def normalized_cascade(
         phi0=phi0,
         wavelength=cfg.wavelength_m,
     )
-    mp = MultipathConfig(
-        j_paths=cfg.multipath_paths,
-        power_rel_db=cfg.multipath_power_db,
-        excess_min_m=cfg.multipath_excess_min_m,
-        excess_max_m=cfg.multipath_excess_max_m,
-        seed=multipath_seed,
-    )
-    channel = realize_channel(scene, cfg.wavelength_m, mp)
+    channel = realize_channel(scene, cfg.wavelength_m, cfg.multipath(multipath_seed))
     cascade = cfg.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))
     return scene, cascade
 
@@ -439,25 +328,12 @@ def summarize(cfg: ExperimentConfig, results: list[TrialResult], sweep_value: fl
     )
 
 
-def apply_sweep_value(cfg: ExperimentConfig, variable: str, value: float) -> ExperimentConfig:
-    """Derive the config of one sweep point.
-
-    ``K`` varies the tile count, ``L`` the frame budget, ``B`` the bandwidth
-    (by scaling the subcarrier spacing at a fixed subcarrier count).
-    """
-    if variable == "K":
-        return replace(cfg, tile_count=int(value))
-    if variable == "L":
-        return replace(cfg, frames=int(value))
-    if variable == "B":
-        return replace(cfg, spacing_hz=float(value) / cfg.subcarriers)
-    raise ValueError(f"unknown sweep variable {variable!r} (use K, L or B)")
-
-
 def sweep(cfg: ExperimentConfig, variable: str, values) -> MetricsTable:
+    """Summaries of the sweep points; :class:`ConfigError` before the first
+    trial when any point's config cannot run."""
+    subs = [(apply_sweep_value(cfg, variable, value), value) for value in values]
     points = []
-    for idx, value in enumerate(values):
-        sub = apply_sweep_value(cfg, variable, value)
+    for idx, (sub, value) in enumerate(subs):
         start = time.perf_counter()
         results = run_trials(sub, point_index=idx)
         points.append(
@@ -477,8 +353,9 @@ def heatmap(cfg: ExperimentConfig, grid_resolution_m: float) -> list[tuple[float
 
     A censored trial counts as NaN, so it drops out of its cell's RMSE.
     """
-    if grid_resolution_m <= 0:
-        raise ValueError("grid resolution must be positive")
+    if not 0.0 < grid_resolution_m < float("inf"):
+        raise ConfigError(
+            f"heatmap resolution {grid_resolution_m:g} m must be positive and finite")
     lo = np.asarray(cfg.room_min_m, dtype=float)
     hi = np.asarray(cfg.room_max_m, dtype=float)
     xs = np.arange(lo[0] + grid_resolution_m / 2, hi[0], grid_resolution_m)

@@ -44,6 +44,8 @@ class WaveformConfig:
     l_frames: int
 
     def __post_init__(self):
+        if not (self.spacing > 0 and self.carrier > 0):
+            raise ValueError("subcarrier spacing and carrier must be positive")
         if self.tx_power <= 0:
             raise ValueError("tx_power must be positive")
         if self.noise_psd < 0:

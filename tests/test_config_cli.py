@@ -126,6 +126,20 @@ BAD_CONFIGS = {
     # a point needs three coordinates, and the RIS axis must be a unit vector
     "bs_two_components": "[scene]\nbs_position_m = 1,5\n",
     "ris_axis_not_unit": "[scene]\nris_axis = 1,1,0\n",
+    # values the constructors of a trial's waveform, layout and multipath
+    # model reject, and values no trial can draw or transform with
+    "zero_oversampling": "[experiment]\noversampling = 0\n",
+    "zero_carrier": "[waveform]\ncarrier_hz = 0\n",
+    "zero_subcarriers": "[waveform]\nsubcarriers = 0\n",
+    "zero_tile_spacing": "[scene]\ntile_spacing_m = 0\n",
+    "negative_multipath_paths": "[multipath]\npaths = -1\n",
+    "zero_excess_min": "[multipath]\nexcess_min_m = 0\n",
+    "negative_clock_uncertainty": "[experiment]\nclock_uncertainty_s = -1\n",
+    # non-finite values ran to NaN or inf results, and a zero gain reference
+    # censored every trial
+    "nan_noise": "[waveform]\nnoise_dbm = nan\n",
+    "inf_power": "[waveform]\npower_dbm = inf\n",
+    "zero_gain_reference": "[experiment]\ngain_reference = 0\n",
 }
 
 
@@ -161,6 +175,9 @@ BAD_ARGUMENTS = {
     "sweep_L_fraction": ["sweep", "--var", "L", "--values", "8.5"],
     "peb_bandwidth": ["peb", "--values", "4e8,0"],
     "heatmap_resolution": ["heatmap", "--resolution-m", "0"],
+    # the UE of the bound must stand on the room floor
+    "peb_ue_outside_room": ["peb", "--ue", "50,5"],
+    "peb_ue_not_finite": ["peb", "--ue", "nan,5"],
 }
 
 
@@ -172,6 +189,17 @@ def test_bad_command_line_value_exits_2(name, desk_config, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     # rejected before the first trial: no result file is written
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_does_not_import_harness():
+    # config owns every run check because it needs nothing that runs trials;
+    # the harness imports config, never the other way round
+    src = str(Path(ris_nfloc.__file__).resolve().parents[1])
+    code = ("import sys, ris_nfloc.config; "
+            "sys.exit('ris_nfloc.harness' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 def test_cli_simulate_writes_trials(desk_config, tmp_path):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ris_nfloc.config import ConfigError
 from ris_nfloc.harness import (
     ExperimentConfig,
     MetricsTable,
@@ -149,8 +150,22 @@ def test_apply_sweep_value():
     assert cfg.frames == 16
     cfg = apply_sweep_value(DESK, "B", 5e7)
     assert cfg.bandwidth_hz == pytest.approx(5e7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         apply_sweep_value(DESK, "Z", 1)
+    # K counts tiles: a fraction is rejected, not truncated
+    with pytest.raises(ConfigError):
+        apply_sweep_value(DESK, "K", 16.7)
+
+
+def test_sweep_checks_every_point_before_the_first_trial(monkeypatch):
+    from ris_nfloc import harness
+
+    calls = []
+    monkeypatch.setattr(harness, "run_trials", lambda *a, **k: calls.append(a))
+    # L = 4 leaves no slope for the shared groups of the desk assignment
+    with pytest.raises(ConfigError):
+        sweep(DESK, "L", [8, 4])
+    assert calls == []
 
 
 def test_sweep_rows_and_csv(tmp_path):
@@ -195,8 +210,9 @@ def test_heatmap_grid_count(tmp_path):
     path = tmp_path / "heatmap.csv"
     write_heatmap_csv(rows, path)
     assert path.read_text().startswith("x,y,rmse")
-    with pytest.raises(ValueError):
-        heatmap(cfg, 0.0)
+    for resolution in (0.0, float("nan")):
+        with pytest.raises(ConfigError):
+            heatmap(cfg, resolution)
 
 
 def test_trials_csv(tmp_path):
