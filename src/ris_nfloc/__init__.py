@@ -12,18 +12,12 @@ from .channel import (
 from .geometry import RisLayout, Scene, TilePose, build_scene, toa, toa_vector
 from .labeling import (
     BootstrapError,
-    Discriminant,
-    LabelHypothesis,
     LabelMap,
     bootstrap_position,
-    build_discriminant,
     in_region,
     in_region_quadric,
-    label_pair,
     run_spl,
-    spl_residual,
     spl_sort,
-    verify_nonadjacent,
 )
 from .psp import PspAssignment, assign, phase_shift, psp_list
 from .spectrum import SpectrumMap, ToaGroups, extract_toas, quadratic_refine, spectrum_2d
@@ -42,10 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BootstrapError",
     "ChannelRealization",
-    "Discriminant",
     "FimResult",
     "FrameMatrix",
-    "LabelHypothesis",
     "LabelMap",
     "MultipathConfig",
     "PositionEstimationError",
@@ -60,7 +52,6 @@ __all__ = [
     "assign",
     "backward_direct",
     "bootstrap_position",
-    "build_discriminant",
     "build_scene",
     "build_system",
     "cascade_snrs",
@@ -71,7 +62,6 @@ __all__ = [
     "frames_from_paths",
     "in_region",
     "in_region_quadric",
-    "label_pair",
     "load_frames",
     "phase_shift",
     "psp_list",
@@ -80,12 +70,10 @@ __all__ = [
     "run_spl",
     "solve_position",
     "spectrum_2d",
-    "spl_residual",
     "spl_sort",
     "synthesize_frames",
     "tile_gain",
     "toa",
     "toa_variance",
     "toa_vector",
-    "verify_nonadjacent",
 ]

@@ -68,7 +68,6 @@ class ExperimentConfig:
     clock_uncertainty_s: float = 1e-6
     refine: bool = True
     peak_threshold: float = 6.0
-    residual_cap: int = 8
     gain_reference: float = 2.0
     resolvability_margin: float = 2.0
     magnitude_weighting: bool = True
@@ -174,7 +173,6 @@ _SCHEMA = {
     ("experiment", "clock_uncertainty_s"): ("clock_uncertainty_s", float),
     ("experiment", "refine"): ("refine", _boolean),
     ("experiment", "peak_threshold"): ("peak_threshold", float),
-    ("experiment", "residual_cap"): ("residual_cap", int),
     ("experiment", "gain_reference"): ("gain_reference", float),
     ("experiment", "resolvability_margin"): ("resolvability_margin", float),
     ("experiment", "magnitude_weighting"): ("magnitude_weighting", _boolean),
@@ -213,14 +211,14 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Reject field combinations no trial can run with; returns ``cfg``.
 
     Every float and point field must be finite.  A run needs at least one
-    trial, an oversampling factor of at least 1, a non-negative clock
-    uncertainty and a positive ``gain_reference``.  The RIS layout, the
-    waveform and the multipath model must pass the constructors a trial
-    builds them with.  The closed room box must contain the BS and every RIS
-    tile center; the UE needs floor area beyond ``wall_margin_m``; the slope
-    assignment must exist for (tile_count, frames, exclusive_tiles) and give
-    at least three exclusive-slope tiles; and its largest slope group must
-    fit the residual labeler's ``residual_cap``.
+    trial, a non-negative seed, an oversampling factor of at least 1, a
+    non-negative clock uncertainty and a positive ``gain_reference``.  The
+    RIS layout, the waveform and the multipath model must pass the
+    constructors a trial builds them with.  The closed room box must contain
+    the BS, every RIS tile center and the floor rectangle at z = 0 that UEs
+    are drawn on; the UE needs floor area beyond ``wall_margin_m``; and the
+    slope assignment must exist for (tile_count, frames, exclusive_tiles) and
+    give at least three exclusive-slope tiles.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -228,6 +226,7 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{_KEYS[f.name]} = {value} is not finite")
     for field, holds, rule in (
         ("trials", cfg.trials >= 1, "must be at least 1"),
+        ("seed", cfg.seed >= 0, "must not be negative"),
         ("oversampling", cfg.oversampling >= 1, "must be at least 1"),
         ("clock_uncertainty_s", cfg.clock_uncertainty_s >= 0, "must not be negative"),
         ("gain_reference", cfg.gain_reference > 0, "must be positive"),
@@ -245,6 +244,7 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _check_in_room(cfg, "[scene] bs_position_m", np.atleast_2d(cfg.bs_position_m))
     tiles = f"[scene] RIS tile {{}} of {cfg.tile_count}"
     _check_in_room(cfg, tiles, layout.tile_centers())
+    _check_in_room(cfg, "[scene] floor corner {} (z = 0)", _floor_corners(cfg))
     clearance = floor_wall_clearance(cfg)
     if clearance <= cfg.wall_margin_m:
         raise ConfigError(
@@ -264,11 +264,6 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(
             f"[scene] tile_count = {cfg.tile_count} leaves {assignment.k0_size} "
             "exclusive-slope tiles; a position fix needs at least 3"
-        )
-    if assignment.max_dod > cfg.residual_cap:
-        raise ConfigError(
-            f"[experiment] residual_cap = {cfg.residual_cap} is below the "
-            f"largest slope group ({assignment.max_dod} tiles)"
         )
     for section, build in (
         ("waveform", cfg.waveform_config),
@@ -293,6 +288,12 @@ def _check_in_room(cfg: ExperimentConfig, what: str, points: np.ndarray) -> None
         )
 
 
+def _floor_corners(cfg: ExperimentConfig) -> np.ndarray:
+    """(4, 3) corners of the floor rectangle the UE is drawn on, at z = 0."""
+    lo, hi = cfg.room_min_m, cfg.room_max_m
+    return np.array([[x, y, 0.0] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])
+
+
 def floor_wall_clearance(cfg: ExperimentConfig) -> float:
     """Largest distance of a floor point from the RIS wall plane.
 
@@ -302,9 +303,7 @@ def floor_wall_clearance(cfg: ExperimentConfig) -> float:
     normal = cfg.wall_normal()
     if normal is None:
         return float("inf")
-    lo, hi = cfg.room_min_m, cfg.room_max_m
-    corners = np.array([[x, y, 0.0] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])
-    offsets = corners - np.asarray(cfg.ris_center_m, dtype=float)
+    offsets = _floor_corners(cfg) - np.asarray(cfg.ris_center_m, dtype=float)
     return float(np.max(np.abs(offsets @ normal)))
 
 

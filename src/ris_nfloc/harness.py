@@ -219,7 +219,6 @@ def _label_and_solve(cfg: ExperimentConfig, obs: Observation):
         obs.assignment,
         obs.scene,
         room=cfg.room,
-        residual_cap=cfg.residual_cap,
         min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
         magnitude_weighting=cfg.magnitude_weighting,
     )

@@ -1,20 +1,19 @@
 """Path labeling: matching extracted arrival times to reflecting tiles.
 
 Tiles with exclusive slopes label themselves and seed a first position fix.
-Within a slope-sharing group the assignment of descending arrival times to
-tiles is decided geometrically: for a candidate pair, the set of positions
-for which the left tile's path is the longer one is bounded by a hyperbola
-with the two tiles as foci, and membership reduces to a distance-difference
-inequality that needs no curve evaluation.  Groups of two resolve with one
-membership test; larger groups bubble-sort their hypothesis with pairwise
-tests, and when the sorted hypothesis fails the non-adjacent cross-checks, an
-exhaustive residual-error search over the group's permutations takes over.
+Within a slope-sharing group the descending arrival times are matched to the
+tiles geometrically.  The paper's pairwise discriminant (:func:`in_region`)
+asks, at the position estimate, whether one tile's predicted BS -> tile -> UE
+path is longer than the other's; the positions where it is are bounded by a
+hyperboloid with the two tiles as foci (:func:`in_region_quadric`).  Since the
+discriminant compares one scalar per tile, sorting a group by adjacent
+pairwise tests is a sort by predicted path length, and :func:`spl_sort` does
+that sort for groups of every size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -24,23 +23,6 @@ from .geometry import Scene
 from .psp import PspAssignment
 from .spectrum import ToaGroups
 from .tdoa import build_system, solve_position
-
-
-@dataclass(frozen=True)
-class Discriminant:
-    """Hyperboloid separating the two labeling orders of a tile pair.
-
-    ``center`` is the pair midpoint; ``semi_axes`` are (ux, uy, uz) with the
-    focal semi-axis ux signed by which tile is closer to the BS and uy == uz.
-    ``degenerate`` marks BS equidistance (ux == 0) or a BS collinear with the
-    pair (uy == 0), where the quadric form degenerates.
-    """
-
-    center: np.ndarray
-    semi_axes: tuple[float, float, float]
-    k1: int
-    k2: int
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -57,55 +39,23 @@ class LabelMap:
 
 
 @dataclass(frozen=True)
-class LabelHypothesis:
-    """Ordered tile proposal for one group's descending arrival times."""
-
-    sequence: tuple[int, ...]
-    residual: float
-
-
-@dataclass(frozen=True)
 class TraceRow:
     """Diagnostic record of how one group was labeled."""
 
     group_id: int
     dod: int
-    method: str  # exclusive | pair | sort | residual | skipped
-    swap_count: int
-    residual: float
-
-
-def build_discriminant(scene: Scene, k1: int, k2: int) -> Discriminant:
-    """Hyperboloid parameters for a tile pair, ordered along the RIS axis."""
-    if k1 == k2:
-        raise ValueError("tile indices must differ")
-    if scene.axis_coordinate(k1) > scene.axis_coordinate(k2):
-        k1, k2 = k2, k1
-    p1 = scene.tiles[k1 - 1].center
-    p2 = scene.tiles[k2 - 1].center
-    center = 0.5 * (p1 + p2)
-    ux = 0.5 * (
-        np.linalg.norm(scene.p_bs - p1) - np.linalg.norm(scene.p_bs - p2)
-    )
-    uy_sq = 0.25 * float(np.dot(p1 - p2, p1 - p2)) - ux * ux
-    uy = float(np.sqrt(max(uy_sq, 0.0)))
-    degenerate = abs(ux) < 1e-12 or uy_sq < 1e-24
-    return Discriminant(
-        center=center,
-        semi_axes=(float(ux), uy, uy),
-        k1=k1,
-        k2=k2,
-        degenerate=degenerate,
-    )
+    method: str  # exclusive | pair | sort | skipped
 
 
 def in_region(p, p_bs, p_k1, p_k2) -> bool:
-    """Whether assigning the longer path to the first tile is consistent.
+    """Whether the first tile's predicted path is at least the second's.
 
-    Distance-difference form of the hyperbolic region: the first tile's total
-    path exceeds the second's at position ``p`` iff
-    ``|p - p_k1| - |p - p_k2| >= |bs - p_k2| - |bs - p_k1|``.  Boundary points
-    count as members.
+    Compares the predicted BS -> tile -> UE path lengths at position ``p``,
+    ``|bs - p_k1| + |p - p_k1| >= |bs - p_k2| + |p - p_k2|``, in the
+    distance-difference form ``|p - p_k1| - |p - p_k2| >= |bs - p_k2| -
+    |bs - p_k1|`` whose boundary is a hyperboloid with the two tiles as foci.
+    When it holds, the first tile takes the later arrival of the pair.
+    Boundary points count as members.
     """
     p = np.asarray(p, dtype=float)
     lhs = np.linalg.norm(p - p_k1) - np.linalg.norm(p - p_k2)
@@ -144,127 +94,24 @@ def in_region_quadric(p, p_bs, p_k1, p_k2) -> bool:
     return not (f > 0.0 and xi < 0.0)
 
 
-def label_pair(
-    toas: tuple[float, float],
-    tiles: tuple[int, int],
-    p_estimate,
-    scene: Scene,
-) -> tuple[int, int]:
-    """Assign a descending ToA pair to two tiles using the position estimate.
-
-    Returns ``(tile_for_longer, tile_for_shorter)``.
-    """
-    if toas[0] < toas[1]:
-        raise ValueError("toas must be ordered descending")
-    k1, k2 = tiles
-    if scene.axis_coordinate(k1) > scene.axis_coordinate(k2):
-        k1, k2 = k2, k1
-    if in_region(
-        p_estimate, scene.p_bs, scene.tiles[k1 - 1].center, scene.tiles[k2 - 1].center
-    ):
-        return (k1, k2)
-    return (k2, k1)
-
-
-def _hypothesis_consistent(p_est, scene: Scene, tile_long: int, tile_short: int) -> bool:
-    return in_region(
-        p_est,
-        scene.p_bs,
-        scene.tiles[tile_long - 1].center,
-        scene.tiles[tile_short - 1].center,
+def _path_lengths(tiles, p_est, scene: Scene) -> np.ndarray:
+    """Predicted BS -> tile -> UE path length of each tile at ``p_est`` (m)."""
+    centers = np.array([scene.tiles[k - 1].center for k in tiles])
+    return np.linalg.norm(scene.p_bs - centers, axis=1) + np.linalg.norm(
+        np.asarray(p_est, dtype=float) - centers, axis=1
     )
 
 
-def spl_sort(
-    group: tuple[tuple[int, ...], np.ndarray],
-    p_estimate,
-    scene: Scene,
-) -> tuple[LabelHypothesis, int]:
-    """Bubble-sort a group's label hypothesis with pairwise membership tests.
+def spl_sort(tiles, p_estimate, scene: Scene) -> tuple[int, ...]:
+    """The tiles of a shared slope group in the order of its descending ToAs.
 
-    ``group`` is (tiles ordered by RIS-axis coordinate, ToAs descending); the
-    initial hypothesis maps them index-to-index.  Each adjacent pair whose
-    order contradicts the discriminant at ``p_estimate`` is swapped; passes
-    repeat until one completes without a swap.  Returns the hypothesis and the
-    swap count.
+    Sorts by predicted path length at ``p_estimate``, longest first, with
+    ties kept in RIS-axis order, so every ordered pair (a before b) of the
+    result passes ``in_region(p_estimate, bs, a, b)``.
     """
-    tiles, toas = group
-    m = len(tiles)
-    if len(toas) != m or m < 2:
-        raise ValueError("group needs matching tile/ToA counts of at least 2")
-    seq = list(tiles)
-    swaps = 0
-    for _ in range(m):
-        swapped = False
-        for j in range(m - 1):
-            if not _hypothesis_consistent(p_estimate, scene, seq[j], seq[j + 1]):
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                swaps += 1
-                swapped = True
-        if not swapped:
-            break
-    return LabelHypothesis(sequence=tuple(seq), residual=float("nan")), swaps
-
-
-def verify_nonadjacent(
-    hypothesis: LabelHypothesis, p_estimate, scene: Scene
-) -> bool:
-    """Check the sorted hypothesis against all non-adjacent pair regions."""
-    seq = hypothesis.sequence
-    m = len(seq)
-    for a in range(m):
-        for b in range(a + 2, m):
-            if not _hypothesis_consistent(p_estimate, scene, seq[a], seq[b]):
-                return False
-    return True
-
-
-def spl_residual(
-    group: tuple[tuple[int, ...], np.ndarray],
-    p_estimate,
-    scene: Scene,
-    toa_ref: float,
-    k_ref: int,
-    cap: int = 8,
-) -> LabelHypothesis:
-    """Exhaustive labeling by minimal aggregate range-difference mismatch.
-
-    For each permutation the measured range difference of every arrival
-    (relative to the reference path) is compared against the difference the
-    candidate tile would produce at ``p_estimate``; the permutation with the
-    smallest absolute mismatch sum wins.
-    """
-    tiles, toas = group
-    m = len(tiles)
-    if m > cap:
-        raise ValueError(
-            f"group size {m} exceeds the residual-search cap {cap}; "
-            "increase the frame budget or reduce the tile count"
-        )
-    p_est = np.asarray(p_estimate, dtype=float)
-    ref_pos = scene.tiles[k_ref - 1].center
-    d_bs_ref = np.linalg.norm(scene.p_bs - ref_pos)
-    d_est_ref = np.linalg.norm(p_est - ref_pos)
-
-    centers = {k: scene.tiles[k - 1].center for k in tiles}
-    measured = {}
-    predicted = {}
-    for k in tiles:
-        d_bs_k = np.linalg.norm(scene.p_bs - centers[k])
-        measured[k] = d_bs_k - d_bs_ref  # subtracted from the ToA difference
-        predicted[k] = np.linalg.norm(p_est - centers[k]) - d_est_ref
-
-    best_seq = None
-    best_err = np.inf
-    for perm in permutations(tiles):
-        err = 0.0
-        for tau, k in zip(toas, perm):
-            gamma = (tau - toa_ref) * SPEED_OF_LIGHT - measured[k]
-            err += abs(gamma - predicted[k])
-        if err < best_err:
-            best_err = err
-            best_seq = perm
-    return LabelHypothesis(sequence=tuple(best_seq), residual=float(best_err))
+    ordered = sorted(tiles, key=scene.axis_coordinate)
+    lengths = _path_lengths(ordered, p_estimate, scene)
+    return tuple(ordered[j] for j in np.argsort(-lengths, kind="stable"))
 
 
 class BootstrapError(ValueError):
@@ -284,7 +131,7 @@ def _exclusive_arrivals(
         if len(tiles) == 1 and i in toa_groups.toas:
             entries.append((float(toa_groups.toas[i][0]), tiles[0]))
             mags.append(float(toa_groups.magnitudes[i][0]))
-            trace.append(TraceRow(i, 1, "exclusive", 0, 0.0))
+            trace.append(TraceRow(i, 1, "exclusive"))
     if len(entries) < 3:
         raise BootstrapError(
             f"bootstrap needs at least 3 exclusive-slope arrivals, got {len(entries)}"
@@ -315,14 +162,7 @@ def _group_resolvable(
     """
     if len(toas) > 1 and float(np.min(-np.diff(toas))) < min_gap:
         return False
-    p_est = np.asarray(p_est, dtype=float)
-    predicted = np.sort(
-        [
-            np.linalg.norm(scene.p_bs - scene.tiles[k - 1].center)
-            + np.linalg.norm(p_est - scene.tiles[k - 1].center)
-            for k in tiles
-        ]
-    ) / SPEED_OF_LIGHT
+    predicted = np.sort(_path_lengths(tiles, p_est, scene)) / SPEED_OF_LIGHT
     return float(np.min(np.diff(predicted))) >= min_gap
 
 
@@ -348,7 +188,6 @@ def run_spl(
     assignment: PspAssignment,
     scene: Scene,
     room=None,
-    residual_cap: int = 8,
     min_toa_gap: float | None = None,
     magnitude_weighting: bool = True,
 ) -> tuple[LabelMap, np.ndarray, list[TraceRow]]:
@@ -356,11 +195,11 @@ def run_spl(
 
     Singleton groups label themselves and bootstrap the position; remaining
     groups are processed in ascending duplication order, each re-solving the
-    position with all labels gathered so far.  Under-detected groups are
-    skipped, as are groups failing the decomposability check against
-    ``min_toa_gap`` (pass a mainlobe width, e.g. 2/bandwidth): arrivals closer
-    than that sit inside each other's mainlobes and their peaks carry no
-    trustworthy tile-wise delays.  With ``magnitude_weighting`` the position
+    position with all labels gathered so far; :func:`spl_sort` labels each
+    shared group.  Under-detected groups are skipped, as are groups failing
+    the decomposability check against ``min_toa_gap`` (pass a mainlobe width,
+    e.g. 2/bandwidth): arrivals closer than that sit inside each other's
+    mainlobes and their peaks carry no trustworthy tile-wise delays.  With ``magnitude_weighting`` the position
     solves weight each arrival by its peak height (delay error scales
     inversely with it).  Returns the label map, the final position estimate
     and a trace of the method used per group.
@@ -373,33 +212,16 @@ def run_spl(
         tiles = assignment.groups[i]
         dod = len(tiles)
         if i in toa_groups.under_detected or i not in toa_groups.toas:
-            trace.append(TraceRow(i, dod, "skipped", 0, float("nan")))
+            trace.append(TraceRow(i, dod, "skipped"))
             continue
         toas = toa_groups.toas[i]
         if min_toa_gap is not None and not _group_resolvable(
             tiles, toas, p_est, scene, min_toa_gap
         ):
-            trace.append(TraceRow(i, dod, "skipped", 0, float("nan")))
+            trace.append(TraceRow(i, dod, "skipped"))
             continue
-        ordered = tuple(sorted(tiles, key=lambda k: scene.axis_coordinate(k)))
-        if dod == 2:
-            first, second = label_pair(
-                (float(toas[0]), float(toas[1])), ordered, p_est, scene
-            )
-            seq = (first, second)
-            trace.append(TraceRow(i, dod, "pair", 0, float("nan")))
-        else:
-            hyp, swaps = spl_sort((ordered, toas), p_est, scene)
-            if verify_nonadjacent(hyp, p_est, scene):
-                seq = hyp.sequence
-                trace.append(TraceRow(i, dod, "sort", swaps, float("nan")))
-            else:
-                ref_toa, ref_tile = min(entries, key=lambda e: (e[0], e[1]))
-                hyp = spl_residual(
-                    (ordered, toas), p_est, scene, ref_toa, ref_tile, cap=residual_cap
-                )
-                seq = hyp.sequence
-                trace.append(TraceRow(i, dod, "residual", swaps, hyp.residual))
+        seq = spl_sort(tiles, p_est, scene)
+        trace.append(TraceRow(i, dod, "pair" if dod == 2 else "sort"))
         entries.extend((float(t), k) for t, k in zip(toas, seq))
         mags.extend(float(m) for m in toa_groups.magnitudes[i])
         p_est = solve_labeled(entries, mags, scene, room, magnitude_weighting)
@@ -414,7 +236,6 @@ def trace_to_csv(trace: list[TraceRow], path) -> None:
     """Dump the per-group labeling trace for diagnostics."""
     write_csv(
         path,
-        ["group_id", "dod", "method", "swap_count", "residual"],
-        ((row.group_id, row.dod, row.method, row.swap_count, row.residual)
-         for row in trace),
+        ["group_id", "dod", "method"],
+        ((row.group_id, row.dod, row.method) for row in trace),
     )

@@ -111,16 +111,17 @@ BAD_CONFIGS = {
     # no slope left over for the shared groups
     "frames_equal_exclusive": "[scene]\ntile_count = 16\n[assignment]\nframes = 4\n"
     "exclusive_tiles = 4\n",
-    # groups of 3 tiles, beyond the residual labeler's cap
-    "group_above_residual_cap": "[scene]\ntile_count = 16\n[assignment]\nframes = 8\n"
-    "[experiment]\nresidual_cap = 2\n",
     # no bandwidth
     "zero_spacing": "[waveform]\nspacing_hz = 0\n",
     # nothing to run
     "zero_trials": "[experiment]\ntrials = 0\n",
+    # trial seeds are drawn from a non-negative entropy
+    "negative_seed": "[experiment]\nseed = -1\n",
     # the room must contain the BS and the RIS
     "bs_outside_room": "[scene]\nbs_position_m = -1,5,2\n",
     "ris_center_outside_room": "[scene]\nris_center_m = 5,10.5,2\n",
+    # every UE stands on the floor z = 0, which this room lies above
+    "floor_below_room": "[scene]\nroom_min_m = 0,0,1\n",
     # 128 tiles at 0.1 m span 12.7 m along a 10 m wall
     "tiles_overhang_wall": "[scene]\ntile_count = 128\n[assignment]\nframes = 32\n",
     # a point needs three coordinates, and the RIS axis must be a unit vector
@@ -165,6 +166,7 @@ def test_invalid_assignment_from_override_exits_2(desk_config, tmp_path, capsys)
 BAD_ARGUMENTS = {
     "bandwidth_override": ["--bandwidth-hz", "0", "simulate"],
     "trials_override": ["--trials", "0", "simulate"],
+    "seed_override": ["--seed", "-2", "simulate"],
     # sweep points no trial can run with: no shared-group slope left, too
     # few exclusive-slope tiles, no bandwidth
     "sweep_L": ["sweep", "--var", "L", "--values", "8,4"],

@@ -283,11 +283,9 @@ _SPECTRUM = SpectrumMap(
         ),
         (
             lambda p: trace_to_csv(
-                [TraceRow(1, 2, "pair", 1, _THIRD), TraceRow(2, 3, "skipped", 0, _NAN)],
-                p,
+                [TraceRow(1, 2, "pair"), TraceRow(2, 3, "skipped")], p
             ),
-            b"group_id,dod,method,swap_count,residual\r\n"
-            b"1,2,pair,1,0.333333333333\r\n2,3,skipped,0,nan\r\n",
+            b"group_id,dod,method\r\n1,2,pair\r\n2,3,skipped\r\n",
         ),
         (
             lambda p: spectrum_to_csv(_SPECTRUM, p),

@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import RisLayout, build_scene, toa_vector
 from ris_nfloc.labeling import (
     bootstrap_position,
-    build_discriminant,
     in_region,
     in_region_quadric,
-    label_pair,
     run_spl,
-    spl_residual,
     spl_sort,
     trace_to_csv,
-    verify_nonadjacent,
 )
 from ris_nfloc.psp import assign
 from ris_nfloc.spectrum import ToaGroups
@@ -34,32 +29,6 @@ def exact_groups(scene, assignment):
         toas[i] = vals
         mags[i] = np.ones(len(tiles))
     return ToaGroups(toas=toas, magnitudes=mags)
-
-
-def test_discriminant_hand_values():
-    scene = pair_scene()
-    d = build_discriminant(scene, 1, 2)
-    assert np.allclose(d.center, [5, 10, 2])
-    ux_expected = (np.sqrt(41.0) - np.sqrt(61.0)) / 2
-    assert d.semi_axes[0] == pytest.approx(ux_expected, abs=1e-12)
-    assert d.semi_axes[1] == pytest.approx(np.sqrt(1 - ux_expected**2), abs=1e-12)
-    assert d.semi_axes[1] == d.semi_axes[2]
-    assert not d.degenerate
-
-
-def test_discriminant_midpoint_and_swap():
-    scene = pair_scene()
-    d_fwd = build_discriminant(scene, 1, 2)
-    d_rev = build_discriminant(scene, 2, 1)
-    assert d_fwd.k1 == d_rev.k1 == 1
-    assert np.allclose(d_fwd.center, 0.5 * (scene.tiles[0].center + scene.tiles[1].center))
-
-
-def test_discriminant_degenerate_when_bs_equidistant():
-    scene = pair_scene(bs=(5, 0, 2))
-    d = build_discriminant(scene, 1, 2)
-    assert d.degenerate
-    assert d.semi_axes[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_in_region_hand_case():
@@ -106,14 +75,11 @@ def test_quadric_equivalence_random():
 def test_label_pair_cases():
     scene = pair_scene()
     t = toa_vector(scene)
-    toas = tuple(sorted(t, reverse=True))
     # at the true position the labels must match the true delay order
     expected = (1, 2) if t[0] >= t[1] else (2, 1)
-    assert label_pair(toas, (1, 2), scene.p_ue, scene) == expected
+    assert spl_sort((1, 2), scene.p_ue, scene) == expected
     # tile order argument is normalized internally
-    assert label_pair(toas, (2, 1), scene.p_ue, scene) == expected
-    with pytest.raises(ValueError):
-        label_pair((toas[1], toas[0] + 1e-9), (1, 2), scene.p_ue, scene)
+    assert spl_sort((2, 1), scene.p_ue, scene) == expected
 
 
 def test_label_pair_deep_right_estimate():
@@ -122,8 +88,7 @@ def test_label_pair_deep_right_estimate():
     scene = pair_scene(ue=(8, 9.5, 0))
     t = toa_vector(scene)
     assert t[0] > t[1]  # left tile path longer (direct ToA oracle)
-    toas = (float(t[0]), float(t[1]))
-    assert label_pair(toas, (1, 2), scene.p_ue, scene) == (1, 2)
+    assert spl_sort((1, 2), scene.p_ue, scene) == (1, 2)
 
 
 def test_bootstrap_position_exact():
@@ -176,15 +141,6 @@ def test_bootstrap_quantized_toas_stay_in_room_scale():
     assert np.median(errs) < 1.0
 
 
-def test_spl_sort_equals_label_pair_for_two():
-    scene = pair_scene(ue=(3, 4, 0))
-    t = toa_vector(scene)
-    toas = np.sort(t)[::-1]
-    hyp, swaps = spl_sort(((1, 2), toas), scene.p_ue, scene)
-    expected = label_pair((float(toas[0]), float(toas[1])), (1, 2), scene.p_ue, scene)
-    assert hyp.sequence == expected
-
-
 def test_spl_sort_matches_brute_force_oracle():
     rng = np.random.default_rng(5)
     layout = RisLayout(tile_count=3, tile_spacing=1.5, center=[5, 10, 2], axis=[1, 0, 0])
@@ -192,11 +148,9 @@ def test_spl_sort_matches_brute_force_oracle():
         ue = np.array([rng.uniform(0, 10), rng.uniform(0, 9), 0.0])
         scene = build_scene(layout, [0, 5, 2], ue)
         t = toa_vector(scene)
-        toas = np.sort(t)[::-1]
         # oracle: the permutation whose predicted delay order matches
         oracle = tuple(sorted((1, 2, 3), key=lambda k: -t[k - 1]))
-        hyp, _ = spl_sort(((1, 2, 3), toas), scene.p_ue, scene)
-        assert hyp.sequence == oracle
+        assert spl_sort((1, 2, 3), scene.p_ue, scene) == oracle
 
 
 def test_spl_sort_consistent_hypothesis_fixed_point():
@@ -205,96 +159,42 @@ def test_spl_sort_consistent_hypothesis_fixed_point():
         [0, 5, 2],
         [8.5, 2, 0],
     )
-    t = toa_vector(scene)
-    toas = np.sort(t)[::-1]
-    hyp, swaps1 = spl_sort(((1, 2, 3), toas), scene.p_ue, scene)
-    hyp2, swaps2 = spl_sort((hyp.sequence, toas), scene.p_ue, scene)
-    # re-sorting the already consistent order makes no further swaps... the
-    # initial mapping is positional, so feed tiles in the solved order
-    assert hyp2.sequence == hyp.sequence or swaps2 == 0
+    seq = spl_sort((1, 2, 3), scene.p_ue, scene)
+    # re-sorting the solved order, or any other order of the same tiles,
+    # gives the same labels
+    assert spl_sort(seq, scene.p_ue, scene) == seq
+    assert spl_sort(seq[::-1], scene.p_ue, scene) == seq
 
 
-def test_spl_sort_swap_budget():
-    rng = np.random.default_rng(6)
-    layout = RisLayout(tile_count=5, tile_spacing=1.0, center=[5, 10, 2], axis=[1, 0, 0])
-    for _ in range(20):
-        ue = np.array([rng.uniform(0, 10), rng.uniform(0, 9), 0.0])
-        scene = build_scene(layout, [0, 5, 2], ue)
-        t = toa_vector(scene)
-        toas = np.sort(t)[::-1]
-        _, swaps = spl_sort(((1, 2, 3, 4, 5), toas), scene.p_ue, scene)
-        assert swaps <= 5 * 4 / 2
-
-
-def test_verify_nonadjacent_vacuous_for_pairs():
-    scene = pair_scene()
-    t = toa_vector(scene)
-    hyp, _ = spl_sort(((1, 2), np.sort(t)[::-1]), scene.p_ue, scene)
-    assert verify_nonadjacent(hyp, scene.p_ue, scene)
-
-
-def test_verify_nonadjacent_accepts_truth_rejects_swap():
-    layout = RisLayout(tile_count=3, tile_spacing=1.5, center=[5, 10, 2], axis=[1, 0, 0])
-    scene = build_scene(layout, [0, 5, 2], [2.0, 3.0, 0])
-    t = toa_vector(scene)
-    truth = tuple(sorted((1, 2, 3), key=lambda k: -t[k - 1]))
-    from ris_nfloc.labeling import LabelHypothesis
-
-    assert verify_nonadjacent(
-        LabelHypothesis(sequence=truth, residual=0.0), scene.p_ue, scene
-    )
-    # swapping the outer pair breaks the non-adjacent check at the truth
-    swapped = (truth[2], truth[1], truth[0])
-    assert not verify_nonadjacent(
-        LabelHypothesis(sequence=swapped, residual=0.0), scene.p_ue, scene
-    )
-
-
-def test_spl_residual_zero_at_truth():
-    layout = RisLayout(tile_count=4, tile_spacing=1.2, center=[5, 10, 2], axis=[1, 0, 0])
-    scene = build_scene(layout, [0, 5, 2], [3, 4, 0], t0=1e-7)
-    t = toa_vector(scene)
-    tiles = (1, 2, 3, 4)
-    toas = np.sort(t)[::-1]
-    ref_tile = int(np.argmin(t)) + 1
-    hyp = spl_residual(
-        (tiles, toas), scene.p_ue, scene, float(t[ref_tile - 1]), ref_tile
-    )
-    truth = tuple(sorted(tiles, key=lambda k: -t[k - 1]))
-    assert hyp.sequence == truth
-    assert hyp.residual == pytest.approx(0.0, abs=1e-9)
-
-
-def test_spl_residual_noisy_matches_oracle_mostly():
-    rng = np.random.default_rng(7)
-    layout = RisLayout(tile_count=3, tile_spacing=1.5, center=[5, 10, 2], axis=[1, 0, 0])
-    hits = 0
-    trials = 60
-    for _ in range(trials):
-        ue = np.array([rng.uniform(1, 9), rng.uniform(1, 8), 0.0])
-        scene = build_scene(layout, [0, 5, 2], ue)
-        t = toa_vector(scene)
-        noisy = t + rng.normal(0, 1e-10, 3)  # 0.1 ns delay noise
-        order = np.argsort(-noisy)
-        toas = noisy[order]
-        ref_tile = int(np.argmin(noisy)) + 1
-        hyp = spl_residual(
-            ((1, 2, 3), toas), scene.p_ue, scene, float(noisy[ref_tile - 1]), ref_tile
+def test_spl_sort_passes_every_pairwise_discriminant():
+    # the paper sorts by adjacent pairwise discriminants; the sort must pass
+    # the discriminant of every ordered pair, adjacent or not, at an
+    # estimate off the truth
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        layout = RisLayout(
+            tile_count=12,
+            tile_spacing=float(rng.uniform(0.1, 0.8)),
+            center=[5, 10, 2],
+            axis=[1, 0, 0],
         )
-        oracle = tuple(int(k) + 1 for k in order)
-        hits += hyp.sequence == oracle
-    assert hits / trials > 0.95
-
-
-def test_spl_residual_cap():
-    layout = RisLayout(tile_count=9, tile_spacing=0.5, center=[5, 10, 2], axis=[1, 0, 0])
-    scene = build_scene(layout, [0, 5, 2], [3, 4, 0])
-    t = toa_vector(scene)
-    with pytest.raises(ValueError):
-        spl_residual(
-            (tuple(range(1, 10)), np.sort(t)[::-1]), scene.p_ue, scene, t.min(), 1,
-            cap=8,
-        )
+        bs = (rng.uniform(0, 10), rng.uniform(0, 9), rng.uniform(0, 3))
+        scene = build_scene(layout, bs, [rng.uniform(0, 10), rng.uniform(0, 9), 0])
+        angle = rng.uniform(0, 2 * np.pi)
+        offset = rng.uniform(0.1, 1.0) * np.array([np.cos(angle), np.sin(angle), 0])
+        p_est = scene.p_ue + offset
+        group = tuple(int(k) for k in rng.choice(np.arange(1, 13), rng.integers(2, 7),
+                                                 replace=False))
+        seq = spl_sort(group, p_est, scene)
+        assert sorted(seq) == sorted(group)
+        for a in range(len(seq)):
+            for b in range(a + 1, len(seq)):
+                assert in_region(
+                    p_est,
+                    scene.p_bs,
+                    scene.tiles[seq[a] - 1].center,
+                    scene.tiles[seq[b] - 1].center,
+                )
 
 
 def test_run_spl_exact_toas_perfect_labels():
@@ -367,5 +267,5 @@ def test_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "group_id,dod,method,swap_count,residual"
+    assert lines[0] == "group_id,dod,method"
     assert len(lines) == 1 + len(trace)
