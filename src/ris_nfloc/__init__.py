@@ -7,7 +7,6 @@ from .channel import (
     backward_direct,
     forward_direct,
     realize_channel,
-    tile_gain,
 )
 from .geometry import RisLayout, Scene, TilePose, build_scene, toa, toa_vector
 from .labeling import (
@@ -72,7 +71,6 @@ __all__ = [
     "spectrum_2d",
     "spl_sort",
     "synthesize_frames",
-    "tile_gain",
     "toa",
     "toa_variance",
     "toa_vector",

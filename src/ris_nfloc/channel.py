@@ -137,14 +137,3 @@ def realize_channel(
     )
     cascade = np.einsum("km,km->k", backward, forward)
     return ChannelRealization(forward=forward, backward=backward, cascade=cascade)
-
-
-def tile_gain(ch: ChannelRealization, scene: Scene, k: int, omega: complex) -> complex:
-    """Gain of tile ``k`` under a shared per-tile coefficient ``omega``.
-
-    ``omega`` already folds in the on/off reflection state (0 for a switched
-    off tile, unit modulus otherwise).
-    """
-    if abs(omega) > 1.0 + 1e-12:
-        raise ValueError("|omega| must not exceed 1")
-    return omega * ch.cascade[k - 1]

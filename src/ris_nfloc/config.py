@@ -66,11 +66,9 @@ class ExperimentConfig:
     seed: int = 1
     oversampling: int = 4
     clock_uncertainty_s: float = 1e-6
-    refine: bool = True
     peak_threshold: float = 6.0
     gain_reference: float = 2.0
     resolvability_margin: float = 2.0
-    magnitude_weighting: bool = True
 
     @property
     def bandwidth_hz(self) -> float:
@@ -135,15 +133,6 @@ def _point(values) -> str:
     return "(" + ", ".join(f"{v:g}" for v in values) + ")"
 
 
-def _boolean(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 # (section, key) -> (ExperimentConfig field, parser)
 _SCHEMA = {
     ("scene", "tile_count"): ("tile_count", int),
@@ -171,11 +160,9 @@ _SCHEMA = {
     ("experiment", "seed"): ("seed", int),
     ("experiment", "oversampling"): ("oversampling", int),
     ("experiment", "clock_uncertainty_s"): ("clock_uncertainty_s", float),
-    ("experiment", "refine"): ("refine", _boolean),
     ("experiment", "peak_threshold"): ("peak_threshold", float),
     ("experiment", "gain_reference"): ("gain_reference", float),
     ("experiment", "resolvability_margin"): ("resolvability_margin", float),
-    ("experiment", "magnitude_weighting"): ("magnitude_weighting", _boolean),
 }
 
 # ExperimentConfig field -> its key as error messages name it
@@ -184,26 +171,30 @@ _KEYS = {field: f"[{section}] {key}" for (section, key), (field, _) in _SCHEMA.i
 
 def load_config(path=None) -> ExperimentConfig:
     """Defaults, optionally overridden from an INI file and then checked
-    by :func:`check_config`."""
+    by :func:`check_config`.  A file configparser cannot parse (a key before
+    any section, a line without ``=``, a repeated section or key) is a
+    :class:`ConfigError` too."""
     if path is None:
         return ExperimentConfig()
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        items = [(s, k, raw) for s in parser.sections() for k, raw in parser.items(s)]
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     overrides = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            try:
-                field, parse = _SCHEMA[(section, key)]
-            except KeyError:
-                raise ConfigError(f"unknown config key [{section}] {key}") from None
-            try:
-                overrides[field] = parse(raw)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(
-                    f"bad value for [{section}] {key}: {raw!r} ({exc})"
-                ) from None
+    for section, key, raw in items:
+        try:
+            field, parse = _SCHEMA[(section, key)]
+        except KeyError:
+            raise ConfigError(f"unknown config key [{section}] {key}") from None
+        try:
+            overrides[field] = parse(raw)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(
+                f"bad value for [{section}] {key}: {raw!r} ({exc})"
+            ) from None
     return check_config(ExperimentConfig(**overrides))
 
 
@@ -211,14 +202,15 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Reject field combinations no trial can run with; returns ``cfg``.
 
     Every float and point field must be finite.  A run needs at least one
-    trial, a non-negative seed, an oversampling factor of at least 1, a
-    non-negative clock uncertainty and a positive ``gain_reference``.  The
-    RIS layout, the waveform and the multipath model must pass the
-    constructors a trial builds them with.  The closed room box must contain
-    the BS, every RIS tile center and the floor rectangle at z = 0 that UEs
-    are drawn on; the UE needs floor area beyond ``wall_margin_m``; and the
-    slope assignment must exist for (tile_count, frames, exclusive_tiles) and
-    give at least three exclusive-slope tiles.
+    trial, at least two subcarriers (one subcarrier gives every slope column
+    a flat delay profile without a peak), a non-negative seed, an
+    oversampling factor of at least 1, a non-negative clock uncertainty and a
+    positive ``gain_reference``.  The RIS layout, the waveform and the
+    multipath model must pass the constructors a trial builds them with.  The
+    closed room box must contain the BS, every RIS tile center and the floor
+    rectangle at z = 0 that UEs are drawn on; the UE needs floor area beyond
+    ``wall_margin_m``; and the slope assignment must exist for (tile_count,
+    frames, exclusive_tiles) and give at least three exclusive-slope tiles.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -226,6 +218,7 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{_KEYS[f.name]} = {value} is not finite")
     for field, holds, rule in (
         ("trials", cfg.trials >= 1, "must be at least 1"),
+        ("subcarriers", cfg.subcarriers >= 2, "must be at least 2"),
         ("seed", cfg.seed >= 0, "must not be negative"),
         ("oversampling", cfg.oversampling >= 1, "must be at least 1"),
         ("clock_uncertainty_s", cfg.clock_uncertainty_s >= 0, "must not be negative"),

@@ -61,11 +61,8 @@ class TilePose:
     element_positions: np.ndarray  # (M, 3)
     m_x: int
     m_z: int
-    gamma: int = 1  # on/off reflection coefficient
 
     def __post_init__(self):
-        if self.gamma not in (0, 1):
-            raise ValueError("gamma must be 0 or 1")
         if self.element_positions.shape != (self.m_x * self.m_z, 3):
             raise ValueError("element_positions must have m_x*m_z rows")
 

@@ -206,9 +206,7 @@ def observe(
         noise_seed=int(rng.integers(2**63)),
     )
     spec_map = spectrum_2d(frames, cfg.oversampling)
-    toa_groups = extract_toas(
-        spec_map, assignment, refine=cfg.refine, threshold_factor=cfg.peak_threshold
-    )
+    toa_groups = extract_toas(spec_map, assignment, threshold_factor=cfg.peak_threshold)
     return Observation(scene, cascade, assignment, toa_groups)
 
 
@@ -220,7 +218,6 @@ def _label_and_solve(cfg: ExperimentConfig, obs: Observation):
         obs.scene,
         room=cfg.room,
         min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
-        magnitude_weighting=cfg.magnitude_weighting,
     )
     return label_map, p_hat
 
@@ -256,9 +253,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
     base_entries, base_mags = label_baseline_dft(obs.toa_groups, assignment)
     if len(base_entries) >= 3:
         try:
-            p_base = solve_labeled(
-                base_entries, base_mags, obs.scene, cfg.room, cfg.magnitude_weighting
-            )
+            p_base = solve_labeled(base_entries, base_mags, obs.scene, cfg.room)
             err_b = float(np.linalg.norm(p_base - ue))
             acc_b, nlab_b = _label_accuracy(base_entries, assignment, truth)
             cens_b = False
@@ -350,15 +345,19 @@ def cdf(errors) -> np.ndarray:
 def heatmap(cfg: ExperimentConfig, grid_resolution_m: float) -> list[tuple[float, float, float]]:
     """Per-cell RMSE of the geometric labeler over a fixed floor grid.
 
-    A censored trial counts as NaN, so it drops out of its cell's RMSE.
+    A censored trial counts as NaN, so it drops out of its cell's RMSE.  The
+    resolution must be positive and leave at least one cell center on the
+    floor.
     """
-    if not 0.0 < grid_resolution_m < float("inf"):
-        raise ConfigError(
-            f"heatmap resolution {grid_resolution_m:g} m must be positive and finite")
     lo = np.asarray(cfg.room_min_m, dtype=float)
     hi = np.asarray(cfg.room_max_m, dtype=float)
-    xs = np.arange(lo[0] + grid_resolution_m / 2, hi[0], grid_resolution_m)
-    ys = np.arange(lo[1] + grid_resolution_m / 2, hi[1], grid_resolution_m)
+    first = lo[:2] + grid_resolution_m / 2  # first cell center along x and y
+    if not (grid_resolution_m > 0 and np.all(first < hi[:2])):
+        raise ConfigError(
+            f"heatmap resolution {grid_resolution_m:g} m must be positive and "
+            f"leave a cell on the {hi[0] - lo[0]:g} x {hi[1] - lo[1]:g} m floor")
+    xs = np.arange(first[0], hi[0], grid_resolution_m)
+    ys = np.arange(first[1], hi[1], grid_resolution_m)
     rows = []
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):

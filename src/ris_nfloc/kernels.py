@@ -1,9 +1,9 @@
 """Numpy reference kernels: the dense 2-D transform and the peak scan.
 
-``idft2_dense`` is the literal double sum behind ``spectrum_2d(method=
-"dense")`` and the oracle the fast FFT path is tested against;
-``column_peak_mask`` is the cyclic local-maximum scan run on every spectrum
-column during peak extraction.  The ``bench`` subcommand times both.
+``idft2_dense`` is the literal double sum, the oracle that ``spectrum_2d``'s
+FFT path is tested against; ``column_peak_mask`` is the cyclic local-maximum
+scan run on every spectrum column during peak extraction.  The ``bench``
+subcommand times both.
 """
 
 from __future__ import annotations

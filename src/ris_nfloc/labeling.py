@@ -166,7 +166,9 @@ def _group_resolvable(
     return float(np.min(np.diff(predicted))) >= min_gap
 
 
-def solve_labeled(entries, mags, scene: Scene, room, weighted: bool) -> np.ndarray:
+def solve_labeled(
+    entries, mags, scene: Scene, room, weighted: bool = True
+) -> np.ndarray:
     """Position fix from labeled arrivals ``(toa, tile)``.
 
     With ``weighted`` each arrival's delay-error scale is the inverse of its
@@ -189,7 +191,6 @@ def run_spl(
     scene: Scene,
     room=None,
     min_toa_gap: float | None = None,
-    magnitude_weighting: bool = True,
 ) -> tuple[LabelMap, np.ndarray, list[TraceRow]]:
     """Label every decomposed arrival and refine the position group by group.
 
@@ -199,13 +200,13 @@ def run_spl(
     shared group.  Under-detected groups are skipped, as are groups failing
     the decomposability check against ``min_toa_gap`` (pass a mainlobe width,
     e.g. 2/bandwidth): arrivals closer than that sit inside each other's
-    mainlobes and their peaks carry no trustworthy tile-wise delays.  With ``magnitude_weighting`` the position
-    solves weight each arrival by its peak height (delay error scales
-    inversely with it).  Returns the label map, the final position estimate
-    and a trace of the method used per group.
+    mainlobes and their peaks carry no trustworthy tile-wise delays.  Every
+    position solve weights each arrival by its peak height (delay error
+    scales inversely with it).  Returns the label map, the final position
+    estimate and a trace of the method used per group.
     """
     entries, mags, trace = _exclusive_arrivals(toa_groups, assignment)
-    p_est = solve_labeled(entries, mags, scene, room, magnitude_weighting)
+    p_est = solve_labeled(entries, mags, scene, room)
 
     multi = [i for i in assignment.groups if len(assignment.groups[i]) > 1]
     for i in sorted(multi, key=lambda i: (len(assignment.groups[i]), i)):
@@ -224,7 +225,7 @@ def run_spl(
         trace.append(TraceRow(i, dod, "pair" if dod == 2 else "sort"))
         entries.extend((float(t), k) for t, k in zip(toas, seq))
         mags.extend(float(m) for m in toa_groups.magnitudes[i])
-        p_est = solve_labeled(entries, mags, scene, room, magnitude_weighting)
+        p_est = solve_labeled(entries, mags, scene, room)
 
     label_map = LabelMap(
         entries=tuple(entries), complete=len(entries) == scene.n_tiles

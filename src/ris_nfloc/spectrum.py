@@ -4,12 +4,12 @@ The demodulated frame matrix is transformed into an oversampled 2-D map whose
 columns index the frame-ramp slope and whose rows index delay; every path
 shows up as a 2-D sinc mainlobe at (delay bin, slope bin).  Peak extraction
 walks the column of each slope group, keeps the required number of local
-maxima, and converts bins to arrival times, optionally refining each peak by
-a three-point parabola fit.
+maxima, and converts bins to arrival times, refining each peak by a
+three-point parabola fit.
 
 A group of several tiles sharing one slope is an exact sum of as many complex
-exponentials over the subcarrier axis, so with refinement on its delays are
-estimated parametrically by the matrix pencil method (Hua & Sarkar, IEEE
+exponentials over the subcarrier axis, so its delays are also estimated
+parametrically by the matrix pencil method (Hua & Sarkar, IEEE
 Trans. ASSP 38(5), 1990), which separates arrivals down to the delay
 resolution 1/B where overlapping mainlobes merge into one hump.  The pencil
 result is kept only when the group is decomposable (every gap at least 1/B)
@@ -82,39 +82,28 @@ class ToaGroups:
         return np.concatenate([self.toas[i] for i in sorted(self.toas)])
 
 
-def spectrum_2d(
-    frames: FrameMatrix, oversampling: int, method: str = "fft"
-) -> SpectrumMap:
+def spectrum_2d(frames: FrameMatrix, oversampling: int) -> SpectrumMap:
     """Transform frames into the oversampled joint spectrum.
 
-    ``method="fft"`` (the production path) runs the frame-axis FFT on the
-    unpadded N x L frames, then one zero-padded delay-axis FFT;
-    ``method="dense"`` evaluates the literal double sum via the kernels module
-    and the frame-axis sum as a phase matmul.  Both use 1-based
-    subcarrier/frame indices in the transform phases, agree to 1e-9 relative,
-    and keep the frame-axis result as ``samples``.
+    Runs the frame-axis FFT on the unpadded N x L frames, then one
+    zero-padded delay-axis FFT, with 1-based subcarrier/frame indices in the
+    transform phases, and keeps the frame-axis result as ``samples``.  It
+    agrees with the literal double sum :func:`kernels.idft2_dense` to 1e-9
+    relative.
     """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
     s = frames.s
     n, l = s.shape
     n_bar = oversampling * n
-
-    if method == "dense":
-        ells = np.arange(1, l + 1)
-        samples = s @ np.exp(-2j * np.pi * np.outer(ells, np.arange(l)) / l)
-        grid = kernels.idft2_dense(s, n_bar)
-    elif method == "fft":
-        # the 1-based frame index becomes a per-column phase
-        samples = np.fft.fft(s, axis=1) * np.exp(-2j * np.pi * np.arange(l) / l)
-        # frame-major padding puts each slope column in contiguous memory; the
-        # row placement handles the 1-based subcarrier index; the FFT runs in
-        # place, so a trial allocates one n_bar x L buffer, not two
-        padded = np.zeros((l, n_bar), dtype=np.complex128)
-        padded[:, np.arange(1, n + 1) % n_bar] = samples.T
-        grid = np.fft.fft(padded, axis=1, out=padded).T
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    # the 1-based frame index becomes a per-column phase
+    samples = np.fft.fft(s, axis=1) * np.exp(-2j * np.pi * np.arange(l) / l)
+    # frame-major padding puts each slope column in contiguous memory; the
+    # row placement handles the 1-based subcarrier index; the FFT runs in
+    # place, so a trial allocates one n_bar x L buffer, not two
+    padded = np.zeros((l, n_bar), dtype=np.complex128)
+    padded[:, np.arange(1, n + 1) % n_bar] = samples.T
+    grid = np.fft.fft(padded, axis=1, out=padded).T
     return SpectrumMap(
         grid=grid,
         oversampling=oversampling,
@@ -145,7 +134,6 @@ def quadratic_refine(spec: SpectrumMap, u: int, v: int) -> float:
 def extract_toas(
     spec: SpectrumMap,
     assignment: PspAssignment,
-    refine: bool = True,
     threshold_factor: float = 6.0,
 ) -> ToaGroups:
     """Pull each slope group's arrival times out of its spectrum column.
@@ -154,21 +142,20 @@ def extract_toas(
     admissible local maxima (at least ``threshold_factor`` times the column
     median) as it has tiles, the largest ones win, and ties in magnitude
     resolve toward the smaller bin.  Columns that cannot supply
-    enough peaks mark their group under-detected.  With ``refine`` a one-tile
-    group's peak is refined by a parabola, and a group of m >= 2 tiles is
-    estimated by matrix pencil (see :func:`_pencil_groups`) from the map's
-    ``samples``; the pencil's m delays and isolated-peak heights replace the
-    peak-picker result, under-detection included, only when every circular
-    gap between the delays is at least 1/B and every height clears the
-    admissibility floor.  Without ``refine`` arrival times are bin centers.
-    Arrival-time sets spanning more than half the unambiguous range are
-    unwrapped jointly, which keeps differential delays intact when the clock
-    offset pushes the set across the period boundary.
+    enough peaks mark their group under-detected.  Every chosen peak is
+    refined by a parabola (:func:`quadratic_refine`).  When the map has
+    ``samples``, a group of m >= 2 tiles is also estimated by matrix pencil
+    (see :func:`_pencil_groups`); the pencil's m delays and isolated-peak
+    heights replace the peak-picker result, under-detection included, only
+    when every circular gap between the delays is at least 1/B and every
+    height clears the admissibility floor.  Arrival-time sets spanning more
+    than half the unambiguous range are unwrapped jointly, which keeps
+    differential delays intact when the clock offset pushes the set across
+    the period boundary.
     """
     if spec.cfg.l_frames != assignment.l_frames:
         raise ValueError("spectrum and assignment frame counts differ")
     l = assignment.l_frames
-    bin_s = spec.bin_seconds
     toas: dict[int, np.ndarray] = {}
     mags: dict[int, np.ndarray] = {}
     under: set[int] = set()
@@ -182,18 +169,14 @@ def extract_toas(
         mask = kernels.column_peak_mask(column, threshold)
         peak_bins = np.nonzero(mask)[0]
         order = np.lexsort((peak_bins, -column[peak_bins]))
-        if refine and len(tiles) >= 2 and len(peak_bins) and spec.samples is not None:
+        if len(tiles) >= 2 and len(peak_bins) and spec.samples is not None:
             strongest = int(peak_bins[order[0]])
             shared.append((i, v, len(tiles), strongest, threshold))
         if len(peak_bins) < len(tiles):
             under.add(i)
             continue
         chosen = peak_bins[order[: len(tiles)]]
-        if refine:
-            tau = np.array([quadratic_refine(spec, int(u), v) for u in chosen])
-        else:
-            tau = chosen * bin_s
-        toas[i] = tau
+        toas[i] = np.array([quadratic_refine(spec, int(u), v) for u in chosen])
         mags[i] = column[chosen]
 
     for i, (tau, heights) in _pencil_groups(spec, shared).items():

@@ -41,14 +41,14 @@ class TdoaSystem:
 def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
     """Form the range differences of labeled arrivals.
 
-    ``labels`` is an iterable of ``(toa_seconds, tile_index)`` pairs (or any
-    object exposing such pairs via ``.entries``); ``tile_positions`` holds all
-    tile centers with tile index k (1-based) at row k-1.  The reference is the
+    ``labels`` is an iterable of ``(toa_seconds, tile_index)`` pairs;
+    ``tile_positions`` holds all tile centers with tile index k (1-based) at
+    row k-1.  The reference is the
     labeled tile with the smallest arrival time.  Range differences are formed
     as ``c*(toa_k - toa_ref) - (d_bs_k - d_bs_ref)`` so the clock offset and
     the known BS legs both cancel.
     """
-    entries = list(getattr(labels, "entries", labels))
+    entries = list(labels)
     if len(entries) < 3:
         raise ValueError("need at least 3 labeled arrivals")
     tile_list = [int(t) for _, t in entries]

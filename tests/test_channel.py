@@ -6,7 +6,6 @@ from ris_nfloc.channel import (
     backward_direct,
     forward_direct,
     realize_channel,
-    tile_gain,
 )
 from ris_nfloc.geometry import RisLayout, build_scene
 
@@ -127,27 +126,6 @@ def test_wavelength_scaling_of_direct_magnitudes():
         forward_direct(scene, WAVELENGTH, 1, 1)
     )
     assert ratio == pytest.approx(2.0, rel=1e-12)
-
-
-def test_tile_gain_identities():
-    scene = make_scene()
-    ch = realize_channel(scene, WAVELENGTH, MultipathConfig(j_paths=0))
-    assert tile_gain(ch, scene, 2, 0.0) == 0.0
-    assert tile_gain(ch, scene, 2, 1.0) == ch.cascade[1]
-    for theta in (0.3, 1.7, 4.0):
-        gain = tile_gain(ch, scene, 2, np.exp(-1j * theta))
-        assert abs(gain) == pytest.approx(abs(ch.cascade[1]), rel=1e-12)
-    with pytest.raises(ValueError):
-        tile_gain(ch, scene, 2, 1.5)
-
-
-def test_tile_gain_linearity():
-    scene = make_scene()
-    ch = realize_channel(scene, WAVELENGTH, MultipathConfig(j_paths=0))
-    w1, w2 = 0.3 + 0.1j, -0.2 + 0.4j
-    assert tile_gain(ch, scene, 1, w1 + w2) == pytest.approx(
-        tile_gain(ch, scene, 1, w1) + tile_gain(ch, scene, 1, w2), rel=1e-12
-    )
 
 
 def test_coincident_endpoint_rejected():

@@ -141,6 +141,13 @@ BAD_CONFIGS = {
     "nan_noise": "[waveform]\nnoise_dbm = nan\n",
     "inf_power": "[waveform]\npower_dbm = inf\n",
     "zero_gain_reference": "[experiment]\ngain_reference = 0\n",
+    # one subcarrier gives every slope column a flat delay profile without a
+    # peak, which censored every trial
+    "one_subcarrier": "[waveform]\nsubcarriers = 1\n",
+    # files configparser cannot parse
+    "key_before_section": "tile_count = 16\n[scene]\n",
+    "key_without_value": "[scene]\ntile_count\n",
+    "repeated_section": "[scene]\ntile_count = 16\n[scene]\nelements_x = 2\n",
 }
 
 
@@ -177,6 +184,8 @@ BAD_ARGUMENTS = {
     "sweep_L_fraction": ["sweep", "--var", "L", "--values", "8.5"],
     "peb_bandwidth": ["peb", "--values", "4e8,0"],
     "heatmap_resolution": ["heatmap", "--resolution-m", "0"],
+    # a cell center at 12.5 m lies beyond the 10 m floor: no cell at all
+    "heatmap_no_cell": ["heatmap", "--resolution-m", "25"],
     # the UE of the bound must stand on the room floor
     "peb_ue_outside_room": ["peb", "--ue", "50,5"],
     "peb_ue_not_finite": ["peb", "--ue", "nan,5"],

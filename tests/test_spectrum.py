@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ris_nfloc import kernels
 from ris_nfloc.psp import assign
 from ris_nfloc.spectrum import (
     SpectrumMap,
@@ -59,9 +60,9 @@ def test_fft_matches_dense_sum():
     s = rng.standard_normal((48, 8)) + 1j * rng.standard_normal((48, 8))
     frames = FrameMatrix(s=s, config=cfg)
     for q in (1, 2, 4):
-        fast = spectrum_2d(frames, q, method="fft")
-        dense = spectrum_2d(frames, q, method="dense")
-        rel = np.max(np.abs(fast.grid - dense.grid)) / np.max(np.abs(dense.grid))
+        fast = spectrum_2d(frames, q)
+        dense = kernels.idft2_dense(s, fast.n_bar)
+        rel = np.max(np.abs(fast.grid - dense)) / np.max(np.abs(dense))
         assert rel < 1e-9
 
 
@@ -74,10 +75,9 @@ def test_samples_are_frame_axis_dft():
     for v in range(6):
         for ell in range(1, 7):  # 1-based frame index
             expected[:, v] += s[:, ell - 1] * np.exp(-2j * np.pi * ell * v / 6)
-    for method in ("fft", "dense"):
-        spec = spectrum_2d(frames, 2, method=method)
-        rel = np.max(np.abs(spec.samples - expected)) / np.max(np.abs(expected))
-        assert rel < 1e-12, method
+    spec = spectrum_2d(frames, 2)
+    rel = np.max(np.abs(spec.samples - expected)) / np.max(np.abs(expected))
+    assert rel < 1e-12
     with pytest.raises(ValueError):
         replace(spec, samples=spec.samples[:-1])
 
@@ -126,7 +126,7 @@ def test_extract_exact_on_grid():
         betas.append(i / 8)
     frames = frames_from_paths(taus, betas, np.ones(3), cfg)
     spec = spectrum_2d(frames, q)
-    groups = extract_toas(spec, assignment, refine=False)
+    groups = extract_toas(spec, assignment)
     for i in assignment.groups:
         assert groups.toas[i][0] == pytest.approx(
             u_stars[i] / (n_bar * cfg.spacing), abs=1e-18
@@ -148,7 +148,7 @@ def test_extract_off_grid_within_half_bin():
             betas.append(i / 8)
         frames = frames_from_paths(taus, betas, np.ones(3), cfg)
         spec = spectrum_2d(frames, q)
-        groups = extract_toas(spec, assignment, refine=False)
+        groups = extract_toas(spec, assignment)
         for idx, i in enumerate(sorted(assignment.groups)):
             assert abs(groups.toas[i][0] - taus[idx]) <= bin_s / 2 + 1e-15
 
