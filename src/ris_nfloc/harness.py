@@ -275,11 +275,15 @@ def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
 
 
 def _worker_count() -> int:
+    """Trial threads: ``RIS_NFLOC_THREADS``, a positive integer, default 1."""
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return count
 
 
 def run_trials(cfg: ExperimentConfig, point_index: int = 0) -> list[TrialResult]:

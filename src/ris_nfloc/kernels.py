@@ -31,6 +31,9 @@ def column_peak_mask(mag: np.ndarray, threshold: float) -> np.ndarray:
     neighbor at least weakly (plateau ties resolve to the smaller index), and
     its magnitude reaches ``threshold``.
     """
-    left = np.roll(mag, 1)
-    right = np.roll(mag, -1)
-    return (mag > left) & (mag >= right) & (mag >= threshold)
+    mask = mag >= threshold
+    mask[1:] &= mag[1:] > mag[:-1]
+    mask[:1] &= mag[:1] > mag[-1:]
+    mask[:-1] &= mag[:-1] >= mag[1:]
+    mask[-1:] &= mag[-1:] >= mag[:1]
+    return mask

@@ -113,22 +113,22 @@ def spectrum_2d(frames: FrameMatrix, oversampling: int) -> SpectrumMap:
     )
 
 
-def quadratic_refine(spec: SpectrumMap, u: int, v: int) -> float:
-    """Sub-bin arrival time from a three-point parabola around bin ``u``.
+def quadratic_refine(spec: SpectrumMap, u, v) -> np.ndarray:
+    """Sub-bin arrival times from three-point parabolas around bins ``u``.
 
-    Falls back to the unrefined bin center at the grid edges or on a flat
-    neighborhood; the fitted offset is clamped to half a bin.
+    ``u`` holds delay bins and ``v`` their columns, scalars or arrays that
+    broadcast together; the result has their broadcast shape.  A bin at the
+    grid edge or on a flat neighborhood keeps its unrefined bin center; the
+    fitted offset is clamped to half a bin.
     """
-    bin_s = spec.bin_seconds
-    if not 1 <= u <= spec.n_bar - 2:
-        return u * bin_s
-    a, b, c = np.abs(spec.grid[u - 1 : u + 2, v])
+    u = np.asarray(u)
+    inner = (u >= 1) & (u <= spec.n_bar - 2)
+    at = np.where(inner, u, 1)
+    a, b, c = np.abs(spec.grid[np.stack((at - 1, at, at + 1)), v])
     denom = a - 2.0 * b + c
-    if abs(denom) < 1e-300:
-        return u * bin_s
-    offset = 0.5 * (a - c) / denom
-    offset = float(np.clip(offset, -0.5, 0.5))
-    return (u + offset) * bin_s
+    fit = inner & (np.abs(denom) >= 1e-300)
+    offset = np.clip(0.5 * (a - c) / np.where(fit, denom, 1.0), -0.5, 0.5)
+    return np.where(fit, u + offset, u) * spec.bin_seconds
 
 
 def extract_toas(
@@ -160,6 +160,7 @@ def extract_toas(
     mags: dict[int, np.ndarray] = {}
     under: set[int] = set()
     shared = []
+    picked = []  # (group, column, chosen peak bins)
 
     for i in sorted(assignment.groups):
         tiles = assignment.groups[i]
@@ -176,8 +177,15 @@ def extract_toas(
             under.add(i)
             continue
         chosen = peak_bins[order[: len(tiles)]]
-        toas[i] = np.array([quadratic_refine(spec, int(u), v) for u in chosen])
+        picked.append((i, v, chosen))
         mags[i] = column[chosen]
+
+    if picked:
+        # one parabola pass over the chosen peaks of every column
+        groups, cols, bins = zip(*picked)
+        sizes = [len(b) for b in bins]
+        times = quadratic_refine(spec, np.concatenate(bins), np.repeat(cols, sizes))
+        toas.update(zip(groups, np.split(times, np.cumsum(sizes)[:-1])))
 
     for i, (tau, heights) in _pencil_groups(spec, shared).items():
         toas[i] = tau

@@ -3,10 +3,14 @@
 Differencing every labeled arrival against the smallest one cancels the
 unknown clock offset and leaves range differences to the anchor tiles.  The
 UE lies on the floor (z = 0), so the position is fitted over the ground plane
-by a clamped, damped Gauss-Newton descent with deterministic restarts.  This
-one fit serves every anchor set the simulator builds: a linear RIS gives
-collinear anchors, which leave the classic linear two-step TDoA system rank
-deficient.
+by damped Gauss-Newton descents from a few deterministic starts.  In a room,
+the starts are the two lowest local minima of the cost on a floor lattice,
+and each step is an active-set Newton step that holds a coordinate on a wall
+the gradient pushes against; without a room, the descents start at the
+anchors' floor centroid and at the first endpoint's mirror about the anchor
+line.  This one fit serves every anchor set the simulator builds: a linear
+RIS gives collinear anchors, which leave the classic linear two-step TDoA
+system rank deficient.
 """
 
 from __future__ import annotations
@@ -127,6 +131,14 @@ def _gn_descend(
     numpy calls few: distances and residuals of the accepted point are reused
     for the next Jacobian, the rank-one whitening is folded into the 2x2
     normal equations, and the damped system is solved in closed form.
+
+    With ``room`` the step is an active-set (projected) Newton step, after
+    Bertsekas (SIAM J. Control Optim. 20(2), 1982): a coordinate that sits on
+    a wall while the gradient pushes it out of the room is held, and the step
+    is the damped 1-D Newton step in the other coordinate, so a descent
+    slides along a wall instead of crawling there by clamped 2-D steps.  A
+    corner that holds both coordinates meets the KKT conditions and is
+    returned as converged.
     """
     anchors = system.anchor_positions
     anchor_xy = anchors[:, :2]
@@ -149,6 +161,7 @@ def _gn_descend(
         return diff, d, d_ref, r, q_sum, float((dinv * r) @ r) - k * q_sum * q_sum
 
     x, y = float(start_xy[0]), float(start_xy[1])
+    hold_x = hold_y = False
     if room is not None:
         lo_x, lo_y = float(room[0][0]), float(room[0][1])
         hi_x, hi_y = float(room[1][0]), float(room[1][1])
@@ -171,16 +184,28 @@ def _gn_descend(
         h_yy -= k * s_y * s_y
         g_x -= k * s_x * q_sum
         g_y -= k * s_y * q_sum
+        if room is not None:
+            # the step -g points out of the room across a wall it sits on
+            hold_x = (x <= lo_x and g_x > 0.0) or (x >= hi_x and g_x < 0.0)
+            hold_y = (y <= lo_y and g_y > 0.0) or (y >= hi_y and g_y < 0.0)
+            if hold_x and hold_y:
+                return np.array([x, y, 0.0]), cost, True
         accepted = False
         while lam < 1e14:
             a = h_xx + lam
             c = h_yy + lam
-            det = a * c - h_xy * h_xy
+            if hold_x:
+                det, num_x, num_y = c, 0.0, g_y
+            elif hold_y:
+                det, num_x, num_y = a, g_x, 0.0
+            else:
+                det = a * c - h_xy * h_xy
+                num_x, num_y = c * g_x - h_xy * g_y, a * g_y - h_xy * g_x
             if det == 0.0:
                 lam *= 10.0
                 continue
-            tx = x - (c * g_x - h_xy * g_y) / det
-            ty = y - (a * g_y - h_xy * g_x) / det
+            tx = x - num_x / det
+            ty = y - num_y / det
             if room is not None:
                 tx = min(max(tx, lo_x), hi_x)
                 ty = min(max(ty, lo_y), hi_y)
@@ -202,44 +227,81 @@ def _gn_descend(
     return np.array([x, y, 0.0]), cost, False
 
 
+_SEED_SPACINGS = 20  # lattice spacings per floor axis: 0.5 m on a 10 m room
+_SEED_COUNT = 2  # descents per solve with a room
+
+
+def _grid_seeds(
+    system: TdoaSystem, room, whitener: _ResidualWhitener
+) -> np.ndarray:
+    """Floor points of the lowest local minima of the cost on a lattice.
+
+    The whitened cost of :func:`_gn_descend` is evaluated in one pass on the
+    interior points of a fixed lattice over the room floor, one spacing off
+    every wall.  No point lies on a wall: a linear RIS on a wall puts the
+    anchors' mirror plane there, where the gradient across the wall
+    vanishes, so a descent started on it could never leave it.  A lattice
+    point is a local minimum when its cost is at most that of each of its 8
+    neighbours (points off the lattice count as +inf); the ``_SEED_COUNT``
+    lowest minima are returned, lowest first, ties in lattice order.
+    """
+    n = _SEED_SPACINGS - 1
+    axes = [np.linspace(room[0][i], room[1][i], n + 2)[1:-1] for i in (0, 1)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    anchors = system.anchor_positions
+    diff = points[:, None, :] - anchors[:, :2]
+    d = np.sqrt(np.einsum("pai,pai->pa", diff, diff) + anchors[:, 2] ** 2)
+    ref_diff = points - system.ref_pos[:2]
+    d_ref = np.sqrt(np.einsum("pi,pi->p", ref_diff, ref_diff) + system.ref_pos[2] ** 2)
+    r = system.gammas - (d - d_ref[:, None])
+    q_sum = r @ whitener.dinv
+    cost = ((r * r) @ whitener.dinv - whitener.k * q_sum * q_sum).reshape(n, n)
+
+    padded = np.full((n + 2, n + 2), np.inf)
+    padded[1:-1, 1:-1] = cost
+    is_min = np.ones((n, n), dtype=bool)
+    for i in range(3):
+        for j in range(3):
+            if (i, j) != (1, 1):
+                is_min &= cost <= padded[i : i + n, j : j + n]
+    minima = np.flatnonzero(is_min)
+    order = np.argsort(cost.ravel()[minima], kind="stable")
+    return points[minima[order[:_SEED_COUNT]]]
+
+
 def _gauss_newton_ground(
     system: TdoaSystem,
     room,
     max_iter: int,
     whitener: _ResidualWhitener,
 ) -> tuple[np.ndarray, bool]:
-    """Ground-plane nonlinear fit: center start plus deterministic restarts.
+    """Ground-plane nonlinear fit from a few deterministic starts.
 
-    The primary descent starts at the room center; its endpoint reflected
-    about the anchor line and the four room quadrant midpoints seed further
-    descents.  The lowest-cost endpoint wins, which resolves the mirror
-    ambiguity of near-collinear anchor geometries that traps a single
-    clamped descent on the room boundary.
+    With ``room``, descents start from the two lowest local minima of the
+    whitened cost on a floor lattice (:func:`_grid_seeds`), which puts a
+    start in the true basin and in the mirror basin that near-collinear
+    anchor geometries leave.  Without one, the primary descent starts at the
+    floor centroid of the non-reference anchors and a second one at its
+    endpoint reflected about the anchor line.  When no descent converges,
+    the lowest-cost endpoint is resumed once.  The lowest-cost endpoint wins;
+    the fit counts as converged when any descent converged.
     """
-    if room is not None:
-        lo, hi = np.asarray(room[0], dtype=float), np.asarray(room[1], dtype=float)
-        center = 0.5 * (lo[:2] + hi[:2])
+    if room is None:
+        centroid = np.mean(system.anchor_positions[:, :2], axis=0)
+        ends = [_gn_descend(system, centroid, None, max_iter, whitener)]
+        mirrored = _anchor_line_mirror(system, ends[0][0][:2])
+        starts = [] if mirrored is None else [mirrored]
     else:
-        center = np.mean(system.anchor_positions[:, :2], axis=0)
-    best_p, best_cost, done = _gn_descend(system, center, room, max_iter, whitener)
-    any_done = done
-
-    starts = []
-    mirrored = _anchor_line_mirror(system, best_p[:2])
-    if mirrored is not None:
-        starts.append(mirrored)
-    if room is not None:
-        qx = (0.75 * lo[0] + 0.25 * hi[0], 0.25 * lo[0] + 0.75 * hi[0])
-        qy = (0.75 * lo[1] + 0.25 * hi[1], 0.25 * lo[1] + 0.75 * hi[1])
-        starts.extend(np.array([x, y]) for x in qx for y in qy)
-    for start in starts:
-        p, cost, done = _gn_descend(
-            system, np.asarray(start, dtype=float), room, max_iter, whitener
-        )
-        any_done = any_done or done
-        if cost < best_cost:
-            best_p, best_cost = p, cost
-    return best_p, any_done
+        ends = []
+        starts = _grid_seeds(system, room, whitener)
+    ends += [_gn_descend(system, s, room, max_iter, whitener) for s in starts]
+    if not any(done for _, _, done in ends):
+        # the budget ran out on a slow approach, such as toward a minimum on
+        # the wall that carries the anchors' mirror plane: resume once
+        p = min(ends, key=lambda end: end[1])[0]
+        ends.append(_gn_descend(system, p[:2], room, max_iter, whitener))
+    best_p = min(ends, key=lambda end: end[1])[0]
+    return best_p, any(done for _, _, done in ends)
 
 
 def solve_position(
@@ -252,13 +314,17 @@ def solve_position(
 ) -> np.ndarray:
     """Estimate the UE's floor position from a built system.
 
-    Runs the ground-plane Gauss-Newton fit: a descent from the room center
-    (without ``room``, the floor centroid of the non-reference anchors),
-    then restarts from that endpoint's mirror about the anchor line and,
-    with ``room``, from the four room quadrant midpoints, every iterate
-    clamped to the room.  The lowest-cost endpoint is returned with z = 0.
-    Raises :class:`PositionEstimationError` with that endpoint if no descent
-    converges within ``max_iter`` iterations.
+    Runs the ground-plane Gauss-Newton fit.  With ``room``, two descents
+    start from the lowest local minima of the cost on a 19 x 19 lattice of
+    interior floor points (20 spacings per axis), every iterate stays in the
+    room, and a coordinate on a wall that the gradient pushes against is
+    held (an active-set step).  Without ``room``, one descent starts at the
+    floor centroid of the non-reference anchors and one at that endpoint's
+    mirror about the anchor line.  If no descent converges within
+    ``max_iter`` iterations, the lowest-cost endpoint is resumed once.  The
+    lowest-cost endpoint is returned with z = 0.  Raises
+    :class:`PositionEstimationError` with that endpoint if no descent
+    converges.
 
     With ``sigmas`` (per non-reference anchor, ordered like the system rows)
     and ``sigma_ref`` the fit becomes a generalized least squares: the

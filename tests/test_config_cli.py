@@ -202,6 +202,15 @@ def test_bad_command_line_value_exits_2(name, desk_config, tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_thread_count_exits_2(value, desk_config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RIS_NFLOC_THREADS", value)
+    out = tmp_path / "out"
+    assert main(["--config", desk_config, "--out", str(out), "simulate"]) == 2
+    assert "config error: RIS_NFLOC_THREADS" in capsys.readouterr().err
+    assert not (out / "trials.csv").exists()
+
+
 def test_config_does_not_import_harness():
     # config owns every run check because it needs nothing that runs trials;
     # the harness imports config, never the other way round

@@ -309,6 +309,14 @@ def test_thread_pool_matches_serial(monkeypatch):
     assert serial == threaded
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_bad_thread_count_rejected(monkeypatch, value):
+    # a typo must not silently run one thread
+    monkeypatch.setenv("RIS_NFLOC_THREADS", value)
+    with pytest.raises(ConfigError, match="RIS_NFLOC_THREADS"):
+        run_trials(DESK)
+
+
 def test_rmse_improves_with_frame_budget():
     cfg = ExperimentConfig(
         tile_count=16, subcarriers=256, spacing_hz=1.5625e6, frames=8,

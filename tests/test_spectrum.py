@@ -346,6 +346,31 @@ def test_quadratic_refine_symmetric_and_clamped():
     assert quadratic_refine(spec, 0, 0) == 0.0
 
 
+def _refine_one(spec, u, v):
+    # per-bin reference: the scalar parabola with its edge and flat fallbacks
+    bin_s = spec.bin_seconds
+    if not 1 <= u <= spec.n_bar - 2:
+        return u * bin_s
+    a, b, c = np.abs(spec.grid[u - 1 : u + 2, v])
+    denom = a - 2.0 * b + c
+    if abs(denom) < 1e-300:
+        return u * bin_s
+    return (u + float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))) * bin_s
+
+
+def test_quadratic_refine_array_equals_per_bin_loop():
+    cfg = small_cfg(n=16, l=2)
+    rng = np.random.default_rng(12)
+    grid = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    grid[20:24, 1] = 1.0  # a flat run
+    spec = SpectrumMap(grid=grid, oversampling=4, n_bar=64, cfg=cfg)
+    for v in (0, 1):
+        bins = np.array([0, 1, 21, 22, 40, 62, 63, 5])
+        got = quadratic_refine(spec, bins, v)
+        ref = [_refine_one(spec, int(u), v) for u in bins]
+        assert got.tolist() == ref  # bit for bit
+
+
 def test_quadratic_refine_off_grid_accuracy():
     cfg = small_cfg()
     q = 4

@@ -3,7 +3,14 @@ import pytest
 
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import RisLayout, build_scene, toa_vector
-from ris_nfloc.tdoa import PositionEstimationError, build_system, solve_position
+from ris_nfloc.tdoa import (
+    PositionEstimationError,
+    TdoaSystem,
+    _gn_descend,
+    _ResidualWhitener,
+    build_system,
+    solve_position,
+)
 
 ROOM = ((0.0, 0.0, 0.0), (10.0, 10.0, 3.0))
 
@@ -270,22 +277,28 @@ def noisy_linear_system(seed):
     return system, sigmas
 
 
-def test_weighted_fallback_is_stationary_for_dense_gls_cost():
-    system, sigmas = noisy_linear_system(11)
-    sigma_ref = 0.05
+def dense_gls_gradient(system, p, sigmas, sigma_ref, h=1e-5):
+    """Central-difference floor gradient of the dense GLS cost at ``p``."""
     n = len(sigmas)
     cov_inv = np.linalg.inv(np.diag(sigmas**2) + sigma_ref**2 * np.ones((n, n)))
 
-    def gradient(p, h=1e-5):
-        def cost(xy):
-            q = np.array([xy[0], xy[1], 0.0])
-            d = np.linalg.norm(q - system.anchor_positions, axis=1)
-            r = system.gammas - (d - np.linalg.norm(q - system.ref_pos))
-            return r @ cov_inv @ r
+    def cost(xy):
+        q = np.array([xy[0], xy[1], 0.0])
+        d = np.linalg.norm(q - system.anchor_positions, axis=1)
+        r = system.gammas - (d - np.linalg.norm(q - system.ref_pos))
+        return r @ cov_inv @ r
 
-        return np.array(
-            [(cost(p[:2] + e) - cost(p[:2] - e)) / (2 * h) for e in np.eye(2) * h]
-        )
+    return np.array(
+        [(cost(p[:2] + e) - cost(p[:2] - e)) / (2 * h) for e in np.eye(2) * h]
+    )
+
+
+def test_weighted_fallback_is_stationary_for_dense_gls_cost():
+    system, sigmas = noisy_linear_system(11)
+    sigma_ref = 0.05
+
+    def gradient(p):
+        return dense_gls_gradient(system, p, sigmas, sigma_ref)
 
     p = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=sigma_ref)
     assert np.all((p[:2] > 0.5) & (p[:2] < 9.5))  # an interior minimum
@@ -303,3 +316,96 @@ def test_fallback_out_of_iterations_raises_with_estimate_in_room():
         p = excinfo.value.best_estimate
         assert p is not None and p[2] == 0.0
         assert np.all(p >= np.array(ROOM[0])) and np.all(p <= np.array(ROOM[1]))
+
+
+def _system_beyond_walls(ue):
+    # a linear RIS, as in every simulated trial, and a UE outside the room:
+    # the unconstrained minimum of the noiseless cost lies at ``ue``
+    layout = RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0])
+    scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
+    system = build_system(
+        exact_entries(scene.tile_centers, scene.p_bs, np.asarray(ue)),
+        scene.tile_centers,
+        scene.p_bs,
+    )
+    sigmas = np.random.default_rng(13).uniform(0.02, 0.2, len(system.gammas))
+    return system, sigmas
+
+
+def test_minimum_beyond_a_wall_converges_on_the_wall():
+    system, sigmas = _system_beyond_walls([-1.5, 4.0, 0.0])
+    p = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=0.05)
+    assert p[0] == 0.0 and 0.0 < p[1] < 10.0
+    g_x, g_y = dense_gls_gradient(system, p, sigmas, 0.05)
+    assert abs(g_y) < 1e-6  # stationary along the wall
+    assert g_x > 1e-3  # the descent direction -g points out through x = 0
+
+
+def test_minimum_beyond_a_corner_converges_on_the_corner():
+    system, sigmas = _system_beyond_walls([14.0, -8.0, 0.0])
+    p = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=0.05)
+    assert p[0] == 10.0 and p[1] == 0.0
+    g_x, g_y = dense_gls_gradient(system, p, sigmas, 0.05)
+    # -g points out of the room through both walls: x = 10 and y = 0
+    assert g_x < -1e-3 and g_y > 1e-3
+
+
+def test_wall_descent_from_a_desk_trial_converges_quickly():
+    # the weighted bootstrap solve of a desk trial (seed 1, trial solve 292);
+    # from the room center, the clamped 2-D step crawled along the x = 0 wall
+    # and used all 100 iterations without converging
+    system = TdoaSystem(
+        ref_tile=1,
+        ref_pos=np.array([4.25, 10.0, 2.0]),
+        anchor_positions=np.array(
+            [[4.75, 10.0, 2.0], [5.25, 10.0, 2.0], [5.75, 10.0, 2.0]]
+        ),
+        gammas=np.array(
+            [0.23627843146434357, 0.49129712021605254, 0.7645646330304745]
+        ),
+    )
+    whitener = _ResidualWhitener(
+        np.array([0.4139880890734635, 0.6606798533108409, 0.9469221785393026]),
+        0.7085783888743424,
+        3,
+    )
+    p, _, done = _gn_descend(system, np.array([5.0, 5.0]), ROOM, 20, whitener)
+    assert done
+    assert p[0] == 0.0 and p[1] == pytest.approx(1.824, abs=1e-3)
+
+
+def test_slow_approach_to_the_ris_wall_resumes_and_converges():
+    # the weighted bootstrap solve of a desk trial (seed 11, trial 337): the
+    # lattice has one local minimum, and its descent approaches the minimum
+    # on the RIS wall y = 10 so slowly that 100 iterations do not converge
+    system = TdoaSystem(
+        ref_tile=1,
+        ref_pos=np.array([4.25, 10.0, 2.0]),
+        anchor_positions=np.array(
+            [[4.75, 10.0, 2.0], [5.25, 10.0, 2.0], [5.75, 10.0, 2.0]]
+        ),
+        gammas=np.array(
+            [0.39637915646020394, 0.8338318616062865, 1.2707583727074359]
+        ),
+    )
+    sigmas = np.array([2.0440967304442035, 1.401282405339956, 0.2337682381923353])
+    sigma_ref = 0.3188841507180317
+    whitener = _ResidualWhitener(sigmas, sigma_ref, 3)
+    _, _, done = _gn_descend(system, np.array([1.0, 8.5]), ROOM, 100, whitener)
+    assert not done
+    p = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=sigma_ref)
+    assert p[1] == 10.0
+    assert abs(dense_gls_gradient(system, p, sigmas, sigma_ref)[0]) < 1e-6
+
+
+def test_noiseless_floor_points_recovered_near_walls():
+    # 5 cm from every wall, the RIS wall included: a seed on that wall would
+    # stay there, since the gradient across the anchors' mirror plane vanishes
+    layout = RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0])
+    scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
+    for x in np.linspace(0.05, 9.95, 5):
+        for y in np.linspace(0.05, 9.95, 5):
+            ue = np.array([x, y, 0.0])
+            entries = exact_entries(scene.tile_centers, scene.p_bs, ue)
+            system = build_system(entries, scene.tile_centers, scene.p_bs)
+            assert np.linalg.norm(solve_position(system, room=ROOM) - ue) < 1e-6
