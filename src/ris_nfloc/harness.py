@@ -474,14 +474,7 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
             wavelength=sub.wavelength_m,
         )
         assignment = sub.assignment()
-        true_toas = toa_vector(scene)
-        toas = {}
-        mags = {}
-        for i, tiles in assignment.groups.items():
-            vals = np.sort([true_toas[k - 1] for k in tiles])[::-1]
-            toas[i] = vals
-            mags[i] = np.ones(len(tiles))
-        groups = ToaGroups(toas=toas, magnitudes=mags)
+        groups = ToaGroups.from_delays(toa_vector(scene), assignment)
         seconds = _time_callable(
             lambda: run_spl(groups, assignment, scene, room=sub.room)
         )

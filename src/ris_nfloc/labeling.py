@@ -143,11 +143,14 @@ def bootstrap_position(
     toa_groups: ToaGroups,
     assignment: PspAssignment,
     scene: Scene,
-    room=None,
+    room,
 ) -> np.ndarray:
-    """First position fix from the exclusive-slope tiles alone (unweighted)."""
+    """First position fix from the exclusive-slope tiles alone.
+
+    This is the weighted fix :func:`run_spl` starts from, bit for bit.
+    """
     entries, mags, _ = _exclusive_arrivals(toa_groups, assignment)
-    return solve_labeled(entries, mags, scene, room, weighted=False)
+    return solve_labeled(entries, mags, scene, room)
 
 
 def _group_resolvable(
@@ -166,17 +169,13 @@ def _group_resolvable(
     return float(np.min(np.diff(predicted))) >= min_gap
 
 
-def solve_labeled(
-    entries, mags, scene: Scene, room, weighted: bool = True
-) -> np.ndarray:
-    """Position fix from labeled arrivals ``(toa, tile)``.
+def solve_labeled(entries, mags, scene: Scene, room) -> np.ndarray:
+    """Position fix in ``room`` from labeled arrivals ``(toa, tile)``.
 
-    With ``weighted`` each arrival's delay-error scale is the inverse of its
-    peak height in ``mags`` (delay error scales inversely with it).
+    Each arrival's delay-error scale is the inverse of its peak height in
+    ``mags`` (delay error scales inversely with it).
     """
     system = build_system(entries, scene.tile_centers, scene.p_bs)
-    if not weighted:
-        return solve_position(system, room=room)
     by_tile = {k: m for (_, k), m in zip(entries, mags)}
     sigma_ref = 1.0 / max(by_tile[system.ref_tile], 1e-30)
     sigmas = np.array(
@@ -189,7 +188,7 @@ def run_spl(
     toa_groups: ToaGroups,
     assignment: PspAssignment,
     scene: Scene,
-    room=None,
+    room,
     min_toa_gap: float | None = None,
 ) -> tuple[LabelMap, np.ndarray, list[TraceRow]]:
     """Label every decomposed arrival and refine the position group by group.
@@ -201,9 +200,9 @@ def run_spl(
     the decomposability check against ``min_toa_gap`` (pass a mainlobe width,
     e.g. 2/bandwidth): arrivals closer than that sit inside each other's
     mainlobes and their peaks carry no trustworthy tile-wise delays.  Every
-    position solve weights each arrival by its peak height (delay error
-    scales inversely with it).  Returns the label map, the final position
-    estimate and a trace of the method used per group.
+    position solve runs in ``room`` and weights each arrival by its peak
+    height (delay error scales inversely with it).  Returns the label map,
+    the final position estimate and a trace of the method used per group.
     """
     entries, mags, trace = _exclusive_arrivals(toa_groups, assignment)
     p_est = solve_labeled(entries, mags, scene, room)

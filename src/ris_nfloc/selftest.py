@@ -14,6 +14,8 @@ from .spectrum import ToaGroups, spectrum_2d
 from .tdoa import build_system, solve_position
 from .waveform import FrameMatrix, WaveformConfig, frames_from_paths
 
+_ROOM = ((0, 0, 0), (10, 10, 3))
+
 
 def _check_scene_arithmetic():
     layout = RisLayout(tile_count=64, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
@@ -86,7 +88,7 @@ def _check_exact_inversion():
         system = build_system(
             [(taus[i], i + 1) for i in range(8)], anchors, p_bs
         )
-        if np.linalg.norm(solve_position(system) - ue) > 1e-6:
+        if np.linalg.norm(solve_position(system, room=_ROOM) - ue) > 1e-6:
             return False, "exact inversion above 1e-6 (general anchors)"
     layout = RisLayout(tile_count=16, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [5, 5, 0], t0=1e-7)
@@ -94,7 +96,7 @@ def _check_exact_inversion():
     system = build_system(
         [(taus[i], i + 1) for i in range(16)], scene.tile_centers, scene.p_bs
     )
-    p = solve_position(system, room=((0, 0, 0), (10, 10, 3)))
+    p = solve_position(system, room=_ROOM)
     ok = np.linalg.norm(p - scene.p_ue) < 1e-4
     return ok, "exact inversion (general anchors 1e-6, collinear 1e-4)"
 
@@ -146,13 +148,8 @@ def _check_exact_toa_labeling():
         scene = build_scene(layout, [0, 5, 2], ue, t0=rng.uniform(0, 1e-6))
         assignment = assign(k_tiles, l_frames, k0)
         true_toas = toa_vector(scene)
-        toas, mags = {}, {}
-        for i, tiles in assignment.groups.items():
-            vals = np.sort([true_toas[k - 1] for k in tiles])[::-1]
-            toas[i] = vals
-            mags[i] = np.ones(len(tiles))
-        groups = ToaGroups(toas=toas, magnitudes=mags)
-        label_map, _, _ = run_spl(groups, assignment, scene, room=((0, 0, 0), (10, 10, 3)))
+        groups = ToaGroups.from_delays(true_toas, assignment)
+        label_map, _, _ = run_spl(groups, assignment, scene, room=_ROOM)
         lookup = {k: t for t, k in label_map.entries}
         for i, tiles in assignment.groups.items():
             truth = sorted(tiles, key=lambda k: -true_toas[k - 1])

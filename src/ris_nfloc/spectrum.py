@@ -76,6 +76,20 @@ class ToaGroups:
     magnitudes: dict[int, np.ndarray]
     under_detected: frozenset[int] = field(default_factory=frozenset)
 
+    @classmethod
+    def from_delays(cls, delays, assignment: PspAssignment) -> ToaGroups:
+        """Exact arrivals: every group's true delays with unit peak heights.
+
+        ``delays[k - 1]`` is tile k's arrival time in seconds (as from
+        ``geometry.toa_vector``); each group's delays are sorted descending.
+        """
+        delays = np.asarray(delays, dtype=float)
+        groups = assignment.groups.items()
+        return cls(
+            toas={i: np.sort(delays[np.array(t) - 1])[::-1] for i, t in groups},
+            magnitudes={i: np.ones(len(t)) for i, t in groups},
+        )
+
     def all_toas(self) -> np.ndarray:
         if not self.toas:
             return np.array([])

@@ -2,15 +2,13 @@
 
 Differencing every labeled arrival against the smallest one cancels the
 unknown clock offset and leaves range differences to the anchor tiles.  The
-UE lies on the floor (z = 0), so the position is fitted over the ground plane
-by damped Gauss-Newton descents from a few deterministic starts.  In a room,
-the starts are the two lowest local minima of the cost on a floor lattice,
-and each step is an active-set Newton step that holds a coordinate on a wall
-the gradient pushes against; without a room, the descents start at the
-anchors' floor centroid and at the first endpoint's mirror about the anchor
-line.  This one fit serves every anchor set the simulator builds: a linear
-RIS gives collinear anchors, which leave the classic linear two-step TDoA
-system rank deficient.
+UE lies on the floor (z = 0) of a known room, so the position is fitted over
+the room's floor by damped Gauss-Newton descents that start at the two lowest
+local minima of the cost on a floor lattice; each step is an active-set
+Newton step that holds a coordinate on a wall the gradient pushes against.
+This one fit serves every anchor set the simulator builds: a linear RIS gives
+collinear anchors, which leave the classic linear two-step TDoA system rank
+deficient.
 """
 
 from __future__ import annotations
@@ -99,25 +97,6 @@ class _ResidualWhitener:
         self.k = s2_ref / (1.0 + s2_ref * float(np.sum(self.dinv)))
 
 
-def _anchor_line_mirror(system: TdoaSystem, xy: np.ndarray) -> np.ndarray | None:
-    """Reflect a floor point about the anchor line's floor projection.
-
-    TDoA costs around a near-collinear anchor array are mirror symmetric
-    about the array line, so the reflection of a spurious fit often sits in
-    the true solution's basin.  Returns None when the anchors' floor
-    footprint has no dominant direction.
-    """
-    points = np.vstack([system.anchor_positions, system.ref_pos[None, :]])[:, :2]
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    if svals[0] < 1e-9:
-        return None
-    e = vt[0]
-    delta = xy - centroid
-    return centroid + 2.0 * np.dot(delta, e) * e - delta
-
-
 def _gn_descend(
     system: TdoaSystem,
     start_xy: np.ndarray,
@@ -132,13 +111,14 @@ def _gn_descend(
     for the next Jacobian, the rank-one whitening is folded into the 2x2
     normal equations, and the damped system is solved in closed form.
 
-    With ``room`` the step is an active-set (projected) Newton step, after
-    Bertsekas (SIAM J. Control Optim. 20(2), 1982): a coordinate that sits on
-    a wall while the gradient pushes it out of the room is held, and the step
-    is the damped 1-D Newton step in the other coordinate, so a descent
-    slides along a wall instead of crawling there by clamped 2-D steps.  A
-    corner that holds both coordinates meets the KKT conditions and is
-    returned as converged.
+    ``start_xy`` must lie in the room's floor rectangle, and every trial
+    point is clamped to it.  The step is an active-set (projected) Newton
+    step, after Bertsekas (SIAM J. Control Optim. 20(2), 1982): a coordinate
+    that sits on a wall while the gradient pushes it out of the room is held,
+    and the step is the damped 1-D Newton step in the other coordinate, so a
+    descent slides along a wall instead of crawling there by clamped 2-D
+    steps.  A corner that holds both coordinates meets the KKT conditions and
+    is returned as converged.
     """
     anchors = system.anchor_positions
     anchor_xy = anchors[:, :2]
@@ -161,12 +141,8 @@ def _gn_descend(
         return diff, d, d_ref, r, q_sum, float((dinv * r) @ r) - k * q_sum * q_sum
 
     x, y = float(start_xy[0]), float(start_xy[1])
-    hold_x = hold_y = False
-    if room is not None:
-        lo_x, lo_y = float(room[0][0]), float(room[0][1])
-        hi_x, hi_y = float(room[1][0]), float(room[1][1])
-        x = min(max(x, lo_x), hi_x)
-        y = min(max(y, lo_y), hi_y)
+    lo_x, lo_y = float(room[0][0]), float(room[0][1])
+    hi_x, hi_y = float(room[1][0]), float(room[1][1])
 
     lam = 1e-3
     diff, d, d_ref, r, q_sum, cost = evaluate(x, y)
@@ -184,12 +160,11 @@ def _gn_descend(
         h_yy -= k * s_y * s_y
         g_x -= k * s_x * q_sum
         g_y -= k * s_y * q_sum
-        if room is not None:
-            # the step -g points out of the room across a wall it sits on
-            hold_x = (x <= lo_x and g_x > 0.0) or (x >= hi_x and g_x < 0.0)
-            hold_y = (y <= lo_y and g_y > 0.0) or (y >= hi_y and g_y < 0.0)
-            if hold_x and hold_y:
-                return np.array([x, y, 0.0]), cost, True
+        # the step -g points out of the room across a wall it sits on
+        hold_x = (x <= lo_x and g_x > 0.0) or (x >= hi_x and g_x < 0.0)
+        hold_y = (y <= lo_y and g_y > 0.0) or (y >= hi_y and g_y < 0.0)
+        if hold_x and hold_y:
+            return np.array([x, y, 0.0]), cost, True
         accepted = False
         while lam < 1e14:
             a = h_xx + lam
@@ -204,11 +179,8 @@ def _gn_descend(
             if det == 0.0:
                 lam *= 10.0
                 continue
-            tx = x - num_x / det
-            ty = y - num_y / det
-            if room is not None:
-                tx = min(max(tx, lo_x), hi_x)
-                ty = min(max(ty, lo_y), hi_y)
+            tx = min(max(x - num_x / det, lo_x), hi_x)
+            ty = min(max(y - num_y / det, lo_y), hi_y)
             trial = evaluate(tx, ty)
             cost_trial = trial[-1]
             if cost_trial <= cost:
@@ -228,7 +200,7 @@ def _gn_descend(
 
 
 _SEED_SPACINGS = 20  # lattice spacings per floor axis: 0.5 m on a 10 m room
-_SEED_COUNT = 2  # descents per solve with a room
+_SEED_COUNT = 2  # descents per solve
 
 
 def _grid_seeds(
@@ -275,26 +247,12 @@ def _gauss_newton_ground(
     max_iter: int,
     whitener: _ResidualWhitener,
 ) -> tuple[np.ndarray, bool]:
-    """Ground-plane nonlinear fit from a few deterministic starts.
-
-    With ``room``, descents start from the two lowest local minima of the
-    whitened cost on a floor lattice (:func:`_grid_seeds`), which puts a
-    start in the true basin and in the mirror basin that near-collinear
-    anchor geometries leave.  Without one, the primary descent starts at the
-    floor centroid of the non-reference anchors and a second one at its
-    endpoint reflected about the anchor line.  When no descent converges,
-    the lowest-cost endpoint is resumed once.  The lowest-cost endpoint wins;
-    the fit counts as converged when any descent converged.
-    """
-    if room is None:
-        centroid = np.mean(system.anchor_positions[:, :2], axis=0)
-        ends = [_gn_descend(system, centroid, None, max_iter, whitener)]
-        mirrored = _anchor_line_mirror(system, ends[0][0][:2])
-        starts = [] if mirrored is None else [mirrored]
-    else:
-        ends = []
-        starts = _grid_seeds(system, room, whitener)
-    ends += [_gn_descend(system, s, room, max_iter, whitener) for s in starts]
+    """The fit of :func:`solve_position`: its lowest-cost endpoint, and
+    whether any descent converged."""
+    ends = [
+        _gn_descend(system, s, room, max_iter, whitener)
+        for s in _grid_seeds(system, room, whitener)
+    ]
     if not any(done for _, _, done in ends):
         # the budget ran out on a slow approach, such as toward a minimum on
         # the wall that carries the anchors' mirror plane: resume once
@@ -306,25 +264,24 @@ def _gauss_newton_ground(
 
 def solve_position(
     system: TdoaSystem,
-    room=None,
+    room,
     *,
     sigmas: np.ndarray | None = None,
     sigma_ref: float = 0.0,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """Estimate the UE's floor position from a built system.
+    """Estimate the UE's floor position in ``room`` from a built system.
 
-    Runs the ground-plane Gauss-Newton fit.  With ``room``, two descents
-    start from the lowest local minima of the cost on a 19 x 19 lattice of
-    interior floor points (20 spacings per axis), every iterate stays in the
-    room, and a coordinate on a wall that the gradient pushes against is
-    held (an active-set step).  Without ``room``, one descent starts at the
-    floor centroid of the non-reference anchors and one at that endpoint's
-    mirror about the anchor line.  If no descent converges within
-    ``max_iter`` iterations, the lowest-cost endpoint is resumed once.  The
-    lowest-cost endpoint is returned with z = 0.  Raises
-    :class:`PositionEstimationError` with that endpoint if no descent
-    converges.
+    ``room`` is the ``(min_xyz, max_xyz)`` box whose floor rectangle bounds
+    the fit.  Two Gauss-Newton descents start from the lowest local minima
+    of the cost on a 19 x 19 lattice of interior floor points (20 spacings
+    per axis), which puts a start in the true basin and in the mirror basin
+    that near-collinear anchors leave.  Every iterate stays in the room, and
+    a coordinate on a wall that the gradient pushes against is held (an
+    active-set step).  If no descent converges within ``max_iter``
+    iterations, the lowest-cost endpoint is resumed once.  The lowest-cost
+    endpoint is returned with z = 0.  Raises :class:`PositionEstimationError`
+    with that endpoint if no descent converges.
 
     With ``sigmas`` (per non-reference anchor, ordered like the system rows)
     and ``sigma_ref`` the fit becomes a generalized least squares: the

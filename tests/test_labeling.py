@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ris_nfloc.config import ExperimentConfig
 from ris_nfloc.geometry import RisLayout, build_scene, toa_vector
+from ris_nfloc.harness import observe
 from ris_nfloc.labeling import (
     bootstrap_position,
     in_region,
@@ -22,13 +24,7 @@ def pair_scene(ue=(5, 5, 0), bs=(0, 5, 2)):
 
 
 def exact_groups(scene, assignment):
-    true_toas = toa_vector(scene)
-    toas, mags = {}, {}
-    for i, tiles in assignment.groups.items():
-        vals = np.sort([true_toas[k - 1] for k in tiles])[::-1]
-        toas[i] = vals
-        mags[i] = np.ones(len(tiles))
-    return ToaGroups(toas=toas, magnitudes=mags)
+    return ToaGroups.from_delays(toa_vector(scene), assignment)
 
 
 def test_in_region_hand_case():
@@ -98,6 +94,22 @@ def test_bootstrap_position_exact():
     groups = exact_groups(scene, assignment)
     p = bootstrap_position(groups, assignment, scene, room=ROOM)
     assert np.linalg.norm(p - scene.p_ue) < 1e-6
+
+
+def test_bootstrap_is_the_first_fix_of_run_spl():
+    # with an infinite gap every shared group is skipped, so run_spl returns
+    # the fix it starts from: the weighted exclusive-slope fix
+    cfg = ExperimentConfig(
+        tile_count=16, subcarriers=256, spacing_hz=1.5625e6, frames=8, seed=5
+    )
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        ue = np.array([rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.0), 0.0])
+        obs = observe(cfg, ue, rng)
+        args = (obs.toa_groups, obs.assignment, obs.scene, cfg.room)
+        _, p_spl, trace = run_spl(*args, min_toa_gap=np.inf)
+        assert {row.method for row in trace} == {"exclusive", "skipped"}
+        assert np.array_equal(p_spl, bootstrap_position(*args))
 
 
 def test_bootstrap_missing_singletons_raises():

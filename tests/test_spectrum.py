@@ -7,6 +7,7 @@ from ris_nfloc import kernels
 from ris_nfloc.psp import assign
 from ris_nfloc.spectrum import (
     SpectrumMap,
+    ToaGroups,
     extract_toas,
     quadratic_refine,
     spectrum_2d,
@@ -302,6 +303,18 @@ def test_toas_sorted_descending_with_magnitudes():
     arr = groups.toas[shared]
     assert len(arr) == 2 and arr[0] > arr[1]
     assert len(groups.magnitudes[shared]) == 2
+
+
+def test_exact_groups_from_delays():
+    assignment = assign(16, 8, 4)
+    delays = np.random.default_rng(3).uniform(1e-8, 5e-8, 16)
+    groups = ToaGroups.from_delays(delays, assignment)
+    assert sorted(groups.toas) == sorted(assignment.groups)
+    assert not groups.under_detected
+    for i, tiles in assignment.groups.items():
+        want = sorted((delays[k - 1] for k in tiles), reverse=True)
+        np.testing.assert_array_equal(groups.toas[i], want)
+        np.testing.assert_array_equal(groups.magnitudes[i], np.ones(len(tiles)))
 
 
 def test_unwrap_recovers_differences_across_period():

@@ -163,15 +163,17 @@ def test_translation_equivariance():
     p_bs = np.array([-1.0, 5.0, 2.0])
     ue = np.array([4.0, 3.0, 0.0])
     shift = np.array([1.5, -2.0, 0.0])
+    shifted_room = tuple(tuple(np.add(c, shift)) for c in ROOM)
     p0 = solve_position(
-        build_system(exact_entries(anchors, p_bs, ue), anchors, p_bs)
+        build_system(exact_entries(anchors, p_bs, ue), anchors, p_bs), room=ROOM
     )
     p1 = solve_position(
         build_system(
             exact_entries(anchors + shift, p_bs + shift, ue + shift),
             anchors + shift,
             p_bs + shift,
-        )
+        ),
+        room=shifted_room,
     )
     assert np.linalg.norm((p1 - shift) - p0) < 1e-7
 
@@ -224,7 +226,7 @@ def _noisy_general_system(seed):
     return build_system(entries, anchors, p_bs)
 
 
-@pytest.mark.parametrize("room", [None, ROOM], ids=["no_room", "room"])
+@pytest.mark.parametrize("room", [ROOM], ids=["room"])
 @pytest.mark.parametrize(
     "make_system",
     [lambda: noisy_linear_system(4)[0], lambda: _noisy_general_system(4)],
