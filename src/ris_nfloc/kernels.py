@@ -1,9 +1,11 @@
-"""Numpy reference kernels: the dense 2-D transform and the peak scan.
+"""Numpy reference kernels: the dense 2-D transform, the noise-floor median
+and the peak scan.
 
 ``idft2_dense`` is the literal double sum, the oracle that ``spectrum_2d``'s
-FFT path is tested against; ``column_peak_mask`` is the cyclic local-maximum
-scan run on every spectrum column during peak extraction.  The ``bench``
-subcommand times both.
+FFT path is tested against; ``median`` and ``column_peak_mask`` run on every
+spectrum column during peak extraction, the first to set the admissibility
+floor, the second to find the cyclic local maxima above it.  The ``bench``
+subcommand times ``idft2_dense`` and ``column_peak_mask``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,24 @@ def idft2_dense(s: np.ndarray, n_bar: int) -> np.ndarray:
     w_u = np.exp(-2j * np.pi * np.outer(np.arange(n_bar), np.arange(1, n + 1)) / n_bar)
     w_v = np.exp(-2j * np.pi * np.outer(np.arange(1, l + 1), np.arange(l)) / l)
     return w_u @ s @ w_v
+
+
+def median(mag: np.ndarray) -> float:
+    """Median of a 1-D profile from one selection pass.
+
+    ``np.median`` partitions at both middle ranks and at the last one (its
+    NaN check); one partition at the upper middle rank suffices, since the
+    lower middle value is the largest entry below it.  On finite input the
+    result equals ``np.median`` bit for bit; a profile holding a NaN gives
+    NaN, as there.
+    """
+    h = len(mag) // 2
+    part = np.partition(mag, h)
+    if np.isnan(part[h:].max()):
+        return float("nan")
+    if len(mag) % 2:
+        return float(part[h])
+    return float((part[:h].max() + part[h]) / 2.0)
 
 
 def column_peak_mask(mag: np.ndarray, threshold: float) -> np.ndarray:

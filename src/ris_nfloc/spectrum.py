@@ -154,18 +154,18 @@ def extract_toas(
 
     For slope i/L the column is ``i mod L``; the group needs as many
     admissible local maxima (at least ``threshold_factor`` times the column
-    median) as it has tiles, the largest ones win, and ties in magnitude
-    resolve toward the smaller bin.  Columns that cannot supply
-    enough peaks mark their group under-detected.  Every chosen peak is
-    refined by a parabola (:func:`quadratic_refine`).  When the map has
-    ``samples``, a group of m >= 2 tiles is also estimated by matrix pencil
-    (see :func:`_pencil_groups`); the pencil's m delays and isolated-peak
-    heights replace the peak-picker result, under-detection included, only
-    when every circular gap between the delays is at least 1/B and every
-    height clears the admissibility floor.  Arrival-time sets spanning more
-    than half the unambiguous range are unwrapped jointly, which keeps
-    differential delays intact when the clock offset pushes the set across
-    the period boundary.
+    median, :func:`kernels.median`) as it has tiles, the largest ones win,
+    and ties in magnitude resolve toward the smaller bin.  Columns that
+    cannot supply enough peaks mark their group under-detected.  Every
+    chosen peak is refined by a parabola (:func:`quadratic_refine`).  When
+    the map has ``samples``, a group of m >= 2 tiles is also estimated by
+    matrix pencil (see :func:`_pencil_groups`); the pencil's m delays and
+    isolated-peak heights replace the peak-picker result, under-detection
+    included, only when every circular gap between the delays is at least
+    1/B and every height clears the admissibility floor.  Arrival-time sets
+    spanning more than half the unambiguous range are unwrapped jointly,
+    which keeps differential delays intact when the clock offset pushes the
+    set across the period boundary.
     """
     if spec.cfg.l_frames != assignment.l_frames:
         raise ValueError("spectrum and assignment frame counts differ")
@@ -180,7 +180,7 @@ def extract_toas(
         tiles = assignment.groups[i]
         v = i % l
         column = np.abs(spec.grid[:, v])
-        threshold = threshold_factor * float(np.median(column))
+        threshold = threshold_factor * kernels.median(column)
         mask = kernels.column_peak_mask(column, threshold)
         peak_bins = np.nonzero(mask)[0]
         order = np.lexsort((peak_bins, -column[peak_bins]))

@@ -4,8 +4,10 @@ The conjugate demodulator of the multi-frame OFDM link is analytic, so frames
 are generated directly in closed form: per subcarrier n and frame l the symbol
 is the sum over tiles of the conjugated cascade gain rotated by the subcarrier
 delay phase and the tile's frame-ramp phase, plus circular Gaussian receiver
-noise of variance P*N0/N per cell.  A quadrature test validates the closed
-form against the integral demodulator once on a tiny case.
+noise of variance P*N0/N per cell.  The noise is drawn as one block of real
+parts followed by one block of imaginary parts, scaled in place and added to
+the frames in place.  A quadrature test validates the closed form against the
+integral demodulator once on a tiny case.
 
 The delay phases are never formed as an (N, K) array.  Subcarrier n is split
 as n = a*m + b + 1 with block length m = isqrt(N - 1) + 1: a block-start
@@ -110,8 +112,11 @@ def frames_from_paths(
 
     if rng is not None and cfg.noise_psd > 0:
         var = cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers
-        noise = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
-        s = s + np.sqrt(var / 2.0) * noise
+        # all real parts before all imaginary parts: the seed's noise stream
+        noise = rng.standard_normal((2, n, l))
+        noise *= np.sqrt(var / 2.0)
+        s.real += noise[0]
+        s.imag += noise[1]
     return FrameMatrix(s=s, config=cfg)
 
 

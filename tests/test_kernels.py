@@ -54,3 +54,29 @@ def test_peak_mask_cyclic_boundary():
     mag = np.array([3.0, 1.0, 0.5, 1.0])  # peak at index 0 via wraparound
     mask = kernels.column_peak_mask(mag, 0.0)
     assert list(np.nonzero(mask)[0]) == [0]
+
+
+def _assert_median_bits(mag):
+    before = mag.copy()
+    got = kernels.median(mag)
+    assert np.float64(got).tobytes() == np.median(mag).tobytes()
+    assert np.array_equal(mag, before)  # the input is left unpartitioned
+
+
+def test_median_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for n in (*range(1, 10), 1024, 1025, 12800):
+        for _ in range(5):
+            _assert_median_bits(np.hypot(*rng.standard_normal((2, n))))
+            # plateaus and ties: a handful of distinct values
+            _assert_median_bits(0.7 * rng.integers(0, 4, n).astype(float))
+        _assert_median_bits(np.full(n, 0.3))
+
+
+def test_median_of_a_column_with_nan_is_nan():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 1024, 1025):
+        for at in {0, n // 2, n - 1}:
+            mag = np.abs(rng.standard_normal(n))
+            mag[at] = np.nan
+            assert np.isnan(kernels.median(mag))

@@ -285,6 +285,32 @@ def test_pencil_group_below_floor_keeps_peak_picker_result():
     assert np.max(np.abs(np.sort(low.toas[shared]) - truth)) < bin_s
 
 
+def test_noise_floor_median_matches_numpy_median(monkeypatch):
+    # full-scale grid: a resolvable 4-tile group, an under-detected 3-tile
+    # group whose delays lie within 0.4/B, two exclusive tiles; noisy frames
+    cfg = small_cfg(n=3200, l=4, noise=2e-2)
+    q = 4
+    assignment = assign(9, 4, 2, min_k0=2)
+    bin_s = 1.0 / (q * cfg.n_subcarriers * cfg.spacing)
+    taus, betas = [], []
+    for i, tiles in sorted(assignment.groups.items()):
+        for j, _ in enumerate(tiles):
+            spread = {1: 9.0 * q, 2: 0.2 * q}.get(i, 0.0)
+            taus.append((1000 + 2000 * i + spread * j + 0.37) * bin_s)
+            betas.append(i / 4)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        frames = frames_from_paths(taus, betas, np.ones(len(taus)), cfg, rng)
+        spec = spectrum_2d(frames, q)
+        got = extract_toas(spec, assignment)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "median", lambda mag: float(np.median(mag)))
+            want = extract_toas(spec, assignment)
+        assert got.under_detected == {2}
+        assert len(got.toas[1]) == 4
+        _assert_same_groups(got, want)
+
+
 def test_toas_sorted_descending_with_magnitudes():
     cfg = small_cfg(l=3)
     q = 4

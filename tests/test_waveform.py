@@ -59,6 +59,27 @@ def test_noise_variance_statistical():
     assert var == pytest.approx(expected, rel=0.05)
 
 
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_noise_equals_two_separate_draws(k):
+    # the in-place noise equals the drawn real block plus j times the drawn
+    # imaginary block, scaled and added to the noiseless frames, bit for bit
+    cfg = small_cfg(noise=3e-3, n=67, l=5)
+    paths = np.random.default_rng(k)
+    taus = paths.uniform(0.0, 500e-9, k)
+    betas = paths.integers(1, cfg.l_frames + 1, k) / cfg.l_frames
+    amps = paths.standard_normal(k) + 1j * paths.standard_normal(k)
+    clean = frames_from_paths(taus, betas, amps, cfg).s
+    rng = np.random.default_rng(11)
+    var = cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers
+    sh = clean.shape
+    want = clean + np.sqrt(var / 2.0) * (
+        rng.standard_normal(sh) + 1j * rng.standard_normal(sh)
+    )
+    got = frames_from_paths(taus, betas, amps, cfg, np.random.default_rng(11)).s
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 def test_linearity_in_cascade():
     cfg = small_cfg()
     taus = np.array([100e-9, 170e-9])
