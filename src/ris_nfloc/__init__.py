@@ -18,17 +18,10 @@ from .labeling import (
     run_spl,
     spl_sort,
 )
-from .psp import PspAssignment, assign, phase_shift, psp_list
+from .psp import PspAssignment, assign, psp_list
 from .spectrum import SpectrumMap, ToaGroups, extract_toas, quadratic_refine, spectrum_2d
 from .tdoa import PositionEstimationError, TdoaSystem, build_system, solve_position
-from .waveform import (
-    FrameMatrix,
-    WaveformConfig,
-    dump_frames,
-    frames_from_paths,
-    load_frames,
-    synthesize_frames,
-)
+from .waveform import FrameMatrix, WaveformConfig, frames_from_paths, synthesize_frames
 
 __version__ = "0.1.0"
 
@@ -54,15 +47,12 @@ __all__ = [
     "build_scene",
     "build_system",
     "cascade_snrs",
-    "dump_frames",
     "extract_toas",
     "fim",
     "forward_direct",
     "frames_from_paths",
     "in_region",
     "in_region_quadric",
-    "load_frames",
-    "phase_shift",
     "psp_list",
     "quadratic_refine",
     "realize_channel",

@@ -17,7 +17,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
-from .config import ConfigError, check_config, config_template, floor_point, load_config
+from .config import (
+    ConfigError,
+    bench_sizes,
+    check_config,
+    config_template,
+    floor_point,
+    load_config,
+)
 from .csvfile import write_csv
 from .selftest import run_selftest
 
@@ -76,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="timing benchmark; writes timing.csv")
     p_bench.add_argument(
         "--sizes", default="256,512,1024,2048,4096",
-        help="subcarrier counts for the spectrum stage",
+        help="subcarrier counts for the spectrum stage: positive integers, "
+        "at least two distinct",
     )
 
     sub.add_parser("selftest", help="run the built-in property suites")
@@ -163,7 +171,7 @@ def main(argv=None) -> int:
             for b, peb in rows:
                 print(f"bandwidth={b:g} peb={peb:.6g}")
         elif args.command == "bench":
-            sizes = [int(v) for v in _parse_values(args.sizes)]
+            sizes = bench_sizes(_parse_values(args.sizes))
             rows, exponent = harness.timing_benchmark(cfg, sizes=sizes)
             harness.write_timing_csv(rows, os.path.join(args.out, "timing.csv"))
             for stage, size, seconds in rows:

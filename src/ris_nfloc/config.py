@@ -255,8 +255,9 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         ) from None
     if assignment.k0_size < 3:
         raise ConfigError(
-            f"[scene] tile_count = {cfg.tile_count} leaves {assignment.k0_size} "
-            "exclusive-slope tiles; a position fix needs at least 3"
+            f"[scene] tile_count = {cfg.tile_count} with [assignment] frames = "
+            f"{cfg.frames}, exclusive_tiles = {cfg.exclusive_tiles} leaves "
+            f"{assignment.k0_size} exclusive-slope tiles; a position fix needs at least 3"
         )
     for section, build in (
         ("waveform", cfg.waveform_config),
@@ -306,6 +307,18 @@ def floor_point(cfg: ExperimentConfig, xy) -> np.ndarray:
     ue = np.array([xy[0], xy[1], 0.0])
     _check_in_room(cfg, "UE floor point", ue[None])
     return ue
+
+
+def bench_sizes(values) -> list[int]:
+    """The subcarrier counts of ``bench`` as integers; :class:`ConfigError`
+    unless each is a positive whole number and at least two differ, since the
+    growth exponent is a line fitted through them."""
+    for v in values:
+        if not (float(v).is_integer() and v > 0):
+            raise ConfigError(f"bench size {v:g} is not a positive integer")
+    if len(set(values)) < 2:
+        raise ConfigError("bench needs at least two distinct sizes")
+    return [int(v) for v in values]
 
 
 def apply_sweep_value(cfg: ExperimentConfig, variable: str, value: float) -> ExperimentConfig:

@@ -1,4 +1,4 @@
-"""The one CSV writer behind every result file and diagnostic dump.
+"""The one CSV writer behind every result file.
 
 The cell format lives here: float cells (numpy float64 included) are written
 with 12 significant digits, every other cell as given.  ``csv.writer``'s

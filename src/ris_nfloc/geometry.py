@@ -3,7 +3,7 @@
 The global frame is right-handed with the UE constrained to the ground plane
 (z = 0).  A linear RIS is described by a :class:`RisLayout` and expanded by
 :func:`build_scene` into per-tile element grids at half-wavelength spacing.
-All objects are immutable after construction and safe to share across workers.
+All objects are immutable after construction.
 """
 
 from __future__ import annotations

@@ -20,9 +20,7 @@ in :mod:`ris_nfloc.bounds`.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,8 +38,6 @@ from .spectrum import ToaGroups, extract_toas, spectrum_2d
 # checks that tracing rebinds it in this namespace
 from .tdoa import PositionEstimationError, solve_position  # noqa: F401
 from .waveform import FrameMatrix, WaveformConfig, synthesize_frames
-
-THREADS_ENV = "RIS_NFLOC_THREADS"
 
 
 @dataclass(frozen=True)
@@ -66,9 +62,6 @@ class SweepPoint:
     rmse_baseline: float
     peb: float
     label_acc: float
-    label_acc_baseline: float
-    rmse_proposed_all: float  # censored trials included at their best iterate
-    rmse_baseline_all: float
     censored_fraction: float
     wall_time_s: float
 
@@ -274,29 +267,13 @@ def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
     )
 
 
-def _worker_count() -> int:
-    """Trial threads: ``RIS_NFLOC_THREADS``, a positive integer, default 1."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return count
-
-
 def run_trials(cfg: ExperimentConfig, point_index: int = 0) -> list[TrialResult]:
-    """All trials of one config, deterministic regardless of scheduling."""
-    seeds = [
+    """All trials of one config; trial ``t`` is seeded from (seed, point_index, t)."""
+    seeds = (
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(point_index, t))
         for t in range(cfg.trials)
-    ]
-    workers = _worker_count()
-    if workers == 1:
-        return [run_trial(cfg, s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: run_trial(cfg, s), seeds))
+    )
+    return [run_trial(cfg, s) for s in seeds]
 
 
 def _rmse(values: np.ndarray) -> float:
@@ -318,9 +295,6 @@ def summarize(cfg: ExperimentConfig, results: list[TrialResult], sweep_value: fl
         rmse_baseline=_rmse(eb[~cens_b]),
         peb=float(np.nanmean([r.peb for r in results])),
         label_acc=float(np.mean([r.label_acc_proposed for r in results])),
-        label_acc_baseline=float(np.mean([r.label_acc_baseline for r in results])),
-        rmse_proposed_all=_rmse(ep),
-        rmse_baseline_all=_rmse(eb),
         censored_fraction=float(np.mean(cens_p | cens_b)),
         wall_time_s=wall_time_s,
     )

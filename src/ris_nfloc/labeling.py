@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .csvfile import write_csv
 from .geometry import Scene
 from .psp import PspAssignment
 from .spectrum import ToaGroups
@@ -30,7 +29,6 @@ class LabelMap:
     """Arrival-time-to-tile assignment produced by the labeling pass."""
 
     entries: tuple[tuple[float, int], ...]
-    complete: bool
 
     def __post_init__(self):
         tiles = [k for _, k in self.entries]
@@ -226,16 +224,4 @@ def run_spl(
         mags.extend(float(m) for m in toa_groups.magnitudes[i])
         p_est = solve_labeled(entries, mags, scene, room)
 
-    label_map = LabelMap(
-        entries=tuple(entries), complete=len(entries) == scene.n_tiles
-    )
-    return label_map, p_est, trace
-
-
-def trace_to_csv(trace: list[TraceRow], path) -> None:
-    """Dump the per-group labeling trace for diagnostics."""
-    write_csv(
-        path,
-        ["group_id", "dod", "method"],
-        ((row.group_id, row.dod, row.method) for row in trace),
-    )
+    return LabelMap(entries=tuple(entries)), p_est, trace

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfile import write_csv
-
 
 @dataclass(frozen=True)
 class PspAssignment:
@@ -53,23 +51,16 @@ def psp_list(l_frames: int) -> np.ndarray:
     return np.arange(1, l_frames + 1) / float(l_frames)
 
 
-def assign(
-    k_tiles: int,
-    l_frames: int,
-    k0_size: int = 4,
-    *,
-    min_k0: int = 3,
-) -> PspAssignment:
+def assign(k_tiles: int, l_frames: int, k0_size: int = 4) -> PspAssignment:
     """Assign slopes to tiles under a sufficient or insufficient frame budget.
 
     With ``l_frames >= k_tiles`` every tile receives an exclusive slope (the
     last ``k_tiles`` entries of the slope list, preserving the convention that
     exclusive slopes sit at the top).  Otherwise ``k0_size`` evenly spread
     tiles take the top slopes and the remaining tiles cycle through
-    ``alpha(1)..alpha(L-K0)`` in ascending tile order.
-
-    ``min_k0`` guards the bootstrap requirement of at least three anchors;
-    tests may lower it to exercise small hand-checkable assignments.
+    ``alpha(1)..alpha(L-K0)`` in ascending tile order.  The anchors' spread
+    needs ``k0_size >= 2``; the bootstrap's need for three anchors is a
+    config check (:func:`ris_nfloc.config.check_config`).
     """
     if k_tiles < 1:
         raise ValueError("k_tiles must be >= 1")
@@ -94,8 +85,8 @@ def assign(
             k0_size=k_tiles,
         )
 
-    if k0_size < min_k0:
-        raise ValueError(f"k0_size must be >= {min_k0}")
+    if k0_size < 2:
+        raise ValueError("k0_size must be >= 2")
     if l_frames <= k0_size:
         raise ValueError("need l_frames > k0_size when tiles outnumber slopes")
 
@@ -129,24 +120,4 @@ def assign(
         k0_set=k0_set,
         groups=out_groups,
         k0_size=k0_size,
-    )
-
-
-def phase_shift(assignment: PspAssignment, k: int, frame: int) -> float:
-    """Phase shift of tile ``k`` at 1-based ``frame``, reduced mod 2*pi."""
-    theta = 2.0 * np.pi * assignment.beta[k - 1] * frame
-    return float(np.mod(theta, 2.0 * np.pi))
-
-
-def assignment_to_csv(assignment: PspAssignment, path) -> None:
-    """Dump (tile_index, beta, group_id) rows for debugging and plots."""
-    tile_group = {}
-    for i, tiles in assignment.groups.items():
-        for k in tiles:
-            tile_group[k] = i
-    write_csv(
-        path,
-        ["tile_index", "beta", "group_id"],
-        ((k, assignment.beta[k - 1], tile_group[k])
-         for k in range(1, assignment.n_tiles + 1)),
     )

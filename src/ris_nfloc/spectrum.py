@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .csvfile import write_csv
 from .psp import PspAssignment
 from .waveform import FrameMatrix, WaveformConfig
 
@@ -89,11 +88,6 @@ class ToaGroups:
             toas={i: np.sort(delays[np.array(t) - 1])[::-1] for i, t in groups},
             magnitudes={i: np.ones(len(t)) for i, t in groups},
         )
-
-    def all_toas(self) -> np.ndarray:
-        if not self.toas:
-            return np.array([])
-        return np.concatenate([self.toas[i] for i in sorted(self.toas)])
 
 
 def spectrum_2d(frames: FrameMatrix, oversampling: int) -> SpectrumMap:
@@ -303,14 +297,3 @@ def _unwrap_inplace(toas: dict[int, np.ndarray], period: float) -> None:
         return
     for i, arr in toas.items():
         toas[i] = np.where(arr < period / 2.0, arr + period, arr)
-
-
-def spectrum_to_csv(spec: SpectrumMap, path) -> None:
-    """Dump (u, v, magnitude) triplets for heatmap rendering."""
-    mag = np.abs(spec.grid)
-    write_csv(
-        path,
-        ["u", "v", "magnitude"],
-        ((u, v, mag[u, v])
-         for u in range(spec.n_bar) for v in range(spec.cfg.l_frames)),
-    )

@@ -21,7 +21,6 @@ of about 1.8e5 rad (28 GHz, 1 us).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,27 +138,3 @@ def synthesize_frames(
     return frames_from_paths(
         toa_vector(scene), assignment.beta, np.conj(cascade), cfg, rng
     )
-
-
-_HEADER = struct.Struct("<II")
-
-
-def dump_frames(frames: FrameMatrix, path) -> None:
-    """Write frames as little-endian (uint32 N, uint32 L) header plus
-    row-major complex64 payload, for cross-implementation comparison."""
-    n, l = frames.s.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(n, l))
-        fh.write(np.ascontiguousarray(frames.s.astype("<c8")).tobytes())
-
-
-def load_frames(path, cfg: WaveformConfig) -> FrameMatrix:
-    """Read a frame dump written by :func:`dump_frames`."""
-    with open(path, "rb") as fh:
-        n, l = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<c8")
-    if data.size != n * l:
-        raise ValueError("truncated frame dump")
-    if (n, l) != (cfg.n_subcarriers, cfg.l_frames):
-        raise ValueError("frame dump dimensions do not match config")
-    return FrameMatrix(s=data.reshape(n, l).astype(np.complex128), config=cfg)

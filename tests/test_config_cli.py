@@ -189,6 +189,11 @@ BAD_ARGUMENTS = {
     # the UE of the bound must stand on the room floor
     "peb_ue_outside_room": ["peb", "--ue", "50,5"],
     "peb_ue_not_finite": ["peb", "--ue", "nan,5"],
+    # bench sizes count subcarriers, and the growth exponent needs two
+    "bench_size_zero": ["bench", "--sizes", "0"],
+    "bench_size_negative": ["bench", "--sizes", "-4"],
+    "bench_size_fraction": ["bench", "--sizes", "2.5"],
+    "bench_single_size": ["bench", "--sizes", "256"],
 }
 
 
@@ -200,15 +205,6 @@ def test_bad_command_line_value_exits_2(name, desk_config, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     # rejected before the first trial: no result file is written
     assert not out.exists() or not any(out.iterdir())
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_bad_thread_count_exits_2(value, desk_config, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RIS_NFLOC_THREADS", value)
-    out = tmp_path / "out"
-    assert main(["--config", desk_config, "--out", str(out), "simulate"]) == 2
-    assert "config error: RIS_NFLOC_THREADS" in capsys.readouterr().err
-    assert not (out / "trials.csv").exists()
 
 
 def test_config_does_not_import_harness():

@@ -24,10 +24,6 @@ from ris_nfloc.harness import (
     write_timing_csv,
     write_trials_csv,
 )
-from ris_nfloc.labeling import TraceRow, trace_to_csv
-from ris_nfloc.psp import PspAssignment, assignment_to_csv
-from ris_nfloc.spectrum import SpectrumMap, spectrum_to_csv
-from ris_nfloc.waveform import WaveformConfig
 
 DESK = ExperimentConfig(
     tile_count=16,
@@ -227,22 +223,12 @@ _THIRD = 1.0 / 3.0
 _NAN = float("nan")
 _SWEEP_POINT = SweepPoint(
     sweep_value=4e8, rmse_proposed=_THIRD, rmse_baseline=_NAN, peb=1.5e-13,
-    label_acc=1.0, label_acc_baseline=0.5, rmse_proposed_all=_THIRD,
-    rmse_baseline_all=_NAN, censored_fraction=0.5, wall_time_s=_THIRD,
+    label_acc=1.0, censored_fraction=0.5, wall_time_s=_THIRD,
 )
 _TRIAL = TrialResult(
     error_proposed=_THIRD, error_baseline=_NAN, label_acc_proposed=1.0,
     label_acc_baseline=0.0, labeled_proposed=4, labeled_baseline=0,
     censored_proposed=False, censored_baseline=True, peb=np.float64(2.5e-3),
-)
-_ASSIGNMENT = PspAssignment(
-    l_frames=3, beta=np.array([1.0, 2.0, 3.0, 1.0]) / 3.0, k0_set=(2, 3),
-    groups={1: (1, 4), 2: (2,), 3: (3,)}, k0_size=2,
-)
-_SPECTRUM = SpectrumMap(
-    grid=np.array([[3 + 4j, _THIRD], [0, 2]]), oversampling=2, n_bar=2,
-    cfg=WaveformConfig(n_subcarriers=1, spacing=1.0, carrier=1.0,
-                       tx_power=1.0, noise_psd=0.0, l_frames=2),
 )
 
 
@@ -276,45 +262,13 @@ _SPECTRUM = SpectrumMap(
             b"stage,size,seconds\r\nspectrum_2d,256,0.000333333\r\n"
             b"spl_tdoa,16,1.5\r\n",
         ),
-        (
-            lambda p: assignment_to_csv(_ASSIGNMENT, p),
-            b"tile_index,beta,group_id\r\n1,0.333333333333,1\r\n"
-            b"2,0.666666666667,2\r\n3,1,3\r\n4,0.333333333333,1\r\n",
-        ),
-        (
-            lambda p: trace_to_csv(
-                [TraceRow(1, 2, "pair"), TraceRow(2, 3, "skipped")], p
-            ),
-            b"group_id,dod,method\r\n1,2,pair\r\n2,3,skipped\r\n",
-        ),
-        (
-            lambda p: spectrum_to_csv(_SPECTRUM, p),
-            b"u,v,magnitude\r\n0,0,5\r\n0,1,0.333333333333\r\n"
-            b"1,0,0\r\n1,1,2\r\n",
-        ),
     ],
-    ids=["trials", "sweep", "cdf", "heatmap", "timing", "assignment", "trace",
-         "spectrum"],
+    ids=["trials", "sweep", "cdf", "heatmap", "timing"],
 )
 def test_csv_writers_bytes(tmp_path, write, expected):
     path = tmp_path / "out.csv"
     write(path)
     assert path.read_bytes() == expected
-
-
-def test_thread_pool_matches_serial(monkeypatch):
-    serial = run_trials(DESK)
-    monkeypatch.setenv("RIS_NFLOC_THREADS", "3")
-    threaded = run_trials(DESK)
-    assert serial == threaded
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_bad_thread_count_rejected(monkeypatch, value):
-    # a typo must not silently run one thread
-    monkeypatch.setenv("RIS_NFLOC_THREADS", value)
-    with pytest.raises(ConfigError, match="RIS_NFLOC_THREADS"):
-        run_trials(DESK)
 
 
 def test_rmse_improves_with_frame_budget():

@@ -10,7 +10,6 @@ from ris_nfloc.labeling import (
     in_region_quadric,
     run_spl,
     spl_sort,
-    trace_to_csv,
 )
 from ris_nfloc.psp import assign
 from ris_nfloc.spectrum import ToaGroups
@@ -233,7 +232,7 @@ def test_run_spl_exact_toas_perfect_labels():
         assignment = assign(k_tiles, l_frames, 4)
         groups = exact_groups(scene, assignment)
         label_map, p_hat, trace = run_spl(groups, assignment, scene, room=ROOM)
-        assert label_map.complete
+        assert len(label_map.entries) == scene.n_tiles
         true_toas = toa_vector(scene)
         lookup = {k: t for t, k in label_map.entries}
         for i, tiles in assignment.groups.items():
@@ -249,7 +248,7 @@ def test_run_spl_sufficient_budget_matches_plain_tdoa():
     assignment = assign(8, 8)
     groups = exact_groups(scene, assignment)
     label_map, p_hat, trace = run_spl(groups, assignment, scene, room=ROOM)
-    assert label_map.complete
+    assert len(label_map.entries) == scene.n_tiles
     assert all(row.dod == 1 for row in trace)
     assert np.linalg.norm(p_hat - scene.p_ue) < 1e-4
 
@@ -266,18 +265,5 @@ def test_run_spl_skips_unresolvable_group():
     )
     skipped = [row for row in trace if row.method == "skipped"]
     assert skipped  # tiles 0.1 m apart cannot clear 0.75 m of path gap
-    assert not label_map.complete
+    assert len(label_map.entries) < scene.n_tiles
     assert np.linalg.norm(p_hat - scene.p_ue) < 1e-4
-
-
-def test_trace_csv(tmp_path):
-    layout = RisLayout(tile_count=8, tile_spacing=0.2, center=[5, 10, 2], axis=[1, 0, 0])
-    scene = build_scene(layout, [0, 5, 2], [4, 6, 0])
-    assignment = assign(8, 8)
-    groups = exact_groups(scene, assignment)
-    _, _, trace = run_spl(groups, assignment, scene, room=ROOM)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "group_id,dod,method"
-    assert len(lines) == 1 + len(trace)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ris_nfloc.psp import assign, assignment_to_csv, phase_shift, psp_list
+from ris_nfloc.psp import assign, psp_list
 
 
 def test_psp_list_values():
@@ -14,8 +14,8 @@ def test_psp_list_values():
 
 
 def test_assign_hand_walk_k6_l4():
-    # small validation case below the anchor-count gate
-    a = assign(6, 4, 2, min_k0=2)
+    # small validation case below the config's three-anchor gate
+    a = assign(6, 4, 2)
     assert a.k0_set == (1, 6)
     assert a.beta[0] == 0.75 and a.beta[5] == 1.0
     assert np.allclose(a.beta[1:5], [0.25, 0.5, 0.25, 0.5])
@@ -67,44 +67,9 @@ def test_assign_group_slopes_separated():
 
 def test_assign_validation():
     with pytest.raises(ValueError):
-        assign(16, 8, 2)  # anchor count below the gate
+        assign(16, 8, 1)  # one anchor: no spread to place it by
     with pytest.raises(ValueError):
         assign(16, 4, 4)  # no slopes left for shared tiles
     a = assign(16, 8, 4)
     assert a.k0_set == (1, 6, 11, 16)
 
-
-def test_phase_shift_values():
-    a = assign(4, 8)
-    k_unmod = int(np.argmax(a.beta)) + 1
-    assert a.beta[k_unmod - 1] == 1.0
-    for ell in range(1, 9):
-        assert phase_shift(a, k_unmod, ell) == pytest.approx(0.0, abs=1e-9) or (
-            phase_shift(a, k_unmod, ell) == pytest.approx(2 * np.pi, abs=1e-9)
-        )
-    half = assign(2, 2, 2, min_k0=2)
-    k_half = int(np.argmin(np.abs(half.beta - 0.5))) + 1
-    assert phase_shift(half, k_half, 1) == pytest.approx(np.pi)
-
-
-def test_phase_shift_periodicity():
-    a = assign(16, 8, 4)
-    for k in (1, 5, 9):
-        for ell in (1, 3, 7):
-            lhs = phase_shift(a, k, ell + 8)
-            rhs = phase_shift(a, k, ell)
-            assert np.isclose(np.mod(lhs - rhs, 2 * np.pi), 0.0, atol=1e-8) or (
-                np.isclose(np.mod(lhs - rhs, 2 * np.pi), 2 * np.pi, atol=1e-8)
-            )
-
-
-def test_assignment_csv(tmp_path):
-    a = assign(16, 8, 4)
-    path = tmp_path / "assignment.csv"
-    assignment_to_csv(a, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "tile_index,beta,group_id"
-    assert len(lines) == 17
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == a.beta[0]

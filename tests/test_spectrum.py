@@ -11,7 +11,6 @@ from ris_nfloc.spectrum import (
     extract_toas,
     quadratic_refine,
     spectrum_2d,
-    spectrum_to_csv,
 )
 from ris_nfloc.waveform import FrameMatrix, WaveformConfig, frames_from_paths
 
@@ -158,7 +157,7 @@ def test_under_detection_flag():
     cfg = small_cfg(l=3)
     q = 4
     # two tiles share one slope but their delays nearly coincide
-    assignment = assign(4, 3, 2, min_k0=2)
+    assignment = assign(4, 3, 2)
     shared = [i for i, t in assignment.groups.items() if len(t) == 2][0]
     n_bar = q * 64
     bin_s = 1.0 / (n_bar * cfg.spacing)
@@ -177,7 +176,7 @@ def test_under_detection_flag():
 
 def _wrapped_shared_case(cfg, q, shared_bins, other_bins):
     """Frames with the shared group and the exclusive tiles at given bins."""
-    assignment = assign(4, 3, 2, min_k0=2)
+    assignment = assign(4, 3, 2)
     shared = [i for i, t in assignment.groups.items() if len(t) == 2][0]
     bin_s = 1.0 / (q * cfg.n_subcarriers * cfg.spacing)
     period = 1.0 / cfg.spacing
@@ -233,7 +232,7 @@ def test_pencil_resolves_shared_group_across_period_wrap():
 def test_pencil_resolves_group_the_peak_picker_under_detects():
     cfg = small_cfg(l=3)
     q = 4
-    assignment = assign(4, 3, 2, min_k0=2)
+    assignment = assign(4, 3, 2)
     shared = [i for i, t in assignment.groups.items() if len(t) == 2][0]
     bin_s = 1.0 / (q * 64 * cfg.spacing)
     taus, betas, amps = [], [], []
@@ -262,7 +261,7 @@ def test_pencil_resolves_group_the_peak_picker_under_detects():
 def test_pencil_group_below_floor_keeps_peak_picker_result():
     cfg = small_cfg(l=3, noise=0.002)
     q = 4
-    assignment = assign(4, 3, 2, min_k0=2)
+    assignment = assign(4, 3, 2)
     shared = [i for i, t in assignment.groups.items() if len(t) == 2][0]
     bin_s = 1.0 / (q * 64 * cfg.spacing)
     taus, betas, amps = [], [], []
@@ -290,7 +289,7 @@ def test_noise_floor_median_matches_numpy_median(monkeypatch):
     # group whose delays lie within 0.4/B, two exclusive tiles; noisy frames
     cfg = small_cfg(n=3200, l=4, noise=2e-2)
     q = 4
-    assignment = assign(9, 4, 2, min_k0=2)
+    assignment = assign(9, 4, 2)
     bin_s = 1.0 / (q * cfg.n_subcarriers * cfg.spacing)
     taus, betas = [], []
     for i, tiles in sorted(assignment.groups.items()):
@@ -314,7 +313,7 @@ def test_noise_floor_median_matches_numpy_median(monkeypatch):
 def test_toas_sorted_descending_with_magnitudes():
     cfg = small_cfg(l=3)
     q = 4
-    assignment = assign(4, 3, 2, min_k0=2)
+    assignment = assign(4, 3, 2)
     shared = [i for i, t in assignment.groups.items() if len(t) == 2][0]
     n_bar = q * 64
     taus, betas, amps = [], [], []
@@ -424,14 +423,3 @@ def test_quadratic_refine_off_grid_accuracy():
         u = int(np.argmax(col))
         refined = quadratic_refine(spec, u, 2)
         assert abs(refined - tau) < 0.05 * bin_s
-
-
-def test_spectrum_csv(tmp_path):
-    cfg = small_cfg(n=8, l=2)
-    frames = frames_from_paths([50e-9], [0.5], [1.0], cfg)
-    spec = spectrum_2d(frames, 2)
-    path = tmp_path / "spectrum.csv"
-    spectrum_to_csv(spec, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "u,v,magnitude"
-    assert len(lines) == 1 + spec.n_bar * 2

@@ -5,9 +5,7 @@ from ris_nfloc.geometry import RisLayout, build_scene, toa_vector
 from ris_nfloc.psp import assign
 from ris_nfloc.waveform import (
     WaveformConfig,
-    dump_frames,
     frames_from_paths,
-    load_frames,
     synthesize_frames,
 )
 
@@ -103,7 +101,7 @@ def test_amplitude_bound():
 def test_synthesize_frames_uses_scene_delays():
     layout = RisLayout(tile_count=3, tile_spacing=0.3, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0], t0=1e-7)
-    assignment = assign(3, 4, 3, min_k0=3)
+    assignment = assign(3, 4, 3)
     cfg = small_cfg(l=4)
     cascade = np.array([1.0, 0.5 - 0.2j, 0.3j])
     frames = synthesize_frames(scene, cascade, assignment, cfg, noise_seed=None)
@@ -116,7 +114,7 @@ def test_synthesize_frames_uses_scene_delays():
 def test_synthesize_frames_validation():
     layout = RisLayout(tile_count=3, tile_spacing=0.3, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
-    assignment = assign(3, 4, 3, min_k0=3)
+    assignment = assign(3, 4, 3)
     with pytest.raises(ValueError):
         synthesize_frames(scene, np.ones(3), assignment, small_cfg(l=8))
     with pytest.raises(ValueError):
@@ -127,30 +125,12 @@ def test_noise_reproducible_by_seed():
     cfg = small_cfg(noise=1e-3)
     layout = RisLayout(tile_count=3, tile_spacing=0.3, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
-    assignment = assign(3, 8, 3, min_k0=3)
+    assignment = assign(3, 8, 3)
     a = synthesize_frames(scene, np.ones(3), assignment, cfg, noise_seed=5)
     b = synthesize_frames(scene, np.ones(3), assignment, cfg, noise_seed=5)
     c = synthesize_frames(scene, np.ones(3), assignment, cfg, noise_seed=6)
     assert np.array_equal(a.s, b.s)
     assert not np.array_equal(a.s, c.s)
-
-
-def test_frame_dump_round_trip(tmp_path):
-    cfg = small_cfg(l=4, n=16)
-    rng = np.random.default_rng(1)
-    frames = frames_from_paths(
-        [120e-9], [0.5], [0.8 - 0.1j], cfg, rng=None
-    )
-    path = tmp_path / "frames.bin"
-    dump_frames(frames, path)
-    raw = path.read_bytes()
-    assert len(raw) == 8 + 16 * 4 * 8  # header + complex64 payload
-    assert int.from_bytes(raw[:4], "little") == 16
-    assert int.from_bytes(raw[4:8], "little") == 4
-    loaded = load_frames(path, cfg)
-    assert np.allclose(loaded.s, frames.s, atol=1e-6)  # float32 round trip
-    with pytest.raises(ValueError):
-        load_frames(path, small_cfg(l=8, n=16))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
