@@ -40,18 +40,21 @@ class FimResult:
     rank: int
 
 
-def toa_variance(bandwidth: float, snr_k: float, snr_ref: float) -> float:
-    """Delay-estimation variance of one range difference.
+def toa_variance(bandwidth: float, snr_k, snr_ref):
+    """Delay-estimation variance of one range difference, or of an array of them.
 
     Combines the two involved path SNRs harmonically; returns inf for a dead
-    path rather than raising, so callers can mask unusable tiles.
+    path rather than raising, so callers can mask unusable tiles.  The SNRs
+    broadcast against each other; scalar SNRs give a scalar.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    if snr_k <= 0 or snr_ref <= 0:
-        return float("inf")
-    zeta = 1.0 / (1.0 / snr_k + 1.0 / snr_ref)
-    return 1.0 / (8.0 * np.pi**2 * bandwidth**2 * zeta)
+    snr_k = np.asarray(snr_k, dtype=float)
+    snr_ref = np.asarray(snr_ref, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zeta = 1.0 / (1.0 / snr_k + 1.0 / snr_ref)
+        var = 1.0 / (8.0 * np.pi**2 * bandwidth**2 * zeta)
+    return np.where((snr_k <= 0) | (snr_ref <= 0), np.inf, var)[()]
 
 
 def cascade_snrs(cascade: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
@@ -97,10 +100,13 @@ def fim(
 ) -> FimResult:
     """Position Fisher information from all tile range differences.
 
-    Clock and phase offsets are treated as known (optimistic bound).  Tiles
-    with non-positive SNR contribute nothing.  ``peb`` is finite only when
-    all three axes are observable above ``rcond`` relative to the largest
-    eigenvalue; ``peb_observable`` always reports the restricted bound.
+    Clock and phase offsets are treated as known (optimistic bound).  Each
+    tile other than ``k_ref`` adds the rank-one term g g^T / var of its
+    range-difference gradient g and delay variance var; the terms are summed
+    in tile order.  Tiles with non-positive SNR contribute nothing.  ``peb``
+    is finite only when all three axes are observable above ``rcond``
+    relative to the largest eigenvalue; ``peb_observable`` always reports the
+    restricted bound.
     """
     k = scene.n_tiles
     if k < 2:
@@ -110,15 +116,11 @@ def fim(
     snrs = np.asarray(snrs, dtype=float)
     grads = tdoa_gradients(scene, k_ref)
 
-    j = np.zeros((3, 3))
-    for tile in range(1, k + 1):
-        if tile == k_ref:
-            continue
-        var = toa_variance(bandwidth, snrs[tile - 1], snrs[k_ref - 1])
-        if not np.isfinite(var) or var <= 0:
-            continue
-        g = grads[tile - 1]
-        j += np.outer(g, g) / var
+    others = np.arange(k) != k_ref - 1
+    var = toa_variance(bandwidth, snrs[others], snrs[k_ref - 1])
+    use = np.isfinite(var) & (var > 0)
+    g = grads[others][use]
+    j = np.sum(g[:, :, None] * g[:, None, :] / var[use, None, None], axis=0)
 
     eigvals, eigvecs = np.linalg.eigh(j)
     top = float(eigvals[-1]) if eigvals[-1] > 0 else 0.0

@@ -3,8 +3,10 @@
 The forward link (BS to RIS element) and backward link (RIS element to UE)
 each carry a deterministic direct component plus an optional stochastic
 multipath sum.  The direct component attenuates with the tile-center distance
-while its phase tracks the exact element position; the per-tile cascade gain
-is the inner product of the two element vectors.
+while its phase tracks the exact element position.  Each multipath component
+travels the direct element distance plus a per-tile excess length, so the
+multipath enters as one complex gain per tile on the direct element phases.
+The per-tile cascade gain is the inner product of the two element vectors.
 """
 
 from __future__ import annotations
@@ -96,15 +98,24 @@ def _link_matrix(
     rng: np.random.Generator,
     extra_phase: float = 0.0,
 ) -> np.ndarray:
-    """(K, M) coefficients of one link direction, direct plus multipath."""
-    d_elem = np.linalg.norm(endpoint[None, None, :] - elements, axis=-1)  # (K, M)
+    """(K, M) coefficients of one link direction, direct plus multipath.
+
+    Path j of tile k reaches element m over d_km + e_kj, so the multipath sum
+    factors into the direct element phasor times one complex gain per tile:
+    exp(-j2pi d_km/lambda + j phi) * (mag_k + sum_j eps_kj exp(-j2pi e_kj/lambda)).
+    """
+    sq = endpoint - elements  # (K, M, 3)
+    sq *= sq
+    # (x² + y²) + z² is the order np.linalg.norm sums in, so the distances
+    # stay bit for bit; its reduce over a length-3 axis took twice as long
+    d_elem = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # (K, M)
     d_center = np.linalg.norm(endpoint[None, :] - centers, axis=-1)  # (K,)
     if np.min(d_center) < 1e-12:
         raise ValueError("link endpoint coincides with a tile center")
     mag = wavelength / (4.0 * np.pi * d_center)
-    out = mag[:, None] * np.exp(-2j * np.pi / wavelength * d_elem + 1j * extra_phase)
+    phasor = np.exp(-2j * np.pi / wavelength * d_elem + 1j * extra_phase)
     if mp.j_paths == 0:
-        return out
+        return mag[:, None] * phasor
     k = elements.shape[0]
     sigma = mag * 10.0 ** (mp.power_rel_db / 20.0)  # per-path amplitude scale
     eps = (
@@ -112,10 +123,8 @@ def _link_matrix(
     ) / np.sqrt(2.0)
     eps *= sigma[:, None]
     excess = rng.uniform(mp.excess_min_m, mp.excess_max_m, size=(k, mp.j_paths))
-    # phase of path j at element m: direct element distance plus excess length
-    phase = -2j * np.pi / wavelength * (d_elem[:, :, None] + excess[:, None, :])
-    out += np.sum(eps[:, None, :] * np.exp(phase + 1j * extra_phase), axis=-1)
-    return out
+    multipath = np.sum(eps * np.exp(-2j * np.pi / wavelength * excess), axis=1)  # (K,)
+    return (mag + multipath)[:, None] * phasor
 
 
 def realize_channel(

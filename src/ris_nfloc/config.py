@@ -27,7 +27,11 @@ class ConfigError(ValueError):
 
 
 def _dbm_to_watt(dbm: float) -> float:
-    return 1e-3 * 10.0 ** (dbm / 10.0)
+    """Watts of a power in dBm; inf where the value overflows a float."""
+    try:
+        return 1e-3 * 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        return float("inf")
 
 
 @dataclass(frozen=True)
@@ -198,14 +202,18 @@ def load_config(path=None) -> ExperimentConfig:
     return check_config(ExperimentConfig(**overrides))
 
 
+_NO_WATTS = "is not a finite positive power in watts"
+
+
 def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Reject field combinations no trial can run with; returns ``cfg``.
 
     Every float and point field must be finite.  A run needs at least one
     trial, at least two subcarriers (one subcarrier gives every slope column
     a flat delay profile without a peak), a non-negative seed, an
-    oversampling factor of at least 1, a non-negative clock uncertainty and a
-    positive ``gain_reference``.  The RIS layout, the waveform and the
+    oversampling factor of at least 1, a non-negative clock uncertainty, a
+    positive ``gain_reference``, and transmit and noise powers that are finite
+    and positive in watts.  The RIS layout, the waveform and the
     multipath model must pass the constructors a trial builds them with.  The
     closed room box must contain the BS, every RIS tile center and the floor
     rectangle at z = 0 that UEs are drawn on; the UE needs floor area beyond
@@ -223,6 +231,8 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         ("oversampling", cfg.oversampling >= 1, "must be at least 1"),
         ("clock_uncertainty_s", cfg.clock_uncertainty_s >= 0, "must not be negative"),
         ("gain_reference", cfg.gain_reference > 0, "must be positive"),
+        ("power_dbm", 0 < _dbm_to_watt(cfg.power_dbm) < np.inf, _NO_WATTS),
+        ("noise_dbm", 0 < _dbm_to_watt(cfg.noise_dbm) < np.inf, _NO_WATTS),
     ):
         if not holds:
             raise ConfigError(f"{_KEYS[field]} = {getattr(cfg, field):g} {rule}")

@@ -285,16 +285,20 @@ def _rmse(values: np.ndarray) -> float:
 
 def summarize(cfg: ExperimentConfig, results: list[TrialResult], sweep_value: float,
               wall_time_s: float) -> SweepPoint:
+    """One sweep point.  Each RMSE and the label accuracy average over the
+    trials whose arm is not censored (NaN when none is left); a censored
+    trial's accuracy of 0.0 records that it labeled nothing."""
     ep = np.array([r.error_proposed for r in results])
     eb = np.array([r.error_baseline for r in results])
     cens_p = np.array([r.censored_proposed for r in results])
     cens_b = np.array([r.censored_baseline for r in results])
+    acc = [r.label_acc_proposed for r in results if not r.censored_proposed]
     return SweepPoint(
         sweep_value=sweep_value,
         rmse_proposed=_rmse(ep[~cens_p]),
         rmse_baseline=_rmse(eb[~cens_b]),
         peb=float(np.nanmean([r.peb for r in results])),
-        label_acc=float(np.mean([r.label_acc_proposed for r in results])),
+        label_acc=float(np.mean(acc)) if acc else float("nan"),
         censored_fraction=float(np.mean(cens_p | cens_b)),
         wall_time_s=wall_time_s,
     )

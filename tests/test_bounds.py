@@ -136,3 +136,41 @@ def test_linear_ris_rank_two_and_diagnostics():
     assert r.peb == np.inf
     assert np.isfinite(r.peb_observable)
     assert r.condition_number > 1e12
+
+
+def _loop_fim_matrix(scene, snrs, bandwidth, k_ref):
+    """The information matrix as a per-tile loop of scalar variances and outer
+    products."""
+    grads = tdoa_gradients(scene, k_ref)
+    j = np.zeros((3, 3))
+    for tile in range(1, scene.n_tiles + 1):
+        snr_k, snr_ref = snrs[tile - 1], snrs[k_ref - 1]
+        if tile == k_ref or snr_k <= 0 or snr_ref <= 0:
+            continue
+        zeta = 1.0 / (1.0 / snr_k + 1.0 / snr_ref)
+        var = 1.0 / (8.0 * np.pi**2 * bandwidth**2 * zeta)
+        j += np.outer(grads[tile - 1], grads[tile - 1]) / var
+    return j
+
+
+def test_fim_equals_per_tile_loop_bit_for_bit():
+    rng = np.random.default_rng(4)
+    scene = general_scene(rng)
+    snrs = rng.uniform(20.0, 2e4, scene.n_tiles)
+    snrs[5] = 0.0  # a dead tile
+    for k_ref in range(1, scene.n_tiles + 1):
+        got = fim(scene, snrs, 4e8, k_ref).fim
+        assert np.array_equal(got, _loop_fim_matrix(scene, snrs, 4e8, k_ref))
+
+
+def test_toa_variance_array_equals_scalar_calls():
+    snrs = np.array([0.0, -3.0, 1e-3, 5.0, 250.0, 7e5])
+    for snr_ref in (0.0, 40.0, 1e4):
+        got = toa_variance(4e8, snrs, snr_ref)
+        assert got.shape == snrs.shape
+        expected = [toa_variance(4e8, s, snr_ref) for s in snrs]
+        assert all(isinstance(v, float) for v in expected)
+        assert np.array_equal(got, expected)
+    assert np.isinf(toa_variance(4e8, snrs, 0.0)).all()
+    with pytest.raises(ValueError):
+        toa_variance(0.0, snrs, 40.0)

@@ -135,3 +135,56 @@ def test_coincident_endpoint_rejected():
         forward_direct(scene, WAVELENGTH, 1, 1)
     with pytest.raises(ValueError):
         realize_channel(scene, WAVELENGTH)
+
+
+def _old_link_matrix(endpoint, elements, centers, mp, rng, extra_phase=0.0):
+    """The per-element, per-path sum: a (K, M, J) phase tensor, one exponential
+    per element and path."""
+    d_elem = np.linalg.norm(endpoint[None, None, :] - elements, axis=-1)
+    mag = WAVELENGTH / (4.0 * np.pi * np.linalg.norm(endpoint - centers, axis=-1))
+    out = mag[:, None] * np.exp(-2j * np.pi / WAVELENGTH * d_elem + 1j * extra_phase)
+    if mp.j_paths == 0:
+        return out
+    k = elements.shape[0]
+    sigma = mag * 10.0 ** (mp.power_rel_db / 20.0)
+    eps = (
+        rng.standard_normal((k, mp.j_paths)) + 1j * rng.standard_normal((k, mp.j_paths))
+    ) / np.sqrt(2.0)
+    eps *= sigma[:, None]
+    excess = rng.uniform(mp.excess_min_m, mp.excess_max_m, size=(k, mp.j_paths))
+    phase = -2j * np.pi / WAVELENGTH * (d_elem[:, :, None] + excess[:, None, :])
+    out += np.sum(eps[:, None, :] * np.exp(phase + 1j * extra_phase), axis=-1)
+    return out
+
+
+def _old_realization(scene, mp):
+    rng = np.random.default_rng(mp.seed)
+    elements = np.stack([t.element_positions for t in scene.tiles])
+    centers = scene.tile_centers
+    forward = _old_link_matrix(scene.p_bs, elements, centers, mp, rng)
+    backward = _old_link_matrix(scene.p_ue, elements, centers, mp, rng, scene.phi0)
+    return forward, backward, np.einsum("km,km->k", backward, forward)
+
+
+@pytest.mark.parametrize("seed", [5, 77])
+def test_multipath_gain_per_tile_matches_per_path_sum(seed):
+    # off-axis UE, nonzero phase offset: every element sees its own phase
+    scene = make_scene(tile_count=6, phi0=1.3, ue=(2.3, 6.1, 0))
+    mp = MultipathConfig(j_paths=3, seed=seed)
+    ch = realize_channel(scene, WAVELENGTH, mp)
+    forward, backward, cascade = _old_realization(scene, mp)
+    for got, ref in ((ch.forward, forward), (ch.backward, backward)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the element sum cancels to about 1% of its terms, so the cascade is
+    # compared on the scale of its terms, sum_m |b_km f_km|
+    scale = np.einsum("km,km->k", np.abs(backward), np.abs(forward))
+    assert np.max(np.abs(ch.cascade - cascade) / scale) <= 1e-12
+
+
+def test_no_multipath_equals_per_path_sum_bit_for_bit():
+    scene = make_scene(tile_count=6, phi0=1.3, ue=(2.3, 6.1, 0))
+    mp = MultipathConfig(j_paths=0, seed=5)
+    ch = realize_channel(scene, WAVELENGTH, mp)
+    for got, ref in zip((ch.forward, ch.backward, ch.cascade), _old_realization(scene, mp)):
+        assert np.array_equal(got, ref)

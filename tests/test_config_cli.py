@@ -141,6 +141,11 @@ BAD_CONFIGS = {
     "nan_noise": "[waveform]\nnoise_dbm = nan\n",
     "inf_power": "[waveform]\npower_dbm = inf\n",
     "zero_gain_reference": "[experiment]\ngain_reference = 0\n",
+    # powers whose value in watts overflows a float (a traceback) or
+    # underflows to 0 W (divide-by-zero warnings and an infinite bound)
+    "huge_power": "[waveform]\npower_dbm = 4000\n",
+    "huge_noise": "[waveform]\nnoise_dbm = 4000\n",
+    "vanishing_noise": "[waveform]\nnoise_dbm = -4000\n",
     # one subcarrier gives every slope column a flat delay profile without a
     # peak, which censored every trial
     "one_subcarrier": "[waveform]\nsubcarriers = 1\n",

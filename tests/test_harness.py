@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,30 @@ def test_summarize_censoring_fields():
     assert point.wall_time_s == 1.23
     assert 0.0 <= point.censored_fraction <= 1.0
     assert np.isfinite(point.rmse_proposed)
+
+
+def _result(censored, acc):
+    return TrialResult(
+        error_proposed=float("nan") if censored else 0.2,
+        error_baseline=1.0,
+        label_acc_proposed=acc,
+        label_acc_baseline=0.5,
+        labeled_proposed=0 if censored else 16,
+        labeled_baseline=16,
+        censored_proposed=censored,
+        censored_baseline=False,
+        peb=0.3,
+    )
+
+
+def test_summarize_label_accuracy_skips_censored_trials():
+    # a censored trial carries accuracy 0.0, which labeled nothing wrong
+    results = [_result(False, 1.0), _result(True, 0.0), _result(False, 0.5)]
+    assert summarize(DESK, results, 8.0, 0.0).label_acc == 0.75
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = summarize(DESK, [_result(True, 0.0)] * 2, 8.0, 0.0)
+    assert np.isnan(point.label_acc)
 
 
 def test_apply_sweep_value():
