@@ -8,7 +8,7 @@ from .channel import (
     forward_direct,
     realize_channel,
 )
-from .geometry import RisLayout, Scene, TilePose, build_scene, toa, toa_vector
+from .geometry import RisLayout, Scene, build_scene, toa_vector
 from .labeling import (
     BootstrapError,
     LabelMap,
@@ -38,7 +38,6 @@ __all__ = [
     "Scene",
     "SpectrumMap",
     "TdoaSystem",
-    "TilePose",
     "ToaGroups",
     "WaveformConfig",
     "assign",
@@ -61,7 +60,6 @@ __all__ = [
     "spectrum_2d",
     "spl_sort",
     "synthesize_frames",
-    "toa",
     "toa_variance",
     "toa_vector",
 ]

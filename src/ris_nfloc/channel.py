@@ -57,17 +57,12 @@ class ChannelRealization:
             raise ValueError("cascade inconsistent with forward/backward rows")
 
 
-def _element_stack(scene: Scene) -> np.ndarray:
-    return np.stack([t.element_positions for t in scene.tiles])  # (K, M, 3)
-
-
 def forward_direct(scene: Scene, wavelength: float, k: int, m: int) -> complex:
     """Direct BS-to-element coefficient for tile ``k``, element ``m`` (1-based)."""
-    tile = scene.tiles[k - 1]
-    d_center = np.linalg.norm(scene.p_bs - tile.center)
+    d_center = np.linalg.norm(scene.p_bs - scene.tile_centers[k - 1])
     if d_center < 1e-12:
         raise ValueError("BS coincides with tile center")
-    d_elem = np.linalg.norm(scene.p_bs - tile.element_positions[m - 1])
+    d_elem = np.linalg.norm(scene.p_bs - scene.elements[k - 1, m - 1])
     return (
         wavelength
         / (4.0 * np.pi * d_center)
@@ -77,11 +72,10 @@ def forward_direct(scene: Scene, wavelength: float, k: int, m: int) -> complex:
 
 def backward_direct(scene: Scene, wavelength: float, k: int, m: int) -> complex:
     """Direct element-to-UE coefficient; carries the phase offset ``phi0``."""
-    tile = scene.tiles[k - 1]
-    d_center = np.linalg.norm(scene.p_ue - tile.center)
+    d_center = np.linalg.norm(scene.p_ue - scene.tile_centers[k - 1])
     if d_center < 1e-12:
         raise ValueError("UE coincides with tile center")
-    d_elem = np.linalg.norm(scene.p_ue - tile.element_positions[m - 1])
+    d_elem = np.linalg.norm(scene.p_ue - scene.elements[k - 1, m - 1])
     return (
         wavelength
         / (4.0 * np.pi * d_center)
@@ -138,8 +132,7 @@ def realize_channel(
     """
     mp = mp if mp is not None else MultipathConfig(j_paths=0)
     rng = np.random.default_rng(mp.seed)
-    elements = _element_stack(scene)
-    centers = scene.tile_centers
+    elements, centers = scene.elements, scene.tile_centers
     forward = _link_matrix(scene.p_bs, elements, centers, wavelength, mp, rng)
     backward = _link_matrix(
         scene.p_ue, elements, centers, wavelength, mp, rng, extra_phase=scene.phi0

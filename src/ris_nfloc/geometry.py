@@ -2,8 +2,9 @@
 
 The global frame is right-handed with the UE constrained to the ground plane
 (z = 0).  A linear RIS is described by a :class:`RisLayout` and expanded by
-:func:`build_scene` into per-tile element grids at half-wavelength spacing.
-All objects are immutable after construction.
+:func:`build_scene` into two arrays: the tile centers (K, 3) and the element
+positions (K, M, 3), each tile a grid at half-wavelength spacing.  All objects
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ class RisLayout:
             raise ValueError("tile_count must be >= 1")
         if not self.tile_spacing > 0:
             raise ValueError("tile_spacing must be positive")
+        # adjacent centers are tile_spacing apart, the smallest gap of the line
+        if self.tile_count > 1 and self.tile_spacing < 1e-12:
+            raise ValueError("tile centers must be distinct (tile_spacing below 1e-12 m)")
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-9:
             raise ValueError("axis must be a unit vector")
         if self.elements_x < 1 or self.elements_z < 1:
@@ -54,65 +58,37 @@ class RisLayout:
 
 
 @dataclass(frozen=True)
-class TilePose:
-    """One RIS tile: its center and the positions of its M elements."""
-
-    center: np.ndarray
-    element_positions: np.ndarray  # (M, 3)
-    m_x: int
-    m_z: int
-
-    def __post_init__(self):
-        if self.element_positions.shape != (self.m_x * self.m_z, 3):
-            raise ValueError("element_positions must have m_x*m_z rows")
-
-    @property
-    def n_elements(self) -> int:
-        return self.m_x * self.m_z
-
-
-@dataclass(frozen=True)
 class Scene:
     """Placement of BS, UE and RIS tiles plus clock/phase offsets.
 
-    ``p_ue`` must lie on the ground plane.  ``t0`` is the BS-UE clock offset
-    added to every delay; ``phi0`` is the carrier phase offset of the
-    backward (RIS-to-UE) link.
+    The tiles are two arrays: ``tile_centers`` (K, 3) and ``elements``
+    (K, M, 3), the element positions of each tile.  ``p_ue`` must lie on the
+    ground plane.  ``t0`` is the BS-UE clock offset added to every delay;
+    ``phi0`` is the carrier phase offset of the backward (RIS-to-UE) link.
     """
 
     p_bs: np.ndarray
     p_ue: np.ndarray
-    tiles: tuple[TilePose, ...]
+    tile_centers: np.ndarray
+    elements: np.ndarray
     t0: float = 0.0
     phi0: float = 0.0
     ris_axis: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
 
     def __post_init__(self):
-        object.__setattr__(self, "p_bs", np.asarray(self.p_bs, dtype=float))
-        object.__setattr__(self, "p_ue", np.asarray(self.p_ue, dtype=float))
-        object.__setattr__(self, "ris_axis", np.asarray(self.ris_axis, dtype=float))
+        for name in ("p_bs", "p_ue", "tile_centers", "elements", "ris_axis"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if abs(self.p_ue[2]) > 1e-12:
             raise ValueError("UE must lie on the ground plane (z = 0)")
-        if len(self.tiles) < 1:
-            raise ValueError("at least one tile required")
-        centers = np.array([t.center for t in self.tiles])
-        if len(self.tiles) > 1:
-            d = np.linalg.norm(centers[:, None] - centers[None, :], axis=-1)
-            if np.min(d[~np.eye(len(self.tiles), dtype=bool)]) < 1e-12:
-                raise ValueError("tile centers must be distinct")
+        centers, elements = self.tile_centers, self.elements
+        if centers.ndim != 2 or centers.shape[1] != 3 or len(centers) < 1:
+            raise ValueError("tile_centers must be a (K, 3) array with K >= 1")
+        if elements.ndim != 3 or elements.shape[::2] != (len(centers), 3):
+            raise ValueError("elements must be a (K, M, 3) array matching tile_centers")
 
     @property
     def n_tiles(self) -> int:
-        return len(self.tiles)
-
-    @property
-    def tile_centers(self) -> np.ndarray:
-        """(K, 3) array of tile centers."""
-        return np.array([t.center for t in self.tiles])
-
-    def axis_coordinate(self, k: int) -> float:
-        """Scalar position of tile ``k`` (1-based) along the RIS axis."""
-        return float(np.dot(self.tiles[k - 1].center, self.ris_axis))
+        return len(self.tile_centers)
 
 
 def _grid_directions(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,36 +129,16 @@ def build_scene(
     local = ix[None, :, None] * u[None, None, :] + iz[:, None, None] * v[None, None, :]
     local = local.reshape(-1, 3)
 
-    tiles = []
-    for center in layout.tile_centers():
-        tiles.append(
-            TilePose(
-                center=center,
-                element_positions=center[None, :] + local,
-                m_x=layout.elements_x,
-                m_z=layout.elements_z,
-            )
-        )
+    centers = layout.tile_centers()
     return Scene(
-        p_bs=np.asarray(p_bs, dtype=float),
-        p_ue=np.asarray(p_ue, dtype=float),
-        tiles=tuple(tiles),
+        p_bs=p_bs,
+        p_ue=p_ue,
+        tile_centers=centers,
+        elements=centers[:, None, :] + local,
         t0=t0,
         phi0=phi0,
         ris_axis=layout.axis,
     )
-
-
-def toa(scene: Scene, k: int) -> float:
-    """Arrival time of the path BS -> tile k -> UE, including the clock offset.
-
-    ``k`` is 1-based.
-    """
-    if not 1 <= k <= scene.n_tiles:
-        raise IndexError(f"tile index {k} out of range 1..{scene.n_tiles}")
-    center = scene.tiles[k - 1].center
-    d = np.linalg.norm(scene.p_bs - center) + np.linalg.norm(scene.p_ue - center)
-    return d / SPEED_OF_LIGHT + scene.t0
 
 
 def toa_vector(scene: Scene) -> np.ndarray:

@@ -21,7 +21,7 @@ in :mod:`ris_nfloc.bounds`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -395,7 +395,10 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
     reference transform and the peak scan of :mod:`ris_nfloc.kernels`, and
     the labeling-plus-solve stage versus tile count.  The exponent fits
     ``time ~ (n*log2(n))^e`` for the fast path, ``n`` the padded grid size.
+    A tile count the sweep check rejects raises :class:`ConfigError` before
+    any timing.
     """
+    spl_configs = [apply_sweep_value(cfg, "K", k) for k in (8, 16, 32, 64)]
     rng = np.random.default_rng(cfg.seed)
     rows = []
     wcfg_l = 16
@@ -443,8 +446,7 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
     )
 
     # labeling + solve on exact arrivals across tile counts
-    for k_tiles in (8, 16, 32, 64):
-        sub = replace(cfg, tile_count=k_tiles, trials=1)
+    for sub in spl_configs:
         scene = build_scene(
             sub.layout(),
             np.asarray(sub.bs_position_m, dtype=float),
@@ -456,7 +458,7 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
         seconds = _time_callable(
             lambda: run_spl(groups, assignment, scene, room=sub.room)
         )
-        rows.append(("spl_tdoa", k_tiles, seconds))
+        rows.append(("spl_tdoa", sub.tile_count, seconds))
 
     x = np.log(np.array(fast_sizes) * np.log2(fast_sizes))
     y = np.log(np.array(fast_times))

@@ -94,7 +94,7 @@ def in_region_quadric(p, p_bs, p_k1, p_k2) -> bool:
 
 def _path_lengths(tiles, p_est, scene: Scene) -> np.ndarray:
     """Predicted BS -> tile -> UE path length of each tile at ``p_est`` (m)."""
-    centers = np.array([scene.tiles[k - 1].center for k in tiles])
+    centers = scene.tile_centers[np.asarray(tiles) - 1]
     return np.linalg.norm(scene.p_bs - centers, axis=1) + np.linalg.norm(
         np.asarray(p_est, dtype=float) - centers, axis=1
     )
@@ -107,9 +107,11 @@ def spl_sort(tiles, p_estimate, scene: Scene) -> tuple[int, ...]:
     ties kept in RIS-axis order, so every ordered pair (a before b) of the
     result passes ``in_region(p_estimate, bs, a, b)``.
     """
-    ordered = sorted(tiles, key=scene.axis_coordinate)
+    tiles = np.asarray(tiles)
+    along_axis = scene.tile_centers[tiles - 1] @ scene.ris_axis
+    ordered = tiles[np.argsort(along_axis, kind="stable")]
     lengths = _path_lengths(ordered, p_estimate, scene)
-    return tuple(ordered[j] for j in np.argsort(-lengths, kind="stable"))
+    return tuple(int(k) for k in ordered[np.argsort(-lengths, kind="stable")])
 
 
 class BootstrapError(ValueError):

@@ -22,10 +22,10 @@ def make_scene(tile_count=4, phi0=0.0, ue=(3, 4, 0)):
 def test_forward_direct_magnitude_and_phase():
     scene = make_scene()
     for k in (1, 3):
-        d_center = np.linalg.norm(scene.p_bs - scene.tiles[k - 1].center)
+        d_center = np.linalg.norm(scene.p_bs - scene.tile_centers[k - 1])
         mags = [
             abs(forward_direct(scene, WAVELENGTH, k, m))
-            for m in range(1, scene.tiles[k - 1].n_elements + 1)
+            for m in range(1, scene.elements.shape[1] + 1)
         ]
         # attenuation uses the tile center, identical for every element
         assert np.allclose(mags, WAVELENGTH / (4 * np.pi * d_center))
@@ -35,7 +35,7 @@ def test_forward_phase_wraps_at_full_wavelength():
     # contrived single-element geometry with element distance = wavelength
     scene = make_scene(tile_count=1)
     coeff = forward_direct(scene, WAVELENGTH, 1, 1)
-    d_elem = np.linalg.norm(scene.p_bs - scene.tiles[0].element_positions[0])
+    d_elem = np.linalg.norm(scene.p_bs - scene.elements[0, 0])
     expected_phase = -2 * np.pi / WAVELENGTH * d_elem
     assert np.angle(coeff) == pytest.approx(
         np.angle(np.exp(1j * expected_phase)), abs=1e-9
@@ -114,8 +114,8 @@ def test_cascade_closed_form_single_element():
     scene = build_scene(layout, [0, 5, 2], [3, 4, 0], wavelength=WAVELENGTH)
     ch = realize_channel(scene, WAVELENGTH, MultipathConfig(j_paths=0))
     for k in (1, 2):
-        d_bs = np.linalg.norm(scene.p_bs - scene.tiles[k - 1].center)
-        d_ue = np.linalg.norm(scene.p_ue - scene.tiles[k - 1].center)
+        d_bs = np.linalg.norm(scene.p_bs - scene.tile_centers[k - 1])
+        d_ue = np.linalg.norm(scene.p_ue - scene.tile_centers[k - 1])
         expected = WAVELENGTH**2 / (16 * np.pi**2 * d_bs * d_ue)
         assert abs(ch.cascade[k - 1]) == pytest.approx(expected, rel=1e-12)
 
@@ -159,8 +159,7 @@ def _old_link_matrix(endpoint, elements, centers, mp, rng, extra_phase=0.0):
 
 def _old_realization(scene, mp):
     rng = np.random.default_rng(mp.seed)
-    elements = np.stack([t.element_positions for t in scene.tiles])
-    centers = scene.tile_centers
+    elements, centers = scene.elements, scene.tile_centers
     forward = _old_link_matrix(scene.p_bs, elements, centers, mp, rng)
     backward = _old_link_matrix(scene.p_ue, elements, centers, mp, rng, scene.phi0)
     return forward, backward, np.einsum("km,km->k", backward, forward)

@@ -133,6 +133,8 @@ BAD_CONFIGS = {
     "zero_carrier": "[waveform]\ncarrier_hz = 0\n",
     "zero_subcarriers": "[waveform]\nsubcarriers = 0\n",
     "zero_tile_spacing": "[scene]\ntile_spacing_m = 0\n",
+    # every tile center at one point, which failed each trial at run time
+    "coincident_tiles": "[scene]\ntile_spacing_m = 1e-13\n",
     "negative_multipath_paths": "[multipath]\npaths = -1\n",
     "zero_excess_min": "[multipath]\nexcess_min_m = 0\n",
     "negative_clock_uncertainty": "[experiment]\nclock_uncertainty_s = -1\n",
@@ -210,6 +212,20 @@ def test_bad_command_line_value_exits_2(name, desk_config, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     # rejected before the first trial: no result file is written
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_bench_rejects_its_tile_counts_before_timing(tmp_path, capsys):
+    # four tiles and four frames, all exclusive, is a config simulate runs;
+    # bench's labeling rows at K = 8..64 leave no slope for a shared group
+    path = tmp_path / "four.ini"
+    path.write_text(DESK_INI.replace("tile_count = 16", "tile_count = 4").replace(
+        "frames = 8", "frames = 4\nexclusive_tiles = 4"))
+    out = tmp_path / "out"
+    args = ["--config", str(path), "--out", str(out)]
+    assert main(args + ["bench", "--sizes", "64,128"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "timing.csv").exists()
+    assert main(args + ["simulate"]) == 0
 
 
 def test_config_does_not_import_harness():

@@ -45,7 +45,7 @@ def test_in_region_matches_true_toa_order():
         )
         t = toa_vector(scene)
         member = in_region(
-            scene.p_ue, scene.p_bs, scene.tiles[0].center, scene.tiles[1].center
+            scene.p_ue, scene.p_bs, scene.tile_centers[0], scene.tile_centers[1]
         )
         assert member == (t[0] >= t[1])
 
@@ -164,6 +164,20 @@ def test_spl_sort_matches_brute_force_oracle():
         assert spl_sort((1, 2, 3), scene.p_ue, scene) == oracle
 
 
+def test_spl_sort_breaks_ties_in_ris_axis_order():
+    # BS and UE on the mid-perpendicular of two mirror-symmetric tiles: both
+    # predicted paths have the same length, so the axis order decides
+    scene = build_scene(
+        RisLayout(tile_count=2, tile_spacing=2.0, center=[5, 10, 2], axis=[1, 0, 0]),
+        [5, 0, 2],
+        [5, 5, 0],
+    )
+    t = toa_vector(scene)
+    assert t[0] == t[1]
+    assert spl_sort((2, 1), scene.p_ue, scene) == (1, 2)
+    assert spl_sort((1, 2), scene.p_ue, scene) == (1, 2)
+
+
 def test_spl_sort_consistent_hypothesis_fixed_point():
     scene = build_scene(
         RisLayout(tile_count=3, tile_spacing=1.5, center=[5, 10, 2], axis=[1, 0, 0]),
@@ -203,8 +217,8 @@ def test_spl_sort_passes_every_pairwise_discriminant():
                 assert in_region(
                     p_est,
                     scene.p_bs,
-                    scene.tiles[seq[a] - 1].center,
-                    scene.tiles[seq[b] - 1].center,
+                    scene.tile_centers[seq[a] - 1],
+                    scene.tile_centers[seq[b] - 1],
                 )
 
 
