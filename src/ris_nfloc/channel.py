@@ -83,14 +83,31 @@ def backward_direct(scene: Scene, wavelength: float, k: int, m: int) -> complex:
     )
 
 
-def _link_matrix(
+def direct_link(
     endpoint: np.ndarray,
     elements: np.ndarray,
     centers: np.ndarray,
     wavelength: float,
+    extra_phase: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct part of one link direction: the (K,) tile-center distances,
+    which set the path loss, and the (K, M) element phasors."""
+    sq = endpoint - elements  # (K, M, 3)
+    sq *= sq
+    # (x² + y²) + z² is the order np.linalg.norm sums in, so the distances
+    # stay bit for bit; its reduce over a length-3 axis took twice as long
+    d_elem = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # (K, M)
+    legs = np.linalg.norm(endpoint[None, :] - centers, axis=-1)  # (K,)
+    if np.min(legs) < 1e-12:
+        raise ValueError("link endpoint coincides with a tile center")
+    return legs, np.exp(-2j * np.pi / wavelength * d_elem + 1j * extra_phase)
+
+
+def _link_matrix(
+    direct: tuple[np.ndarray, np.ndarray],
+    wavelength: float,
     mp: MultipathConfig,
     rng: np.random.Generator,
-    extra_phase: float = 0.0,
 ) -> np.ndarray:
     """(K, M) coefficients of one link direction, direct plus multipath.
 
@@ -98,19 +115,11 @@ def _link_matrix(
     factors into the direct element phasor times one complex gain per tile:
     exp(-j2pi d_km/lambda + j phi) * (mag_k + sum_j eps_kj exp(-j2pi e_kj/lambda)).
     """
-    sq = endpoint - elements  # (K, M, 3)
-    sq *= sq
-    # (x² + y²) + z² is the order np.linalg.norm sums in, so the distances
-    # stay bit for bit; its reduce over a length-3 axis took twice as long
-    d_elem = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # (K, M)
-    d_center = np.linalg.norm(endpoint[None, :] - centers, axis=-1)  # (K,)
-    if np.min(d_center) < 1e-12:
-        raise ValueError("link endpoint coincides with a tile center")
-    mag = wavelength / (4.0 * np.pi * d_center)
-    phasor = np.exp(-2j * np.pi / wavelength * d_elem + 1j * extra_phase)
+    legs, phasor = direct
+    mag = wavelength / (4.0 * np.pi * legs)
     if mp.j_paths == 0:
         return mag[:, None] * phasor
-    k = elements.shape[0]
+    k = len(legs)
     sigma = mag * 10.0 ** (mp.power_rel_db / 20.0)  # per-path amplitude scale
     eps = (
         rng.standard_normal((k, mp.j_paths)) + 1j * rng.standard_normal((k, mp.j_paths))
@@ -122,20 +131,28 @@ def _link_matrix(
 
 
 def realize_channel(
-    scene: Scene, wavelength: float, mp: MultipathConfig | None = None
+    scene: Scene,
+    wavelength: float,
+    mp: MultipathConfig | None = None,
+    forward: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ChannelRealization:
     """Draw forward/backward element channels and per-tile cascade gains.
 
     With ``mp=None`` (or ``j_paths=0``) the channels are the pure direct
     components and the realization is deterministic.  Otherwise the multipath
     draws of the two directions are independent, seeded by ``mp.seed``.
+    ``forward`` is the BS link's :func:`direct_link`, which depends on the
+    deployment only; a deployment holds it, and it is computed when absent.
     """
     mp = mp if mp is not None else MultipathConfig(j_paths=0)
     rng = np.random.default_rng(mp.seed)
     elements, centers = scene.elements, scene.tile_centers
-    forward = _link_matrix(scene.p_bs, elements, centers, wavelength, mp, rng)
+    if forward is None:
+        forward = direct_link(scene.p_bs, elements, centers, wavelength)
+    forward = _link_matrix(forward, wavelength, mp, rng)
     backward = _link_matrix(
-        scene.p_ue, elements, centers, wavelength, mp, rng, extra_phase=scene.phi0
+        direct_link(scene.p_ue, elements, centers, wavelength, scene.phi0),
+        wavelength, mp, rng,
     )
     cascade = np.einsum("km,km->k", backward, forward)
     return ChannelRealization(forward=forward, backward=backward, cascade=cascade)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import harness
 from .config import (
+    SWEEP_VARIABLES,
     ConfigError,
     bench_sizes,
     check_config,
@@ -63,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("simulate", help="Monte Carlo run; writes trials.csv")
 
-    p_sweep = sub.add_parser("sweep", help="sweep K, L or B; writes sweep.csv")
-    p_sweep.add_argument("--var", required=True, choices=("K", "L", "B"))
+    p_sweep = sub.add_parser("sweep", help="sweep K, L, K0 or B; writes sweep.csv")
+    p_sweep.add_argument("--var", required=True, choices=SWEEP_VARIABLES)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
 
     p_heat = sub.add_parser("heatmap", help="floor RMSE grid; writes heatmap.csv")

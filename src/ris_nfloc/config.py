@@ -4,19 +4,22 @@ The file has flat sections [scene], [waveform], [assignment], [multipath],
 [experiment]; physical keys carry their unit in the name, and an unknown
 section or key is a configuration error so typos fail loudly.
 :func:`check_config`, :func:`apply_sweep_value` and :func:`floor_point` reject
-what no trial can run with before the first trial.  Only leaf modules are
-imported here, never the harness that runs the trials.
+what no trial can run with before the first trial.  Only the modules a
+trial is built from are imported here (the config builds its
+:mod:`~ris_nfloc.deployment`), never the harness that runs the trials.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .channel import MultipathConfig
 from .constants import SPEED_OF_LIGHT
+from .deployment import Deployment, build_deployment
 from .geometry import RisLayout
 from .psp import PspAssignment, assign
 from .waveform import WaveformConfig
@@ -125,6 +128,22 @@ class ExperimentConfig:
         norm = np.linalg.norm(normal)
         return None if norm < 1e-9 else normal / norm
 
+    @cached_property
+    def deployment(self) -> Deployment:
+        """What this config fixes for every trial, built on first use.
+
+        The config is frozen, so the deployment cannot go stale; a copy made
+        by ``replace`` builds its own.
+        """
+        return build_deployment(
+            self.layout(),
+            self.bs_position_m,
+            self.wavelength_m,
+            self.waveform_config(),
+            self.wall_normal(),
+            self.room,
+        )
+
 
 def _vector(text: str) -> tuple:
     try:
@@ -216,7 +235,8 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     and positive in watts.  The RIS layout, the waveform and the
     multipath model must pass the constructors a trial builds them with.  The
     closed room box must contain the BS, every RIS tile center and the floor
-    rectangle at z = 0 that UEs are drawn on; the UE needs floor area beyond
+    rectangle at z = 0 that UEs are drawn on; the BS must sit at least
+    1e-12 m from every tile center; the UE needs floor area beyond
     ``wall_margin_m``; and the slope assignment must exist for (tile_count,
     frames, exclusive_tiles) and give at least three exclusive-slope tiles.
     """
@@ -246,7 +266,14 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"bad RIS layout in [scene]: {exc}") from None
     _check_in_room(cfg, "[scene] bs_position_m", np.atleast_2d(cfg.bs_position_m))
     tiles = f"[scene] RIS tile {{}} of {cfg.tile_count}"
-    _check_in_room(cfg, tiles, layout.tile_centers())
+    centers = layout.tile_centers()
+    _check_in_room(cfg, tiles, centers)
+    bs_legs = np.linalg.norm(np.asarray(cfg.bs_position_m) - centers, axis=1)
+    if np.min(bs_legs) < 1e-12:
+        raise ConfigError(
+            f"[scene] bs_position_m = {_point(cfg.bs_position_m)} coincides with "
+            f"RIS tile {int(np.argmin(bs_legs)) + 1} of {cfg.tile_count}"
+        )
     _check_in_room(cfg, "[scene] floor corner {} (z = 0)", _floor_corners(cfg))
     clearance = floor_wall_clearance(cfg)
     if clearance <= cfg.wall_margin_m:
@@ -331,22 +358,28 @@ def bench_sizes(values) -> list[int]:
     return [int(v) for v in values]
 
 
+# whole-number sweep variables -> the ExperimentConfig field each sets
+_COUNT_VARIABLES = {"K": "tile_count", "L": "frames", "K0": "exclusive_tiles"}
+
+SWEEP_VARIABLES = (*_COUNT_VARIABLES, "B")
+
+
 def apply_sweep_value(cfg: ExperimentConfig, variable: str, value: float) -> ExperimentConfig:
     """The checked config of one sweep point.
 
-    ``K`` varies the tile count, ``L`` the frame budget, ``B`` the bandwidth
-    (by scaling the subcarrier spacing at a fixed subcarrier count).  An
-    unknown variable, a K or L that is not a whole number, and a point that
-    :func:`check_config` rejects raise :class:`ConfigError`.
+    ``K`` varies the tile count, ``L`` the frame budget, ``K0`` the number of
+    exclusive-slope tiles, ``B`` the bandwidth (by scaling the subcarrier
+    spacing at a fixed subcarrier count).  An unknown variable, a K, L or K0
+    that is not a whole number, and a point that :func:`check_config` rejects
+    raise :class:`ConfigError`.
     """
-    if variable in ("K", "L"):
+    if variable in _COUNT_VARIABLES:
         if not float(value).is_integer():
             raise ConfigError(f"{variable} = {value:g} is not an integer")
-        field = "tile_count" if variable == "K" else "frames"
-        return check_config(replace(cfg, **{field: int(value)}))
+        return check_config(replace(cfg, **{_COUNT_VARIABLES[variable]: int(value)}))
     if variable == "B":
         return check_config(replace(cfg, spacing_hz=float(value) / cfg.subcarriers))
-    raise ConfigError(f"unknown sweep variable {variable!r} (use K, L or B)")
+    raise ConfigError(f"unknown sweep variable {variable!r} (use K, L, K0 or B)")
 
 
 def config_template() -> str:

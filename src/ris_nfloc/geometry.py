@@ -2,9 +2,11 @@
 
 The global frame is right-handed with the UE constrained to the ground plane
 (z = 0).  A linear RIS is described by a :class:`RisLayout` and expanded by
-:func:`build_scene` into two arrays: the tile centers (K, 3) and the element
-positions (K, M, 3), each tile a grid at half-wavelength spacing.  All objects
-are immutable after construction.
+:func:`tile_elements` into two arrays: the tile centers (K, 3) and the element
+positions (K, M, 3), each tile a grid at half-wavelength spacing.
+:func:`build_scene` places them with a BS and a UE; an experiment's trials
+share one expansion, held by its :mod:`ris_nfloc.deployment`.  All objects are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -104,15 +106,8 @@ def _grid_directions(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return axis, v / np.linalg.norm(v)
 
 
-def build_scene(
-    layout: RisLayout,
-    p_bs,
-    p_ue,
-    t0: float = 0.0,
-    phi0: float = 0.0,
-    wavelength: float = SPEED_OF_LIGHT / 28e9,
-) -> Scene:
-    """Expand a tile layout into a full scene with element grids.
+def tile_elements(layout: RisLayout, wavelength: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tile centers (K, 3) and element positions (K, M, 3) of a layout.
 
     Tile centers are placed symmetrically about ``layout.center`` along
     ``layout.axis``; each tile carries an ``elements_x`` by ``elements_z``
@@ -130,11 +125,25 @@ def build_scene(
     local = local.reshape(-1, 3)
 
     centers = layout.tile_centers()
+    return centers, centers[:, None, :] + local
+
+
+def build_scene(
+    layout: RisLayout,
+    p_bs,
+    p_ue,
+    t0: float = 0.0,
+    phi0: float = 0.0,
+    wavelength: float = SPEED_OF_LIGHT / 28e9,
+) -> Scene:
+    """Expand a tile layout into a full scene with element grids
+    (:func:`tile_elements`)."""
+    centers, elements = tile_elements(layout, wavelength)
     return Scene(
         p_bs=p_bs,
         p_ue=p_ue,
         tile_centers=centers,
-        elements=centers[:, None, :] + local,
+        elements=elements,
         t0=t0,
         phi0=phi0,
         ris_axis=layout.axis,

@@ -3,7 +3,11 @@
 A trial draws the UE on the room floor, then :func:`observe` draws the clock
 and phase offsets, a multipath realization and receiver noise and runs the
 shared pipeline (channel, frames, spectrum, peak extraction) once; the
-heatmap runs the same pipeline at fixed UE positions.  Two labelers consume
+heatmap runs the same pipeline at fixed UE positions.  What the config fixes
+(the tile arrays, the forward link, the waveform, the room and the solver's
+seed table) comes from the config's deployment
+(:attr:`ExperimentConfig.deployment`), built once per config, so a trial adds
+only its UE, its offsets and its draws.  Two labelers consume
 the same extraction: the geometric one and the fixed-order baseline that
 models code-collision failure.  Censored trials (a failed position fit, or
 too few exclusive-slope arrivals to bootstrap one) are counted, never
@@ -30,7 +34,7 @@ from .bounds import cascade_snrs, fim
 from .channel import realize_channel
 from .config import ConfigError, ExperimentConfig, apply_sweep_value
 from .csvfile import write_csv
-from .geometry import Scene, build_scene, toa_vector
+from .geometry import Scene, toa_vector
 from .labeling import BootstrapError, run_spl, solve_labeled
 from .psp import PspAssignment
 from .spectrum import ToaGroups, extract_toas, spectrum_2d
@@ -74,10 +78,8 @@ class MetricsTable:
 
 def _draw_ue(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform floor position, rejecting draws hugging the RIS wall."""
-    lo = np.asarray(cfg.room_min_m, dtype=float)
-    hi = np.asarray(cfg.room_max_m, dtype=float)
-    center = np.asarray(cfg.ris_center_m, dtype=float)
-    normal = cfg.wall_normal()
+    dep = cfg.deployment
+    lo, hi, center, normal = dep.room_min, dep.room_max, dep.ris_center, dep.wall_normal
     while True:
         p = np.array([rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0])
         if normal is None or abs(np.dot(p - center, normal)) >= cfg.wall_margin_m:
@@ -158,15 +160,11 @@ def normalized_cascade(
     cfg: ExperimentConfig, ue: np.ndarray, t0: float, phi0: float, multipath_seed: int
 ) -> tuple[Scene, np.ndarray]:
     """Scene at ``ue`` and its cascade gains scaled to ``gain_reference``."""
-    scene = build_scene(
-        cfg.layout(),
-        np.asarray(cfg.bs_position_m, dtype=float),
-        ue,
-        t0=t0,
-        phi0=phi0,
-        wavelength=cfg.wavelength_m,
+    dep = cfg.deployment
+    scene = dep.scene(ue, t0=t0, phi0=phi0)
+    channel = realize_channel(
+        scene, dep.wavelength, cfg.multipath(multipath_seed), forward=dep.forward
     )
-    channel = realize_channel(scene, cfg.wavelength_m, cfg.multipath(multipath_seed))
     cascade = cfg.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))
     return scene, cascade
 
@@ -177,7 +175,7 @@ def position_error_bound(
     """PEB referenced to the earliest arrival; the observable-subspace PEB
     stands in when the full FIM is singular."""
     k_ref = int(np.argmin(toa_vector(scene))) + 1
-    snrs = cascade_snrs(cascade, cfg.waveform_config())
+    snrs = cascade_snrs(cascade, cfg.deployment.waveform)
     bound = fim(scene, snrs, cfg.bandwidth_hz, k_ref)
     return bound.peb if np.isfinite(bound.peb) else bound.peb_observable
 
@@ -195,7 +193,7 @@ def observe(
     scene, cascade = normalized_cascade(cfg, ue, t0, phi0, int(rng.integers(2**63)))
     assignment = cfg.assignment()
     frames = synthesize_frames(
-        scene, cascade, assignment, cfg.waveform_config(),
+        scene, cascade, assignment, cfg.deployment.waveform,
         noise_seed=int(rng.integers(2**63)),
     )
     spec_map = spectrum_2d(frames, cfg.oversampling)
@@ -211,6 +209,7 @@ def _label_and_solve(cfg: ExperimentConfig, obs: Observation):
         obs.scene,
         room=cfg.room,
         min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
+        lattice=cfg.deployment.lattice,
     )
     return label_map, p_hat
 
@@ -246,7 +245,9 @@ def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
     base_entries, base_mags = label_baseline_dft(obs.toa_groups, assignment)
     if len(base_entries) >= 3:
         try:
-            p_base = solve_labeled(base_entries, base_mags, obs.scene, cfg.room)
+            p_base = solve_labeled(
+                base_entries, base_mags, obs.scene, cfg.room, cfg.deployment.lattice
+            )
             err_b = float(np.linalg.norm(p_base - ue))
             acc_b, nlab_b = _label_accuracy(base_entries, assignment, truth)
             cens_b = False
@@ -445,18 +446,15 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
         )
     )
 
-    # labeling + solve on exact arrivals across tile counts
+    # labeling + solve on exact arrivals across tile counts, on the
+    # deployment's seed table as in a trial
     for sub in spl_configs:
-        scene = build_scene(
-            sub.layout(),
-            np.asarray(sub.bs_position_m, dtype=float),
-            np.array([3.0, 4.0, 0.0]),
-            wavelength=sub.wavelength_m,
-        )
+        dep = sub.deployment
+        scene = dep.scene(np.array([3.0, 4.0, 0.0]))
         assignment = sub.assignment()
         groups = ToaGroups.from_delays(toa_vector(scene), assignment)
         seconds = _time_callable(
-            lambda: run_spl(groups, assignment, scene, room=sub.room)
+            lambda: run_spl(groups, assignment, scene, room=sub.room, lattice=dep.lattice)
         )
         rows.append(("spl_tdoa", sub.tile_count, seconds))
 

@@ -21,7 +21,7 @@ from .constants import SPEED_OF_LIGHT
 from .geometry import Scene
 from .psp import PspAssignment
 from .spectrum import ToaGroups
-from .tdoa import build_system, solve_position
+from .tdoa import SeedLattice, build_system, solve_position
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,15 @@ def _group_resolvable(
     return float(np.min(np.diff(predicted))) >= min_gap
 
 
-def solve_labeled(entries, mags, scene: Scene, room) -> np.ndarray:
+def solve_labeled(
+    entries, mags, scene: Scene, room, lattice: SeedLattice | None = None
+) -> np.ndarray:
     """Position fix in ``room`` from labeled arrivals ``(toa, tile)``.
 
     Each arrival's delay-error scale is the inverse of its peak height in
-    ``mags`` (delay error scales inversely with it).
+    ``mags`` (delay error scales inversely with it).  ``lattice`` is the
+    seed lattice of ``room`` for the scene's tiles, when a deployment holds
+    one (see :func:`ris_nfloc.tdoa.solve_position`).
     """
     system = build_system(entries, scene.tile_centers, scene.p_bs)
     by_tile = {k: m for (_, k), m in zip(entries, mags)}
@@ -181,7 +185,9 @@ def solve_labeled(entries, mags, scene: Scene, room) -> np.ndarray:
     sigmas = np.array(
         [1.0 / max(by_tile[k], 1e-30) for _, k in entries if k != system.ref_tile]
     )
-    return solve_position(system, room=room, sigmas=sigmas, sigma_ref=sigma_ref)
+    return solve_position(
+        system, room=room, sigmas=sigmas, sigma_ref=sigma_ref, lattice=lattice
+    )
 
 
 def run_spl(
@@ -190,6 +196,7 @@ def run_spl(
     scene: Scene,
     room,
     min_toa_gap: float | None = None,
+    lattice: SeedLattice | None = None,
 ) -> tuple[LabelMap, np.ndarray, list[TraceRow]]:
     """Label every decomposed arrival and refine the position group by group.
 
@@ -201,11 +208,12 @@ def run_spl(
     e.g. 2/bandwidth): arrivals closer than that sit inside each other's
     mainlobes and their peaks carry no trustworthy tile-wise delays.  Every
     position solve runs in ``room`` and weights each arrival by its peak
-    height (delay error scales inversely with it).  Returns the label map,
+    height (delay error scales inversely with it) and seeds from ``lattice``
+    when one is given (see :func:`solve_labeled`).  Returns the label map,
     the final position estimate and a trace of the method used per group.
     """
     entries, mags, trace = _exclusive_arrivals(toa_groups, assignment)
-    p_est = solve_labeled(entries, mags, scene, room)
+    p_est = solve_labeled(entries, mags, scene, room, lattice)
 
     multi = [i for i in assignment.groups if len(assignment.groups[i]) > 1]
     for i in sorted(multi, key=lambda i: (len(assignment.groups[i]), i)):
@@ -224,6 +232,6 @@ def run_spl(
         trace.append(TraceRow(i, dod, "pair" if dod == 2 else "sort"))
         entries.extend((float(t), k) for t, k in zip(toas, seq))
         mags.extend(float(m) for m in toa_groups.magnitudes[i])
-        p_est = solve_labeled(entries, mags, scene, room)
+        p_est = solve_labeled(entries, mags, scene, room, lattice)
 
     return LabelMap(entries=tuple(entries)), p_est, trace

@@ -6,6 +6,9 @@ UE lies on the floor (z = 0) of a known room, so the position is fitted over
 the room's floor by damped Gauss-Newton descents that start at the two lowest
 local minima of the cost on a floor lattice; each step is an active-set
 Newton step that holds a coordinate on a wall the gradient pushes against.
+The lattice cost indexes a table of lattice-to-tile distances by the
+system's tile rows: a deployment's table for all its tiles, built once per
+config, or one built for the system's own anchors.
 This one fit serves every anchor set the simulator builds: a linear RIS gives
 collinear anchors, which leave the classic linear two-step TDoA system rank
 deficient.
@@ -38,6 +41,7 @@ class TdoaSystem:
     ref_pos: np.ndarray
     anchor_positions: np.ndarray  # (rows, 3) non-reference anchors
     gammas: np.ndarray  # (rows,) range differences of non-reference anchors
+    anchor_rows: np.ndarray  # (rows,) tile rows (tile index - 1) of the anchors
 
 
 def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
@@ -45,7 +49,7 @@ def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
 
     ``labels`` is an iterable of ``(toa_seconds, tile_index)`` pairs;
     ``tile_positions`` holds all tile centers with tile index k (1-based) at
-    row k-1.  The reference is the
+    row k-1; the system records its anchors' rows.  The reference is the
     labeled tile with the smallest arrival time.  Range differences are formed
     as ``c*(toa_k - toa_ref) - (d_bs_k - d_bs_ref)`` so the clock offset and
     the known BS legs both cancel.
@@ -72,6 +76,7 @@ def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
         ref_pos=ref_pos,
         anchor_positions=positions[rest],
         gammas=gammas,
+        anchor_rows=tiles[rest] - 1,
     )
 
 
@@ -203,28 +208,54 @@ _SEED_SPACINGS = 20  # lattice spacings per floor axis: 0.5 m on a 10 m room
 _SEED_COUNT = 2  # descents per solve
 
 
+@dataclass(frozen=True)
+class SeedLattice:
+    """The seed lattice of a room and its distances to a set of tiles.
+
+    ``points`` (P, 2) are the interior points of a lattice over the room
+    floor, ``_SEED_SPACINGS`` spacings per axis, so one spacing off every
+    wall, x-major.  ``distances`` (P, T) holds the distance of each point, on
+    the floor (z = 0), to each of T tile positions.
+    """
+
+    points: np.ndarray
+    distances: np.ndarray
+
+
+def seed_lattice(room, tile_positions) -> SeedLattice:
+    """The seed lattice of ``room`` with its distances to ``tile_positions``
+    (T, 3); one table serves every solve over those tiles."""
+    n = _SEED_SPACINGS - 1
+    axes = [np.linspace(room[0][i], room[1][i], n + 2)[1:-1] for i in (0, 1)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    tiles = np.asarray(tile_positions, dtype=float)
+    diff = points[:, None, :] - tiles[:, :2]
+    distances = np.sqrt(np.einsum("pti,pti->pt", diff, diff) + tiles[:, 2] ** 2)
+    return SeedLattice(points=points, distances=distances)
+
+
 def _grid_seeds(
-    system: TdoaSystem, room, whitener: _ResidualWhitener
+    system: TdoaSystem,
+    lattice: SeedLattice,
+    ref_col: int,
+    anchor_cols: np.ndarray,
+    whitener: _ResidualWhitener,
 ) -> np.ndarray:
     """Floor points of the lowest local minima of the cost on a lattice.
 
     The whitened cost of :func:`_gn_descend` is evaluated in one pass on the
-    interior points of a fixed lattice over the room floor, one spacing off
-    every wall.  No point lies on a wall: a linear RIS on a wall puts the
-    anchors' mirror plane there, where the gradient across the wall
-    vanishes, so a descent started on it could never leave it.  A lattice
-    point is a local minimum when its cost is at most that of each of its 8
-    neighbours (points off the lattice count as +inf); the ``_SEED_COUNT``
-    lowest minima are returned, lowest first, ties in lattice order.
+    points of ``lattice``, whose distance table holds the reference anchor
+    in column ``ref_col`` and the other anchors in ``anchor_cols``.  No
+    point lies on a wall: a linear RIS on a wall puts the anchors' mirror
+    plane there, where the gradient across the wall vanishes, so a descent
+    started on it could never leave it.  A lattice point is a local minimum
+    when its cost is at most that of each of its 8 neighbours (points off
+    the lattice count as +inf); the ``_SEED_COUNT`` lowest minima are
+    returned, lowest first, ties in lattice order.
     """
     n = _SEED_SPACINGS - 1
-    axes = [np.linspace(room[0][i], room[1][i], n + 2)[1:-1] for i in (0, 1)]
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    anchors = system.anchor_positions
-    diff = points[:, None, :] - anchors[:, :2]
-    d = np.sqrt(np.einsum("pai,pai->pa", diff, diff) + anchors[:, 2] ** 2)
-    ref_diff = points - system.ref_pos[:2]
-    d_ref = np.sqrt(np.einsum("pi,pi->p", ref_diff, ref_diff) + system.ref_pos[2] ** 2)
+    d = lattice.distances[:, anchor_cols]
+    d_ref = lattice.distances[:, ref_col]
     r = system.gammas - (d - d_ref[:, None])
     q_sum = r @ whitener.dinv
     cost = ((r * r) @ whitener.dinv - whitener.k * q_sum * q_sum).reshape(n, n)
@@ -238,7 +269,7 @@ def _grid_seeds(
                 is_min &= cost <= padded[i : i + n, j : j + n]
     minima = np.flatnonzero(is_min)
     order = np.argsort(cost.ravel()[minima], kind="stable")
-    return points[minima[order[:_SEED_COUNT]]]
+    return lattice.points[minima[order[:_SEED_COUNT]]]
 
 
 def _gauss_newton_ground(
@@ -246,13 +277,11 @@ def _gauss_newton_ground(
     room,
     max_iter: int,
     whitener: _ResidualWhitener,
+    seeds: np.ndarray,
 ) -> tuple[np.ndarray, bool]:
-    """The fit of :func:`solve_position`: its lowest-cost endpoint, and
-    whether any descent converged."""
-    ends = [
-        _gn_descend(system, s, room, max_iter, whitener)
-        for s in _grid_seeds(system, room, whitener)
-    ]
+    """The fit of :func:`solve_position` from its lattice ``seeds``: the
+    lowest-cost endpoint, and whether any descent converged."""
+    ends = [_gn_descend(system, s, room, max_iter, whitener) for s in seeds]
     if not any(done for _, _, done in ends):
         # the budget ran out on a slow approach, such as toward a minimum on
         # the wall that carries the anchors' mirror plane: resume once
@@ -269,6 +298,7 @@ def solve_position(
     sigmas: np.ndarray | None = None,
     sigma_ref: float = 0.0,
     max_iter: int = 100,
+    lattice: SeedLattice | None = None,
 ) -> np.ndarray:
     """Estimate the UE's floor position in ``room`` from a built system.
 
@@ -288,9 +318,21 @@ def solve_position(
     reference anchor's range error is common mode across residuals, so the
     covariance is diagonal plus rank one.  Without them the fit is the plain
     unweighted sum of squares.
+
+    ``lattice`` is the :func:`seed_lattice` of ``room`` for the tile
+    positions the system was built from, such as a deployment's; its table
+    is indexed by the system's tile rows.  Without it the table is built for
+    the system's own anchors, with the same arithmetic.
     """
     whitener = _ResidualWhitener(sigmas, sigma_ref, len(system.gammas))
-    p, converged = _gauss_newton_ground(system, room, max_iter, whitener)
+    if lattice is None:
+        own = np.vstack([system.ref_pos, system.anchor_positions])
+        lattice = seed_lattice(room, own)
+        ref_col, anchor_cols = 0, np.arange(1, len(own))
+    else:
+        ref_col, anchor_cols = system.ref_tile - 1, system.anchor_rows
+    seeds = _grid_seeds(system, lattice, ref_col, anchor_cols, whitener)
+    p, converged = _gauss_newton_ground(system, room, max_iter, whitener, seeds)
     if not converged:
         raise PositionEstimationError(
             "position fit did not converge", best_estimate=p

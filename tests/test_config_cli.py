@@ -7,7 +7,7 @@ import pytest
 
 import ris_nfloc
 from ris_nfloc.cli import main
-from ris_nfloc.config import ConfigError, config_template, load_config
+from ris_nfloc.config import ConfigError, apply_sweep_value, config_template, load_config
 
 DESK_INI = """
 [scene]
@@ -135,6 +135,9 @@ BAD_CONFIGS = {
     "zero_tile_spacing": "[scene]\ntile_spacing_m = 0\n",
     # every tile center at one point, which failed each trial at run time
     "coincident_tiles": "[scene]\ntile_spacing_m = 1e-13\n",
+    # the BS on the middle tile's center, where the path loss diverges; it
+    # failed each trial at run time
+    "bs_on_tile_center": "[scene]\ntile_count = 15\nbs_position_m = 5,10,2\n",
     "negative_multipath_paths": "[multipath]\npaths = -1\n",
     "zero_excess_min": "[multipath]\nexcess_min_m = 0\n",
     "negative_clock_uncertainty": "[experiment]\nclock_uncertainty_s = -1\n",
@@ -189,6 +192,9 @@ BAD_ARGUMENTS = {
     # K and L count tiles and frames; a fraction would be truncated
     "sweep_K_fraction": ["sweep", "--var", "K", "--values", "16.7"],
     "sweep_L_fraction": ["sweep", "--var", "L", "--values", "8.5"],
+    "sweep_K0_fraction": ["sweep", "--var", "K0", "--values", "4.5"],
+    # two exclusive-slope tiles cannot bootstrap a position fix
+    "sweep_K0_two_anchors": ["sweep", "--var", "K0", "--values", "5,2"],
     "peb_bandwidth": ["peb", "--values", "4e8,0"],
     "heatmap_resolution": ["heatmap", "--resolution-m", "0"],
     # a cell center at 12.5 m lies beyond the 10 m floor: no cell at all
@@ -257,6 +263,20 @@ def test_cli_sweep_row_count(desk_config, tmp_path):
     assert code == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_cli_sweep_over_exclusive_tiles(desk_config, tmp_path):
+    assert apply_sweep_value(load_config(desk_config), "K0", 5.0).exclusive_tiles == 5
+    out = tmp_path / "out"
+    code = main(
+        [
+            "--config", desk_config, "--out", str(out), "--trials", "2",
+            "sweep", "--var", "K0", "--values", "3,6",
+        ]
+    )
+    assert code == 0
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["3", "6"]
 
 
 def test_cli_peb_bandwidth_ratio(desk_config, tmp_path):

@@ -365,6 +365,7 @@ def test_wall_descent_from_a_desk_trial_converges_quickly():
         gammas=np.array(
             [0.23627843146434357, 0.49129712021605254, 0.7645646330304745]
         ),
+        anchor_rows=np.array([1, 2, 3]),
     )
     whitener = _ResidualWhitener(
         np.array([0.4139880890734635, 0.6606798533108409, 0.9469221785393026]),
@@ -389,6 +390,7 @@ def test_slow_approach_to_the_ris_wall_resumes_and_converges():
         gammas=np.array(
             [0.39637915646020394, 0.8338318616062865, 1.2707583727074359]
         ),
+        anchor_rows=np.array([1, 2, 3]),
     )
     sigmas = np.array([2.0440967304442035, 1.401282405339956, 0.2337682381923353])
     sigma_ref = 0.3188841507180317
