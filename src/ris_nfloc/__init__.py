@@ -20,7 +20,14 @@ from .labeling import (
 )
 from .psp import PspAssignment, assign, psp_list
 from .spectrum import SpectrumMap, ToaGroups, extract_toas, quadratic_refine, spectrum_2d
-from .tdoa import PositionEstimationError, TdoaSystem, build_system, solve_position
+from .tdoa import (
+    PositionEstimationError,
+    SeedLattice,
+    TdoaSystem,
+    build_system,
+    seed_lattice,
+    solve_position,
+)
 from .waveform import FrameMatrix, WaveformConfig, frames_from_paths, synthesize_frames
 
 __version__ = "0.1.0"
@@ -36,6 +43,7 @@ __all__ = [
     "PspAssignment",
     "RisLayout",
     "Scene",
+    "SeedLattice",
     "SpectrumMap",
     "TdoaSystem",
     "ToaGroups",
@@ -56,6 +64,7 @@ __all__ = [
     "quadratic_refine",
     "realize_channel",
     "run_spl",
+    "seed_lattice",
     "solve_position",
     "spectrum_2d",
     "spl_sort",

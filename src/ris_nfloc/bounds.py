@@ -28,6 +28,8 @@ from .constants import SPEED_OF_LIGHT
 from .geometry import Scene
 from .waveform import WaveformConfig
 
+_RCOND = 1e-10  # observable eigenvalue floor, relative to the largest
+
 
 @dataclass(frozen=True)
 class FimResult:
@@ -91,20 +93,14 @@ def tdoa_gradients(scene: Scene, k_ref: int) -> np.ndarray:
     return grads
 
 
-def fim(
-    scene: Scene,
-    snrs: np.ndarray,
-    bandwidth: float,
-    k_ref: int,
-    rcond: float = 1e-10,
-) -> FimResult:
+def fim(scene: Scene, snrs: np.ndarray, bandwidth: float, k_ref: int) -> FimResult:
     """Position Fisher information from all tile range differences.
 
     Clock and phase offsets are treated as known (optimistic bound).  Each
     tile other than ``k_ref`` adds the rank-one term g g^T / var of its
     range-difference gradient g and delay variance var; the terms are summed
     in tile order.  Tiles with non-positive SNR contribute nothing.  ``peb``
-    is finite only when all three axes are observable above ``rcond``
+    is finite only when all three axes are observable above ``_RCOND``
     relative to the largest eigenvalue; ``peb_observable`` always reports the
     restricted bound.
     """
@@ -124,7 +120,7 @@ def fim(
 
     eigvals, eigvecs = np.linalg.eigh(j)
     top = float(eigvals[-1]) if eigvals[-1] > 0 else 0.0
-    observable = eigvals > rcond * top if top > 0 else np.zeros(3, dtype=bool)
+    observable = eigvals > _RCOND * top if top > 0 else np.zeros(3, dtype=bool)
     rank = int(np.count_nonzero(observable))
     cond = float(eigvals[-1] / eigvals[0]) if eigvals[0] > 0 else float("inf")
     if rank == 0:

@@ -123,7 +123,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out {args.out} is not a usable output "
+              f"directory: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         if args.command == "simulate":

@@ -370,12 +370,17 @@ def apply_sweep_value(cfg: ExperimentConfig, variable: str, value: float) -> Exp
     ``K`` varies the tile count, ``L`` the frame budget, ``K0`` the number of
     exclusive-slope tiles, ``B`` the bandwidth (by scaling the subcarrier
     spacing at a fixed subcarrier count).  An unknown variable, a K, L or K0
-    that is not a whole number, and a point that :func:`check_config` rejects
-    raise :class:`ConfigError`.
+    that is not a whole number, a K0 sweep where every tile has its own slope
+    anyway, and a point that :func:`check_config` rejects raise
+    :class:`ConfigError`.
     """
     if variable in _COUNT_VARIABLES:
         if not float(value).is_integer():
             raise ConfigError(f"{variable} = {value:g} is not an integer")
+        if variable == "K0" and cfg.frames >= cfg.tile_count:
+            raise ConfigError(
+                f"K0 has no effect: [assignment] frames = {cfg.frames} >= "
+                f"[scene] tile_count = {cfg.tile_count} gives every tile its own slope")
         return check_config(replace(cfg, **{_COUNT_VARIABLES[variable]: int(value)}))
     if variable == "B":
         return check_config(replace(cfg, spacing_hz=float(value) / cfg.subcarriers))

@@ -6,7 +6,7 @@ clock and phase offsets and its random draws.  A :class:`Deployment` holds
 the fixed part, computed once per config
 (:attr:`ris_nfloc.config.ExperimentConfig.deployment`): the tile arrays, the
 BS legs and the forward (BS-to-element) direct link, the waveform config,
-the RIS wall and the room, and the position solver's seed lattice with its
+the RIS wall, and the position solver's seed lattice of the room with its
 lattice-to-tile distance table.  Every array is computed by the function
 that computed it per trial before, so the trials' numbers do not change.
 """
@@ -30,8 +30,8 @@ class Deployment:
     ``bs_legs`` (K,) are the tile-center distances ``|bs - tile|`` and
     ``forward_phasor`` (K, M) the BS-to-element phasors of
     :func:`ris_nfloc.channel.direct_link`; ``lattice`` is the seed lattice
-    of the room with its (P, K) distance table.  ``wall_normal`` is None
-    for a vertical RIS axis.
+    of the room, which it records, with its (P, K) distance table.
+    ``wall_normal`` is None for a vertical RIS axis.
     """
 
     p_bs: np.ndarray  # (3,)
@@ -44,8 +44,6 @@ class Deployment:
     forward_phasor: np.ndarray  # (K, M)
     waveform: WaveformConfig
     wall_normal: np.ndarray | None
-    room_min: np.ndarray  # (3,)
-    room_max: np.ndarray  # (3,)
     lattice: SeedLattice
 
     @property
@@ -91,7 +89,5 @@ def build_deployment(
         forward_phasor=forward_phasor,
         waveform=waveform,
         wall_normal=wall_normal,
-        room_min=np.asarray(room[0], dtype=float),
-        room_max=np.asarray(room[1], dtype=float),
         lattice=seed_lattice(room, centers),
     )

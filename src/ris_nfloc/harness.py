@@ -4,8 +4,8 @@ A trial draws the UE on the room floor, then :func:`observe` draws the clock
 and phase offsets, a multipath realization and receiver noise and runs the
 shared pipeline (channel, frames, spectrum, peak extraction) once; the
 heatmap runs the same pipeline at fixed UE positions.  What the config fixes
-(the tile arrays, the forward link, the waveform, the room and the solver's
-seed table) comes from the config's deployment
+(the tile arrays, the forward link, the waveform and the solver's seed
+lattice of the room) comes from the config's deployment
 (:attr:`ExperimentConfig.deployment`), built once per config, so a trial adds
 only its UE, its offsets and its draws.  Two labelers consume
 the same extraction: the geometric one and the fixed-order baseline that
@@ -78,8 +78,8 @@ class MetricsTable:
 
 def _draw_ue(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform floor position, rejecting draws hugging the RIS wall."""
-    dep = cfg.deployment
-    lo, hi, center, normal = dep.room_min, dep.room_max, dep.ris_center, dep.wall_normal
+    lo, hi = cfg.room_min_m, cfg.room_max_m
+    center, normal = cfg.deployment.ris_center, cfg.deployment.wall_normal
     while True:
         p = np.array([rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0])
         if normal is None or abs(np.dot(p - center, normal)) >= cfg.wall_margin_m:
@@ -207,9 +207,8 @@ def _label_and_solve(cfg: ExperimentConfig, obs: Observation):
         obs.toa_groups,
         obs.assignment,
         obs.scene,
-        room=cfg.room,
+        cfg.deployment.lattice,
         min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
-        lattice=cfg.deployment.lattice,
     )
     return label_map, p_hat
 
@@ -246,7 +245,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
     if len(base_entries) >= 3:
         try:
             p_base = solve_labeled(
-                base_entries, base_mags, obs.scene, cfg.room, cfg.deployment.lattice
+                base_entries, base_mags, obs.scene, cfg.deployment.lattice
             )
             err_b = float(np.linalg.norm(p_base - ue))
             acc_b, nlab_b = _label_accuracy(base_entries, assignment, truth)
@@ -454,7 +453,7 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
         assignment = sub.assignment()
         groups = ToaGroups.from_delays(toa_vector(scene), assignment)
         seconds = _time_callable(
-            lambda: run_spl(groups, assignment, scene, room=sub.room, lattice=dep.lattice)
+            lambda: run_spl(groups, assignment, scene, dep.lattice)
         )
         rows.append(("spl_tdoa", sub.tile_count, seconds))
 

@@ -143,14 +143,14 @@ def bootstrap_position(
     toa_groups: ToaGroups,
     assignment: PspAssignment,
     scene: Scene,
-    room,
+    lattice: SeedLattice,
 ) -> np.ndarray:
     """First position fix from the exclusive-slope tiles alone.
 
     This is the weighted fix :func:`run_spl` starts from, bit for bit.
     """
     entries, mags, _ = _exclusive_arrivals(toa_groups, assignment)
-    return solve_labeled(entries, mags, scene, room)
+    return solve_labeled(entries, mags, scene, lattice)
 
 
 def _group_resolvable(
@@ -169,15 +169,13 @@ def _group_resolvable(
     return float(np.min(np.diff(predicted))) >= min_gap
 
 
-def solve_labeled(
-    entries, mags, scene: Scene, room, lattice: SeedLattice | None = None
-) -> np.ndarray:
-    """Position fix in ``room`` from labeled arrivals ``(toa, tile)``.
+def solve_labeled(entries, mags, scene: Scene, lattice: SeedLattice) -> np.ndarray:
+    """Position fix from labeled arrivals ``(toa, tile)`` in the room of
+    ``lattice``, the seed lattice for the scene's tiles (see
+    :func:`ris_nfloc.tdoa.solve_position`).
 
     Each arrival's delay-error scale is the inverse of its peak height in
-    ``mags`` (delay error scales inversely with it).  ``lattice`` is the
-    seed lattice of ``room`` for the scene's tiles, when a deployment holds
-    one (see :func:`ris_nfloc.tdoa.solve_position`).
+    ``mags`` (delay error scales inversely with it).
     """
     system = build_system(entries, scene.tile_centers, scene.p_bs)
     by_tile = {k: m for (_, k), m in zip(entries, mags)}
@@ -185,18 +183,15 @@ def solve_labeled(
     sigmas = np.array(
         [1.0 / max(by_tile[k], 1e-30) for _, k in entries if k != system.ref_tile]
     )
-    return solve_position(
-        system, room=room, sigmas=sigmas, sigma_ref=sigma_ref, lattice=lattice
-    )
+    return solve_position(system, lattice, sigmas=sigmas, sigma_ref=sigma_ref)
 
 
 def run_spl(
     toa_groups: ToaGroups,
     assignment: PspAssignment,
     scene: Scene,
-    room,
+    lattice: SeedLattice,
     min_toa_gap: float | None = None,
-    lattice: SeedLattice | None = None,
 ) -> tuple[LabelMap, np.ndarray, list[TraceRow]]:
     """Label every decomposed arrival and refine the position group by group.
 
@@ -207,13 +202,14 @@ def run_spl(
     the decomposability check against ``min_toa_gap`` (pass a mainlobe width,
     e.g. 2/bandwidth): arrivals closer than that sit inside each other's
     mainlobes and their peaks carry no trustworthy tile-wise delays.  Every
-    position solve runs in ``room`` and weights each arrival by its peak
-    height (delay error scales inversely with it) and seeds from ``lattice``
-    when one is given (see :func:`solve_labeled`).  Returns the label map,
-    the final position estimate and a trace of the method used per group.
+    position solve seeds from ``lattice``, the seed lattice for the scene's
+    tiles, runs in its room and weights each arrival by its peak height
+    (delay error scales inversely with it; see :func:`solve_labeled`).
+    Returns the label map, the final position estimate and a trace of the
+    method used per group.
     """
     entries, mags, trace = _exclusive_arrivals(toa_groups, assignment)
-    p_est = solve_labeled(entries, mags, scene, room, lattice)
+    p_est = solve_labeled(entries, mags, scene, lattice)
 
     multi = [i for i in assignment.groups if len(assignment.groups[i]) > 1]
     for i in sorted(multi, key=lambda i: (len(assignment.groups[i]), i)):
@@ -232,6 +228,6 @@ def run_spl(
         trace.append(TraceRow(i, dod, "pair" if dod == 2 else "sort"))
         entries.extend((float(t), k) for t, k in zip(toas, seq))
         mags.extend(float(m) for m in toa_groups.magnitudes[i])
-        p_est = solve_labeled(entries, mags, scene, room, lattice)
+        p_est = solve_labeled(entries, mags, scene, lattice)
 
     return LabelMap(entries=tuple(entries)), p_est, trace

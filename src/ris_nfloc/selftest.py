@@ -11,7 +11,7 @@ from .geometry import RisLayout, build_scene, toa_vector
 from .labeling import in_region, in_region_quadric, run_spl
 from .psp import assign
 from .spectrum import ToaGroups, spectrum_2d
-from .tdoa import build_system, solve_position
+from .tdoa import build_system, seed_lattice, solve_position
 from .waveform import FrameMatrix, WaveformConfig, frames_from_paths
 
 _ROOM = ((0, 0, 0), (10, 10, 3))
@@ -88,7 +88,8 @@ def _check_exact_inversion():
         system = build_system(
             [(taus[i], i + 1) for i in range(8)], anchors, p_bs
         )
-        if np.linalg.norm(solve_position(system, room=_ROOM) - ue) > 1e-6:
+        lattice = seed_lattice(_ROOM, anchors)
+        if np.linalg.norm(solve_position(system, lattice) - ue) > 1e-6:
             return False, "exact inversion above 1e-6 (general anchors)"
     layout = RisLayout(tile_count=16, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [5, 5, 0], t0=1e-7)
@@ -96,7 +97,7 @@ def _check_exact_inversion():
     system = build_system(
         [(taus[i], i + 1) for i in range(16)], scene.tile_centers, scene.p_bs
     )
-    p = solve_position(system, room=_ROOM)
+    p = solve_position(system, seed_lattice(_ROOM, scene.tile_centers))
     ok = np.linalg.norm(p - scene.p_ue) < 1e-4
     return ok, "exact inversion (general anchors 1e-6, collinear 1e-4)"
 
@@ -149,7 +150,8 @@ def _check_exact_toa_labeling():
         assignment = assign(k_tiles, l_frames, k0)
         true_toas = toa_vector(scene)
         groups = ToaGroups.from_delays(true_toas, assignment)
-        label_map, _, _ = run_spl(groups, assignment, scene, room=_ROOM)
+        lattice = seed_lattice(_ROOM, scene.tile_centers)
+        label_map, _, _ = run_spl(groups, assignment, scene, lattice)
         lookup = {k: t for t, k in label_map.entries}
         for i, tiles in assignment.groups.items():
             truth = sorted(tiles, key=lambda k: -true_toas[k - 1])

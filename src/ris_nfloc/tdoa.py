@@ -6,9 +6,9 @@ UE lies on the floor (z = 0) of a known room, so the position is fitted over
 the room's floor by damped Gauss-Newton descents that start at the two lowest
 local minima of the cost on a floor lattice; each step is an active-set
 Newton step that holds a coordinate on a wall the gradient pushes against.
-The lattice cost indexes a table of lattice-to-tile distances by the
-system's tile rows: a deployment's table for all its tiles, built once per
-config, or one built for the system's own anchors.
+The seed lattice carries the room it was built for and its table of
+lattice-to-tile distances, which the lattice cost indexes by the system's
+tile rows; a deployment builds it once per config.
 This one fit serves every anchor set the simulator builds: a linear RIS gives
 collinear anchors, which leave the classic linear two-step TDoA system rank
 deficient.
@@ -212,50 +212,49 @@ _SEED_COUNT = 2  # descents per solve
 class SeedLattice:
     """The seed lattice of a room and its distances to a set of tiles.
 
-    ``points`` (P, 2) are the interior points of a lattice over the room
-    floor, ``_SEED_SPACINGS`` spacings per axis, so one spacing off every
-    wall, x-major.  ``distances`` (P, T) holds the distance of each point, on
-    the floor (z = 0), to each of T tile positions.
+    ``room`` is the ``(min_xyz, max_xyz)`` box whose floor rectangle bounds
+    every solve on this lattice.  ``points`` (P, 2) are the interior points
+    of a lattice over that floor, ``_SEED_SPACINGS`` spacings per axis, so
+    one spacing off every wall, x-major.  ``distances`` (P, T) holds the
+    distance of each point, on the floor (z = 0), to each of T tile
+    positions.
     """
 
+    room: tuple
     points: np.ndarray
     distances: np.ndarray
 
 
 def seed_lattice(room, tile_positions) -> SeedLattice:
     """The seed lattice of ``room`` with its distances to ``tile_positions``
-    (T, 3); one table serves every solve over those tiles."""
+    (T, 3); one lattice serves every solve over those tiles in that room."""
     n = _SEED_SPACINGS - 1
     axes = [np.linspace(room[0][i], room[1][i], n + 2)[1:-1] for i in (0, 1)]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     tiles = np.asarray(tile_positions, dtype=float)
     diff = points[:, None, :] - tiles[:, :2]
     distances = np.sqrt(np.einsum("pti,pti->pt", diff, diff) + tiles[:, 2] ** 2)
-    return SeedLattice(points=points, distances=distances)
+    return SeedLattice(room=room, points=points, distances=distances)
 
 
 def _grid_seeds(
-    system: TdoaSystem,
-    lattice: SeedLattice,
-    ref_col: int,
-    anchor_cols: np.ndarray,
-    whitener: _ResidualWhitener,
+    system: TdoaSystem, lattice: SeedLattice, whitener: _ResidualWhitener
 ) -> np.ndarray:
     """Floor points of the lowest local minima of the cost on a lattice.
 
     The whitened cost of :func:`_gn_descend` is evaluated in one pass on the
-    points of ``lattice``, whose distance table holds the reference anchor
-    in column ``ref_col`` and the other anchors in ``anchor_cols``.  No
-    point lies on a wall: a linear RIS on a wall puts the anchors' mirror
-    plane there, where the gradient across the wall vanishes, so a descent
-    started on it could never leave it.  A lattice point is a local minimum
-    when its cost is at most that of each of its 8 neighbours (points off
-    the lattice count as +inf); the ``_SEED_COUNT`` lowest minima are
-    returned, lowest first, ties in lattice order.
+    points of ``lattice``, whose distance table is indexed by the system's
+    tile rows (``ref_tile - 1`` and ``anchor_rows``).  No point lies on a
+    wall: a linear RIS on a wall puts the anchors' mirror plane there, where
+    the gradient across the wall vanishes, so a descent started on it could
+    never leave it.  A lattice point is a local minimum when its cost is at
+    most that of each of its 8 neighbours (points off the lattice count as
+    +inf); the ``_SEED_COUNT`` lowest minima are returned, lowest first, ties
+    in lattice order.
     """
     n = _SEED_SPACINGS - 1
-    d = lattice.distances[:, anchor_cols]
-    d_ref = lattice.distances[:, ref_col]
+    d = lattice.distances[:, system.anchor_rows]
+    d_ref = lattice.distances[:, system.ref_tile - 1]
     r = system.gammas - (d - d_ref[:, None])
     q_sum = r @ whitener.dinv
     cost = ((r * r) @ whitener.dinv - whitener.k * q_sum * q_sum).reshape(n, n)
@@ -274,13 +273,15 @@ def _grid_seeds(
 
 def _gauss_newton_ground(
     system: TdoaSystem,
-    room,
+    lattice: SeedLattice,
     max_iter: int,
     whitener: _ResidualWhitener,
     seeds: np.ndarray,
 ) -> tuple[np.ndarray, bool]:
-    """The fit of :func:`solve_position` from its lattice ``seeds``: the
-    lowest-cost endpoint, and whether any descent converged."""
+    """The fit of :func:`solve_position` from its lattice ``seeds``, in the
+    lattice's room: the lowest-cost endpoint, and whether any descent
+    converged."""
+    room = lattice.room
     ends = [_gn_descend(system, s, room, max_iter, whitener) for s in seeds]
     if not any(done for _, _, done in ends):
         # the budget ran out on a slow approach, such as toward a minimum on
@@ -293,22 +294,23 @@ def _gauss_newton_ground(
 
 def solve_position(
     system: TdoaSystem,
-    room,
+    lattice: SeedLattice,
     *,
     sigmas: np.ndarray | None = None,
     sigma_ref: float = 0.0,
     max_iter: int = 100,
-    lattice: SeedLattice | None = None,
 ) -> np.ndarray:
-    """Estimate the UE's floor position in ``room`` from a built system.
+    """Estimate the UE's floor position from a built system.
 
-    ``room`` is the ``(min_xyz, max_xyz)`` box whose floor rectangle bounds
-    the fit.  Two Gauss-Newton descents start from the lowest local minima
-    of the cost on a 19 x 19 lattice of interior floor points (20 spacings
-    per axis), which puts a start in the true basin and in the mirror basin
-    that near-collinear anchors leave.  Every iterate stays in the room, and
-    a coordinate on a wall that the gradient pushes against is held (an
-    active-set step).  If no descent converges within ``max_iter``
+    ``lattice`` is the :func:`seed_lattice` of the room for the tile
+    positions the system was built from, such as a deployment's; the floor
+    rectangle of its room bounds the fit, and its table is indexed by the
+    system's tile rows.  Two Gauss-Newton descents start from the lowest
+    local minima of the cost on its 19 x 19 lattice of interior floor points
+    (20 spacings per axis), which puts a start in the true basin and in the
+    mirror basin that near-collinear anchors leave.  Every iterate stays in
+    the room, and a coordinate on a wall that the gradient pushes against is
+    held (an active-set step).  If no descent converges within ``max_iter``
     iterations, the lowest-cost endpoint is resumed once.  The lowest-cost
     endpoint is returned with z = 0.  Raises :class:`PositionEstimationError`
     with that endpoint if no descent converges.
@@ -318,21 +320,10 @@ def solve_position(
     reference anchor's range error is common mode across residuals, so the
     covariance is diagonal plus rank one.  Without them the fit is the plain
     unweighted sum of squares.
-
-    ``lattice`` is the :func:`seed_lattice` of ``room`` for the tile
-    positions the system was built from, such as a deployment's; its table
-    is indexed by the system's tile rows.  Without it the table is built for
-    the system's own anchors, with the same arithmetic.
     """
     whitener = _ResidualWhitener(sigmas, sigma_ref, len(system.gammas))
-    if lattice is None:
-        own = np.vstack([system.ref_pos, system.anchor_positions])
-        lattice = seed_lattice(room, own)
-        ref_col, anchor_cols = 0, np.arange(1, len(own))
-    else:
-        ref_col, anchor_cols = system.ref_tile - 1, system.anchor_rows
-    seeds = _grid_seeds(system, lattice, ref_col, anchor_cols, whitener)
-    p, converged = _gauss_newton_ground(system, room, max_iter, whitener, seeds)
+    seeds = _grid_seeds(system, lattice, whitener)
+    p, converged = _gauss_newton_ground(system, lattice, max_iter, whitener, seeds)
     if not converged:
         raise PositionEstimationError(
             "position fit did not converge", best_estimate=p

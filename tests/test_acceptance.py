@@ -28,7 +28,7 @@ from ris_nfloc.harness import ExperimentConfig, run_trials, summarize, timing_be
 from ris_nfloc.labeling import in_region, in_region_quadric, run_spl
 from ris_nfloc.psp import PspAssignment, assign
 from ris_nfloc.spectrum import ToaGroups, extract_toas, spectrum_2d
-from ris_nfloc.tdoa import build_system, solve_position
+from ris_nfloc.tdoa import build_system, seed_lattice, solve_position
 from ris_nfloc.waveform import WaveformConfig, frames_from_paths
 
 ROOM = ((0.0, 0.0, 0.0), (10.0, 10.0, 3.0))
@@ -69,11 +69,11 @@ def test_criterion_1_exact_inversion():
         system = build_system(
             [(float(taus[i]), i + 1) for i in range(8)], anchors, p_bs
         )
-        worst_general = max(
-            worst_general, float(np.linalg.norm(solve_position(system, room=ROOM) - ue))
-        )
+        p = solve_position(system, seed_lattice(ROOM, anchors))
+        worst_general = max(worst_general, float(np.linalg.norm(p - ue)))
 
     layout = RisLayout(tile_count=64, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
+    lattice = seed_lattice(ROOM, build_scene(layout, [0, 5, 2], [5, 5, 0]).tile_centers)
     worst_collinear = 0.0
     for _ in range(5):
         ue = np.array([rng.uniform(1, 9), rng.uniform(1, 9), 0.0])
@@ -86,7 +86,7 @@ def test_criterion_1_exact_inversion():
         )
         worst_collinear = max(
             worst_collinear,
-            float(np.linalg.norm(solve_position(system, room=ROOM) - ue)),
+            float(np.linalg.norm(solve_position(system, lattice) - ue)),
         )
     elapsed = time.perf_counter() - start
     _report(
@@ -244,7 +244,8 @@ def test_criterion_4_ground_truth_labeling():
             toas[i] = np.sort([true_toas[k - 1] for k in tiles])[::-1]
             mags[i] = np.ones(len(tiles))
         groups = ToaGroups(toas=toas, magnitudes=mags)
-        label_map, _, _ = run_spl(groups, assignment, scene, room=ROOM)
+        lattice = seed_lattice(ROOM, scene.tile_centers)
+        label_map, _, _ = run_spl(groups, assignment, scene, lattice)
         lookup = {k: t for t, k in label_map.entries}
         ok = len(label_map.entries) == scene.n_tiles
         if ok:

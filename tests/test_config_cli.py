@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,8 @@ BAD_ARGUMENTS = {
     "sweep_K0_fraction": ["sweep", "--var", "K0", "--values", "4.5"],
     # two exclusive-slope tiles cannot bootstrap a position fix
     "sweep_K0_two_anchors": ["sweep", "--var", "K0", "--values", "5,2"],
+    # with a frame per tile every tile has its own slope, whatever K0 says
+    "sweep_K0_frame_per_tile": ["--frames", "16", "sweep", "--var", "K0", "--values", "3,5"],
     "peb_bandwidth": ["peb", "--values", "4e8,0"],
     "heatmap_resolution": ["heatmap", "--resolution-m", "0"],
     # a cell center at 12.5 m lies beyond the 10 m floor: no cell at all
@@ -277,6 +280,21 @@ def test_cli_sweep_over_exclusive_tiles(desk_config, tmp_path):
     assert code == 0
     rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["3", "6"]
+
+
+def test_sweep_over_exclusive_tiles_needs_shared_slopes(desk_config):
+    cfg = replace(load_config(desk_config), frames=16)
+    with pytest.raises(ConfigError, match="frames = 16 >= .*tile_count = 16"):
+        apply_sweep_value(cfg, "K0", 5)
+
+
+def test_out_that_is_not_a_directory_exits_2(desk_config, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for out in (taken, taken / "sub"):
+        assert main(["--config", desk_config, "--out", str(out), "simulate"]) == 2
+        assert "config error: --out" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_cli_peb_bandwidth_ratio(desk_config, tmp_path):

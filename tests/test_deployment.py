@@ -10,7 +10,7 @@ from ris_nfloc.channel import MultipathConfig, realize_channel
 from ris_nfloc.config import ExperimentConfig, apply_sweep_value
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import build_scene, toa_vector
-from ris_nfloc.harness import normalized_cascade, observe, run_trial
+from ris_nfloc.harness import _label_and_solve, normalized_cascade, observe, run_trial
 from ris_nfloc.labeling import run_spl
 from ris_nfloc.tdoa import (
     _grid_seeds,
@@ -103,44 +103,49 @@ def _noisy_system(cfg, tiles, ue, rng):
     (DESK, tuple(range(1, 17))),
     (FULL, tuple(range(1, 65))),  # a baseline solve labels every tile: 63 rows
 ])
-def test_deployment_table_seeds_equal_own_anchor_seeds(cfg, tiles):
+def test_deployment_table_rows_give_the_per_solve_distances_and_seeds(cfg, tiles):
     rng = np.random.default_rng(3)
     lattice = cfg.deployment.lattice
+    assert lattice.room == cfg.room
+    built = seed_lattice(cfg.room, cfg.deployment.tile_centers)
     for ue in ([2.0, 7.5, 0.0], [8.8, 1.2, 0.0], [5.0, 5.0, 0.0]):
         system = _noisy_system(cfg, tiles, np.array(ue), rng)
         rows = len(system.gammas)
         assert rows == len(tiles) - 1
         assert [k - 1 for k in tiles if k != system.ref_tile] == list(system.anchor_rows)
-        own = seed_lattice(cfg.room, np.vstack([system.ref_pos, system.anchor_positions]))
         d_old, d_ref_old = _old_lattice_distances(lattice.points, system)
-        assert np.array_equal(own.points, lattice.points)
         assert np.array_equal(lattice.distances[:, system.anchor_rows], d_old)
         assert np.array_equal(lattice.distances[:, system.ref_tile - 1], d_ref_old)
-        assert np.array_equal(own.distances[:, 1:], d_old)
-        assert np.array_equal(own.distances[:, 0], d_ref_old)
 
+        # the first seed is the lowest point of the cost on the old distances
         sigmas = rng.uniform(0.5, 2.0, rows)
         whitener = _ResidualWhitener(sigmas, 0.7, rows)
-        table = _grid_seeds(
-            system, lattice, system.ref_tile - 1, system.anchor_rows, whitener
-        )
-        mine = _grid_seeds(system, own, 0, np.arange(1, rows + 1), whitener)
-        assert np.array_equal(table, mine)
-        kwargs = dict(room=cfg.room, sigmas=sigmas, sigma_ref=0.7)
+        r = system.gammas - (d_old - d_ref_old[:, None])
+        q_sum = r @ whitener.dinv
+        cost = (r * r) @ whitener.dinv - whitener.k * q_sum * q_sum
+        seeds = _grid_seeds(system, lattice, whitener)
+        assert np.array_equal(seeds[0], lattice.points[np.argmin(cost)])
+        # a lattice the caller builds for the same room and tiles, as the
+        # tests and the self-test do, gives the trial's fix bit for bit
+        kwargs = dict(sigmas=sigmas, sigma_ref=0.7)
         assert np.array_equal(
-            solve_position(system, lattice=lattice, **kwargs),
-            solve_position(system, **kwargs),
+            solve_position(system, lattice, **kwargs),
+            solve_position(system, built, **kwargs),
         )
 
 
-def test_labeling_on_the_deployment_table_equals_the_own_anchor_fit():
+def test_trial_labeling_equals_a_fit_on_a_caller_built_lattice():
+    lattice = seed_lattice(DESK.room, DESK.deployment.tile_centers)
+    assert np.array_equal(lattice.distances, DESK.deployment.lattice.distances)
+    gap = DESK.resolvability_margin / DESK.bandwidth_hz
     for seed in range(3):
         rng = np.random.default_rng(seed)
         obs = observe(DESK, np.array([2.5 + seed, 6.0, 0.0]), rng)
-        args = (obs.toa_groups, obs.assignment, obs.scene, DESK.room, 2 / DESK.bandwidth_hz)
-        labels, p, trace = run_spl(*args, lattice=DESK.deployment.lattice)
-        labels_own, p_own, trace_own = run_spl(*args)
-        assert labels == labels_own and trace == trace_own
+        labels, p = _label_and_solve(DESK, obs)
+        labels_own, p_own, _ = run_spl(
+            obs.toa_groups, obs.assignment, obs.scene, lattice, gap
+        )
+        assert labels == labels_own
         assert np.array_equal(p, p_own)
 
 

@@ -344,9 +344,10 @@ def test_full_labeling_never_worse_than_bootstrap_median():
         )
         groups = extract_toas(spectrum_2d(frames, cfg.oversampling), assignment)
         try:
-            p_boot = bootstrap_position(groups, assignment, scene, room=cfg.room)
+            lattice = cfg.deployment.lattice
+            p_boot = bootstrap_position(groups, assignment, scene, lattice)
             _, p_full, _ = run_spl(
-                groups, assignment, scene, room=cfg.room,
+                groups, assignment, scene, lattice,
                 min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
             )
         except Exception:

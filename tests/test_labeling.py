@@ -13,6 +13,7 @@ from ris_nfloc.labeling import (
 )
 from ris_nfloc.psp import assign
 from ris_nfloc.spectrum import ToaGroups
+from ris_nfloc.tdoa import seed_lattice
 
 ROOM = ((0.0, 0.0, 0.0), (10.0, 10.0, 3.0))
 
@@ -24,6 +25,10 @@ def pair_scene(ue=(5, 5, 0), bs=(0, 5, 2)):
 
 def exact_groups(scene, assignment):
     return ToaGroups.from_delays(toa_vector(scene), assignment)
+
+
+def lattice_of(scene):
+    return seed_lattice(ROOM, scene.tile_centers)
 
 
 def test_in_region_hand_case():
@@ -91,7 +96,7 @@ def test_bootstrap_position_exact():
     layout = RisLayout(tile_count=16, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [3.5, 4.5, 0], t0=2e-7)
     groups = exact_groups(scene, assignment)
-    p = bootstrap_position(groups, assignment, scene, room=ROOM)
+    p = bootstrap_position(groups, assignment, scene, lattice_of(scene))
     assert np.linalg.norm(p - scene.p_ue) < 1e-6
 
 
@@ -105,7 +110,7 @@ def test_bootstrap_is_the_first_fix_of_run_spl():
     for _ in range(20):
         ue = np.array([rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.0), 0.0])
         obs = observe(cfg, ue, rng)
-        args = (obs.toa_groups, obs.assignment, obs.scene, cfg.room)
+        args = (obs.toa_groups, obs.assignment, obs.scene, cfg.deployment.lattice)
         _, p_spl, trace = run_spl(*args, min_toa_gap=np.inf)
         assert {row.method for row in trace} == {"exclusive", "skipped"}
         assert np.array_equal(p_spl, bootstrap_position(*args))
@@ -122,7 +127,7 @@ def test_bootstrap_missing_singletons_raises():
     mags = {i: v for i, v in groups.magnitudes.items() if i not in singles[:2]}
     broken = ToaGroups(toas=toas, magnitudes=mags, under_detected=frozenset(singles[:2]))
     with pytest.raises(ValueError):
-        bootstrap_position(broken, assignment, scene, room=ROOM)
+        bootstrap_position(broken, assignment, scene, lattice_of(scene))
 
 
 def test_bootstrap_quantized_toas_stay_in_room_scale():
@@ -147,7 +152,7 @@ def test_bootstrap_quantized_toas_stay_in_room_scale():
             toas[i] = vals
             mags[i] = np.ones(len(tiles))
         groups = ToaGroups(toas=toas, magnitudes=mags)
-        p = bootstrap_position(groups, assignment, scene, room=ROOM)
+        p = bootstrap_position(groups, assignment, scene, lattice_of(scene))
         errs.append(np.linalg.norm(p - ue))
     assert np.median(errs) < 1.0
 
@@ -245,7 +250,7 @@ def test_run_spl_exact_toas_perfect_labels():
         )
         assignment = assign(k_tiles, l_frames, 4)
         groups = exact_groups(scene, assignment)
-        label_map, p_hat, trace = run_spl(groups, assignment, scene, room=ROOM)
+        label_map, p_hat, trace = run_spl(groups, assignment, scene, lattice_of(scene))
         assert len(label_map.entries) == scene.n_tiles
         true_toas = toa_vector(scene)
         lookup = {k: t for t, k in label_map.entries}
@@ -261,7 +266,7 @@ def test_run_spl_sufficient_budget_matches_plain_tdoa():
     scene = build_scene(layout, [0, 5, 2], [4, 6, 0], t0=1e-7)
     assignment = assign(8, 8)
     groups = exact_groups(scene, assignment)
-    label_map, p_hat, trace = run_spl(groups, assignment, scene, room=ROOM)
+    label_map, p_hat, trace = run_spl(groups, assignment, scene, lattice_of(scene))
     assert len(label_map.entries) == scene.n_tiles
     assert all(row.dod == 1 for row in trace)
     assert np.linalg.norm(p_hat - scene.p_ue) < 1e-4
@@ -275,7 +280,7 @@ def test_run_spl_skips_unresolvable_group():
     groups = exact_groups(scene, assignment)
     bandwidth = 400e6
     label_map, p_hat, trace = run_spl(
-        groups, assignment, scene, room=ROOM, min_toa_gap=1.0 / bandwidth
+        groups, assignment, scene, lattice_of(scene), min_toa_gap=1.0 / bandwidth
     )
     skipped = [row for row in trace if row.method == "skipped"]
     assert skipped  # tiles 0.1 m apart cannot clear 0.75 m of path gap

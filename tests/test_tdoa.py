@@ -9,6 +9,7 @@ from ris_nfloc.tdoa import (
     _gn_descend,
     _ResidualWhitener,
     build_system,
+    seed_lattice,
     solve_position,
 )
 
@@ -75,7 +76,8 @@ def test_linear_ris_anchors_are_collinear(axis):
     if axis != (0, 0, 1):
         # a vertical RIS stands over one floor point: its delays fix only the
         # UE's distance from that point
-        assert np.linalg.norm(solve_position(system, room=ROOM) - ue) < 1e-4
+        lattice = seed_lattice(ROOM, scene.tile_centers)
+        assert np.linalg.norm(solve_position(system, lattice) - ue) < 1e-4
 
 
 def test_build_system_validation():
@@ -122,7 +124,7 @@ def test_exact_inversion_general_anchors():
         ue = np.array([rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.5), 0.0])
         entries = exact_entries(anchors, p_bs, ue, t0=rng.uniform(0, 1e-6))
         system = build_system(entries, anchors, p_bs)
-        p = solve_position(system, room=ROOM)
+        p = solve_position(system, seed_lattice(ROOM, anchors))
         assert np.linalg.norm(p - ue) < 1e-6
 
 
@@ -133,7 +135,7 @@ def test_exact_inversion_collinear_fallback():
     system = build_system(
         [(taus[i], i + 1) for i in range(64)], scene.tile_centers, scene.p_bs
     )
-    p = solve_position(system, room=ROOM)
+    p = solve_position(system, seed_lattice(ROOM, scene.tile_centers))
     assert np.linalg.norm(p - scene.p_ue) < 1e-4
 
 
@@ -148,11 +150,12 @@ def test_clock_invariance_of_solution():
     anchors = random_general_anchors(rng)
     p_bs = np.array([-1.0, 5.0, 2.0])
     ue = np.array([4.0, 3.0, 0.0])
+    lattice = seed_lattice(ROOM, anchors)
     p0 = solve_position(
-        build_system(exact_entries(anchors, p_bs, ue, 0.0), anchors, p_bs), room=ROOM
+        build_system(exact_entries(anchors, p_bs, ue, 0.0), anchors, p_bs), lattice
     )
     p1 = solve_position(
-        build_system(exact_entries(anchors, p_bs, ue, 7e-7), anchors, p_bs), room=ROOM
+        build_system(exact_entries(anchors, p_bs, ue, 7e-7), anchors, p_bs), lattice
     )
     assert np.linalg.norm(p0 - p1) < 1e-9
 
@@ -165,7 +168,8 @@ def test_translation_equivariance():
     shift = np.array([1.5, -2.0, 0.0])
     shifted_room = tuple(tuple(np.add(c, shift)) for c in ROOM)
     p0 = solve_position(
-        build_system(exact_entries(anchors, p_bs, ue), anchors, p_bs), room=ROOM
+        build_system(exact_entries(anchors, p_bs, ue), anchors, p_bs),
+        seed_lattice(ROOM, anchors),
     )
     p1 = solve_position(
         build_system(
@@ -173,7 +177,7 @@ def test_translation_equivariance():
             anchors + shift,
             p_bs + shift,
         ),
-        room=shifted_room,
+        seed_lattice(shifted_room, anchors + shift),
     )
     assert np.linalg.norm((p1 - shift) - p0) < 1e-7
 
@@ -195,9 +199,10 @@ def test_extra_anchor_never_hurts_noiseless():
     p_bs = np.array([-2.0, 6.0, 1.0])
     ue = np.array([2.5, 7.5, 0.0])
     entries = exact_entries(anchors, p_bs, ue)
+    lattice = seed_lattice(ROOM, anchors)
     for n in (4, 6, 8, 10):
         system = build_system(entries[:n], anchors, p_bs)
-        p = solve_position(system, room=ROOM)
+        p = solve_position(system, lattice)
         assert np.linalg.norm(p - ue) < 1e-6
 
 
@@ -208,11 +213,10 @@ def test_weighted_solve_matches_unweighted_on_exact_data():
     ue = np.array([7.0, 2.0, 0.0])
     entries = exact_entries(anchors, p_bs, ue)
     system = build_system(entries, anchors, p_bs)
-    p_plain = solve_position(system, room=ROOM)
+    lattice = seed_lattice(ROOM, anchors)
+    p_plain = solve_position(system, lattice)
     sigmas = rng.uniform(0.5, 2.0, len(system.gammas))
-    p_weighted = solve_position(
-        system, room=ROOM, sigmas=sigmas, sigma_ref=0.7
-    )
+    p_weighted = solve_position(system, lattice, sigmas=sigmas, sigma_ref=0.7)
     assert np.linalg.norm(p_plain - ue) < 1e-6
     assert np.linalg.norm(p_weighted - ue) < 1e-6
 
@@ -223,20 +227,21 @@ def _noisy_general_system(seed):
     p_bs = np.array([-1.0, 4.0, 2.0])
     entries = exact_entries(anchors, p_bs, np.array([7.0, 2.0, 0.0]))
     entries = [(t + rng.normal(0, 2e-10), k) for t, k in entries]
-    return build_system(entries, anchors, p_bs)
+    return build_system(entries, anchors, p_bs), anchors
 
 
 @pytest.mark.parametrize("room", [ROOM], ids=["room"])
 @pytest.mark.parametrize(
     "make_system",
-    [lambda: noisy_linear_system(4)[0], lambda: _noisy_general_system(4)],
+    [lambda: (noisy_linear_system(4)[0], LINEAR_TILES), lambda: _noisy_general_system(4)],
     ids=["collinear", "general"],
 )
 def test_unit_weights_give_the_unweighted_fix_bit_for_bit(make_system, room):
-    system = make_system()
+    system, tiles = make_system()
+    lattice = seed_lattice(room, tiles)
     n = len(system.gammas)
-    plain = solve_position(system, room=room)
-    unit = solve_position(system, room=room, sigmas=np.ones(n), sigma_ref=0.0)
+    plain = solve_position(system, lattice)
+    unit = solve_position(system, lattice, sigmas=np.ones(n), sigma_ref=0.0)
     assert np.array_equal(plain, unit)
 
 
@@ -245,6 +250,7 @@ def test_weighted_solve_downweights_corrupt_anchor():
     layout = RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
     taus = toa_vector(scene)
+    lattice = seed_lattice(ROOM, scene.tile_centers)
     errs = {"plain": [], "weighted": []}
     for _ in range(30):
         noisy = taus.copy()
@@ -256,15 +262,24 @@ def test_weighted_solve_downweights_corrupt_anchor():
         tiles = [t for _, t in entries if t != system.ref_tile]
         sig[tiles.index(6)] = 300.0
         errs["plain"].append(
-            np.linalg.norm(solve_position(system, room=ROOM) - scene.p_ue)
+            np.linalg.norm(solve_position(system, lattice) - scene.p_ue)
         )
         errs["weighted"].append(
             np.linalg.norm(
-                solve_position(system, room=ROOM, sigmas=sig, sigma_ref=1.0)
+                solve_position(system, lattice, sigmas=sig, sigma_ref=1.0)
                 - scene.p_ue
             )
         )
     assert np.median(errs["weighted"]) < np.median(errs["plain"])
+
+
+# the tile centers of the linear RIS below, and their seed lattice in ROOM
+LINEAR_TILES = build_scene(
+    RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0]),
+    [0, 5, 2],
+    [4, 4, 0],
+).tile_centers
+LINEAR_LATTICE = seed_lattice(ROOM, LINEAR_TILES)
 
 
 def noisy_linear_system(seed):
@@ -302,11 +317,11 @@ def test_weighted_fallback_is_stationary_for_dense_gls_cost():
     def gradient(p):
         return dense_gls_gradient(system, p, sigmas, sigma_ref)
 
-    p = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=sigma_ref)
+    p = solve_position(system, LINEAR_LATTICE, sigmas=sigmas, sigma_ref=sigma_ref)
     assert np.all((p[:2] > 0.5) & (p[:2] < 9.5))  # an interior minimum
     assert np.linalg.norm(gradient(p)) < 1e-6
     # the common-mode term matters: dropping it moves the fit off the minimum
-    p_diag = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=0.0)
+    p_diag = solve_position(system, LINEAR_LATTICE, sigmas=sigmas, sigma_ref=0.0)
     assert np.linalg.norm(gradient(p_diag)) > 1e-3
 
 
@@ -314,7 +329,7 @@ def test_fallback_out_of_iterations_raises_with_estimate_in_room():
     system, sigmas = noisy_linear_system(12)
     for kwargs in ({}, {"sigmas": sigmas, "sigma_ref": 0.05}):
         with pytest.raises(PositionEstimationError) as excinfo:
-            solve_position(system, room=ROOM, max_iter=1, **kwargs)
+            solve_position(system, LINEAR_LATTICE, max_iter=1, **kwargs)
         p = excinfo.value.best_estimate
         assert p is not None and p[2] == 0.0
         assert np.all(p >= np.array(ROOM[0])) and np.all(p <= np.array(ROOM[1]))
@@ -336,7 +351,7 @@ def _system_beyond_walls(ue):
 
 def test_minimum_beyond_a_wall_converges_on_the_wall():
     system, sigmas = _system_beyond_walls([-1.5, 4.0, 0.0])
-    p = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=0.05)
+    p = solve_position(system, LINEAR_LATTICE, sigmas=sigmas, sigma_ref=0.05)
     assert p[0] == 0.0 and 0.0 < p[1] < 10.0
     g_x, g_y = dense_gls_gradient(system, p, sigmas, 0.05)
     assert abs(g_y) < 1e-6  # stationary along the wall
@@ -345,7 +360,7 @@ def test_minimum_beyond_a_wall_converges_on_the_wall():
 
 def test_minimum_beyond_a_corner_converges_on_the_corner():
     system, sigmas = _system_beyond_walls([14.0, -8.0, 0.0])
-    p = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=0.05)
+    p = solve_position(system, LINEAR_LATTICE, sigmas=sigmas, sigma_ref=0.05)
     assert p[0] == 10.0 and p[1] == 0.0
     g_x, g_y = dense_gls_gradient(system, p, sigmas, 0.05)
     # -g points out of the room through both walls: x = 10 and y = 0
@@ -377,6 +392,19 @@ def test_wall_descent_from_a_desk_trial_converges_quickly():
     assert p[0] == 0.0 and p[1] == pytest.approx(1.824, abs=1e-3)
 
 
+def test_a_lattice_for_a_smaller_room_bounds_the_fit_to_its_floor():
+    # the lattice carries its room: a solve on it never leaves that floor,
+    # even where the exact minimum (the UE) lies outside it
+    ue = np.array([7.0, 6.0, 0.0])
+    p_bs = np.array([0.0, 5.0, 2.0])
+    system = build_system(exact_entries(LINEAR_TILES, p_bs, ue), LINEAR_TILES, p_bs)
+    small = ((1.0, 0.5, 0.0), (5.0, 4.0, 3.0))
+    p = solve_position(system, seed_lattice(small, LINEAR_TILES))
+    assert np.all(p[:2] >= small[0][:2]) and np.all(p[:2] <= small[1][:2])
+    assert p[2] == 0.0
+    assert np.linalg.norm(solve_position(system, LINEAR_LATTICE) - ue) < 1e-6
+
+
 def test_slow_approach_to_the_ris_wall_resumes_and_converges():
     # the weighted bootstrap solve of a desk trial (seed 11, trial 337): the
     # lattice has one local minimum, and its descent approaches the minimum
@@ -397,7 +425,10 @@ def test_slow_approach_to_the_ris_wall_resumes_and_converges():
     whitener = _ResidualWhitener(sigmas, sigma_ref, 3)
     _, _, done = _gn_descend(system, np.array([1.0, 8.5]), ROOM, 100, whitener)
     assert not done
-    p = solve_position(system, room=ROOM, sigmas=sigmas, sigma_ref=sigma_ref)
+    tiles = np.vstack([system.ref_pos, system.anchor_positions])  # rows 0..3
+    p = solve_position(
+        system, seed_lattice(ROOM, tiles), sigmas=sigmas, sigma_ref=sigma_ref
+    )
     assert p[1] == 10.0
     assert abs(dense_gls_gradient(system, p, sigmas, sigma_ref)[0]) < 1e-6
 
@@ -407,9 +438,10 @@ def test_noiseless_floor_points_recovered_near_walls():
     # stay there, since the gradient across the anchors' mirror plane vanishes
     layout = RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
+    lattice = seed_lattice(ROOM, scene.tile_centers)
     for x in np.linspace(0.05, 9.95, 5):
         for y in np.linspace(0.05, 9.95, 5):
             ue = np.array([x, y, 0.0])
             entries = exact_entries(scene.tile_centers, scene.p_bs, ue)
             system = build_system(entries, scene.tile_centers, scene.p_bs)
-            assert np.linalg.norm(solve_position(system, room=ROOM) - ue) < 1e-6
+            assert np.linalg.norm(solve_position(system, lattice) - ue) < 1e-6
