@@ -5,8 +5,9 @@ unknown clock offset and leaves range differences to the anchor tiles.  The
 UE lies on the floor (z = 0) of a known room, so the position is fitted over
 the room's floor by damped Gauss-Newton descents that start at the two lowest
 local minima of the cost on a floor lattice; each step is an active-set
-Newton step that holds a coordinate on a wall the gradient pushes against.
-The seed lattice carries the room it was built for and its table of
+Newton step that holds a coordinate on a wall the gradient pushes against,
+and a descent stops when its next step would be shorter than 10 nm.  The
+seed lattice carries the room it was built for and its table of
 lattice-to-tile distances, which the lattice cost indexes by the system's
 tile rows; a deployment builds it once per config.
 This one fit serves every anchor set the simulator builds: a linear RIS gives
@@ -123,7 +124,10 @@ def _gn_descend(
     and the step is the damped 1-D Newton step in the other coordinate, so a
     descent slides along a wall instead of crawling there by clamped 2-D
     steps.  A corner that holds both coordinates meets the KKT conditions and
-    is returned as converged.
+    is returned as converged, as is a point whose next clamped step is
+    shorter than 1e-8 m, tested before that step is evaluated: a cost
+    comparison cannot resolve a shorter move (Madsen, Nielsen & Tingleff,
+    "Methods for Non-Linear Least Squares Problems", 2004, sec. 3.2).
     """
     anchors = system.anchor_positions
     anchor_xy = anchors[:, :2]
@@ -170,7 +174,6 @@ def _gn_descend(
         hold_y = (y <= lo_y and g_y > 0.0) or (y >= hi_y and g_y < 0.0)
         if hold_x and hold_y:
             return np.array([x, y, 0.0]), cost, True
-        accepted = False
         while lam < 1e14:
             a = h_xx + lam
             c = h_yy + lam
@@ -186,19 +189,16 @@ def _gn_descend(
                 continue
             tx = min(max(x - num_x / det, lo_x), hi_x)
             ty = min(max(y - num_y / det, lo_y), hi_y)
+            if math.hypot(tx - x, ty - y) < 1e-8:
+                return np.array([x, y, 0.0]), cost, True
             trial = evaluate(tx, ty)
-            cost_trial = trial[-1]
-            if cost_trial <= cost:
-                moved = math.hypot(tx - x, ty - y)
+            if trial[-1] <= cost:
                 x, y = tx, ty
                 diff, d, d_ref, r, q_sum, cost = trial
                 lam = max(lam / 10.0, 1e-12)
-                accepted = True
-                if moved < 1e-11:
-                    return np.array([x, y, 0.0]), cost, True
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             # damping exhausted: gradient numerically stationary
             return np.array([x, y, 0.0]), cost, True
     return np.array([x, y, 0.0]), cost, False
@@ -261,12 +261,10 @@ def _grid_seeds(
 
     padded = np.full((n + 2, n + 2), np.inf)
     padded[1:-1, 1:-1] = cost
-    is_min = np.ones((n, n), dtype=bool)
-    for i in range(3):
-        for j in range(3):
-            if (i, j) != (1, 1):
-                is_min &= cost <= padded[i : i + n, j : j + n]
-    minima = np.flatnonzero(is_min)
+    # the 3 x 3 minimum around each point, by rows then columns
+    rows = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+    around = np.minimum(np.minimum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+    minima = np.flatnonzero(cost <= around)
     order = np.argsort(cost.ravel()[minima], kind="stable")
     return lattice.points[minima[order[:_SEED_COUNT]]]
 
@@ -310,7 +308,8 @@ def solve_position(
     (20 spacings per axis), which puts a start in the true basin and in the
     mirror basin that near-collinear anchors leave.  Every iterate stays in
     the room, and a coordinate on a wall that the gradient pushes against is
-    held (an active-set step).  If no descent converges within ``max_iter``
+    held (an active-set step).  A descent converges once its next clamped
+    step is shorter than 10 nm.  If no descent converges within ``max_iter``
     iterations, the lowest-cost endpoint is resumed once.  The lowest-cost
     endpoint is returned with z = 0.  Raises :class:`PositionEstimationError`
     with that endpoint if no descent converges.

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from ris_nfloc import tdoa
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import RisLayout, build_scene, toa_vector
 from ris_nfloc.tdoa import (
@@ -390,6 +393,128 @@ def test_wall_descent_from_a_desk_trial_converges_quickly():
     p, _, done = _gn_descend(system, np.array([5.0, 5.0]), ROOM, 20, whitener)
     assert done
     assert p[0] == 0.0 and p[1] == pytest.approx(1.824, abs=1e-3)
+
+
+def test_descent_stops_on_a_short_step_without_evaluating_it(monkeypatch):
+    # the desk system above, from (1, 2): a descent that stops only on an
+    # accepted move shorter than 1e-11 m makes 25 cost evaluations, most of
+    # the last ones rejected by rounding; the 10 nm step test makes 19
+    system = TdoaSystem(
+        ref_tile=1,
+        ref_pos=np.array([4.25, 10.0, 2.0]),
+        anchor_positions=np.array(
+            [[4.75, 10.0, 2.0], [5.25, 10.0, 2.0], [5.75, 10.0, 2.0]]
+        ),
+        gammas=np.array(
+            [0.23627843146434357, 0.49129712021605254, 0.7645646330304745]
+        ),
+        anchor_rows=np.array([1, 2, 3]),
+    )
+    whitener = _ResidualWhitener(
+        np.array([0.4139880890734635, 0.6606798533108409, 0.9469221785393026]),
+        0.7085783888743424,
+        3,
+    )
+    evaluations = []
+
+    class CountingMath:
+        # each cost evaluation takes one scalar square root: the distance
+        # to the reference anchor
+        def sqrt(self, value):
+            evaluations.append(value)
+            return math.sqrt(value)
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+    monkeypatch.setattr(tdoa, "math", CountingMath())
+    p, _, done = _gn_descend(system, np.array([1.0, 2.0]), ROOM, 100, whitener)
+    assert done
+    assert p[0] == 0.0 and p[1] == pytest.approx(1.824, abs=1e-3)
+    assert len(evaluations) <= 22
+
+
+def _mirror_plane_system():
+    # the weighted bootstrap solve of a desk trial with the RIS at (5, 5, 2)
+    # (seed 1, trial 14); the anchors' mirror plane is y = 5
+    system = TdoaSystem(
+        ref_tile=1,
+        ref_pos=np.array([4.25, 5.0, 2.0]),
+        anchor_positions=np.array(
+            [[4.75, 5.0, 2.0], [5.25, 5.0, 2.0], [5.75, 5.0, 2.0]]
+        ),
+        gammas=np.array(
+            [-0.21121928337357104, -0.3486304976696608, -0.37277577429165]
+        ),
+        anchor_rows=np.array([1, 2, 3]),
+    )
+    sigmas = np.array([0.9027465275675126, 0.3426618025046, 0.7998067985317598])
+    return system, sigmas, 2.7026985222616036
+
+
+def test_second_descent_leaves_the_mirror_plane_of_an_ris_inside_the_room(
+    monkeypatch,
+):
+    # the lowest lattice minimum lies on the mirror plane, where the gradient
+    # across it vanishes, so its descent ends there at cost 1.12e-4; the
+    # second seed's descent reaches the lower minimum off it, at cost 3.16e-5
+    system, sigmas, sigma_ref = _mirror_plane_system()
+    lattice = seed_lattice(ROOM, np.vstack([system.ref_pos, system.anchor_positions]))
+    p = solve_position(system, lattice, sigmas=sigmas, sigma_ref=sigma_ref)
+    assert p[:2] == pytest.approx([5.611, 4.112], abs=1e-3)
+    monkeypatch.setattr(tdoa, "_SEED_COUNT", 1)
+    lone = solve_position(system, lattice, sigmas=sigmas, sigma_ref=sigma_ref)
+    assert lone[1] == 5.0 and lone[0] == pytest.approx(5.58, abs=1e-2)
+
+
+def _eight_neighbour_seeds(system, lattice, whitener):
+    # the reference: a lattice point is a local minimum when its cost is at
+    # most that of each of its 8 neighbours, compared one neighbour at a time
+    n = tdoa._SEED_SPACINGS - 1
+    d = lattice.distances[:, system.anchor_rows]
+    d_ref = lattice.distances[:, system.ref_tile - 1]
+    r = system.gammas - (d - d_ref[:, None])
+    q_sum = r @ whitener.dinv
+    cost = ((r * r) @ whitener.dinv - whitener.k * q_sum * q_sum).reshape(n, n)
+    padded = np.full((n + 2, n + 2), np.inf)
+    padded[1:-1, 1:-1] = cost
+    is_min = np.ones((n, n), dtype=bool)
+    for i in range(3):
+        for j in range(3):
+            if (i, j) != (1, 1):
+                is_min &= cost <= padded[i : i + n, j : j + n]
+    minima = np.flatnonzero(is_min)
+    order = np.argsort(cost.ravel()[minima], kind="stable")
+    return lattice.points[minima[order[: tdoa._SEED_COUNT]]]
+
+
+def test_grid_seeds_equal_the_eight_neighbour_reference(monkeypatch):
+    monkeypatch.setattr(tdoa, "_SEED_COUNT", 400)  # compare every minimum
+    mirror, sigmas, sigma_ref = _mirror_plane_system()
+    tiles = np.vstack([mirror.ref_pos, mirror.anchor_positions])
+    lattice = seed_lattice(ROOM, tiles)
+    # the mirror plane makes costs tie exactly: y = 5 +- a give equal distances
+    cases = [(mirror, lattice, _ResidualWhitener(sigmas, sigma_ref, 3))]
+    for seed in (11, 12):
+        system, sig = noisy_linear_system(seed)
+        cases.append((system, LINEAR_LATTICE, _ResidualWhitener(sig, 0.05, 7)))
+    # non-finite costs: a NaN and an inf distance, and a NaN range difference
+    distances = lattice.distances.copy()
+    distances[[40, 200], 1] = np.nan, np.inf
+    holed = tdoa.SeedLattice(room=ROOM, points=lattice.points, distances=distances)
+    cases.append((mirror, holed, cases[0][2]))
+    nan_gamma = TdoaSystem(
+        mirror.ref_tile, mirror.ref_pos, mirror.anchor_positions,
+        np.array([np.nan, 0.0, 0.0]), mirror.anchor_rows,
+    )
+    cases.append((nan_gamma, lattice, cases[0][2]))
+    found = []
+    for system, lat, whitener in cases:
+        with np.errstate(invalid="ignore"):  # inf - inf in the holed lattice
+            seeds = tdoa._grid_seeds(system, lat, whitener)
+            assert np.array_equal(seeds, _eight_neighbour_seeds(system, lat, whitener))
+        found.append(len(seeds))
+    assert found[0] > 2 and found[-1] == 0
 
 
 def test_a_lattice_for_a_smaller_room_bounds_the_fit_to_its_floor():
