@@ -10,8 +10,6 @@ from .channel import (
 )
 from .geometry import RisLayout, Scene, build_scene, toa_vector
 from .labeling import (
-    BootstrapError,
-    LabelMap,
     bootstrap_position,
     in_region,
     in_region_quadric,
@@ -21,6 +19,7 @@ from .labeling import (
 from .psp import PspAssignment, assign, psp_list
 from .spectrum import SpectrumMap, ToaGroups, extract_toas, quadratic_refine, spectrum_2d
 from .tdoa import (
+    BootstrapError,
     PositionEstimationError,
     SeedLattice,
     TdoaSystem,
@@ -37,7 +36,6 @@ __all__ = [
     "ChannelRealization",
     "FimResult",
     "FrameMatrix",
-    "LabelMap",
     "MultipathConfig",
     "PositionEstimationError",
     "PspAssignment",

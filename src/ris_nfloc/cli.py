@@ -101,13 +101,6 @@ def _apply_overrides(cfg, args):
     return replace(cfg, **{k: v for k, v in fields.items() if v is not None})
 
 
-def _peb_at(cfg, ue) -> float:
-    """PEB at a UE position, with no clock or phase offset and the multipath
-    realization of the config seed."""
-    scene, cascade = harness.normalized_cascade(cfg, ue, 0.0, 0.0, cfg.seed)
-    return harness.position_error_bound(cfg, scene, cascade)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -172,7 +165,7 @@ def main(argv=None) -> int:
             if args.values:
                 bandwidths = _parse_values(args.values)
             subs = [harness.apply_sweep_value(cfg, "B", b) for b in bandwidths]
-            rows = [(b, _peb_at(sub, ue)) for b, sub in zip(bandwidths, subs)]
+            rows = [(b, harness.peb_at(sub, ue)) for b, sub in zip(bandwidths, subs)]
             write_csv(os.path.join(args.out, "peb.csv"), ["sweep_value", "peb"], rows)
             for b, peb in rows:
                 print(f"bandwidth={b:g} peb={peb:.6g}")

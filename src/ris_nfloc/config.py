@@ -29,12 +29,17 @@ class ConfigError(ValueError):
     pass
 
 
-def _dbm_to_watt(dbm: float) -> float:
-    """Watts of a power in dBm; inf where the value overflows a float."""
+def _db_to_ratio(db: float) -> float:
+    """The power ratio of a value in dB; inf where it overflows a float."""
     try:
-        return 1e-3 * 10.0 ** (dbm / 10.0)
+        return 10.0 ** (db / 10.0)
     except OverflowError:
         return float("inf")
+
+
+def _dbm_to_watt(dbm: float) -> float:
+    """Watts of a power in dBm; inf where the value overflows a float."""
+    return 1e-3 * _db_to_ratio(dbm)
 
 
 @dataclass(frozen=True)
@@ -239,6 +244,9 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     1e-12 m from every tile center; the UE needs floor area beyond
     ``wall_margin_m``; and the slope assignment must exist for (tile_count,
     frames, exclusive_tiles) and give at least three exclusive-slope tiles.
+    The wavelength ``c / carrier_hz``, the largest multipath phase
+    ``2*pi*excess_max_m / wavelength`` and the multipath power ratio
+    ``10**(power_rel_db / 10)`` must be finite.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -304,6 +312,18 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             build()
         except ValueError as exc:
             raise ConfigError(f"bad [{section}] values: {exc}") from None
+    # the constructors above made carrier_hz and excess_max_m positive
+    lam = cfg.wavelength_m
+    for field, value, what in (
+        ("carrier_hz", lam, "wavelength c / carrier_hz"),
+        ("multipath_excess_max_m", 2.0 * np.pi * cfg.multipath_excess_max_m / lam,
+         "multipath phase 2*pi*excess_max_m / wavelength"),
+        ("multipath_power_db", _db_to_ratio(cfg.multipath_power_db),
+         "multipath power ratio 10**(power_rel_db / 10)"),
+    ):
+        if not np.isfinite(value):
+            raise ConfigError(
+                f"{_KEYS[field]} = {getattr(cfg, field):g} overflows the {what}")
     return cfg
 
 

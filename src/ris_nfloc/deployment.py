@@ -6,9 +6,10 @@ clock and phase offsets and its random draws.  A :class:`Deployment` holds
 the fixed part, computed once per config
 (:attr:`ris_nfloc.config.ExperimentConfig.deployment`): the tile arrays, the
 BS legs and the forward (BS-to-element) direct link, the waveform config,
-the RIS wall, and the position solver's seed lattice of the room with its
-lattice-to-tile distance table.  Every array is computed by the function
-that computed it per trial before, so the trials' numbers do not change.
+the RIS center and wall normal, and the position solver's seed lattice of
+the room with its lattice-to-tile distance table.  Every array is computed
+by the function that computed it per trial before, so the trials' numbers
+do not change.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class Deployment:
     tile_centers: np.ndarray  # (K, 3)
     elements: np.ndarray  # (K, M, 3)
     ris_center: np.ndarray  # (3,)
-    ris_axis: np.ndarray  # (3,)
     wavelength: float
     bs_legs: np.ndarray  # (K,)
     forward_phasor: np.ndarray  # (K, M)
@@ -60,7 +60,6 @@ class Deployment:
             elements=self.elements,
             t0=t0,
             phi0=phi0,
-            ris_axis=self.ris_axis,
         )
 
 
@@ -83,7 +82,6 @@ def build_deployment(
         tile_centers=centers,
         elements=elements,
         ris_center=layout.center,
-        ris_axis=layout.axis,
         wavelength=wavelength,
         bs_legs=bs_legs,
         forward_phasor=forward_phasor,

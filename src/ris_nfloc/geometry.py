@@ -5,13 +5,15 @@ The global frame is right-handed with the UE constrained to the ground plane
 :func:`tile_elements` into two arrays: the tile centers (K, 3) and the element
 positions (K, M, 3), each tile a grid at half-wavelength spacing.
 :func:`build_scene` places them with a BS and a UE; an experiment's trials
-share one expansion, held by its :mod:`ris_nfloc.deployment`.  All objects are
-immutable after construction.
+share one expansion, held by its :mod:`ris_nfloc.deployment`.  Tile k sits
+at an offset along the RIS axis that increases with k, so tile order is the
+order along the axis and a scene keeps no axis.  All objects are immutable
+after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,10 +77,9 @@ class Scene:
     elements: np.ndarray
     t0: float = 0.0
     phi0: float = 0.0
-    ris_axis: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
 
     def __post_init__(self):
-        for name in ("p_bs", "p_ue", "tile_centers", "elements", "ris_axis"):
+        for name in ("p_bs", "p_ue", "tile_centers", "elements"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if abs(self.p_ue[2]) > 1e-12:
             raise ValueError("UE must lie on the ground plane (z = 0)")
@@ -146,7 +147,6 @@ def build_scene(
         elements=elements,
         t0=t0,
         phi0=phi0,
-        ris_axis=layout.axis,
     )
 
 

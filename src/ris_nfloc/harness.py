@@ -7,12 +7,13 @@ heatmap runs the same pipeline at fixed UE positions.  What the config fixes
 (the tile arrays, the forward link, the waveform and the solver's seed
 lattice of the room) comes from the config's deployment
 (:attr:`ExperimentConfig.deployment`), built once per config, so a trial adds
-only its UE, its offsets and its draws.  Two labelers consume
-the same extraction: the geometric one and the fixed-order baseline that
-models code-collision failure.  Censored trials (a failed position fit, or
-too few exclusive-slope arrivals to bootstrap one) are counted, never
-dropped silently.  The experiment config and every check that decides
-whether it can run live in :mod:`ris_nfloc.config`.
+only its UE, its offsets and its draws, and its true delays are computed
+once.  Two labelers consume the same extraction: the geometric one and the
+fixed-order baseline that models code-collision failure.  One scorer,
+:func:`_arm`, scores either labeler, in trials and heatmap cells alike, and
+counts a censored arm, never dropping it silently.  The experiment config
+and every check that decides whether it can run live in
+:mod:`ris_nfloc.config`.
 
 Power bookkeeping: the nominal absolute powers are meaningless against raw
 double-bounce path loss, so cascade gains are path-loss-normalized per trial
@@ -35,12 +36,12 @@ from .channel import realize_channel
 from .config import ConfigError, ExperimentConfig, apply_sweep_value
 from .csvfile import write_csv
 from .geometry import Scene, toa_vector
-from .labeling import BootstrapError, run_spl, solve_labeled
+from .labeling import run_spl, solve_labeled
 from .psp import PspAssignment
 from .spectrum import ToaGroups, extract_toas, spectrum_2d
 # harness itself no longer calls solve_position; perfbench/test_smoke.py
 # checks that tracing rebinds it in this namespace
-from .tdoa import PositionEstimationError, solve_position  # noqa: F401
+from .tdoa import BootstrapError, PositionEstimationError, solve_position  # noqa: F401
 from .waveform import FrameMatrix, WaveformConfig, synthesize_frames
 
 
@@ -86,34 +87,27 @@ def _draw_ue(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
             return p
 
 
-def _truth_sequences(
-    assignment: PspAssignment, true_toas: np.ndarray
-) -> dict[int, tuple[int, ...]]:
-    out = {}
-    for i, tiles in assignment.groups.items():
-        out[i] = tuple(sorted(tiles, key=lambda k: (-true_toas[k - 1], k)))
-    return out
-
-
 def _label_accuracy(
-    entries, assignment: PspAssignment, truth: dict[int, tuple[int, ...]]
+    entries, assignment: PspAssignment, true_toas: np.ndarray
 ) -> tuple[float, int]:
-    """Fraction of labeled arrivals whose tile matches the ground truth.
+    """Fraction of labeled arrivals whose tile matches the ground truth, and
+    the number labeled.
 
     Per group, the descending arrivals correspond position-wise to the tiles
-    sorted by descending true ToA; unlabeled (skipped) groups are excluded
-    from the denominator.
+    sorted by descending ``true_toas``; unlabeled (skipped) groups are
+    excluded from the denominator.
     """
     correct = 0
     labeled = 0
     by_tile = {k: t for t, k in entries}
-    for i, tiles in assignment.groups.items():
+    for tiles in assignment.groups.values():
         group_entries = [(by_tile[k], k) for k in tiles if k in by_tile]
         if not group_entries:
             continue
         group_entries.sort(key=lambda e: (-e[0], e[1]))
         estimated = tuple(k for _, k in group_entries)
-        correct += sum(a == b for a, b in zip(estimated, truth[i]))
+        truth = sorted(tiles, key=lambda k: (-true_toas[k - 1], k))
+        correct += sum(a == b for a, b in zip(estimated, truth))
         labeled += len(estimated)
     return (correct / labeled if labeled else 0.0), labeled
 
@@ -146,11 +140,13 @@ def label_baseline_dft(
 class Observation:
     """What the receiver sees in one trial, with the scene that caused it.
 
-    ``cascade`` holds the path-loss-normalized cascade gains; ``toa_groups``
+    ``true_toas`` holds the scene's true delays (:func:`toa_vector`),
+    ``cascade`` the path-loss-normalized cascade gains and ``toa_groups``
     the arrivals extracted from the trial's spectrum.
     """
 
     scene: Scene
+    true_toas: np.ndarray
     cascade: np.ndarray
     assignment: PspAssignment
     toa_groups: ToaGroups
@@ -170,14 +166,20 @@ def normalized_cascade(
 
 
 def position_error_bound(
-    cfg: ExperimentConfig, scene: Scene, cascade: np.ndarray
+    cfg: ExperimentConfig, scene: Scene, cascade: np.ndarray, true_toas: np.ndarray
 ) -> float:
-    """PEB referenced to the earliest arrival; the observable-subspace PEB
-    stands in when the full FIM is singular."""
-    k_ref = int(np.argmin(toa_vector(scene))) + 1
+    """PEB referenced to the earliest of ``true_toas``: the bound over the
+    observable subspace, which is the full PEB when the FIM has full rank."""
+    k_ref = int(np.argmin(true_toas)) + 1
     snrs = cascade_snrs(cascade, cfg.deployment.waveform)
-    bound = fim(scene, snrs, cfg.bandwidth_hz, k_ref)
-    return bound.peb if np.isfinite(bound.peb) else bound.peb_observable
+    return fim(scene, snrs, cfg.bandwidth_hz, k_ref).peb_observable
+
+
+def peb_at(cfg: ExperimentConfig, ue: np.ndarray) -> float:
+    """PEB at a UE position, with no clock or phase offset and the multipath
+    realization of the config seed."""
+    scene, cascade = normalized_cascade(cfg, ue, 0.0, 0.0, cfg.seed)
+    return position_error_bound(cfg, scene, cascade, toa_vector(scene))
 
 
 def observe(
@@ -191,69 +193,66 @@ def observe(
     t0 = rng.uniform(0.0, cfg.clock_uncertainty_s)
     phi0 = rng.uniform(0.0, 2.0 * np.pi)
     scene, cascade = normalized_cascade(cfg, ue, t0, phi0, int(rng.integers(2**63)))
+    true_toas = toa_vector(scene)
     assignment = cfg.assignment()
     frames = synthesize_frames(
-        scene, cascade, assignment, cfg.deployment.waveform,
+        true_toas, cascade, assignment, cfg.deployment.waveform,
         noise_seed=int(rng.integers(2**63)),
     )
     spec_map = spectrum_2d(frames, cfg.oversampling)
     toa_groups = extract_toas(spec_map, assignment, threshold_factor=cfg.peak_threshold)
-    return Observation(scene, cascade, assignment, toa_groups)
+    return Observation(scene, true_toas, cascade, assignment, toa_groups)
 
 
-def _label_and_solve(cfg: ExperimentConfig, obs: Observation):
-    """The geometric labeler on one observation: (label map, position)."""
-    label_map, p_hat, _ = run_spl(
-        obs.toa_groups,
-        obs.assignment,
-        obs.scene,
-        cfg.deployment.lattice,
+def _proposed(cfg: ExperimentConfig, obs: Observation):
+    """The geometric labeler (SPL) on one observation: (entries, position)."""
+    entries, p_hat, _ = run_spl(
+        obs.toa_groups, obs.assignment, obs.scene, cfg.deployment.lattice,
         min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
     )
-    return label_map, p_hat
+    return entries, p_hat
+
+
+def _baseline(cfg: ExperimentConfig, obs: Observation):
+    """The fixed-order labeler on one observation and the weighted fix of
+    its labels: (entries, position)."""
+    entries, mags = label_baseline_dft(obs.toa_groups, obs.assignment)
+    return entries, solve_labeled(entries, mags, obs.scene, cfg.deployment.lattice)
+
+
+def _arm(label, cfg: ExperimentConfig, obs: Observation, ue: np.ndarray):
+    """Score one labeler arm on an observation: (entries, error, censored).
+
+    ``label(cfg, obs)`` returns the labeled entries and the fix.  A failed
+    fit (:class:`PositionEstimationError`) censors the arm with the error of
+    its lowest-cost endpoint, if any; too few labels (:class:`BootstrapError`)
+    censor it with NaN.  A censored arm labels nothing; other errors propagate.
+    """
+    try:
+        entries, p_hat = label(cfg, obs)
+        censored = False
+    except PositionEstimationError as exc:
+        entries, p_hat, censored = [], exc.best_estimate, True
+    except BootstrapError:
+        entries, p_hat, censored = [], None, True
+    error = np.nan if p_hat is None else float(np.linalg.norm(p_hat - ue))
+    return entries, error, censored
 
 
 def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
-    """One Monte Carlo trial: shared pipeline, two labelers, one bound.
+    """One Monte Carlo trial: shared pipeline, two scored arms, one bound.
 
     ``trial_seed`` is any seed accepted by ``numpy.random.default_rng``;
     the harness derives it deterministically from (config seed, trial index).
-    A failed position fix (:class:`PositionEstimationError`) or too few
-    exclusive-slope arrivals (:class:`BootstrapError`) censors an arm; any
-    other error propagates.
+    Each arm is scored by :func:`_arm`, which says what censors it.
     """
     rng = np.random.default_rng(trial_seed)
     ue = _draw_ue(cfg, rng)
     obs = observe(cfg, ue, rng)
-    assignment = obs.assignment
-    truth = _truth_sequences(assignment, toa_vector(obs.scene))
-
-    err_p, acc_p, nlab_p, cens_p = np.nan, 0.0, 0, True
-    try:
-        label_map, p_hat = _label_and_solve(cfg, obs)
-        err_p = float(np.linalg.norm(p_hat - ue))
-        acc_p, nlab_p = _label_accuracy(label_map.entries, assignment, truth)
-        cens_p = False
-    except PositionEstimationError as exc:
-        if exc.best_estimate is not None:
-            err_p = float(np.linalg.norm(exc.best_estimate - ue))
-    except BootstrapError:
-        pass
-
-    err_b, acc_b, nlab_b, cens_b = np.nan, 0.0, 0, True
-    base_entries, base_mags = label_baseline_dft(obs.toa_groups, assignment)
-    if len(base_entries) >= 3:
-        try:
-            p_base = solve_labeled(
-                base_entries, base_mags, obs.scene, cfg.deployment.lattice
-            )
-            err_b = float(np.linalg.norm(p_base - ue))
-            acc_b, nlab_b = _label_accuracy(base_entries, assignment, truth)
-            cens_b = False
-        except PositionEstimationError as exc:
-            if exc.best_estimate is not None:
-                err_b = float(np.linalg.norm(exc.best_estimate - ue))
-
+    entries_p, err_p, cens_p = _arm(_proposed, cfg, obs, ue)
+    entries_b, err_b, cens_b = _arm(_baseline, cfg, obs, ue)
+    acc_p, nlab_p = _label_accuracy(entries_p, obs.assignment, obs.true_toas)
+    acc_b, nlab_b = _label_accuracy(entries_b, obs.assignment, obs.true_toas)
     return TrialResult(
         error_proposed=err_p,
         error_baseline=err_b,
@@ -263,7 +262,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
         labeled_baseline=nlab_b,
         censored_proposed=cens_p,
         censored_baseline=cens_b,
-        peb=position_error_bound(cfg, obs.scene, obs.cascade),
+        peb=position_error_bound(cfg, obs.scene, obs.cascade, obs.true_toas),
     )
 
 
@@ -350,11 +349,8 @@ def heatmap(cfg: ExperimentConfig, grid_resolution_m: float) -> list[tuple[float
                     entropy=cfg.seed, spawn_key=(ix, iy, t)
                 )
                 obs = observe(cfg, ue, np.random.default_rng(seed))
-                try:
-                    _, p_hat = _label_and_solve(cfg, obs)
-                    errors.append(float(np.linalg.norm(p_hat - ue)))
-                except (PositionEstimationError, BootstrapError):
-                    errors.append(float("nan"))
+                _, error, censored = _arm(_proposed, cfg, obs, ue)
+                errors.append(np.nan if censored else error)
             rows.append((float(x), float(y), _rmse(np.array(errors))))
     return rows
 

@@ -8,7 +8,9 @@ path is longer than the other's; the positions where it is are bounded by a
 hyperboloid with the two tiles as foci (:func:`in_region_quadric`).  Since the
 discriminant compares one scalar per tile, sorting a group by adjacent
 pairwise tests is a sort by predicted path length, and :func:`spl_sort` does
-that sort for groups of every size.
+that sort for groups of every size.  A labeled list is a list of
+``(toa, tile)`` entries; every one :func:`run_spl` returns was last passed
+through :func:`ris_nfloc.tdoa.build_system`, which rejects a repeated tile.
 """
 
 from __future__ import annotations
@@ -21,19 +23,8 @@ from .constants import SPEED_OF_LIGHT
 from .geometry import Scene
 from .psp import PspAssignment
 from .spectrum import ToaGroups
-from .tdoa import SeedLattice, build_system, solve_position
-
-
-@dataclass(frozen=True)
-class LabelMap:
-    """Arrival-time-to-tile assignment produced by the labeling pass."""
-
-    entries: tuple[tuple[float, int], ...]
-
-    def __post_init__(self):
-        tiles = [k for _, k in self.entries]
-        if len(set(tiles)) != len(tiles):
-            raise ValueError("tile labels must be unique")
+# build_system raises BootstrapError, and callers may import it from here
+from .tdoa import BootstrapError, SeedLattice, build_system, solve_position  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -104,27 +95,20 @@ def spl_sort(tiles, p_estimate, scene: Scene) -> tuple[int, ...]:
     """The tiles of a shared slope group in the order of its descending ToAs.
 
     Sorts by predicted path length at ``p_estimate``, longest first, with
-    ties kept in RIS-axis order, so every ordered pair (a before b) of the
-    result passes ``in_region(p_estimate, bs, a, b)``.
+    ties kept in tile order (a :class:`~ris_nfloc.geometry.RisLayout` places
+    tile k at an offset along its axis that increases with k, so that is the
+    order along the RIS), so every ordered pair (a before b) of the result
+    passes ``in_region(p_estimate, bs, a, b)``.
     """
-    tiles = np.asarray(tiles)
-    along_axis = scene.tile_centers[tiles - 1] @ scene.ris_axis
-    ordered = tiles[np.argsort(along_axis, kind="stable")]
+    ordered = np.sort(tiles)
     lengths = _path_lengths(ordered, p_estimate, scene)
     return tuple(int(k) for k in ordered[np.argsort(-lengths, kind="stable")])
-
-
-class BootstrapError(ValueError):
-    """Fewer than three exclusive-slope arrivals: no first position fix."""
 
 
 def _exclusive_arrivals(
     toa_groups: ToaGroups, assignment: PspAssignment
 ) -> tuple[list[tuple[float, int]], list[float], list[TraceRow]]:
-    """Entries, peak heights and trace rows of the detected singleton groups.
-
-    Raises :class:`BootstrapError` when fewer than three are detected.
-    """
+    """Entries, peak heights and trace rows of the detected singleton groups."""
     entries, mags, trace = [], [], []
     for i in sorted(assignment.groups):
         tiles = assignment.groups[i]
@@ -132,10 +116,6 @@ def _exclusive_arrivals(
             entries.append((float(toa_groups.toas[i][0]), tiles[0]))
             mags.append(float(toa_groups.magnitudes[i][0]))
             trace.append(TraceRow(i, 1, "exclusive"))
-    if len(entries) < 3:
-        raise BootstrapError(
-            f"bootstrap needs at least 3 exclusive-slope arrivals, got {len(entries)}"
-        )
     return entries, mags, trace
 
 
@@ -147,7 +127,8 @@ def bootstrap_position(
 ) -> np.ndarray:
     """First position fix from the exclusive-slope tiles alone.
 
-    This is the weighted fix :func:`run_spl` starts from, bit for bit.
+    This is the weighted fix :func:`run_spl` starts from, bit for bit; fewer
+    than three detected exclusive-slope arrivals raise :class:`BootstrapError`.
     """
     entries, mags, _ = _exclusive_arrivals(toa_groups, assignment)
     return solve_labeled(entries, mags, scene, lattice)
@@ -192,7 +173,7 @@ def run_spl(
     scene: Scene,
     lattice: SeedLattice,
     min_toa_gap: float | None = None,
-) -> tuple[LabelMap, np.ndarray, list[TraceRow]]:
+) -> tuple[list[tuple[float, int]], np.ndarray, list[TraceRow]]:
     """Label every decomposed arrival and refine the position group by group.
 
     Singleton groups label themselves and bootstrap the position; remaining
@@ -205,8 +186,10 @@ def run_spl(
     position solve seeds from ``lattice``, the seed lattice for the scene's
     tiles, runs in its room and weights each arrival by its peak height
     (delay error scales inversely with it; see :func:`solve_labeled`).
-    Returns the label map, the final position estimate and a trace of the
-    method used per group.
+    Returns the labeled entries ``(toa, tile)``, the final position estimate
+    and a trace of the method used per group.  Fewer than three detected
+    exclusive-slope arrivals raise :class:`BootstrapError` from the first
+    solve.
     """
     entries, mags, trace = _exclusive_arrivals(toa_groups, assignment)
     p_est = solve_labeled(entries, mags, scene, lattice)
@@ -230,4 +213,4 @@ def run_spl(
         mags.extend(float(m) for m in toa_groups.magnitudes[i])
         p_est = solve_labeled(entries, mags, scene, lattice)
 
-    return LabelMap(entries=tuple(entries)), p_est, trace
+    return entries, p_est, trace

@@ -151,8 +151,8 @@ def _check_exact_toa_labeling():
         true_toas = toa_vector(scene)
         groups = ToaGroups.from_delays(true_toas, assignment)
         lattice = seed_lattice(_ROOM, scene.tile_centers)
-        label_map, _, _ = run_spl(groups, assignment, scene, lattice)
-        lookup = {k: t for t, k in label_map.entries}
+        entries, _, _ = run_spl(groups, assignment, scene, lattice)
+        lookup = {k: t for t, k in entries}
         for i, tiles in assignment.groups.items():
             truth = sorted(tiles, key=lambda k: -true_toas[k - 1])
             got = sorted(tiles, key=lambda k: -lookup[k])

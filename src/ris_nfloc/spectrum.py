@@ -150,10 +150,12 @@ def extract_toas(
     admissible local maxima (at least ``threshold_factor`` times the column
     median, :func:`kernels.median`) as it has tiles, the largest ones win,
     and ties in magnitude resolve toward the smaller bin.  Columns that
-    cannot supply enough peaks mark their group under-detected.  Every
-    chosen peak is refined by a parabola (:func:`quadratic_refine`).  When
-    the map has ``samples``, a group of m >= 2 tiles is also estimated by
-    matrix pencil (see :func:`_pencil_groups`); the pencil's m delays and
+    cannot supply enough peaks mark their group under-detected; a column
+    whose median is not finite raises ValueError instead, since no peak can
+    be told from its floor.  Every chosen peak is refined by a parabola
+    (:func:`quadratic_refine`).  When the map has ``samples``, a group of
+    m >= 2 tiles is also estimated by matrix pencil (see
+    :func:`_pencil_groups`); the pencil's m delays and
     isolated-peak heights replace the peak-picker result, under-detection
     included, only when every circular gap between the delays is at least
     1/B and every height clears the admissibility floor.  Arrival-time sets
@@ -174,7 +176,10 @@ def extract_toas(
         tiles = assignment.groups[i]
         v = i % l
         column = np.abs(spec.grid[:, v])
-        threshold = threshold_factor * kernels.median(column)
+        floor = kernels.median(column)
+        if not np.isfinite(floor):
+            raise ValueError(f"slope column {v} has a non-finite median magnitude")
+        threshold = threshold_factor * floor
         mask = kernels.column_peak_mask(column, threshold)
         peak_bins = np.nonzero(mask)[0]
         order = np.lexsort((peak_bins, -column[peak_bins]))

@@ -34,6 +34,10 @@ class PositionEstimationError(RuntimeError):
         self.best_estimate = best_estimate
 
 
+class BootstrapError(ValueError):
+    """Fewer than three labeled arrivals: no position fix can be formed."""
+
+
 @dataclass(frozen=True)
 class TdoaSystem:
     """Range differences of the labeled anchors relative to the reference."""
@@ -50,14 +54,15 @@ def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
 
     ``labels`` is an iterable of ``(toa_seconds, tile_index)`` pairs;
     ``tile_positions`` holds all tile centers with tile index k (1-based) at
-    row k-1; the system records its anchors' rows.  The reference is the
-    labeled tile with the smallest arrival time.  Range differences are formed
-    as ``c*(toa_k - toa_ref) - (d_bs_k - d_bs_ref)`` so the clock offset and
-    the known BS legs both cancel.
+    row k-1; the system records its anchors' rows.  Fewer than three labels
+    raise :class:`BootstrapError`: this is the one check of that rule.  The
+    reference is the labeled tile with the smallest arrival time.  Range
+    differences are formed as ``c*(toa_k - toa_ref) - (d_bs_k - d_bs_ref)``
+    so the clock offset and the known BS legs both cancel.
     """
     entries = list(labels)
     if len(entries) < 3:
-        raise ValueError("need at least 3 labeled arrivals")
+        raise BootstrapError(f"need at least 3 labeled arrivals, got {len(entries)}")
     tile_list = [int(t) for _, t in entries]
     if len(set(tile_list)) != len(tile_list):
         raise ValueError("duplicate tile labels")

@@ -6,7 +6,9 @@ is the sum over tiles of the conjugated cascade gain rotated by the subcarrier
 delay phase and the tile's frame-ramp phase, plus circular Gaussian receiver
 noise of variance P*N0/N per cell.  The noise is drawn as one block of real
 parts followed by one block of imaginary parts, scaled in place and added to
-the frames in place.  A quadrature test validates the closed form against the
+the frames in place.  The frames take the tiles' delays as given, so this
+module knows no scene geometry: the harness computes a trial's delays once
+and passes them here.  A quadrature test validates the closed form against the
 integral demodulator once on a tiny case.
 
 The delay phases are never formed as an (N, K) array.  Subcarrier n is split
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, toa_vector
 from .psp import PspAssignment
 
 
@@ -120,21 +121,20 @@ def frames_from_paths(
 
 
 def synthesize_frames(
-    scene: Scene,
+    delays: np.ndarray,
     cascade: np.ndarray,
     assignment: PspAssignment,
     cfg: WaveformConfig,
     noise_seed: int | None = 0,
 ) -> FrameMatrix:
-    """Demodulated frames for a scene, channel cascade and slope assignment.
+    """Demodulated frames for the tiles' delays (``delays[k - 1]`` is tile
+    k's, as from ``geometry.toa_vector``), cascade gains and slope assignment.
 
     ``noise_seed=None`` disables the noise term regardless of ``noise_psd``.
     """
     if assignment.l_frames != cfg.l_frames:
         raise ValueError("assignment frame count does not match waveform config")
-    if len(cascade) != scene.n_tiles:
+    if len(cascade) != len(delays):
         raise ValueError("cascade length does not match tile count")
     rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
-    return frames_from_paths(
-        toa_vector(scene), assignment.beta, np.conj(cascade), cfg, rng
-    )
+    return frames_from_paths(delays, assignment.beta, np.conj(cascade), cfg, rng)

@@ -245,9 +245,9 @@ def test_criterion_4_ground_truth_labeling():
             mags[i] = np.ones(len(tiles))
         groups = ToaGroups(toas=toas, magnitudes=mags)
         lattice = seed_lattice(ROOM, scene.tile_centers)
-        label_map, _, _ = run_spl(groups, assignment, scene, lattice)
-        lookup = {k: t for t, k in label_map.entries}
-        ok = len(label_map.entries) == scene.n_tiles
+        entries, _, _ = run_spl(groups, assignment, scene, lattice)
+        lookup = {k: t for t, k in entries}
+        ok = len(entries) == scene.n_tiles
         if ok:
             for i, tiles in assignment.groups.items():
                 truth = tuple(sorted(tiles, key=lambda k: -true_toas[k - 1]))

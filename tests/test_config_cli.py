@@ -152,6 +152,12 @@ BAD_CONFIGS = {
     "huge_power": "[waveform]\npower_dbm = 4000\n",
     "huge_noise": "[waveform]\nnoise_dbm = 4000\n",
     "vanishing_noise": "[waveform]\nnoise_dbm = -4000\n",
+    # a trial's channel overflows a float: a wavelength c / carrier_hz, a
+    # multipath phase 2*pi*excess/wavelength or a multipath power ratio that
+    # is not finite gave NaN spectra, counted as censored trials
+    "wavelength_overflows": "[waveform]\ncarrier_hz = 1e-300\n",
+    "multipath_phase_overflows": "[multipath]\nexcess_max_m = 1e308\n",
+    "multipath_power_overflows": "[multipath]\npower_rel_db = 6000\n",
     # one subcarrier gives every slope column a flat delay profile without a
     # peak, which censored every trial
     "one_subcarrier": "[waveform]\nsubcarriers = 1\n",

@@ -10,7 +10,7 @@ from ris_nfloc.channel import MultipathConfig, realize_channel
 from ris_nfloc.config import ExperimentConfig, apply_sweep_value
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import build_scene, toa_vector
-from ris_nfloc.harness import _label_and_solve, normalized_cascade, observe, run_trial
+from ris_nfloc.harness import _proposed, normalized_cascade, observe, run_trial
 from ris_nfloc.labeling import run_spl
 from ris_nfloc.tdoa import (
     _grid_seeds,
@@ -141,7 +141,7 @@ def test_trial_labeling_equals_a_fit_on_a_caller_built_lattice():
     for seed in range(3):
         rng = np.random.default_rng(seed)
         obs = observe(DESK, np.array([2.5 + seed, 6.0, 0.0]), rng)
-        labels, p = _label_and_solve(DESK, obs)
+        labels, p = _proposed(DESK, obs)
         labels_own, p_own, _ = run_spl(
             obs.toa_groups, obs.assignment, obs.scene, lattice, gap
         )

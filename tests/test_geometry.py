@@ -97,7 +97,6 @@ def test_toa_rigid_motion_invariant():
         tile_centers=scene.tile_centers @ rot.T + shift,
         elements=scene.elements @ rot.T + shift,
         t0=scene.t0,
-        ris_axis=rot @ scene.ris_axis,
     )
     assert np.allclose(toa_vector(moved), ref, atol=1e-15)
 

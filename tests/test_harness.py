@@ -89,6 +89,62 @@ def test_bootstrap_shortfall_censors_proposed_arm(monkeypatch):
     assert all(np.isnan(rmse) for _, _, rmse in rows)
 
 
+def test_failed_fit_censors_proposed_arm_with_its_best_estimate(monkeypatch):
+    from ris_nfloc import harness
+    from ris_nfloc.tdoa import PositionEstimationError
+
+    plain = run_trial(DESK, 1234)
+    assert not plain.censored_baseline
+    seen = {}
+
+    def fail(toa_groups, assignment, scene, lattice, min_toa_gap=None):
+        seen["ue"] = scene.p_ue
+        seen["p"] = scene.p_ue + np.array([0.3, -0.4, 0.0])
+        raise PositionEstimationError("no convergence", best_estimate=seen["p"])
+
+    monkeypatch.setattr(harness, "run_spl", fail)
+    r = run_trial(DESK, 1234)
+    assert r.censored_proposed
+    assert r.error_proposed == float(np.linalg.norm(seen["p"] - seen["ue"]))
+    assert (r.label_acc_proposed, r.labeled_proposed) == (0.0, 0)
+    # the baseline arm and the bound do not depend on the labeler
+    assert r == replace(
+        plain,
+        error_proposed=r.error_proposed,
+        label_acc_proposed=0.0,
+        labeled_proposed=0,
+        censored_proposed=True,
+    )
+    rows = heatmap(replace(DESK, trials=1), 5.0)
+    assert all(np.isnan(rmse) for _, _, rmse in rows)
+
+    monkeypatch.setattr(
+        harness, "run_spl", _raise(PositionEstimationError("no convergence"))
+    )
+    r = run_trial(DESK, 1234)
+    assert r.censored_proposed
+    assert np.isnan(r.error_proposed)
+
+
+def test_too_few_baseline_labels_censor_only_the_baseline_arm(monkeypatch):
+    from ris_nfloc import harness
+
+    plain = run_trial(DESK, 1234)
+    assert not plain.censored_proposed
+    two = ([(2e-8, 1), (1e-8, 2)], [1.0, 1.0])
+    monkeypatch.setattr(harness, "label_baseline_dft", lambda *args: two)
+    r = run_trial(DESK, 1234)
+    assert r.censored_baseline
+    assert np.isnan(r.error_baseline)
+    assert (r.label_acc_baseline, r.labeled_baseline) == (0.0, 0)
+    # the proposed arm and the bound do not depend on the baseline
+    for name in (
+        "error_proposed", "label_acc_proposed", "labeled_proposed",
+        "censored_proposed", "peb",
+    ):
+        assert getattr(r, name) == getattr(plain, name), name
+
+
 def test_unnamed_value_error_propagates(monkeypatch):
     from ris_nfloc import harness
 
@@ -339,7 +395,7 @@ def test_full_labeling_never_worse_than_bootstrap_median():
         )
         assignment = cfg.assignment()
         frames = synthesize_frames(
-            scene, cascade, assignment, cfg.waveform_config(),
+            toa_vector(scene), cascade, assignment, cfg.waveform_config(),
             noise_seed=int(rng.integers(2**63)),
         )
         groups = extract_toas(spectrum_2d(frames, cfg.oversampling), assignment)

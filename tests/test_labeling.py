@@ -250,10 +250,10 @@ def test_run_spl_exact_toas_perfect_labels():
         )
         assignment = assign(k_tiles, l_frames, 4)
         groups = exact_groups(scene, assignment)
-        label_map, p_hat, trace = run_spl(groups, assignment, scene, lattice_of(scene))
-        assert len(label_map.entries) == scene.n_tiles
+        entries, p_hat, trace = run_spl(groups, assignment, scene, lattice_of(scene))
+        assert len(entries) == scene.n_tiles
         true_toas = toa_vector(scene)
-        lookup = {k: t for t, k in label_map.entries}
+        lookup = {k: t for t, k in entries}
         for i, tiles in assignment.groups.items():
             truth = tuple(sorted(tiles, key=lambda k: -true_toas[k - 1]))
             got = tuple(sorted(tiles, key=lambda k: -lookup[k]))
@@ -266,8 +266,8 @@ def test_run_spl_sufficient_budget_matches_plain_tdoa():
     scene = build_scene(layout, [0, 5, 2], [4, 6, 0], t0=1e-7)
     assignment = assign(8, 8)
     groups = exact_groups(scene, assignment)
-    label_map, p_hat, trace = run_spl(groups, assignment, scene, lattice_of(scene))
-    assert len(label_map.entries) == scene.n_tiles
+    entries, p_hat, trace = run_spl(groups, assignment, scene, lattice_of(scene))
+    assert len(entries) == scene.n_tiles
     assert all(row.dod == 1 for row in trace)
     assert np.linalg.norm(p_hat - scene.p_ue) < 1e-4
 
@@ -279,10 +279,10 @@ def test_run_spl_skips_unresolvable_group():
     assignment = assign(6, 5, 3)
     groups = exact_groups(scene, assignment)
     bandwidth = 400e6
-    label_map, p_hat, trace = run_spl(
+    entries, p_hat, trace = run_spl(
         groups, assignment, scene, lattice_of(scene), min_toa_gap=1.0 / bandwidth
     )
     skipped = [row for row in trace if row.method == "skipped"]
     assert skipped  # tiles 0.1 m apart cannot clear 0.75 m of path gap
-    assert len(label_map.entries) < scene.n_tiles
+    assert len(entries) < scene.n_tiles
     assert np.linalg.norm(p_hat - scene.p_ue) < 1e-4

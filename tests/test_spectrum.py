@@ -153,6 +153,17 @@ def test_extract_off_grid_within_half_bin():
             assert abs(groups.toas[i][0] - taus[idx]) <= bin_s / 2 + 1e-15
 
 
+def test_non_finite_column_raises_instead_of_under_detecting():
+    # a NaN in a column makes its median NaN: no peak can be told from that
+    # floor, so extraction fails rather than marking the group under-detected
+    cfg = small_cfg()
+    _, _, frames = grid_path(cfg, 4, 40, 3)
+    spec = spectrum_2d(frames, 4)
+    spec.grid[7, 3] = np.nan
+    with pytest.raises(ValueError, match="slope column 3"):
+        extract_toas(spec, assign(8, 8, 8))
+
+
 def test_under_detection_flag():
     cfg = small_cfg(l=3)
     q = 4

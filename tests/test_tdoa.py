@@ -92,6 +92,12 @@ def test_build_system_validation():
         build_system([(1e-8, 1), (2e-8, 1), (3e-8, 2)], anchors, p_bs)
 
 
+def test_build_system_owns_the_three_arrival_rule():
+    anchors = np.array([[1.0, 2, 1], [3.0, 4, 1]])
+    with pytest.raises(tdoa.BootstrapError, match="at least 3 labeled arrivals"):
+        build_system([(1e-8, 1), (2e-8, 2)], anchors, np.zeros(3))
+
+
 def test_build_system_matches_loop_reference():
     rng = np.random.default_rng(2)
     tiles_xyz = random_general_anchors(rng, n=12)

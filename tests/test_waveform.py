@@ -104,7 +104,9 @@ def test_synthesize_frames_uses_scene_delays():
     assignment = assign(3, 4, 3)
     cfg = small_cfg(l=4)
     cascade = np.array([1.0, 0.5 - 0.2j, 0.3j])
-    frames = synthesize_frames(scene, cascade, assignment, cfg, noise_seed=None)
+    frames = synthesize_frames(
+        toa_vector(scene), cascade, assignment, cfg, noise_seed=None
+    )
     expected = frames_from_paths(
         toa_vector(scene), assignment.beta, np.conj(cascade), cfg
     )
@@ -116,9 +118,9 @@ def test_synthesize_frames_validation():
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
     assignment = assign(3, 4, 3)
     with pytest.raises(ValueError):
-        synthesize_frames(scene, np.ones(3), assignment, small_cfg(l=8))
+        synthesize_frames(toa_vector(scene), np.ones(3), assignment, small_cfg(l=8))
     with pytest.raises(ValueError):
-        synthesize_frames(scene, np.ones(2), assignment, small_cfg(l=4))
+        synthesize_frames(toa_vector(scene), np.ones(2), assignment, small_cfg(l=4))
 
 
 def test_noise_reproducible_by_seed():
@@ -126,9 +128,9 @@ def test_noise_reproducible_by_seed():
     layout = RisLayout(tile_count=3, tile_spacing=0.3, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
     assignment = assign(3, 8, 3)
-    a = synthesize_frames(scene, np.ones(3), assignment, cfg, noise_seed=5)
-    b = synthesize_frames(scene, np.ones(3), assignment, cfg, noise_seed=5)
-    c = synthesize_frames(scene, np.ones(3), assignment, cfg, noise_seed=6)
+    a = synthesize_frames(toa_vector(scene), np.ones(3), assignment, cfg, noise_seed=5)
+    b = synthesize_frames(toa_vector(scene), np.ones(3), assignment, cfg, noise_seed=5)
+    c = synthesize_frames(toa_vector(scene), np.ones(3), assignment, cfg, noise_seed=6)
     assert np.array_equal(a.s, b.s)
     assert not np.array_equal(a.s, c.s)
 
