@@ -9,7 +9,9 @@ lattice of the room) comes from the config's deployment
 (:attr:`ExperimentConfig.deployment`), built once per config, so a trial adds
 only its UE, its offsets and its draws, and its true delays are computed
 once.  Two labelers consume the same extraction: the geometric one and the
-fixed-order baseline that models code-collision failure.  One scorer,
+fixed-order baseline that models code-collision failure.  Each reads only
+the deployment and the extracted arrivals, never the scene, so no arm can
+see the UE it estimates.  One scorer,
 :func:`_arm`, scores either labeler, in trials and heatmap cells alike, and
 counts a censored arm, never dropping it silently.  The experiment config
 and every check that decides whether it can run live in
@@ -142,7 +144,8 @@ class Observation:
 
     ``true_toas`` holds the scene's true delays (:func:`toa_vector`),
     ``cascade`` the path-loss-normalized cascade gains and ``toa_groups``
-    the arrivals extracted from the trial's spectrum.
+    the arrivals extracted from the trial's spectrum.  The labelers read
+    only ``assignment`` and ``toa_groups``; the rest scores them.
     """
 
     scene: Scene
@@ -207,7 +210,7 @@ def observe(
 def _proposed(cfg: ExperimentConfig, obs: Observation):
     """The geometric labeler (SPL) on one observation: (entries, position)."""
     entries, p_hat, _ = run_spl(
-        obs.toa_groups, obs.assignment, obs.scene, cfg.deployment.lattice,
+        obs.toa_groups, obs.assignment, cfg.deployment,
         min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
     )
     return entries, p_hat
@@ -217,7 +220,7 @@ def _baseline(cfg: ExperimentConfig, obs: Observation):
     """The fixed-order labeler on one observation and the weighted fix of
     its labels: (entries, position)."""
     entries, mags = label_baseline_dft(obs.toa_groups, obs.assignment)
-    return entries, solve_labeled(entries, mags, obs.scene, cfg.deployment.lattice)
+    return entries, solve_labeled(entries, mags, cfg.deployment)
 
 
 def _arm(label, cfg: ExperimentConfig, obs: Observation, ue: np.ndarray):
@@ -441,16 +444,15 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
         )
     )
 
-    # labeling + solve on exact arrivals across tile counts, on the
-    # deployment's seed table as in a trial
+    # labeling + solve on exact arrivals across tile counts; with no
+    # resolvability gap every shared group is labeled
     for sub in spl_configs:
         dep = sub.deployment
-        scene = dep.scene(np.array([3.0, 4.0, 0.0]))
         assignment = sub.assignment()
-        groups = ToaGroups.from_delays(toa_vector(scene), assignment)
-        seconds = _time_callable(
-            lambda: run_spl(groups, assignment, scene, dep.lattice)
+        groups = ToaGroups.from_delays(
+            toa_vector(dep.scene(np.array([3.0, 4.0, 0.0]))), assignment
         )
+        seconds = _time_callable(lambda: run_spl(groups, assignment, dep))
         rows.append(("spl_tdoa", sub.tile_count, seconds))
 
     x = np.log(np.array(fast_sizes) * np.log2(fast_sizes))

@@ -11,6 +11,10 @@ pairwise tests is a sort by predicted path length, and :func:`spl_sort` does
 that sort for groups of every size.  A labeled list is a list of
 ``(toa, tile)`` entries; every one :func:`run_spl` returns was last passed
 through :func:`ris_nfloc.tdoa.build_system`, which rejects a repeated tile.
+The one geometry every labeler and solve here takes is the config's
+:class:`~ris_nfloc.deployment.Deployment`: the tile centers, the BS, its
+legs and the seed lattice, all known before a trial; the UE's true position
+and clock offset never reach them.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import Scene
+from .deployment import Deployment
 from .psp import PspAssignment
 from .spectrum import ToaGroups
 # build_system raises BootstrapError, and callers may import it from here
-from .tdoa import BootstrapError, SeedLattice, build_system, solve_position  # noqa: F401
+from .tdoa import BootstrapError, build_system, solve_position  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,15 @@ def in_region_quadric(p, p_bs, p_k1, p_k2) -> bool:
     return not (f > 0.0 and xi < 0.0)
 
 
-def _path_lengths(tiles, p_est, scene: Scene) -> np.ndarray:
+def _path_lengths(tiles, p_est, dep: Deployment) -> np.ndarray:
     """Predicted BS -> tile -> UE path length of each tile at ``p_est`` (m)."""
-    centers = scene.tile_centers[np.asarray(tiles) - 1]
-    return np.linalg.norm(scene.p_bs - centers, axis=1) + np.linalg.norm(
-        np.asarray(p_est, dtype=float) - centers, axis=1
+    rows = np.asarray(tiles) - 1
+    return dep.bs_legs[rows] + np.linalg.norm(
+        np.asarray(p_est, dtype=float) - dep.tile_centers[rows], axis=1
     )
 
 
-def spl_sort(tiles, p_estimate, scene: Scene) -> tuple[int, ...]:
+def spl_sort(tiles, p_estimate, dep: Deployment) -> tuple[int, ...]:
     """The tiles of a shared slope group in the order of its descending ToAs.
 
     Sorts by predicted path length at ``p_estimate``, longest first, with
@@ -101,7 +105,7 @@ def spl_sort(tiles, p_estimate, scene: Scene) -> tuple[int, ...]:
     passes ``in_region(p_estimate, bs, a, b)``.
     """
     ordered = np.sort(tiles)
-    lengths = _path_lengths(ordered, p_estimate, scene)
+    lengths = _path_lengths(ordered, p_estimate, dep)
     return tuple(int(k) for k in ordered[np.argsort(-lengths, kind="stable")])
 
 
@@ -120,10 +124,7 @@ def _exclusive_arrivals(
 
 
 def bootstrap_position(
-    toa_groups: ToaGroups,
-    assignment: PspAssignment,
-    scene: Scene,
-    lattice: SeedLattice,
+    toa_groups: ToaGroups, assignment: PspAssignment, dep: Deployment
 ) -> np.ndarray:
     """First position fix from the exclusive-slope tiles alone.
 
@@ -131,11 +132,11 @@ def bootstrap_position(
     than three detected exclusive-slope arrivals raise :class:`BootstrapError`.
     """
     entries, mags, _ = _exclusive_arrivals(toa_groups, assignment)
-    return solve_labeled(entries, mags, scene, lattice)
+    return solve_labeled(entries, mags, dep)
 
 
 def _group_resolvable(
-    tiles, toas: np.ndarray, p_est, scene: Scene, min_gap: float
+    tiles, toas: np.ndarray, p_est, dep: Deployment, min_gap: float
 ) -> bool:
     """Decomposability check of one group against the delay resolution.
 
@@ -146,32 +147,30 @@ def _group_resolvable(
     """
     if len(toas) > 1 and float(np.min(-np.diff(toas))) < min_gap:
         return False
-    predicted = np.sort(_path_lengths(tiles, p_est, scene)) / SPEED_OF_LIGHT
+    predicted = np.sort(_path_lengths(tiles, p_est, dep)) / SPEED_OF_LIGHT
     return float(np.min(np.diff(predicted))) >= min_gap
 
 
-def solve_labeled(entries, mags, scene: Scene, lattice: SeedLattice) -> np.ndarray:
-    """Position fix from labeled arrivals ``(toa, tile)`` in the room of
-    ``lattice``, the seed lattice for the scene's tiles (see
-    :func:`ris_nfloc.tdoa.solve_position`).
+def solve_labeled(entries, mags, dep: Deployment) -> np.ndarray:
+    """Position fix from labeled arrivals ``(toa, tile)`` on the tiles and
+    seed lattice of ``dep`` (see :func:`ris_nfloc.tdoa.solve_position`).
 
     Each arrival's delay-error scale is the inverse of its peak height in
     ``mags`` (delay error scales inversely with it).
     """
-    system = build_system(entries, scene.tile_centers, scene.p_bs)
+    system = build_system(entries, dep.tile_centers, dep.p_bs)
     by_tile = {k: m for (_, k), m in zip(entries, mags)}
     sigma_ref = 1.0 / max(by_tile[system.ref_tile], 1e-30)
     sigmas = np.array(
         [1.0 / max(by_tile[k], 1e-30) for _, k in entries if k != system.ref_tile]
     )
-    return solve_position(system, lattice, sigmas=sigmas, sigma_ref=sigma_ref)
+    return solve_position(system, dep.lattice, sigmas=sigmas, sigma_ref=sigma_ref)
 
 
 def run_spl(
     toa_groups: ToaGroups,
     assignment: PspAssignment,
-    scene: Scene,
-    lattice: SeedLattice,
+    dep: Deployment,
     min_toa_gap: float | None = None,
 ) -> tuple[list[tuple[float, int]], np.ndarray, list[TraceRow]]:
     """Label every decomposed arrival and refine the position group by group.
@@ -183,16 +182,16 @@ def run_spl(
     the decomposability check against ``min_toa_gap`` (pass a mainlobe width,
     e.g. 2/bandwidth): arrivals closer than that sit inside each other's
     mainlobes and their peaks carry no trustworthy tile-wise delays.  Every
-    position solve seeds from ``lattice``, the seed lattice for the scene's
-    tiles, runs in its room and weights each arrival by its peak height
-    (delay error scales inversely with it; see :func:`solve_labeled`).
+    position solve runs on the tiles and seed lattice of ``dep`` and weights
+    each arrival by its peak height (delay error scales inversely with it;
+    see :func:`solve_labeled`).
     Returns the labeled entries ``(toa, tile)``, the final position estimate
     and a trace of the method used per group.  Fewer than three detected
     exclusive-slope arrivals raise :class:`BootstrapError` from the first
     solve.
     """
     entries, mags, trace = _exclusive_arrivals(toa_groups, assignment)
-    p_est = solve_labeled(entries, mags, scene, lattice)
+    p_est = solve_labeled(entries, mags, dep)
 
     multi = [i for i in assignment.groups if len(assignment.groups[i]) > 1]
     for i in sorted(multi, key=lambda i: (len(assignment.groups[i]), i)):
@@ -203,14 +202,14 @@ def run_spl(
             continue
         toas = toa_groups.toas[i]
         if min_toa_gap is not None and not _group_resolvable(
-            tiles, toas, p_est, scene, min_toa_gap
+            tiles, toas, p_est, dep, min_toa_gap
         ):
             trace.append(TraceRow(i, dod, "skipped"))
             continue
-        seq = spl_sort(tiles, p_est, scene)
+        seq = spl_sort(tiles, p_est, dep)
         trace.append(TraceRow(i, dod, "pair" if dod == 2 else "sort"))
         entries.extend((float(t), k) for t, k in zip(toas, seq))
         mags.extend(float(m) for m in toa_groups.magnitudes[i])
-        p_est = solve_labeled(entries, mags, scene, lattice)
+        p_est = solve_labeled(entries, mags, dep)
 
     return entries, p_est, trace

@@ -54,13 +54,13 @@ def psp_list(l_frames: int) -> np.ndarray:
 def assign(k_tiles: int, l_frames: int, k0_size: int = 4) -> PspAssignment:
     """Assign slopes to tiles under a sufficient or insufficient frame budget.
 
-    With ``l_frames >= k_tiles`` every tile receives an exclusive slope (the
-    last ``k_tiles`` entries of the slope list, preserving the convention that
-    exclusive slopes sit at the top).  Otherwise ``k0_size`` evenly spread
-    tiles take the top slopes and the remaining tiles cycle through
-    ``alpha(1)..alpha(L-K0)`` in ascending tile order.  The anchors' spread
-    needs ``k0_size >= 2``; the bootstrap's need for three anchors is a
-    config check (:func:`ris_nfloc.config.check_config`).
+    The anchors (exclusive-slope tiles) take the top slopes in tile order
+    and the remaining tiles cycle through ``alpha(1)..alpha(L-K0)`` in
+    ascending tile order.  With ``l_frames >= k_tiles`` every tile is an
+    anchor, so the tiles take the last ``k_tiles`` slopes; otherwise
+    ``k0_size`` evenly spread tiles are.  The anchors' spread needs
+    ``k0_size >= 2``; the bootstrap's need for three anchors is a config
+    check (:func:`ris_nfloc.config.check_config`).
     """
     if k_tiles < 1:
         raise ValueError("k_tiles must be >= 1")
@@ -70,32 +70,20 @@ def assign(k_tiles: int, l_frames: int, k0_size: int = 4) -> PspAssignment:
     beta = np.zeros(k_tiles)
 
     if l_frames >= k_tiles:
-        # sufficient budget: one exclusive slope per tile, all groups singleton
-        for k in range(1, k_tiles + 1):
-            beta[k - 1] = alphas[l_frames - k_tiles + k - 1]
+        # sufficient budget: every tile is an anchor, all groups singleton
         k0_set = tuple(range(1, k_tiles + 1))
-        groups = {
-            l_frames - k_tiles + k: (k,) for k in range(1, k_tiles + 1)
-        }
-        return PspAssignment(
-            l_frames=l_frames,
-            beta=beta,
-            k0_set=k0_set,
-            groups=groups,
-            k0_size=k_tiles,
+    else:
+        if k0_size < 2:
+            raise ValueError("k0_size must be >= 2")
+        if l_frames <= k0_size:
+            raise ValueError("need l_frames > k0_size when tiles outnumber slopes")
+        # evenly spread anchors, endpoints included
+        k0_set = tuple(
+            1 + (j * (k_tiles - 1)) // (k0_size - 1) for j in range(k0_size)
         )
-
-    if k0_size < 2:
-        raise ValueError("k0_size must be >= 2")
-    if l_frames <= k0_size:
-        raise ValueError("need l_frames > k0_size when tiles outnumber slopes")
-
-    # evenly spread anchors, endpoints included
-    k0_set = tuple(
-        1 + (j * (k_tiles - 1)) // (k0_size - 1) for j in range(k0_size)
-    )
-    if len(set(k0_set)) != k0_size:
-        raise ValueError("k0_size too large for this tile count")
+        if len(set(k0_set)) != k0_size:
+            raise ValueError("k0_size too large for this tile count")
+    k0_size = len(k0_set)
     for j, k in enumerate(k0_set):
         beta[k - 1] = alphas[l_frames - k0_size + j]
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from . import kernels
 from .bounds import tdoa_gradients
+from .config import ExperimentConfig
 from .constants import SPEED_OF_LIGHT
 from .geometry import RisLayout, build_scene, toa_vector
 from .labeling import in_region, in_region_quadric, run_spl
@@ -139,19 +140,18 @@ def _check_exact_toa_labeling():
         k0 = 4
         if l_frames >= k_tiles or (k_tiles - k0) / (l_frames - k0) > 4:
             continue
-        layout = RisLayout(
+        cfg = ExperimentConfig(
             tile_count=k_tiles,
-            tile_spacing=rng.uniform(0.1, 0.4),
-            center=[5, 10, 2],
-            axis=[1, 0, 0],
+            tile_spacing_m=rng.uniform(0.1, 0.4),
+            frames=l_frames,
+            exclusive_tiles=k0,
         )
         ue = np.array([rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.0), 0.0])
-        scene = build_scene(layout, [0, 5, 2], ue, t0=rng.uniform(0, 1e-6))
-        assignment = assign(k_tiles, l_frames, k0)
+        scene = cfg.deployment.scene(ue, t0=rng.uniform(0, 1e-6))
+        assignment = cfg.assignment()
         true_toas = toa_vector(scene)
         groups = ToaGroups.from_delays(true_toas, assignment)
-        lattice = seed_lattice(_ROOM, scene.tile_centers)
-        entries, _, _ = run_spl(groups, assignment, scene, lattice)
+        entries, _, _ = run_spl(groups, assignment, cfg.deployment)
         lookup = {k: t for t, k in entries}
         for i, tiles in assignment.groups.items():
             truth = sorted(tiles, key=lambda k: -true_toas[k - 1])

@@ -317,7 +317,10 @@ def solve_position(
     step is shorter than 10 nm.  If no descent converges within ``max_iter``
     iterations, the lowest-cost endpoint is resumed once.  The lowest-cost
     endpoint is returned with z = 0.  Raises :class:`PositionEstimationError`
-    with that endpoint if no descent converges.
+    with that endpoint if no descent converges, and ValueError before any
+    descent if no lattice point is a local minimum of a finite cost, as when
+    a non-finite arrival makes every cost NaN: no trial of such a config can
+    be run, so it is not a censored fit.
 
     With ``sigmas`` (per non-reference anchor, ordered like the system rows)
     and ``sigma_ref`` the fit becomes a generalized least squares: the
@@ -327,6 +330,8 @@ def solve_position(
     """
     whitener = _ResidualWhitener(sigmas, sigma_ref, len(system.gammas))
     seeds = _grid_seeds(system, lattice, whitener)
+    if len(seeds) == 0:
+        raise ValueError("the seed lattice has no finite local minimum of the cost")
     p, converged = _gauss_newton_ground(system, lattice, max_iter, whitener, seeds)
     if not converged:
         raise PositionEstimationError(

@@ -244,8 +244,10 @@ def test_criterion_4_ground_truth_labeling():
             toas[i] = np.sort([true_toas[k - 1] for k in tiles])[::-1]
             mags[i] = np.ones(len(tiles))
         groups = ToaGroups(toas=toas, magnitudes=mags)
-        lattice = seed_lattice(ROOM, scene.tile_centers)
-        entries, _, _ = run_spl(groups, assignment, scene, lattice)
+        dep = ExperimentConfig(
+            tile_count=k_tiles, tile_spacing_m=layout.tile_spacing
+        ).deployment
+        entries, _, _ = run_spl(groups, assignment, dep)
         lookup = {k: t for t, k in entries}
         ok = len(entries) == scene.n_tiles
         if ok:

@@ -10,8 +10,7 @@ from ris_nfloc.channel import MultipathConfig, realize_channel
 from ris_nfloc.config import ExperimentConfig, apply_sweep_value
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import build_scene, toa_vector
-from ris_nfloc.harness import _proposed, normalized_cascade, observe, run_trial
-from ris_nfloc.labeling import run_spl
+from ris_nfloc.harness import normalized_cascade, run_trial
 from ris_nfloc.tdoa import (
     _grid_seeds,
     _ResidualWhitener,
@@ -126,27 +125,12 @@ def test_deployment_table_rows_give_the_per_solve_distances_and_seeds(cfg, tiles
         seeds = _grid_seeds(system, lattice, whitener)
         assert np.array_equal(seeds[0], lattice.points[np.argmin(cost)])
         # a lattice the caller builds for the same room and tiles, as the
-        # tests and the self-test do, gives the trial's fix bit for bit
+        # solver's tests do, gives the trial's fix bit for bit
         kwargs = dict(sigmas=sigmas, sigma_ref=0.7)
         assert np.array_equal(
             solve_position(system, lattice, **kwargs),
             solve_position(system, built, **kwargs),
         )
-
-
-def test_trial_labeling_equals_a_fit_on_a_caller_built_lattice():
-    lattice = seed_lattice(DESK.room, DESK.deployment.tile_centers)
-    assert np.array_equal(lattice.distances, DESK.deployment.lattice.distances)
-    gap = DESK.resolvability_margin / DESK.bandwidth_hz
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        obs = observe(DESK, np.array([2.5 + seed, 6.0, 0.0]), rng)
-        labels, p = _proposed(DESK, obs)
-        labels_own, p_own, _ = run_spl(
-            obs.toa_groups, obs.assignment, obs.scene, lattice, gap
-        )
-        assert labels == labels_own
-        assert np.array_equal(p, p_own)
 
 
 def test_building_a_deployment_calls_no_slope_assignment(monkeypatch):

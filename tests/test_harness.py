@@ -96,12 +96,17 @@ def test_failed_fit_censors_proposed_arm_with_its_best_estimate(monkeypatch):
     plain = run_trial(DESK, 1234)
     assert not plain.censored_baseline
     seen = {}
+    observe = harness.observe
 
-    def fail(toa_groups, assignment, scene, lattice, min_toa_gap=None):
-        seen["ue"] = scene.p_ue
-        seen["p"] = scene.p_ue + np.array([0.3, -0.4, 0.0])
+    def observe_ue(cfg, ue, rng):
+        seen["ue"] = ue
+        return observe(cfg, ue, rng)
+
+    def fail(toa_groups, assignment, dep, min_toa_gap=None):
+        seen["p"] = seen["ue"] + np.array([0.3, -0.4, 0.0])
         raise PositionEstimationError("no convergence", best_estimate=seen["p"])
 
+    monkeypatch.setattr(harness, "observe", observe_ue)
     monkeypatch.setattr(harness, "run_spl", fail)
     r = run_trial(DESK, 1234)
     assert r.censored_proposed
@@ -153,6 +158,29 @@ def test_unnamed_value_error_propagates(monkeypatch):
         run_trial(DESK, 1234)
     with pytest.raises(ValueError, match="a bug"):
         heatmap(replace(DESK, trials=1), 5.0)
+
+
+def test_labeler_arms_never_read_the_truth():
+    # an observation stripped of its scene, true delays and cascade scores
+    # both arms the same; full scale at L = 32 labels shared groups too
+    from ris_nfloc.harness import _arm, _baseline, _draw_ue, _proposed, observe
+
+    shared_labeled = False
+    for cfg in (DESK, ExperimentConfig(frames=32)):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            ue = _draw_ue(cfg, rng)
+            obs = observe(cfg, ue, rng)
+            blind = replace(obs, scene=None, true_toas=None, cascade=None)
+            for label in (_proposed, _baseline):
+                entries, error, censored = _arm(label, cfg, obs, ue)
+                blind_entries, blind_error, blind_censored = _arm(label, cfg, blind, ue)
+                assert blind_entries == entries
+                assert np.array_equal(blind_error, error, equal_nan=True)
+                assert blind_censored == censored
+                if label is _proposed:
+                    shared_labeled |= len(entries) > obs.assignment.k0_size
+    assert shared_labeled
 
 
 def test_baseline_fixed_order_labels():
@@ -400,10 +428,9 @@ def test_full_labeling_never_worse_than_bootstrap_median():
         )
         groups = extract_toas(spectrum_2d(frames, cfg.oversampling), assignment)
         try:
-            lattice = cfg.deployment.lattice
-            p_boot = bootstrap_position(groups, assignment, scene, lattice)
+            p_boot = bootstrap_position(groups, assignment, cfg.deployment)
             _, p_full, _ = run_spl(
-                groups, assignment, scene, lattice,
+                groups, assignment, cfg.deployment,
                 min_toa_gap=cfg.resolvability_margin / cfg.bandwidth_hz,
             )
         except Exception:

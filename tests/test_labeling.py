@@ -13,9 +13,6 @@ from ris_nfloc.labeling import (
 )
 from ris_nfloc.psp import assign
 from ris_nfloc.spectrum import ToaGroups
-from ris_nfloc.tdoa import seed_lattice
-
-ROOM = ((0.0, 0.0, 0.0), (10.0, 10.0, 3.0))
 
 
 def pair_scene(ue=(5, 5, 0), bs=(0, 5, 2)):
@@ -27,8 +24,11 @@ def exact_groups(scene, assignment):
     return ToaGroups.from_delays(toa_vector(scene), assignment)
 
 
-def lattice_of(scene):
-    return seed_lattice(ROOM, scene.tile_centers)
+def deployment(tile_count, tile_spacing, bs=(0, 5, 2)):
+    """The deployment of the tests' RIS layout with the BS at ``bs``."""
+    return ExperimentConfig(
+        tile_count=tile_count, tile_spacing_m=tile_spacing, bs_position_m=tuple(bs)
+    ).deployment
 
 
 def test_in_region_hand_case():
@@ -77,9 +77,10 @@ def test_label_pair_cases():
     t = toa_vector(scene)
     # at the true position the labels must match the true delay order
     expected = (1, 2) if t[0] >= t[1] else (2, 1)
-    assert spl_sort((1, 2), scene.p_ue, scene) == expected
+    dep = deployment(2, 2.0)
+    assert spl_sort((1, 2), scene.p_ue, dep) == expected
     # tile order argument is normalized internally
-    assert spl_sort((2, 1), scene.p_ue, scene) == expected
+    assert spl_sort((2, 1), scene.p_ue, dep) == expected
 
 
 def test_label_pair_deep_right_estimate():
@@ -88,7 +89,7 @@ def test_label_pair_deep_right_estimate():
     scene = pair_scene(ue=(8, 9.5, 0))
     t = toa_vector(scene)
     assert t[0] > t[1]  # left tile path longer (direct ToA oracle)
-    assert spl_sort((1, 2), scene.p_ue, scene) == (1, 2)
+    assert spl_sort((1, 2), scene.p_ue, deployment(2, 2.0)) == (1, 2)
 
 
 def test_bootstrap_position_exact():
@@ -96,7 +97,7 @@ def test_bootstrap_position_exact():
     layout = RisLayout(tile_count=16, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [3.5, 4.5, 0], t0=2e-7)
     groups = exact_groups(scene, assignment)
-    p = bootstrap_position(groups, assignment, scene, lattice_of(scene))
+    p = bootstrap_position(groups, assignment, deployment(16, 0.1))
     assert np.linalg.norm(p - scene.p_ue) < 1e-6
 
 
@@ -110,7 +111,7 @@ def test_bootstrap_is_the_first_fix_of_run_spl():
     for _ in range(20):
         ue = np.array([rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.0), 0.0])
         obs = observe(cfg, ue, rng)
-        args = (obs.toa_groups, obs.assignment, obs.scene, cfg.deployment.lattice)
+        args = (obs.toa_groups, obs.assignment, cfg.deployment)
         _, p_spl, trace = run_spl(*args, min_toa_gap=np.inf)
         assert {row.method for row in trace} == {"exclusive", "skipped"}
         assert np.array_equal(p_spl, bootstrap_position(*args))
@@ -127,7 +128,7 @@ def test_bootstrap_missing_singletons_raises():
     mags = {i: v for i, v in groups.magnitudes.items() if i not in singles[:2]}
     broken = ToaGroups(toas=toas, magnitudes=mags, under_detected=frozenset(singles[:2]))
     with pytest.raises(ValueError):
-        bootstrap_position(broken, assignment, scene, lattice_of(scene))
+        bootstrap_position(broken, assignment, deployment(16, 0.1))
 
 
 def test_bootstrap_quantized_toas_stay_in_room_scale():
@@ -136,6 +137,7 @@ def test_bootstrap_quantized_toas_stay_in_room_scale():
     assignment = assign(64, 16, 4)
     layout = RisLayout(tile_count=64, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
     bin_s = 1.0 / (4 * 400e6)  # oversampled bin at 400 MHz
+    dep = deployment(64, 0.1)
     errs = []
     for _ in range(20):
         ue = np.array([rng.uniform(1, 9), rng.uniform(1, 9), 0.0])
@@ -152,7 +154,7 @@ def test_bootstrap_quantized_toas_stay_in_room_scale():
             toas[i] = vals
             mags[i] = np.ones(len(tiles))
         groups = ToaGroups(toas=toas, magnitudes=mags)
-        p = bootstrap_position(groups, assignment, scene, lattice_of(scene))
+        p = bootstrap_position(groups, assignment, dep)
         errs.append(np.linalg.norm(p - ue))
     assert np.median(errs) < 1.0
 
@@ -160,13 +162,14 @@ def test_bootstrap_quantized_toas_stay_in_room_scale():
 def test_spl_sort_matches_brute_force_oracle():
     rng = np.random.default_rng(5)
     layout = RisLayout(tile_count=3, tile_spacing=1.5, center=[5, 10, 2], axis=[1, 0, 0])
+    dep = deployment(3, 1.5)
     for _ in range(50):
         ue = np.array([rng.uniform(0, 10), rng.uniform(0, 9), 0.0])
         scene = build_scene(layout, [0, 5, 2], ue)
         t = toa_vector(scene)
         # oracle: the permutation whose predicted delay order matches
         oracle = tuple(sorted((1, 2, 3), key=lambda k: -t[k - 1]))
-        assert spl_sort((1, 2, 3), scene.p_ue, scene) == oracle
+        assert spl_sort((1, 2, 3), scene.p_ue, dep) == oracle
 
 
 def test_spl_sort_breaks_ties_in_ris_axis_order():
@@ -179,8 +182,9 @@ def test_spl_sort_breaks_ties_in_ris_axis_order():
     )
     t = toa_vector(scene)
     assert t[0] == t[1]
-    assert spl_sort((2, 1), scene.p_ue, scene) == (1, 2)
-    assert spl_sort((1, 2), scene.p_ue, scene) == (1, 2)
+    dep = deployment(2, 2.0, bs=(5, 0, 2))
+    assert spl_sort((2, 1), scene.p_ue, dep) == (1, 2)
+    assert spl_sort((1, 2), scene.p_ue, dep) == (1, 2)
 
 
 def test_spl_sort_consistent_hypothesis_fixed_point():
@@ -189,11 +193,12 @@ def test_spl_sort_consistent_hypothesis_fixed_point():
         [0, 5, 2],
         [8.5, 2, 0],
     )
-    seq = spl_sort((1, 2, 3), scene.p_ue, scene)
+    dep = deployment(3, 1.5)
+    seq = spl_sort((1, 2, 3), scene.p_ue, dep)
     # re-sorting the solved order, or any other order of the same tiles,
     # gives the same labels
-    assert spl_sort(seq, scene.p_ue, scene) == seq
-    assert spl_sort(seq[::-1], scene.p_ue, scene) == seq
+    assert spl_sort(seq, scene.p_ue, dep) == seq
+    assert spl_sort(seq[::-1], scene.p_ue, dep) == seq
 
 
 def test_spl_sort_passes_every_pairwise_discriminant():
@@ -215,7 +220,7 @@ def test_spl_sort_passes_every_pairwise_discriminant():
         p_est = scene.p_ue + offset
         group = tuple(int(k) for k in rng.choice(np.arange(1, 13), rng.integers(2, 7),
                                                  replace=False))
-        seq = spl_sort(group, p_est, scene)
+        seq = spl_sort(group, p_est, deployment(12, layout.tile_spacing, bs))
         assert sorted(seq) == sorted(group)
         for a in range(len(seq)):
             for b in range(a + 1, len(seq)):
@@ -250,7 +255,8 @@ def test_run_spl_exact_toas_perfect_labels():
         )
         assignment = assign(k_tiles, l_frames, 4)
         groups = exact_groups(scene, assignment)
-        entries, p_hat, trace = run_spl(groups, assignment, scene, lattice_of(scene))
+        dep = deployment(k_tiles, layout.tile_spacing)
+        entries, p_hat, trace = run_spl(groups, assignment, dep)
         assert len(entries) == scene.n_tiles
         true_toas = toa_vector(scene)
         lookup = {k: t for t, k in entries}
@@ -266,7 +272,7 @@ def test_run_spl_sufficient_budget_matches_plain_tdoa():
     scene = build_scene(layout, [0, 5, 2], [4, 6, 0], t0=1e-7)
     assignment = assign(8, 8)
     groups = exact_groups(scene, assignment)
-    entries, p_hat, trace = run_spl(groups, assignment, scene, lattice_of(scene))
+    entries, p_hat, trace = run_spl(groups, assignment, deployment(8, 0.2))
     assert len(entries) == scene.n_tiles
     assert all(row.dod == 1 for row in trace)
     assert np.linalg.norm(p_hat - scene.p_ue) < 1e-4
@@ -280,7 +286,7 @@ def test_run_spl_skips_unresolvable_group():
     groups = exact_groups(scene, assignment)
     bandwidth = 400e6
     entries, p_hat, trace = run_spl(
-        groups, assignment, scene, lattice_of(scene), min_toa_gap=1.0 / bandwidth
+        groups, assignment, deployment(6, 0.1), min_toa_gap=1.0 / bandwidth
     )
     skipped = [row for row in trace if row.method == "skipped"]
     assert skipped  # tiles 0.1 m apart cannot clear 0.75 m of path gap

@@ -344,6 +344,21 @@ def test_fallback_out_of_iterations_raises_with_estimate_in_room():
         assert np.all(p >= np.array(ROOM[0])) and np.all(p <= np.array(ROOM[1]))
 
 
+def test_a_nan_arrival_raises_a_plain_value_error_before_any_descent():
+    # every lattice cost is NaN, so no point is a local minimum: a config
+    # no trial can run, not a censored fit
+    rng = np.random.default_rng(4)
+    anchors = random_general_anchors(rng)
+    p_bs = np.array([-2.0, 4.0, 1.5])
+    entries = exact_entries(anchors, p_bs, np.array([3.0, 6.0, 0.0]))
+    entries[3] = (float("nan"), entries[3][1])
+    system = build_system(entries, anchors, p_bs)
+    match = "no finite local minimum of the cost"
+    with pytest.raises(ValueError, match=match) as excinfo:
+        solve_position(system, seed_lattice(ROOM, anchors))
+    assert not isinstance(excinfo.value, PositionEstimationError)
+
+
 def _system_beyond_walls(ue):
     # a linear RIS, as in every simulated trial, and a UE outside the room:
     # the unconstrained minimum of the noiseless cost lies at ``ue``
