@@ -2,9 +2,10 @@
 
 Subcommands cover the Monte Carlo experiments (simulate, sweep, heatmap,
 cdf), the error bound (peb), the timing benchmark (bench) and the built-in
-property suite (selftest).  Flags override config-file keys; every output is
-reproducible from (config, seed).  Exit codes: 0 success, 2 configuration
-error, 3 pipeline failure.
+property suite (selftest).  Flags override config-file keys, and the config
+is checked once with them applied; every output is reproducible from
+(config, seed).  Exit codes: 0 success, 2 configuration error, 3 pipeline
+failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .config import (
     check_config,
     config_template,
     floor_point,
-    load_config,
+    parse_numbers,
+    read_config,
 )
 from .csvfile import write_csv
 from .selftest import run_selftest
@@ -32,13 +34,6 @@ from .selftest import run_selftest
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
-
-
-def _parse_values(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad numeric list {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +91,8 @@ def _apply_overrides(cfg, args):
     """The config with the flags applied at once; the caller checks it."""
     fields = {"seed": args.seed, "trials": args.trials, "tile_count": args.tiles,
               "frames": args.frames}
-    if args.bandwidth_hz is not None:
+    # the file's values are not yet checked: the check rejects zero subcarriers
+    if args.bandwidth_hz is not None and cfg.subcarriers:
         fields["spacing_hz"] = args.bandwidth_hz / cfg.subcarriers
     return replace(cfg, **{k: v for k, v in fields.items() if v is not None})
 
@@ -111,7 +107,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = check_config(_apply_overrides(load_config(args.config), args))
+        cfg = check_config(_apply_overrides(read_config(args.config), args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -135,7 +131,7 @@ def main(argv=None) -> int:
                 f"censored={point.censored_fraction:.4g}"
             )
         elif args.command == "sweep":
-            table = harness.sweep(cfg, args.var, _parse_values(args.values))
+            table = harness.sweep(cfg, args.var, parse_numbers(args.values))
             harness.write_sweep_csv(table, os.path.join(args.out, "sweep.csv"))
             for p in table.points:
                 print(
@@ -157,20 +153,17 @@ def main(argv=None) -> int:
                     f"p90={np.percentile(samples, 90):.4g}"
                 )
         elif args.command == "peb":
-            ue_xy = _parse_values(args.ue)
-            if len(ue_xy) != 2:
-                raise ConfigError("--ue expects x,y")
-            ue = floor_point(cfg, ue_xy)
+            ue = floor_point(cfg, parse_numbers(args.ue))
             bandwidths = [cfg.bandwidth_hz]
             if args.values:
-                bandwidths = _parse_values(args.values)
+                bandwidths = parse_numbers(args.values)
             subs = [harness.apply_sweep_value(cfg, "B", b) for b in bandwidths]
             rows = [(b, harness.peb_at(sub, ue)) for b, sub in zip(bandwidths, subs)]
             write_csv(os.path.join(args.out, "peb.csv"), ["sweep_value", "peb"], rows)
             for b, peb in rows:
                 print(f"bandwidth={b:g} peb={peb:.6g}")
         elif args.command == "bench":
-            sizes = bench_sizes(_parse_values(args.sizes))
+            sizes = bench_sizes(parse_numbers(args.sizes))
             rows, exponent = harness.timing_benchmark(cfg, sizes=sizes)
             harness.write_timing_csv(rows, os.path.join(args.out, "timing.csv"))
             for stage, size, seconds in rows:

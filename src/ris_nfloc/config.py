@@ -3,10 +3,13 @@
 The file has flat sections [scene], [waveform], [assignment], [multipath],
 [experiment]; physical keys carry their unit in the name, and an unknown
 section or key is a configuration error so typos fail loudly.
-:func:`check_config`, :func:`apply_sweep_value` and :func:`floor_point` reject
-what no trial can run with before the first trial.  Only the modules a
-trial is built from are imported here (the config builds its
-:mod:`~ris_nfloc.deployment`), never the harness that runs the trials.
+:func:`check_config`, :func:`apply_sweep_value`, :func:`floor_point` and
+:func:`heatmap_cells` reject what no trial can run with before the first
+trial; :func:`read_config` gives a file's values unchecked, so command-line
+flags replace them before the one check, and :func:`parse_numbers` parses
+every comma-separated list.  Only the modules a trial is built from are
+imported here (the config builds its :mod:`~ris_nfloc.deployment`), never
+the harness that runs the trials.
 """
 
 from __future__ import annotations
@@ -127,11 +130,20 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def wall_normal(self) -> np.ndarray | None:
-        """Horizontal unit normal of the RIS wall; None for a vertical RIS axis."""
+    def wall_normal(self) -> np.ndarray:
+        """Horizontal unit normal of the RIS wall.
+
+        Raises ValueError for a vertical RIS axis: such an RIS stands over
+        one floor point, so its arrivals fix only the UE's distance from it.
+        """
         normal = np.cross(np.asarray(self.ris_axis, dtype=float), [0.0, 0.0, 1.0])
         norm = np.linalg.norm(normal)
-        return None if norm < 1e-9 else normal / norm
+        if norm < 1e-9:
+            raise ValueError(
+                f"ris_axis = {_point(self.ris_axis)} is vertical: the RIS has no "
+                "wall, and its arrivals fix only the UE's distance from one "
+                "floor point")
+        return normal / norm
 
     @cached_property
     def deployment(self) -> Deployment:
@@ -150,7 +162,9 @@ class ExperimentConfig:
         )
 
 
-def _vector(text: str) -> tuple:
+def parse_numbers(text: str) -> tuple:
+    """The numbers of a comma-separated list, in a config file or on the
+    command line; :class:`ConfigError` names the text otherwise."""
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
@@ -165,13 +179,13 @@ def _point(values) -> str:
 _SCHEMA = {
     ("scene", "tile_count"): ("tile_count", int),
     ("scene", "tile_spacing_m"): ("tile_spacing_m", float),
-    ("scene", "ris_center_m"): ("ris_center_m", _vector),
-    ("scene", "ris_axis"): ("ris_axis", _vector),
+    ("scene", "ris_center_m"): ("ris_center_m", parse_numbers),
+    ("scene", "ris_axis"): ("ris_axis", parse_numbers),
     ("scene", "elements_x"): ("elements_x", int),
     ("scene", "elements_z"): ("elements_z", int),
-    ("scene", "bs_position_m"): ("bs_position_m", _vector),
-    ("scene", "room_min_m"): ("room_min_m", _vector),
-    ("scene", "room_max_m"): ("room_max_m", _vector),
+    ("scene", "bs_position_m"): ("bs_position_m", parse_numbers),
+    ("scene", "room_min_m"): ("room_min_m", parse_numbers),
+    ("scene", "room_max_m"): ("room_max_m", parse_numbers),
     ("scene", "wall_margin_m"): ("wall_margin_m", float),
     ("waveform", "subcarriers"): ("subcarriers", int),
     ("waveform", "spacing_hz"): ("spacing_hz", float),
@@ -198,10 +212,16 @@ _KEYS = {field: f"[{section}] {key}" for (section, key), (field, _) in _SCHEMA.i
 
 
 def load_config(path=None) -> ExperimentConfig:
-    """Defaults, optionally overridden from an INI file and then checked
-    by :func:`check_config`.  A file configparser cannot parse (a key before
-    any section, a line without ``=``, a repeated section or key) is a
-    :class:`ConfigError` too."""
+    """The config of :func:`read_config`, checked by :func:`check_config`."""
+    return check_config(read_config(path))
+
+
+def read_config(path) -> ExperimentConfig:
+    """Defaults, overridden from the INI file at ``path`` unless it is None,
+    not yet checked, so that command-line flags can replace file values
+    before the one check.  An unknown or unparsable key, and a file
+    configparser cannot parse (a key before any section, a line without
+    ``=``, a repeated section or key), are a :class:`ConfigError`."""
     if path is None:
         return ExperimentConfig()
     parser = configparser.ConfigParser()
@@ -223,7 +243,7 @@ def load_config(path=None) -> ExperimentConfig:
             raise ConfigError(
                 f"bad value for [{section}] {key}: {raw!r} ({exc})"
             ) from None
-    return check_config(ExperimentConfig(**overrides))
+    return ExperimentConfig(**overrides)
 
 
 _NO_WATTS = "is not a finite positive power in watts"
@@ -241,9 +261,13 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     multipath model must pass the constructors a trial builds them with.  The
     closed room box must contain the BS, every RIS tile center and the floor
     rectangle at z = 0 that UEs are drawn on; the BS must sit at least
-    1e-12 m from every tile center; the UE needs floor area beyond
-    ``wall_margin_m``; and the slope assignment must exist for (tile_count,
-    frames, exclusive_tiles) and give at least three exclusive-slope tiles.
+    1e-12 m from every tile center.  The RIS axis must not be vertical, so
+    the RIS has a wall plane, and the UE stands on one side of it: the floor
+    may reach beyond ``wall_margin_m`` on one side of that plane only, since
+    a UE and its mirror image across it give the same arrivals, and it must
+    reach beyond ``wall_margin_m`` somewhere.  The slope assignment must
+    exist for (tile_count, frames, exclusive_tiles) and give at least three
+    exclusive-slope tiles.
     The wavelength ``c / carrier_hz``, the largest multipath phase
     ``2*pi*excess_max_m / wavelength`` and the multipath power ratio
     ``10**(power_rel_db / 10)`` must be finite.
@@ -282,11 +306,27 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"[scene] bs_position_m = {_point(cfg.bs_position_m)} coincides with "
             f"RIS tile {int(np.argmin(bs_legs)) + 1} of {cfg.tile_count}"
         )
-    _check_in_room(cfg, "[scene] floor corner {} (z = 0)", _floor_corners(cfg))
-    clearance = floor_wall_clearance(cfg)
-    if clearance <= cfg.wall_margin_m:
+    corners = _floor_corners(cfg)
+    _check_in_room(cfg, "[scene] floor corner {} (z = 0)", corners)
+    try:
+        normal = cfg.wall_normal()
+    except ValueError as exc:
+        raise ConfigError(f"[scene] {exc}") from None
+    # signed distances of the floor corners from the RIS wall plane
+    offsets = (corners - np.asarray(cfg.ris_center_m)) @ normal
+    margin = cfg.wall_margin_m
+    if offsets.max() > margin and offsets.min() < -margin:
         raise ConfigError(
-            f"[scene] wall_margin_m = {cfg.wall_margin_m:g} leaves no floor "
+            f"[scene] ris_center_m = {_point(cfg.ris_center_m)} puts the RIS "
+            f"wall plane across the floor: the floor reaches {offsets.max():g} m "
+            f"from it on one side and {-offsets.min():g} m on the other, both "
+            f"beyond wall_margin_m = {margin:g}, so a UE and its mirror image "
+            "across the plane give the same arrivals"
+        )
+    clearance = float(np.max(np.abs(offsets)))
+    if clearance <= margin:
+        raise ConfigError(
+            f"[scene] wall_margin_m = {margin:g} leaves no floor "
             f"position for the UE: the floor reaches {clearance:g} m from the "
             "RIS wall at most"
         )
@@ -345,25 +385,30 @@ def _floor_corners(cfg: ExperimentConfig) -> np.ndarray:
     return np.array([[x, y, 0.0] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])
 
 
-def floor_wall_clearance(cfg: ExperimentConfig) -> float:
-    """Largest distance of a floor point from the RIS wall plane.
-
-    UE draws need a clearance above ``wall_margin_m``; the distance is convex
-    over the floor rectangle, so its maximum sits at a corner.
-    """
-    normal = cfg.wall_normal()
-    if normal is None:
-        return float("inf")
-    offsets = _floor_corners(cfg) - np.asarray(cfg.ris_center_m, dtype=float)
-    return float(np.max(np.abs(offsets @ normal)))
-
-
 def floor_point(cfg: ExperimentConfig, xy) -> np.ndarray:
     """The UE position (x, y, 0) at a floor point given from outside;
-    :class:`ConfigError` unless the closed room box holds it."""
+    :class:`ConfigError` unless ``xy`` has two coordinates and the closed
+    room box holds the point."""
+    if len(xy) != 2:
+        raise ConfigError(f"UE floor point {_point(xy)} needs 2 coordinates (x, y)")
     ue = np.array([xy[0], xy[1], 0.0])
     _check_in_room(cfg, "UE floor point", ue[None])
     return ue
+
+
+def heatmap_cells(cfg: ExperimentConfig, resolution_m: float) -> tuple:
+    """The x and y cell centers of a floor grid with square cells of side
+    ``resolution_m``; :class:`ConfigError` unless the resolution is positive
+    and leaves at least one cell center on the floor."""
+    lo = np.asarray(cfg.room_min_m, dtype=float)
+    hi = np.asarray(cfg.room_max_m, dtype=float)
+    first = lo[:2] + resolution_m / 2  # first cell center along x and y
+    if not (resolution_m > 0 and np.all(first < hi[:2])):
+        raise ConfigError(
+            f"heatmap resolution {resolution_m:g} m must be positive and "
+            f"leave a cell on the {hi[0] - lo[0]:g} x {hi[1] - lo[1]:g} m floor")
+    return (np.arange(first[0], hi[0], resolution_m),
+            np.arange(first[1], hi[1], resolution_m))
 
 
 def bench_sizes(values) -> list[int]:

@@ -6,7 +6,8 @@ clock and phase offsets and its random draws.  A :class:`Deployment` holds
 the fixed part, computed once per config
 (:attr:`ris_nfloc.config.ExperimentConfig.deployment`): the tile arrays, the
 BS legs and the forward (BS-to-element) direct link, the waveform config,
-the RIS center and wall normal, and the position solver's seed lattice of
+the RIS center and the horizontal normal of the RIS wall (a checked config
+puts the UE on one side of it), and the position solver's seed lattice of
 the room with its lattice-to-tile distance table.  Every array is computed
 by the function that computed it per trial before, so the trials' numbers
 do not change.
@@ -32,7 +33,6 @@ class Deployment:
     ``forward_phasor`` (K, M) the BS-to-element phasors of
     :func:`ris_nfloc.channel.direct_link`; ``lattice`` is the seed lattice
     of the room, which it records, with its (P, K) distance table.
-    ``wall_normal`` is None for a vertical RIS axis.
     """
 
     p_bs: np.ndarray  # (3,)
@@ -43,7 +43,7 @@ class Deployment:
     bs_legs: np.ndarray  # (K,)
     forward_phasor: np.ndarray  # (K, M)
     waveform: WaveformConfig
-    wall_normal: np.ndarray | None
+    wall_normal: np.ndarray  # (3,) horizontal
     lattice: SeedLattice
 
     @property
@@ -68,7 +68,7 @@ def build_deployment(
     p_bs,
     wavelength: float,
     waveform: WaveformConfig,
-    wall_normal: np.ndarray | None,
+    wall_normal: np.ndarray,
     room,
 ) -> Deployment:
     """The deployment of ``layout`` with a BS at ``p_bs`` in ``room``, the

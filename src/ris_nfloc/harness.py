@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from .bounds import cascade_snrs, fim
 from .channel import realize_channel
-from .config import ConfigError, ExperimentConfig, apply_sweep_value
+from .config import ExperimentConfig, apply_sweep_value, heatmap_cells
 from .csvfile import write_csv
 from .geometry import Scene, toa_vector
 from .labeling import run_spl, solve_labeled
@@ -85,7 +85,7 @@ def _draw_ue(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     center, normal = cfg.deployment.ris_center, cfg.deployment.wall_normal
     while True:
         p = np.array([rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0])
-        if normal is None or abs(np.dot(p - center, normal)) >= cfg.wall_margin_m:
+        if abs(np.dot(p - center, normal)) >= cfg.wall_margin_m:
             return p
 
 
@@ -228,7 +228,7 @@ def _arm(label, cfg: ExperimentConfig, obs: Observation, ue: np.ndarray):
 
     ``label(cfg, obs)`` returns the labeled entries and the fix.  A failed
     fit (:class:`PositionEstimationError`) censors the arm with the error of
-    its lowest-cost endpoint, if any; too few labels (:class:`BootstrapError`)
+    its descent's endpoint, if any; too few labels (:class:`BootstrapError`)
     censor it with NaN.  A censored arm labels nothing; other errors propagate.
     """
     try:
@@ -327,21 +327,12 @@ def cdf(errors) -> np.ndarray:
 
 
 def heatmap(cfg: ExperimentConfig, grid_resolution_m: float) -> list[tuple[float, float, float]]:
-    """Per-cell RMSE of the geometric labeler over a fixed floor grid.
+    """Per-cell RMSE of the geometric labeler over the floor grid of
+    :func:`~ris_nfloc.config.heatmap_cells`, which checks the resolution.
 
-    A censored trial counts as NaN, so it drops out of its cell's RMSE.  The
-    resolution must be positive and leave at least one cell center on the
-    floor.
+    A censored trial counts as NaN, so it drops out of its cell's RMSE.
     """
-    lo = np.asarray(cfg.room_min_m, dtype=float)
-    hi = np.asarray(cfg.room_max_m, dtype=float)
-    first = lo[:2] + grid_resolution_m / 2  # first cell center along x and y
-    if not (grid_resolution_m > 0 and np.all(first < hi[:2])):
-        raise ConfigError(
-            f"heatmap resolution {grid_resolution_m:g} m must be positive and "
-            f"leave a cell on the {hi[0] - lo[0]:g} x {hi[1] - lo[1]:g} m floor")
-    xs = np.arange(first[0], hi[0], grid_resolution_m)
-    ys = np.arange(first[1], hi[1], grid_resolution_m)
+    xs, ys = heatmap_cells(cfg, grid_resolution_m)
     rows = []
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):

@@ -3,13 +3,13 @@
 Differencing every labeled arrival against the smallest one cancels the
 unknown clock offset and leaves range differences to the anchor tiles.  The
 UE lies on the floor (z = 0) of a known room, so the position is fitted over
-the room's floor by damped Gauss-Newton descents that start at the two lowest
-local minima of the cost on a floor lattice; each step is an active-set
-Newton step that holds a coordinate on a wall the gradient pushes against,
-and a descent stops when its next step would be shorter than 10 nm.  The
-seed lattice carries the room it was built for and its table of
-lattice-to-tile distances, which the lattice cost indexes by the system's
-tile rows; a deployment builds it once per config.
+the room's floor by one damped Gauss-Newton descent that starts at the lowest
+point of the cost on a floor lattice; each step is an active-set Newton step
+that holds a coordinate on a wall the gradient pushes against, and the
+descent stops when its next step would be shorter than 10 nm.  The seed
+lattice carries the room it was built for and its table of lattice-to-tile
+distances, which the lattice cost indexes by the system's tile rows; a
+deployment builds it once per config.
 This one fit serves every anchor set the simulator builds: a linear RIS gives
 collinear anchors, which leave the classic linear two-step TDoA system rank
 deficient.
@@ -26,8 +26,8 @@ from .constants import SPEED_OF_LIGHT
 
 
 class PositionEstimationError(RuntimeError):
-    """Raised when no Gauss-Newton descent converges within its iteration
-    budget; ``best_estimate`` holds the lowest-cost endpoint."""
+    """Raised when the Gauss-Newton descent does not converge within its
+    iteration budget, resumed once; ``best_estimate`` holds its endpoint."""
 
     def __init__(self, message: str, best_estimate: np.ndarray | None = None):
         super().__init__(message)
@@ -210,7 +210,6 @@ def _gn_descend(
 
 
 _SEED_SPACINGS = 20  # lattice spacings per floor axis: 0.5 m on a 10 m room
-_SEED_COUNT = 2  # descents per solve
 
 
 @dataclass(frozen=True)
@@ -242,57 +241,27 @@ def seed_lattice(room, tile_positions) -> SeedLattice:
     return SeedLattice(room=room, points=points, distances=distances)
 
 
-def _grid_seeds(
+def _lattice_seed(
     system: TdoaSystem, lattice: SeedLattice, whitener: _ResidualWhitener
 ) -> np.ndarray:
-    """Floor points of the lowest local minima of the cost on a lattice.
+    """The floor point of the lowest finite cost on a lattice.
 
     The whitened cost of :func:`_gn_descend` is evaluated in one pass on the
     points of ``lattice``, whose distance table is indexed by the system's
-    tile rows (``ref_tile - 1`` and ``anchor_rows``).  No point lies on a
-    wall: a linear RIS on a wall puts the anchors' mirror plane there, where
-    the gradient across the wall vanishes, so a descent started on it could
-    never leave it.  A lattice point is a local minimum when its cost is at
-    most that of each of its 8 neighbours (points off the lattice count as
-    +inf); the ``_SEED_COUNT`` lowest minima are returned, lowest first, ties
-    in lattice order.
+    tile rows (``ref_tile - 1`` and ``anchor_rows``).  Ties go to the first
+    point in lattice order, and NaN or infinite costs are skipped.  Raises
+    ValueError when no cost is finite, as when a non-finite arrival makes
+    every cost NaN.
     """
-    n = _SEED_SPACINGS - 1
     d = lattice.distances[:, system.anchor_rows]
     d_ref = lattice.distances[:, system.ref_tile - 1]
     r = system.gammas - (d - d_ref[:, None])
     q_sum = r @ whitener.dinv
-    cost = ((r * r) @ whitener.dinv - whitener.k * q_sum * q_sum).reshape(n, n)
-
-    padded = np.full((n + 2, n + 2), np.inf)
-    padded[1:-1, 1:-1] = cost
-    # the 3 x 3 minimum around each point, by rows then columns
-    rows = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
-    around = np.minimum(np.minimum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
-    minima = np.flatnonzero(cost <= around)
-    order = np.argsort(cost.ravel()[minima], kind="stable")
-    return lattice.points[minima[order[:_SEED_COUNT]]]
-
-
-def _gauss_newton_ground(
-    system: TdoaSystem,
-    lattice: SeedLattice,
-    max_iter: int,
-    whitener: _ResidualWhitener,
-    seeds: np.ndarray,
-) -> tuple[np.ndarray, bool]:
-    """The fit of :func:`solve_position` from its lattice ``seeds``, in the
-    lattice's room: the lowest-cost endpoint, and whether any descent
-    converged."""
-    room = lattice.room
-    ends = [_gn_descend(system, s, room, max_iter, whitener) for s in seeds]
-    if not any(done for _, _, done in ends):
-        # the budget ran out on a slow approach, such as toward a minimum on
-        # the wall that carries the anchors' mirror plane: resume once
-        p = min(ends, key=lambda end: end[1])[0]
-        ends.append(_gn_descend(system, p[:2], room, max_iter, whitener))
-    best_p = min(ends, key=lambda end: end[1])[0]
-    return best_p, any(done for _, _, done in ends)
+    cost = (r * r) @ whitener.dinv - whitener.k * q_sum * q_sum
+    finite = np.isfinite(cost)
+    if not finite.any():
+        raise ValueError("the seed lattice has no finite local minimum of the cost")
+    return lattice.points[np.argmin(np.where(finite, cost, np.inf))]
 
 
 def solve_position(
@@ -308,19 +277,17 @@ def solve_position(
     ``lattice`` is the :func:`seed_lattice` of the room for the tile
     positions the system was built from, such as a deployment's; the floor
     rectangle of its room bounds the fit, and its table is indexed by the
-    system's tile rows.  Two Gauss-Newton descents start from the lowest
-    local minima of the cost on its 19 x 19 lattice of interior floor points
-    (20 spacings per axis), which puts a start in the true basin and in the
-    mirror basin that near-collinear anchors leave.  Every iterate stays in
-    the room, and a coordinate on a wall that the gradient pushes against is
-    held (an active-set step).  A descent converges once its next clamped
-    step is shorter than 10 nm.  If no descent converges within ``max_iter``
-    iterations, the lowest-cost endpoint is resumed once.  The lowest-cost
-    endpoint is returned with z = 0.  Raises :class:`PositionEstimationError`
-    with that endpoint if no descent converges, and ValueError before any
-    descent if no lattice point is a local minimum of a finite cost, as when
-    a non-finite arrival makes every cost NaN: no trial of such a config can
-    be run, so it is not a censored fit.
+    system's tile rows.  One Gauss-Newton descent starts from the lowest
+    point of the cost on its 19 x 19 lattice of interior floor points (20
+    spacings per axis).  Every iterate stays in the room, and a coordinate
+    on a wall that the gradient pushes against is held (an active-set step).
+    The descent converges once its next clamped step is shorter than 10 nm;
+    if it does not within ``max_iter`` iterations, it is resumed once from
+    its endpoint.  The endpoint is returned with z = 0.  Raises
+    :class:`PositionEstimationError` with that endpoint if the resumed
+    descent does not converge either, and ValueError before any descent if
+    no lattice point has a finite cost: no trial of such a config can be
+    run, so it is not a censored fit.
 
     With ``sigmas`` (per non-reference anchor, ordered like the system rows)
     and ``sigma_ref`` the fit becomes a generalized least squares: the
@@ -329,12 +296,9 @@ def solve_position(
     unweighted sum of squares.
     """
     whitener = _ResidualWhitener(sigmas, sigma_ref, len(system.gammas))
-    seeds = _grid_seeds(system, lattice, whitener)
-    if len(seeds) == 0:
-        raise ValueError("the seed lattice has no finite local minimum of the cost")
-    p, converged = _gauss_newton_ground(system, lattice, max_iter, whitener, seeds)
-    if not converged:
-        raise PositionEstimationError(
-            "position fit did not converge", best_estimate=p
-        )
-    return p
+    p = _lattice_seed(system, lattice, whitener)
+    for _ in range(2):  # the descent, then its one resume
+        p, _, converged = _gn_descend(system, p[:2], lattice.room, max_iter, whitener)
+        if converged:
+            return p
+    raise PositionEstimationError("position fit did not converge", best_estimate=p)

@@ -8,7 +8,13 @@ import pytest
 
 import ris_nfloc
 from ris_nfloc.cli import main
-from ris_nfloc.config import ConfigError, apply_sweep_value, config_template, load_config
+from ris_nfloc.config import (
+    ConfigError,
+    apply_sweep_value,
+    config_template,
+    floor_point,
+    load_config,
+)
 
 DESK_INI = """
 [scene]
@@ -128,6 +134,12 @@ BAD_CONFIGS = {
     # a point needs three coordinates, and the RIS axis must be a unit vector
     "bs_two_components": "[scene]\nbs_position_m = 1,5\n",
     "ris_axis_not_unit": "[scene]\nris_axis = 1,1,0\n",
+    # the UE's arrivals equal those of its mirror image across the RIS wall
+    # plane, which here has floor on both sides
+    "ris_plane_splits_floor": "[scene]\ntile_count = 16\nris_center_m = 5,5,2\n",
+    # a vertical RIS stands over one floor point: its arrivals fix only the
+    # UE's distance from it
+    "vertical_ris_axis": "[scene]\ntile_count = 16\nris_axis = 0,0,1\n",
     # values the constructors of a trial's waveform, layout and multipath
     # model reject, and values no trial can draw or transform with
     "zero_oversampling": "[experiment]\noversampling = 0\n",
@@ -185,6 +197,51 @@ def test_invalid_assignment_from_override_exits_2(desk_config, tmp_path, capsys)
     out = str(tmp_path / "out")
     assert main(["--config", desk_config, "--out", out, "--frames", "4", "peb"]) == 2
     assert main(["--config", desk_config, "--out", out, "--frames", "16", "peb"]) == 0
+
+
+def test_a_flag_replaces_a_file_value_before_the_check(tmp_path, capsys):
+    # the file alone leaves no slope for the shared groups; the flag mends it
+    path = tmp_path / "four.ini"
+    path.write_text(DESK_INI.replace("frames = 8", "frames = 4"))
+    out = str(tmp_path / "out")
+    assert main(["--config", str(path), "--out", out, "peb"]) == 2
+    assert "frames = 4" in capsys.readouterr().err
+    args = ["--config", str(path), "--out", out, "--frames", "8", "--trials", "2"]
+    assert main(args + ["simulate"]) == 0
+    # the bandwidth flag divides by the file's subcarrier count, which the
+    # check rejects when it is zero
+    path.write_text("[waveform]\nsubcarriers = 0\n")
+    assert main(["--config", str(path), "--out", out, "--bandwidth-hz", "4e8", "peb"]) == 2
+    assert "subcarriers = 0" in capsys.readouterr().err
+
+
+def test_floor_point_needs_two_coordinates(desk_config):
+    cfg = load_config(desk_config)
+    for xy in ((5.0,), (5.0, 5.0, 0.0)):
+        with pytest.raises(ConfigError, match="needs 2 coordinates"):
+            floor_point(cfg, xy)
+    assert floor_point(cfg, (5.0, 4.0)).tolist() == [5.0, 4.0, 0.0]
+
+
+def test_an_unchecked_vertical_ris_fails_its_first_trial():
+    # a config built in code skips check_config; its first trial raises
+    # instead of drawing UEs against a wall that does not exist.  A
+    # subprocess, so a hang fails instead of stalling the suite
+    src = str(Path(ris_nfloc.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from ris_nfloc.config import ExperimentConfig\n"
+        "from ris_nfloc.harness import run_trial\n"
+        "cfg = ExperimentConfig(tile_count=16, ris_axis=(0, 0, 1))\n"
+        "try:\n"
+        "    run_trial(cfg, 0)\n"
+        "except ValueError as exc:\n"
+        "    sys.exit(0 if 'vertical' in str(exc) else 1)\n"
+        "sys.exit(1)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 BAD_ARGUMENTS = {

@@ -12,7 +12,7 @@ from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import build_scene, toa_vector
 from ris_nfloc.harness import normalized_cascade, run_trial
 from ris_nfloc.tdoa import (
-    _grid_seeds,
+    _lattice_seed,
     _ResidualWhitener,
     build_system,
     seed_lattice,
@@ -116,14 +116,14 @@ def test_deployment_table_rows_give_the_per_solve_distances_and_seeds(cfg, tiles
         assert np.array_equal(lattice.distances[:, system.anchor_rows], d_old)
         assert np.array_equal(lattice.distances[:, system.ref_tile - 1], d_ref_old)
 
-        # the first seed is the lowest point of the cost on the old distances
+        # the seed is the lowest point of the cost on the old distances
         sigmas = rng.uniform(0.5, 2.0, rows)
         whitener = _ResidualWhitener(sigmas, 0.7, rows)
         r = system.gammas - (d_old - d_ref_old[:, None])
         q_sum = r @ whitener.dinv
         cost = (r * r) @ whitener.dinv - whitener.k * q_sum * q_sum
-        seeds = _grid_seeds(system, lattice, whitener)
-        assert np.array_equal(seeds[0], lattice.points[np.argmin(cost)])
+        seed = _lattice_seed(system, lattice, whitener)
+        assert np.array_equal(seed, lattice.points[np.argmin(cost)])
         # a lattice the caller builds for the same room and tiles, as the
         # solver's tests do, gives the trial's fix bit for bit
         kwargs = dict(sigmas=sigmas, sigma_ref=0.7)

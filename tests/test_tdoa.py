@@ -345,7 +345,7 @@ def test_fallback_out_of_iterations_raises_with_estimate_in_room():
 
 
 def test_a_nan_arrival_raises_a_plain_value_error_before_any_descent():
-    # every lattice cost is NaN, so no point is a local minimum: a config
+    # every lattice cost is NaN, so no point can seed a descent: a config
     # no trial can run, not a censored fit
     rng = np.random.default_rng(4)
     anchors = random_general_anchors(rng)
@@ -473,69 +473,54 @@ def _mirror_plane_system():
     return system, sigmas, 2.7026985222616036
 
 
-def test_second_descent_leaves_the_mirror_plane_of_an_ris_inside_the_room(
-    monkeypatch,
-):
-    # the lowest lattice minimum lies on the mirror plane, where the gradient
-    # across it vanishes, so its descent ends there at cost 1.12e-4; the
-    # second seed's descent reaches the lower minimum off it, at cost 3.16e-5
-    system, sigmas, sigma_ref = _mirror_plane_system()
-    lattice = seed_lattice(ROOM, np.vstack([system.ref_pos, system.anchor_positions]))
-    p = solve_position(system, lattice, sigmas=sigmas, sigma_ref=sigma_ref)
-    assert p[:2] == pytest.approx([5.611, 4.112], abs=1e-3)
-    monkeypatch.setattr(tdoa, "_SEED_COUNT", 1)
-    lone = solve_position(system, lattice, sigmas=sigmas, sigma_ref=sigma_ref)
-    assert lone[1] == 5.0 and lone[0] == pytest.approx(5.58, abs=1e-2)
+def _whitened_costs(system, points, sigmas, sigma_ref):
+    # r^T C^-1 r at each floor point, with the covariance written out
+    cov = np.diag(sigmas**2) + sigma_ref**2
+    inv = np.linalg.inv(cov)
+    costs = []
+    for x, y in points:
+        p = np.array([x, y, 0.0])
+        d = np.linalg.norm(system.anchor_positions - p, axis=1)
+        r = system.gammas - (d - np.linalg.norm(system.ref_pos - p))
+        costs.append(r @ inv @ r)
+    return np.array(costs)
 
 
-def _eight_neighbour_seeds(system, lattice, whitener):
-    # the reference: a lattice point is a local minimum when its cost is at
-    # most that of each of its 8 neighbours, compared one neighbour at a time
-    n = tdoa._SEED_SPACINGS - 1
-    d = lattice.distances[:, system.anchor_rows]
-    d_ref = lattice.distances[:, system.ref_tile - 1]
-    r = system.gammas - (d - d_ref[:, None])
-    q_sum = r @ whitener.dinv
-    cost = ((r * r) @ whitener.dinv - whitener.k * q_sum * q_sum).reshape(n, n)
-    padded = np.full((n + 2, n + 2), np.inf)
-    padded[1:-1, 1:-1] = cost
-    is_min = np.ones((n, n), dtype=bool)
-    for i in range(3):
-        for j in range(3):
-            if (i, j) != (1, 1):
-                is_min &= cost <= padded[i : i + n, j : j + n]
-    minima = np.flatnonzero(is_min)
-    order = np.argsort(cost.ravel()[minima], kind="stable")
-    return lattice.points[minima[order[: tdoa._SEED_COUNT]]]
-
-
-def test_grid_seeds_equal_the_eight_neighbour_reference(monkeypatch):
-    monkeypatch.setattr(tdoa, "_SEED_COUNT", 400)  # compare every minimum
+def test_the_seed_is_the_lowest_finite_cost_with_ties_in_lattice_order():
     mirror, sigmas, sigma_ref = _mirror_plane_system()
-    tiles = np.vstack([mirror.ref_pos, mirror.anchor_positions])
-    lattice = seed_lattice(ROOM, tiles)
-    # the mirror plane makes costs tie exactly: y = 5 +- a give equal distances
-    cases = [(mirror, lattice, _ResidualWhitener(sigmas, sigma_ref, 3))]
-    for seed in (11, 12):
-        system, sig = noisy_linear_system(seed)
-        cases.append((system, LINEAR_LATTICE, _ResidualWhitener(sig, 0.05, 7)))
-    # non-finite costs: a NaN and an inf distance, and a NaN range difference
+    lattice = seed_lattice(ROOM, np.vstack([mirror.ref_pos, mirror.anchor_positions]))
+    whitener = _ResidualWhitener(sigmas, sigma_ref, 3)
+    cost = _whitened_costs(mirror, lattice.points, sigmas, sigma_ref)
+    low = np.argmin(cost)
+    assert lattice.points[low][1] == 5.0  # on the anchors' mirror plane
+    assert np.array_equal(tdoa._lattice_seed(mirror, lattice, whitener),
+                          lattice.points[low])
+
+    # non-finite costs are skipped.  With a NaN distance at the lowest point
+    # the next lowest cost ties exactly between y = 5 - a and y = 5 + a, which
+    # have equal distances; the lower y comes first in lattice order
+    rest = cost.copy()
+    rest[low] = np.inf
+    twins = np.flatnonzero(rest == rest.min())
+    assert len(twins) == 2 and lattice.points[twins[0]][1] < 5.0
     distances = lattice.distances.copy()
-    distances[[40, 200], 1] = np.nan, np.inf
+    distances[low, 1] = np.nan
     holed = tdoa.SeedLattice(room=ROOM, points=lattice.points, distances=distances)
-    cases.append((mirror, holed, cases[0][2]))
+    assert np.array_equal(tdoa._lattice_seed(mirror, holed, whitener),
+                          lattice.points[twins[0]])
+    # an inf distance at the first twin leaves the second
+    distances[twins[0], 2] = np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf in the holed lattice
+        seed = tdoa._lattice_seed(mirror, holed, whitener)
+    assert np.array_equal(seed, lattice.points[twins[1]])
+
+    # no finite cost at all: a NaN range difference
     nan_gamma = TdoaSystem(
         mirror.ref_tile, mirror.ref_pos, mirror.anchor_positions,
         np.array([np.nan, 0.0, 0.0]), mirror.anchor_rows,
     )
-    cases.append((nan_gamma, lattice, cases[0][2]))
-    found = []
-    for system, lat, whitener in cases:
-        with np.errstate(invalid="ignore"):  # inf - inf in the holed lattice
-            seeds = tdoa._grid_seeds(system, lat, whitener)
-            assert np.array_equal(seeds, _eight_neighbour_seeds(system, lat, whitener))
-        found.append(len(seeds))
-    assert found[0] > 2 and found[-1] == 0
+    with pytest.raises(ValueError, match="no finite local minimum"):
+        tdoa._lattice_seed(nan_gamma, lattice, whitener)
 
 
 def test_a_lattice_for_a_smaller_room_bounds_the_fit_to_its_floor():
