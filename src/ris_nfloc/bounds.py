@@ -36,10 +36,14 @@ class FimResult:
     """Position information matrix and derived error bound."""
 
     fim: np.ndarray  # (3, 3)
-    peb: float  # root trace of the full inverse; inf when rank deficient
     peb_observable: float  # restricted to the numerically observable subspace
     condition_number: float
     rank: int
+
+    @property
+    def peb(self) -> float:
+        """Root trace of the full inverse; inf when rank deficient."""
+        return self.peb_observable if self.rank == 3 else float("inf")
 
 
 def toa_variance(bandwidth: float, snr_k, snr_ref):
@@ -127,10 +131,8 @@ def fim(scene: Scene, snrs: np.ndarray, bandwidth: float, k_ref: int) -> FimResu
         peb_obs = float("inf")
     else:
         peb_obs = float(np.sqrt(np.sum(1.0 / eigvals[observable])))
-    peb = peb_obs if rank == 3 else float("inf")
     return FimResult(
         fim=j,
-        peb=peb,
         peb_observable=peb_obs,
         condition_number=cond,
         rank=rank,

@@ -12,6 +12,7 @@ The per-tile cascade gain is the inner product of the two element vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,13 +49,11 @@ class ChannelRealization:
 
     forward: np.ndarray  # (K, M) complex
     backward: np.ndarray  # (K, M) complex
-    cascade: np.ndarray  # (K,) complex, row-wise inner products
 
-    def __post_init__(self):
-        ref = np.einsum("km,km->k", self.backward, self.forward)
-        scale = np.maximum(np.abs(ref), 1e-300)
-        if np.max(np.abs(self.cascade - ref) / scale) > 1e-12:
-            raise ValueError("cascade inconsistent with forward/backward rows")
+    @cached_property
+    def cascade(self) -> np.ndarray:
+        """(K,) complex cascade gains, the row-wise inner products."""
+        return np.einsum("km,km->k", self.backward, self.forward)
 
 
 def forward_direct(scene: Scene, wavelength: float, k: int, m: int) -> complex:
@@ -117,8 +116,6 @@ def _link_matrix(
     """
     legs, phasor = direct
     mag = wavelength / (4.0 * np.pi * legs)
-    if mp.j_paths == 0:
-        return mag[:, None] * phasor
     k = len(legs)
     sigma = mag * 10.0 ** (mp.power_rel_db / 20.0)  # per-path amplitude scale
     eps = (
@@ -154,5 +151,4 @@ def realize_channel(
         direct_link(scene.p_ue, elements, centers, wavelength, scene.phi0),
         wavelength, mp, rng,
     )
-    cascade = np.einsum("km,km->k", backward, forward)
-    return ChannelRealization(forward=forward, backward=backward, cascade=cascade)
+    return ChannelRealization(forward=forward, backward=backward)

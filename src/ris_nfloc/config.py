@@ -135,6 +135,10 @@ class ExperimentConfig:
 
         Raises ValueError for a vertical RIS axis: such an RIS stands over
         one floor point, so its arrivals fix only the UE's distance from it.
+        It also raises unless the floor reaches beyond ``wall_margin_m`` on
+        exactly one side of the wall plane: on both sides, a UE and its
+        mirror image across the plane give the same arrivals; on neither,
+        no UE position is left to draw.
         """
         normal = np.cross(np.asarray(self.ris_axis, dtype=float), [0.0, 0.0, 1.0])
         norm = np.linalg.norm(normal)
@@ -143,7 +147,26 @@ class ExperimentConfig:
                 f"ris_axis = {_point(self.ris_axis)} is vertical: the RIS has no "
                 "wall, and its arrivals fix only the UE's distance from one "
                 "floor point")
-        return normal / norm
+        normal = normal / norm
+        # signed distances of the floor corners from the RIS wall plane
+        offsets = (_floor_corners(self) - np.asarray(self.ris_center_m)) @ normal
+        margin = self.wall_margin_m
+        if offsets.max() > margin and offsets.min() < -margin:
+            raise ValueError(
+                f"ris_center_m = {_point(self.ris_center_m)} puts the RIS "
+                f"wall plane across the floor: the floor reaches {offsets.max():g} m "
+                f"from it on one side and {-offsets.min():g} m on the other, both "
+                f"beyond wall_margin_m = {margin:g}, so a UE and its mirror image "
+                "across the plane give the same arrivals"
+            )
+        clearance = float(np.max(np.abs(offsets)))
+        if clearance <= margin:
+            raise ValueError(
+                f"wall_margin_m = {margin:g} leaves no floor "
+                f"position for the UE: the floor reaches {clearance:g} m from the "
+                "RIS wall at most"
+            )
+        return normal
 
     @cached_property
     def deployment(self) -> Deployment:
@@ -261,13 +284,12 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     multipath model must pass the constructors a trial builds them with.  The
     closed room box must contain the BS, every RIS tile center and the floor
     rectangle at z = 0 that UEs are drawn on; the BS must sit at least
-    1e-12 m from every tile center.  The RIS axis must not be vertical, so
-    the RIS has a wall plane, and the UE stands on one side of it: the floor
-    may reach beyond ``wall_margin_m`` on one side of that plane only, since
-    a UE and its mirror image across it give the same arrivals, and it must
-    reach beyond ``wall_margin_m`` somewhere.  The slope assignment must
-    exist for (tile_count, frames, exclusive_tiles) and give at least three
-    exclusive-slope tiles.
+    1e-12 m from every tile center.  The RIS wall must pass
+    :meth:`ExperimentConfig.wall_normal`, which an unchecked config meets on
+    its first trial: the axis is not vertical, and the floor reaches beyond
+    ``wall_margin_m`` on exactly one side of the wall plane.  The slope
+    assignment must exist for (tile_count, frames, exclusive_tiles) and give
+    at least three exclusive-slope tiles.
     The wavelength ``c / carrier_hz``, the largest multipath phase
     ``2*pi*excess_max_m / wavelength`` and the multipath power ratio
     ``10**(power_rel_db / 10)`` must be finite.
@@ -306,30 +328,11 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"[scene] bs_position_m = {_point(cfg.bs_position_m)} coincides with "
             f"RIS tile {int(np.argmin(bs_legs)) + 1} of {cfg.tile_count}"
         )
-    corners = _floor_corners(cfg)
-    _check_in_room(cfg, "[scene] floor corner {} (z = 0)", corners)
+    _check_in_room(cfg, "[scene] floor corner {} (z = 0)", _floor_corners(cfg))
     try:
-        normal = cfg.wall_normal()
+        cfg.wall_normal()
     except ValueError as exc:
         raise ConfigError(f"[scene] {exc}") from None
-    # signed distances of the floor corners from the RIS wall plane
-    offsets = (corners - np.asarray(cfg.ris_center_m)) @ normal
-    margin = cfg.wall_margin_m
-    if offsets.max() > margin and offsets.min() < -margin:
-        raise ConfigError(
-            f"[scene] ris_center_m = {_point(cfg.ris_center_m)} puts the RIS "
-            f"wall plane across the floor: the floor reaches {offsets.max():g} m "
-            f"from it on one side and {-offsets.min():g} m on the other, both "
-            f"beyond wall_margin_m = {margin:g}, so a UE and its mirror image "
-            "across the plane give the same arrivals"
-        )
-    clearance = float(np.max(np.abs(offsets)))
-    if clearance <= margin:
-        raise ConfigError(
-            f"[scene] wall_margin_m = {margin:g} leaves no floor "
-            f"position for the UE: the floor reaches {clearance:g} m from the "
-            "RIS wall at most"
-        )
     try:
         assignment = cfg.assignment()
     except ValueError as exc:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .bounds import cascade_snrs, fim
 from .channel import realize_channel
 from .config import ExperimentConfig, apply_sweep_value, heatmap_cells
@@ -372,25 +371,19 @@ def _time_callables(fns, min_time_s: float = 0.02, repeats: int = 5) -> list[flo
     return best
 
 
-def _time_callable(fn, min_time_s: float = 0.02, repeats: int = 5) -> float:
-    """Per-call seconds of one callable; min over repeats."""
-    return _time_callables([fn], min_time_s, repeats)[0]
-
-
 def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
     """Stage timings plus the fitted spectrum growth exponent.
 
     Returns (rows, exponent) where rows are (stage, size, seconds) entries:
-    the fast spectrum path across a 16x range of padded grid sizes, the dense
-    reference transform and the peak scan of :mod:`ris_nfloc.kernels`, and
-    the labeling-plus-solve stage versus tile count.  The exponent fits
+    the fast spectrum path across a 16x range of padded grid sizes and the
+    labeling-plus-solve stage versus tile count, each family timed in
+    interleaved rounds (:func:`_time_callables`).  The exponent fits
     ``time ~ (n*log2(n))^e`` for the fast path, ``n`` the padded grid size.
     A tile count the sweep check rejects raises :class:`ConfigError` before
     any timing.
     """
     spl_configs = [apply_sweep_value(cfg, "K", k) for k in (8, 16, 32, 64)]
     rng = np.random.default_rng(cfg.seed)
-    rows = []
     wcfg_l = 16
     fast_sizes, fast_calls = [], []
     for n_sub in sizes:
@@ -411,40 +404,20 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
     # the growth exponent is fitted to these rows: long windows and many
     # interleaved rounds keep outside load from bending the fit
     fast_times = _time_callables(fast_calls, min_time_s=0.05, repeats=9)
-    rows.extend(("spectrum_fft", n, t) for n, t in zip(fast_sizes, fast_times))
-
-    # the numpy reference kernels
-    n_dense, l_dense = 128, 8
-    s = rng.standard_normal((n_dense, l_dense)) + 1j * rng.standard_normal(
-        (n_dense, l_dense)
-    )
-    n_bar = cfg.oversampling * n_dense
-    rows.append(
-        (
-            "spectrum_dense_numpy",
-            n_bar * l_dense,
-            _time_callable(lambda: kernels.idft2_dense(s, n_bar)),
-        )
-    )
-    mag = np.abs(rng.standard_normal(4096))
-    rows.append(
-        (
-            "peak_scan_numpy",
-            4096,
-            _time_callable(lambda: kernels.column_peak_mask(mag, 0.5)),
-        )
-    )
 
     # labeling + solve on exact arrivals across tile counts; with no
     # resolvability gap every shared group is labeled
+    spl_calls = []
     for sub in spl_configs:
         dep = sub.deployment
         assignment = sub.assignment()
         groups = ToaGroups.from_delays(
             toa_vector(dep.scene(np.array([3.0, 4.0, 0.0]))), assignment
         )
-        seconds = _time_callable(lambda: run_spl(groups, assignment, dep))
-        rows.append(("spl_tdoa", sub.tile_count, seconds))
+        spl_calls.append(lambda g=groups, a=assignment, d=dep: run_spl(g, a, d))
+    spl_times = _time_callables(spl_calls)
+    rows = [("spectrum_fft", n, t) for n, t in zip(fast_sizes, fast_times)]
+    rows += [("spl_tdoa", sub.tile_count, t) for sub, t in zip(spl_configs, spl_times)]
 
     x = np.log(np.array(fast_sizes) * np.log2(fast_sizes))
     y = np.log(np.array(fast_times))

@@ -2,10 +2,10 @@
 and the peak scan.
 
 ``idft2_dense`` is the literal double sum, the oracle that ``spectrum_2d``'s
-FFT path is tested against; ``median`` and ``column_peak_mask`` run on every
-spectrum column during peak extraction, the first to set the admissibility
-floor, the second to find the cyclic local maxima above it.  The ``bench``
-subcommand times ``idft2_dense`` and ``column_peak_mask``.
+FFT path is tested against, called only by the tests and ``selftest``;
+``median`` and ``column_peak_mask`` run on every spectrum column during peak
+extraction, the first to set the admissibility floor, the second to find the
+cyclic local maxima above it.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def in_region(p, p_bs, p_k1, p_k2) -> bool:
 def in_region_quadric(p, p_bs, p_k1, p_k2) -> bool:
     """Region membership via the explicit hyperboloid branch.
 
-    Kept for validation and plotting; must agree with :func:`in_region` for
+    Kept for validation; must agree with :func:`in_region` for
     every non-degenerate configuration.  Works in the focal frame of the tile
     pair, so the pair may have any orientation.
     """
@@ -76,8 +76,12 @@ def in_region_quadric(p, p_bs, p_k1, p_k2) -> bool:
     axis = (p_k2 - p_k1) / (2.0 * half)
     xi = float(np.dot(p - center, axis))
     rho_sq = float(np.dot(p - center, p - center)) - xi * xi
-    if abs(ux) < 1e-12 or b_sq < 1e-24:
-        # quadric degenerates; threshold 0 reduces to the mid-plane test
+    if b_sq < 1e-24:
+        # BS on the tile line outside the pair: the region is all of space,
+        # or it collapses to the ray beyond the far tile
+        return ux > 0.0 or (xi >= half and rho_sq <= 1e-24)
+    if abs(ux) < 1e-12:
+        # threshold 0 reduces to the mid-plane test
         return xi >= 0.0
     f = xi * xi / (ux * ux) - rho_sq / b_sq - 1.0
     if ux < 0.0:
@@ -197,7 +201,7 @@ def run_spl(
     for i in sorted(multi, key=lambda i: (len(assignment.groups[i]), i)):
         tiles = assignment.groups[i]
         dod = len(tiles)
-        if i in toa_groups.under_detected or i not in toa_groups.toas:
+        if i not in toa_groups.toas:
             trace.append(TraceRow(i, dod, "skipped"))
             continue
         toas = toa_groups.toas[i]

@@ -25,18 +25,17 @@ class PspAssignment:
         k0_set: tile indices holding exclusive slopes, in slope order.
         groups: slope index i -> tuple of tiles sharing slope i/L (ascending
             tile index).  Covers every slope in use, singletons included.
-        k0_size: number of exclusive-slope tiles.
     """
 
     l_frames: int
     beta: np.ndarray
     k0_set: tuple[int, ...]
     groups: dict[int, tuple[int, ...]]
-    k0_size: int
 
     @property
-    def n_tiles(self) -> int:
-        return len(self.beta)
+    def k0_size(self) -> int:
+        """Number of exclusive-slope tiles."""
+        return len(self.k0_set)
 
     @property
     def max_dod(self) -> int:
@@ -107,5 +106,4 @@ def assign(k_tiles: int, l_frames: int, k0_size: int = 4) -> PspAssignment:
         beta=beta,
         k0_set=k0_set,
         groups=out_groups,
-        k0_size=k0_size,
     )

@@ -40,13 +40,10 @@ class SpectrumMap:
 
     grid: np.ndarray  # (n_bar, L) complex
     oversampling: int
-    n_bar: int
     cfg: WaveformConfig
     samples: np.ndarray | None = None  # (N, L) complex
 
     def __post_init__(self):
-        if self.n_bar != self.oversampling * self.cfg.n_subcarriers:
-            raise ValueError("n_bar must equal oversampling * n_subcarriers")
         if self.grid.shape != (self.n_bar, self.cfg.l_frames):
             raise ValueError("grid shape mismatch")
         if self.samples is not None and self.samples.shape != (
@@ -54,6 +51,11 @@ class SpectrumMap:
             self.cfg.l_frames,
         ):
             raise ValueError("samples shape mismatch")
+
+    @property
+    def n_bar(self) -> int:
+        """Rows of the oversampled delay axis."""
+        return self.oversampling * self.cfg.n_subcarriers
 
     @property
     def bin_seconds(self) -> float:
@@ -115,7 +117,6 @@ def spectrum_2d(frames: FrameMatrix, oversampling: int) -> SpectrumMap:
     return SpectrumMap(
         grid=grid,
         oversampling=oversampling,
-        n_bar=n_bar,
         cfg=frames.config,
         samples=samples,
     )

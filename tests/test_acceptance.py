@@ -104,7 +104,6 @@ def _two_path_case(cfg, q, tau_bins, betas, amps):
             beta=np.asarray(betas),
             k0_set=(),
             groups={int(round(betas[0] * cfg.l_frames)): (1, 2)},
-            k0_size=0,
         )
         if betas[0] == betas[1]
         else PspAssignment(
@@ -115,7 +114,6 @@ def _two_path_case(cfg, q, tau_bins, betas, amps):
                 int(round(betas[0] * cfg.l_frames)): (1,),
                 int(round(betas[1] * cfg.l_frames)): (2,),
             },
-            k0_size=2,
         )
     )
     n_bar = q * cfg.n_subcarriers

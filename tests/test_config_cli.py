@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ris_nfloc
+from ris_nfloc import cli, harness
 from ris_nfloc.cli import main
 from ris_nfloc.config import (
     ConfigError,
@@ -223,7 +224,14 @@ def test_floor_point_needs_two_coordinates(desk_config):
     assert floor_point(cfg, (5.0, 4.0)).tolist() == [5.0, 4.0, 0.0]
 
 
-def test_an_unchecked_vertical_ris_fails_its_first_trial():
+@pytest.mark.parametrize("fields, named", [
+    ("ris_axis=(0, 0, 1)", "vertical"),
+    # no floor beyond the margin: the UE draw would never end
+    ("wall_margin_m=12.0", "wall_margin_m"),
+    # floor on both sides of the wall: every UE would have a mirror twin
+    ("ris_center_m=(5.0, 5.0, 2.0)", "ris_center_m"),
+], ids=["vertical_axis", "no_floor_beyond_margin", "floor_on_both_sides"])
+def test_an_unchecked_vertical_ris_fails_its_first_trial(fields, named):
     # a config built in code skips check_config; its first trial raises
     # instead of drawing UEs against a wall that does not exist.  A
     # subprocess, so a hang fails instead of stalling the suite
@@ -232,16 +240,30 @@ def test_an_unchecked_vertical_ris_fails_its_first_trial():
         "import sys\n"
         "from ris_nfloc.config import ExperimentConfig\n"
         "from ris_nfloc.harness import run_trial\n"
-        "cfg = ExperimentConfig(tile_count=16, ris_axis=(0, 0, 1))\n"
+        f"cfg = ExperimentConfig(tile_count=16, {fields})\n"
         "try:\n"
         "    run_trial(cfg, 0)\n"
         "except ValueError as exc:\n"
-        "    sys.exit(0 if 'vertical' in str(exc) else 1)\n"
+        f"    sys.exit(0 if {named!r} in str(exc) else 1)\n"
         "sys.exit(1)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0
+
+
+def test_a_pipeline_failure_exits_3(monkeypatch, capsys):
+    def boom(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "run_trials", boom)
+    assert main(["--trials", "1", "simulate"]) == 3
+    assert "pipeline failure: boom" in capsys.readouterr().err
+
+
+def test_a_failed_selftest_exits_3(monkeypatch):
+    monkeypatch.setattr(cli, "run_selftest", lambda: False)
+    assert main(["selftest"]) == 3
 
 
 BAD_ARGUMENTS = {

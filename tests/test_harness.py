@@ -444,7 +444,6 @@ def test_timing_benchmark_smoke(tmp_path):
     rows, exponent = timing_benchmark(DESK, sizes=(64, 128, 256))
     stages = {stage for stage, _, _ in rows}
     assert "spectrum_fft" in stages
-    assert "spectrum_dense_numpy" in stages
     assert "spl_tdoa" in stages
     assert all(seconds > 0 for _, _, seconds in rows)
     path = tmp_path / "timing.csv"

@@ -72,6 +72,19 @@ def test_quadric_equivalence_random():
     assert checked > 2000
 
 
+@pytest.mark.parametrize("bs_x", [0.0, 9.0])
+@pytest.mark.parametrize("order", [(4.0, 6.0), (6.0, 4.0)])
+def test_quadric_equivalence_with_the_bs_on_the_tile_line(bs_x, order):
+    # the BS on the tile line outside the pair: the hyperboloid collapses to
+    # a ray, or the region is all of space
+    p_bs = np.array([bs_x, 10.0, 2.0])
+    p1, p2 = (np.array([x, 10.0, 2.0]) for x in order)
+    rng = np.random.default_rng(5)
+    for xy in rng.uniform(0.0, 10.0, (2000, 2)):
+        p = np.array([xy[0], xy[1], 0.0])
+        assert in_region(p, p_bs, p1, p2) == in_region_quadric(p, p_bs, p1, p2)
+
+
 def test_label_pair_cases():
     scene = pair_scene()
     t = toa_vector(scene)

@@ -378,18 +378,18 @@ def test_quadratic_refine_symmetric_and_clamped():
     grid[10, 0] = 2.0
     grid[9, 0] = grid[11, 0] = 1.0
     spec = SpectrumMap(
-        grid=grid.astype(complex), oversampling=4, n_bar=64, cfg=cfg
+        grid=grid.astype(complex), oversampling=4, cfg=cfg
     )
     bin_s = spec.bin_seconds
     assert quadratic_refine(spec, 10, 0) == pytest.approx(10 * bin_s)
     # monotone neighborhood clamps to half a bin
     grid2 = np.zeros((64, 2), dtype=complex)
     grid2[9:12, 1] = [1.0, 2.0, 2.9]
-    spec2 = SpectrumMap(grid=grid2, oversampling=4, n_bar=64, cfg=cfg)
+    spec2 = SpectrumMap(grid=grid2, oversampling=4, cfg=cfg)
     assert quadratic_refine(spec2, 10, 1) == pytest.approx((10 + 0.5) * bin_s)
     # flat neighborhood falls back to the bin center
     grid3 = np.ones((64, 2), dtype=complex)
-    spec3 = SpectrumMap(grid=grid3, oversampling=4, n_bar=64, cfg=cfg)
+    spec3 = SpectrumMap(grid=grid3, oversampling=4, cfg=cfg)
     assert quadratic_refine(spec3, 20, 0) == pytest.approx(20 * bin_s)
     # edge bins are returned unrefined
     assert quadratic_refine(spec, 0, 0) == 0.0
@@ -412,7 +412,7 @@ def test_quadratic_refine_array_equals_per_bin_loop():
     rng = np.random.default_rng(12)
     grid = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
     grid[20:24, 1] = 1.0  # a flat run
-    spec = SpectrumMap(grid=grid, oversampling=4, n_bar=64, cfg=cfg)
+    spec = SpectrumMap(grid=grid, oversampling=4, cfg=cfg)
     for v in (0, 1):
         bins = np.array([0, 1, 21, 22, 40, 62, 63, 5])
         got = quadratic_refine(spec, bins, v)
