@@ -375,8 +375,9 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
     """Stage timings plus the fitted spectrum growth exponent.
 
     Returns (rows, exponent) where rows are (stage, size, seconds) entries:
-    the fast spectrum path across a 16x range of padded grid sizes and the
-    labeling-plus-solve stage versus tile count, each family timed in
+    the spectrum stage (:func:`spectrum_2d`, the zero-padded delay-axis FFT of
+    slope columns built beforehand) across a 16x range of padded grid sizes
+    and the labeling-plus-solve stage versus tile count, each family timed in
     interleaved rounds (:func:`_time_callables`).  The exponent fits
     ``time ~ (n*log2(n))^e`` for the fast path, ``n`` the padded grid size.
     A tile count the sweep check rejects raises :class:`ConfigError` before
@@ -398,7 +399,7 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
         s = rng.standard_normal((n_sub, wcfg_l)) + 1j * rng.standard_normal(
             (n_sub, wcfg_l)
         )
-        frames = FrameMatrix(s=s, config=wcfg)
+        frames = FrameMatrix.from_symbols(s, wcfg)
         fast_sizes.append(cfg.oversampling * n_sub * wcfg_l)
         fast_calls.append(lambda frames=frames: spectrum_2d(frames, cfg.oversampling))
     # the growth exponent is fitted to these rows: long windows and many

@@ -1,11 +1,12 @@
 """Numpy reference kernels: the dense 2-D transform, the noise-floor median
 and the peak scan.
 
-``idft2_dense`` is the literal double sum, the oracle that ``spectrum_2d``'s
-FFT path is tested against, called only by the tests and ``selftest``;
-``median`` and ``column_peak_mask`` run on every spectrum column during peak
-extraction, the first to set the admissibility floor, the second to find the
-cyclic local maxima above it.
+``idft2_dense`` is the literal double sum over a frame-domain symbol matrix,
+the oracle that the frame-axis DFT (``FrameMatrix.from_symbols``) followed by
+the delay-axis FFT (``spectrum_2d``) is tested against, called only by the
+tests and ``selftest``; ``median`` and ``column_peak_mask`` run on every
+spectrum column during peak extraction, the first to set the admissibility
+floor, the second to find the cyclic local maxima above it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import numpy as np
 def idft2_dense(s: np.ndarray, n_bar: int) -> np.ndarray:
     """Reference transform: explicit double sum over (subcarrier, frame).
 
-    Indices are 1-based inside the sums, matching the frame synthesis model;
-    the fast FFT path in :mod:`ris_nfloc.spectrum` must agree with this to
-    1e-9 relative.  Evaluated as two precomputed phase matmuls.
+    ``s`` holds frame-domain symbols, subcarriers along rows and frames
+    along columns.  Indices are 1-based inside the sums, matching the frame
+    synthesis model; ``spectrum_2d(FrameMatrix.from_symbols(s, cfg), q)``
+    must agree with this to 1e-9 relative.  Evaluated as two precomputed
+    phase matmuls.
     """
     n, l = s.shape
     w_u = np.exp(-2j * np.pi * np.outer(np.arange(n_bar), np.arange(1, n + 1)) / n_bar)

@@ -1,11 +1,13 @@
 """Path decomposition on the joint (delay, slope) spectrum.
 
-The demodulated frame matrix is transformed into an oversampled 2-D map whose
-columns index the frame-ramp slope and whose rows index delay; every path
-shows up as a 2-D sinc mainlobe at (delay bin, slope bin).  Peak extraction
-walks the column of each slope group, keeps the required number of local
-maxima, and converts bins to arrival times, refining each peak by a
-three-point parabola fit.
+The slope columns of the demodulated frames (the frame-axis DFT, which the
+frame synthesis produces directly) are transformed along the delay axis into
+an oversampled 2-D map whose columns index the frame-ramp slope and whose
+rows index delay; every path shows up as a sinc mainlobe at its delay bin in
+its slope column.  Peak extraction walks the column of each slope group,
+keeps the required number of local maxima, and converts bins to arrival
+times, refining each peak by a three-point parabola fit on the periodic
+delay axis.
 
 A group of several tiles sharing one slope is an exact sum of as many complex
 exponentials over the subcarrier axis, so its delays are also estimated
@@ -32,10 +34,11 @@ from .waveform import FrameMatrix, WaveformConfig
 class SpectrumMap:
     """Oversampled joint spectrum of one frame matrix.
 
-    ``samples`` is the frame-axis transform before the delay-axis one: column
-    v holds the N subcarrier samples of slope column v, whose zero-padded
-    n_bar-point transform is ``grid[:, v]``.  It is ``None`` for a map built
-    from a grid alone, and then every group is peak-picked.
+    ``samples`` are the slope columns the map was built from
+    (:attr:`FrameMatrix.s`): column v holds the N subcarrier samples of slope
+    column v, whose zero-padded n_bar-point transform is ``grid[:, v]``.  It
+    is ``None`` for a map built from a grid alone, and then every group is
+    peak-picked.
     """
 
     grid: np.ndarray  # (n_bar, L) complex
@@ -93,26 +96,26 @@ class ToaGroups:
 
 
 def spectrum_2d(frames: FrameMatrix, oversampling: int) -> SpectrumMap:
-    """Transform frames into the oversampled joint spectrum.
+    """Transform slope columns into the oversampled joint spectrum.
 
-    Runs the frame-axis FFT on the unpadded N x L frames, then one
-    zero-padded delay-axis FFT, with 1-based subcarrier/frame indices in the
-    transform phases, and keeps the frame-axis result as ``samples``.  It
+    One zero-padded delay-axis FFT of the slope columns, with the 1-based
+    subcarrier index placing subcarrier n at row n mod n_bar; the columns
+    are kept as ``samples``.  After :meth:`FrameMatrix.from_symbols` it
     agrees with the literal double sum :func:`kernels.idft2_dense` to 1e-9
     relative.
     """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
-    s = frames.s
-    n, l = s.shape
+    samples = frames.s
+    n, l = samples.shape
     n_bar = oversampling * n
-    # the 1-based frame index becomes a per-column phase
-    samples = np.fft.fft(s, axis=1) * np.exp(-2j * np.pi * np.arange(l) / l)
     # frame-major padding puts each slope column in contiguous memory; the
-    # row placement handles the 1-based subcarrier index; the FFT runs in
-    # place, so a trial allocates one n_bar x L buffer, not two
+    # FFT runs in place, so a trial allocates one n_bar x L buffer, not two
     padded = np.zeros((l, n_bar), dtype=np.complex128)
-    padded[:, np.arange(1, n + 1) % n_bar] = samples.T
+    # subcarrier n goes to row n mod n_bar: at oversampling 1, N wraps to 0
+    head = min(n, n_bar - 1)
+    padded[:, 1 : head + 1] = samples.T[:, :head]
+    padded[:, : n - head] = samples.T[:, head:]
     grid = np.fft.fft(padded, axis=1, out=padded).T
     return SpectrumMap(
         grid=grid,
@@ -126,16 +129,17 @@ def quadratic_refine(spec: SpectrumMap, u, v) -> np.ndarray:
     """Sub-bin arrival times from three-point parabolas around bins ``u``.
 
     ``u`` holds delay bins and ``v`` their columns, scalars or arrays that
-    broadcast together; the result has their broadcast shape.  A bin at the
-    grid edge or on a flat neighborhood keeps its unrefined bin center; the
-    fitted offset is clamped to half a bin.
+    broadcast together; the result has their broadcast shape.  The delay
+    axis is periodic, so bins 0 and n_bar - 1 are neighbors and an edge bin
+    may refine to just below 0 or just below n_bar.  A bin on a flat
+    neighborhood keeps its unrefined bin center; the fitted offset is clamped
+    to half a bin.
     """
     u = np.asarray(u)
-    inner = (u >= 1) & (u <= spec.n_bar - 2)
-    at = np.where(inner, u, 1)
-    a, b, c = np.abs(spec.grid[np.stack((at - 1, at, at + 1)), v])
+    # row -1 is the last row, so only the right neighbor needs the modulo
+    a, b, c = np.abs(spec.grid[np.stack((u - 1, u, (u + 1) % spec.n_bar)), v])
     denom = a - 2.0 * b + c
-    fit = inner & (np.abs(denom) >= 1e-300)
+    fit = np.abs(denom) >= 1e-300
     offset = np.clip(0.5 * (a - c) / np.where(fit, denom, 1.0), -0.5, 0.5)
     return np.where(fit, u + offset, u) * spec.bin_seconds
 

@@ -58,7 +58,7 @@ def test_fft_matches_dense_sum():
     rng = np.random.default_rng(0)
     cfg = small_cfg(n=48, l=8)
     s = rng.standard_normal((48, 8)) + 1j * rng.standard_normal((48, 8))
-    frames = FrameMatrix(s=s, config=cfg)
+    frames = FrameMatrix.from_symbols(s, cfg)
     for q in (1, 2, 4):
         fast = spectrum_2d(frames, q)
         dense = kernels.idft2_dense(s, fast.n_bar)
@@ -70,12 +70,13 @@ def test_samples_are_frame_axis_dft():
     rng = np.random.default_rng(1)
     cfg = small_cfg(n=48, l=6)
     s = rng.standard_normal((48, 6)) + 1j * rng.standard_normal((48, 6))
-    frames = FrameMatrix(s=s, config=cfg)
+    frames = FrameMatrix.from_symbols(s, cfg)
     expected = np.zeros((48, 6), dtype=complex)
     for v in range(6):
         for ell in range(1, 7):  # 1-based frame index
             expected[:, v] += s[:, ell - 1] * np.exp(-2j * np.pi * ell * v / 6)
     spec = spectrum_2d(frames, 2)
+    assert spec.samples is frames.s
     rel = np.max(np.abs(spec.samples - expected)) / np.max(np.abs(expected))
     assert rel < 1e-12
     with pytest.raises(ValueError):
@@ -86,7 +87,7 @@ def test_parseval_with_zero_padding():
     rng = np.random.default_rng(3)
     cfg = small_cfg(n=32, l=8)
     s = rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8))
-    frames = FrameMatrix(s=s, config=cfg)
+    frames = FrameMatrix.from_symbols(s, cfg)
     spec = spectrum_2d(frames, 4)
     lhs = np.sum(np.abs(spec.grid) ** 2)
     rhs = spec.n_bar * cfg.l_frames * np.sum(np.abs(s) ** 2)
@@ -391,16 +392,20 @@ def test_quadratic_refine_symmetric_and_clamped():
     grid3 = np.ones((64, 2), dtype=complex)
     spec3 = SpectrumMap(grid=grid3, oversampling=4, cfg=cfg)
     assert quadratic_refine(spec3, 20, 0) == pytest.approx(20 * bin_s)
-    # edge bins are returned unrefined
-    assert quadratic_refine(spec, 0, 0) == 0.0
+    # the delay axis is periodic: an edge bin's neighbors wrap around
+    grid4 = np.zeros((64, 2), dtype=complex)
+    grid4[[63, 0, 1], 0] = [1.0, 2.0, 1.5]
+    grid4[[62, 63, 0], 1] = [1.5, 2.0, 1.0]
+    spec4 = SpectrumMap(grid=grid4, oversampling=4, cfg=cfg)
+    assert quadratic_refine(spec4, 0, 0) == pytest.approx(bin_s / 6)
+    assert quadratic_refine(spec4, 63, 1) == pytest.approx((63 - 1 / 6) * bin_s)
 
 
 def _refine_one(spec, u, v):
-    # per-bin reference: the scalar parabola with its edge and flat fallbacks
+    # per-bin reference: the scalar parabola on the periodic delay axis with
+    # its flat fallback
     bin_s = spec.bin_seconds
-    if not 1 <= u <= spec.n_bar - 2:
-        return u * bin_s
-    a, b, c = np.abs(spec.grid[u - 1 : u + 2, v])
+    a, b, c = np.abs(spec.grid[[(u - 1) % spec.n_bar, u, (u + 1) % spec.n_bar], v])
     denom = a - 2.0 * b + c
     if abs(denom) < 1e-300:
         return u * bin_s
@@ -434,3 +439,40 @@ def test_quadratic_refine_off_grid_accuracy():
         u = int(np.argmax(col))
         refined = quadratic_refine(spec, u, 2)
         assert abs(refined - tau) < 0.05 * bin_s
+
+
+@pytest.mark.parametrize("past", [0.3, -0.3])
+def test_quadratic_refine_across_the_wrap(past):
+    # a path 0.3 bins past the period boundary (or short of it) peaks on an
+    # edge bin; its parabola takes the neighbor across the wrap
+    cfg = small_cfg()
+    q = 4
+    n_bar = q * 64
+    bin_s = 1.0 / (n_bar * cfg.spacing)
+    tau = np.mod(past * bin_s, 1.0 / cfg.spacing)
+    spec = spectrum_2d(frames_from_paths([tau], [0.25], [1.0], cfg), q)
+    u = int(np.argmax(np.abs(spec.grid[:, 2])))
+    assert u in (0, n_bar - 1)
+    refined = quadratic_refine(spec, u, 2)
+    assert abs(refined - past * bin_s) < 0.05 * bin_s
+
+
+def test_unwrap_keeps_a_refined_time_below_zero_beside_the_period_end():
+    # one exclusive tile refines to just below 0, another sits just below
+    # the period end; the set straddles zero, so the first moves up a period
+    cfg = small_cfg()
+    q = 4
+    n_bar = q * 64
+    bin_s = 1.0 / (n_bar * cfg.spacing)
+    period = 1.0 / cfg.spacing
+    assignment = assign(3, 8, 3)
+    bins = {6: n_bar - 0.3, 7: n_bar - 20.4, 8: n_bar - 40.2}
+    taus = [bins[i] * bin_s for i in sorted(assignment.groups)]
+    betas = [i / 8 for i in sorted(assignment.groups)]
+    spec = spectrum_2d(frames_from_paths(taus, betas, np.ones(3), cfg), q)
+    raw = quadratic_refine(spec, 0, 6)
+    assert -0.5 * bin_s < raw < 0.0
+    groups = extract_toas(spec, assignment)
+    for i, tau in zip(sorted(assignment.groups), taus):
+        assert groups.toas[i][0] == pytest.approx(tau, abs=0.05 * bin_s)
+        assert groups.toas[i][0] < period

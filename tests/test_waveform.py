@@ -4,6 +4,7 @@ import pytest
 from ris_nfloc.geometry import RisLayout, build_scene, toa_vector
 from ris_nfloc.psp import assign
 from ris_nfloc.waveform import (
+    FrameMatrix,
     WaveformConfig,
     frames_from_paths,
     synthesize_frames,
@@ -22,29 +23,33 @@ def small_cfg(noise=0.0, n=64, l=8):
 
 
 def test_single_path_closed_form():
+    # slope 2/8: the L frame ramps add up in slope column 2 alone
     cfg = small_cfg()
     tau, beta = 150e-9, 0.25
     frames = frames_from_paths([tau], [beta], [1.0], cfg)
     freqs = cfg.subcarrier_frequencies()
-    n, ell = 10, 3
+    n = 10
     expected = (
-        cfg.tx_power
+        cfg.l_frames
+        * cfg.tx_power
         / cfg.n_subcarriers
         * np.exp(2j * np.pi * freqs[n - 1] * tau)
-        * np.exp(2j * np.pi * beta * ell)
     )
-    assert frames.s[n - 1, ell - 1] == pytest.approx(expected, rel=1e-12)
+    assert frames.s[n - 1, 2] == pytest.approx(expected, rel=1e-12)
+    assert not np.any(np.delete(frames.s, 2, axis=1))
 
 
 def test_unmodulated_profile_frame_independent():
+    # slope 1 is a constant ramp: frame-independent paths fill column 0 only
     cfg = small_cfg()
     frames = frames_from_paths([100e-9, 210e-9], [1.0, 1.0], [0.7, 0.2 - 0.4j], cfg)
-    for ell in range(1, cfg.l_frames):
-        assert np.allclose(frames.s[:, ell], frames.s[:, 0], rtol=1e-12)
+    assert np.any(frames.s[:, 0])
+    assert not np.any(frames.s[:, 1:])
 
 
 def test_noise_variance_statistical():
-    # zero signal: sample variance of the cells approaches P*N0/N
+    # zero signal: sample variance of the cells approaches L*P*N0/N, the
+    # frame-domain variance P*N0/N summed over L frames
     cfg = small_cfg(noise=3e-3, n=100, l=10)
     rng = np.random.default_rng(0)
     draws = []
@@ -53,14 +58,15 @@ def test_noise_variance_statistical():
         draws.append(frames.s.ravel())
     cells = np.concatenate(draws)
     var = np.mean(np.abs(cells) ** 2)
-    expected = cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers
+    expected = cfg.l_frames * cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers
     assert var == pytest.approx(expected, rel=0.05)
 
 
 @pytest.mark.parametrize("k", [0, 1, 5])
 def test_noise_equals_two_separate_draws(k):
-    # the in-place noise equals the drawn real block plus j times the drawn
-    # imaginary block, scaled and added to the noiseless frames, bit for bit
+    # the noise equals the slope columns of the drawn real block plus j times
+    # the drawn imaginary block, scaled, added to the noiseless columns, bit
+    # for bit
     cfg = small_cfg(noise=3e-3, n=67, l=5)
     paths = np.random.default_rng(k)
     taus = paths.uniform(0.0, 500e-9, k)
@@ -68,14 +74,16 @@ def test_noise_equals_two_separate_draws(k):
     amps = paths.standard_normal(k) + 1j * paths.standard_normal(k)
     clean = frames_from_paths(taus, betas, amps, cfg).s
     rng = np.random.default_rng(11)
-    var = cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers
-    sh = clean.shape
-    want = clean + np.sqrt(var / 2.0) * (
-        rng.standard_normal(sh) + 1j * rng.standard_normal(sh)
-    )
+    sigma = np.sqrt(cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers / 2.0)
+    symbols = np.empty(clean.shape, dtype=complex)
+    symbols.real = sigma * rng.standard_normal(clean.shape)
+    symbols.imag = sigma * rng.standard_normal(clean.shape)
+    want = clean + FrameMatrix.from_symbols(symbols, cfg).s
     got = frames_from_paths(taus, betas, amps, cfg, np.random.default_rng(11)).s
-    assert np.array_equal(got.view(float), want.view(float))
-    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+    for part in ("real", "imag"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_linearity_in_cascade():
@@ -94,7 +102,7 @@ def test_amplitude_bound():
     frames = frames_from_paths(
         [100e-9, 140e-9, 300e-9], [0.25, 0.5, 0.75], amps, cfg
     )
-    bound = cfg.tx_power / cfg.n_subcarriers * np.sum(np.abs(amps))
+    bound = cfg.l_frames * cfg.tx_power / cfg.n_subcarriers * np.sum(np.abs(amps))
     assert np.max(np.abs(frames.s)) <= bound + 1e-15
 
 
@@ -138,11 +146,11 @@ def test_noise_reproducible_by_seed():
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_few_subcarriers_shape(n):
     cfg = small_cfg(n=n, l=3)
-    frames = frames_from_paths([100e-9, 140e-9], [0.25, 0.5], [1.0, 0.3j], cfg)
+    frames = frames_from_paths([100e-9, 140e-9], [1 / 3, 2 / 3], [1.0, 0.3j], cfg)
     assert frames.s.shape == (n, 3)
-    assert frames.s.flags.c_contiguous
-    expected = frames_from_paths([100e-9], [0.25], [1.0], cfg).s + frames_from_paths(
-        [140e-9], [0.5], [0.3j], cfg
+    assert frames.s.strides[0] == frames.s.itemsize  # each column contiguous
+    expected = frames_from_paths([100e-9], [1 / 3], [1.0], cfg).s + frames_from_paths(
+        [140e-9], [2 / 3], [0.3j], cfg
     ).s
     assert np.allclose(frames.s, expected, rtol=1e-12)
 
@@ -152,8 +160,16 @@ def test_no_paths_give_zero_frames(n):
     cfg = small_cfg(n=n, l=4)
     frames = frames_from_paths([], [], [], cfg)
     assert frames.s.shape == (n, 4)
-    assert frames.s.flags.c_contiguous
+    assert frames.s.strides[0] == frames.s.itemsize  # each column contiguous
     assert not np.any(frames.s)
+
+
+def test_off_grid_slope_raises():
+    cfg = small_cfg(l=8)
+    with pytest.raises(ValueError, match="multiple of 1/L"):
+        frames_from_paths([100e-9, 140e-9], [0.25, 0.3], [1.0, 0.5], cfg)
+    with pytest.raises(ValueError, match="multiple of 1/L"):
+        frames_from_paths([100e-9], [1.0 + 1e-6], [1.0], cfg)
 
 
 def test_path_arrays_must_have_equal_length():
@@ -163,9 +179,21 @@ def test_path_arrays_must_have_equal_length():
         frames_from_paths([100e-9, 140e-9], [0.25, 0.5], [1.0], small_cfg())
 
 
-@pytest.mark.parametrize("l_frames", [16, 64])
-def test_block_product_matches_direct_exponential(l_frames):
-    # full-scale grid: N=3200 at 120 kHz around 28 GHz, 64 paths near 1 us
+_DIRECT_CASES = {
+    "16": (16, np.random.default_rng(16).integers(1, 17, 64)),
+    "64": (64, np.random.default_rng(64).integers(1, 65, 64)),
+    # K > L: groups of 1 to 9 tiles, and no tile on slope 5/16
+    "uneven": (16, np.repeat(np.r_[1:5, 6:17], [9, 1, 5, 5] + [4] * 10 + [5])),
+    # K = L = 64: every tile alone on its slope, as psp.assign gives them
+    "singletons": (64, np.random.default_rng(3).permutation(np.arange(1, 65))),
+    "K=0": (16, np.array([], dtype=int)),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIRECT_CASES))
+def test_block_product_matches_direct_exponential(case):
+    # full-scale grid: N=3200 at 120 kHz around 28 GHz, paths near 1 us
+    l_frames, slots = _DIRECT_CASES[case]
     cfg = WaveformConfig(
         n_subcarriers=3200,
         spacing=120e3,
@@ -174,14 +202,22 @@ def test_block_product_matches_direct_exponential(l_frames):
         noise_psd=0.0,
         l_frames=l_frames,
     )
-    rng = np.random.default_rng(l_frames)
-    taus = rng.uniform(1e-6, 1.06e-6, 64)
-    betas = rng.integers(1, l_frames + 1, 64) / l_frames
-    amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    k = len(slots)
+    rng = np.random.default_rng(l_frames + k)
+    taus = rng.uniform(1e-6, 1.06e-6, k)
+    betas = slots / l_frames
+    amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     scale = cfg.tx_power / cfg.n_subcarriers
     freqs = cfg.subcarrier_frequencies()
     ramp = np.exp(2j * np.pi * betas[:, None] * np.arange(1, l_frames + 1)[None, :])
     direct = scale * (np.exp(2j * np.pi * freqs[:, None] * taus[None, :]) * amps) @ ramp
-    frames = frames_from_paths(taus, betas, amps, cfg)
-    # the direct exponential is itself rounded at ~1e-11 for ~1.8e5 rad arguments
-    assert np.max(np.abs(frames.s - direct)) <= 1e-10 * scale * np.sum(np.abs(amps))
+    got = frames_from_paths(taus, betas, amps, cfg).s
+    # the direct exponential is itself rounded at ~1e-11 for ~1.8e5 rad
+    # arguments; a path's amplitude in its slope column is L times its frame
+    # amplitude, so the bound is 1e-10 of the summed path amplitude in both
+    bound = 1e-10 * scale * np.sum(np.abs(amps))
+    want = FrameMatrix.from_symbols(direct, cfg).s
+    assert np.max(np.abs(got - want)) <= l_frames * bound
+    frames = np.roll(np.fft.ifft(got, axis=1), -1, axis=1)
+    assert np.max(np.abs(frames - direct)) <= bound
+    assert not np.any(got[:, np.setdiff1d(np.arange(l_frames), slots % l_frames)])
