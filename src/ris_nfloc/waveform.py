@@ -83,8 +83,9 @@ class FrameMatrix:
     columns.
 
     Column v holds the N subcarrier samples of slope v/L: the frame-axis DFT
-    of the demodulated frames, with 1-based frame indices.  Each column is
-    contiguous in memory, the layout the delay-axis transform reads.
+    of the demodulated frames, with 1-based frame indices.  The synthesis
+    stores each column contiguously, the layout the delay-axis transform
+    reads.
     """
 
     s: np.ndarray  # (N, L) complex
