@@ -279,9 +279,10 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     trial, at least two subcarriers (one subcarrier gives every slope column
     a flat delay profile without a peak), a non-negative seed, an
     oversampling factor of at least 1, a non-negative clock uncertainty, a
-    positive ``gain_reference``, and transmit and noise powers that are finite
-    and positive in watts.  The RIS layout, the waveform and the
-    multipath model must pass the constructors a trial builds them with.  The
+    positive ``gain_reference``, a positive ``peak_threshold`` (the
+    admissibility floor in column medians), and transmit and noise powers
+    that are finite and positive in watts.  The RIS layout, the waveform and
+    the multipath model must pass the constructors a trial builds them with.  The
     closed room box must contain the BS, every RIS tile center and the floor
     rectangle at z = 0 that UEs are drawn on; the BS must sit at least
     1e-12 m from every tile center.  The RIS wall must pass
@@ -305,6 +306,7 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         ("oversampling", cfg.oversampling >= 1, "must be at least 1"),
         ("clock_uncertainty_s", cfg.clock_uncertainty_s >= 0, "must not be negative"),
         ("gain_reference", cfg.gain_reference > 0, "must be positive"),
+        ("peak_threshold", cfg.peak_threshold > 0, "must be positive"),
         ("power_dbm", 0 < _dbm_to_watt(cfg.power_dbm) < np.inf, _NO_WATTS),
         ("noise_dbm", 0 < _dbm_to_watt(cfg.noise_dbm) < np.inf, _NO_WATTS),
     ):

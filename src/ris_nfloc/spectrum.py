@@ -157,7 +157,10 @@ def extract_toas(
     and ties in magnitude resolve toward the smaller bin.  Columns that
     cannot supply enough peaks mark their group under-detected; a column
     whose median is not finite raises ValueError instead, since no peak can
-    be told from its floor.  Every chosen peak is refined by a parabola
+    be told from its floor.  A one-tile group is first given its column's
+    strongest bin by :func:`kernels.strongest_peak`, which skips the median
+    and the peak scan where they cannot change that pick; the result is the
+    same either way.  Every chosen peak is refined by a parabola
     (:func:`quadratic_refine`).  When the map has ``samples``, a group of
     m >= 2 tiles is also estimated by matrix pencil (see
     :func:`_pencil_groups`); the pencil's m delays and
@@ -181,6 +184,13 @@ def extract_toas(
         tiles = assignment.groups[i]
         v = i % l
         column = np.abs(spec.grid[:, v])
+        if len(tiles) == 1:
+            peak = kernels.strongest_peak(column, threshold_factor)
+            if peak is not None:
+                chosen = np.array([peak])
+                picked.append((i, v, chosen))
+                mags[i] = column[chosen]
+                continue
         floor = kernels.median(column)
         if not np.isfinite(floor):
             raise ValueError(f"slope column {v} has a non-finite median magnitude")

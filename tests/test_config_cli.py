@@ -160,6 +160,10 @@ BAD_CONFIGS = {
     "nan_noise": "[waveform]\nnoise_dbm = nan\n",
     "inf_power": "[waveform]\npower_dbm = inf\n",
     "zero_gain_reference": "[experiment]\ngain_reference = 0\n",
+    # the admissibility floor is a positive multiple of the column median; a
+    # zero or negative factor admitted every local maximum and ran
+    "zero_peak_threshold": "[experiment]\npeak_threshold = 0\n",
+    "negative_peak_threshold": "[experiment]\npeak_threshold = -1\n",
     # powers whose value in watts overflows a float (a traceback) or
     # underflows to 0 W (divide-by-zero warnings and an infinite bound)
     "huge_power": "[waveform]\npower_dbm = 4000\n",

@@ -80,3 +80,22 @@ def test_median_of_a_column_with_nan_is_nan():
             mag = np.abs(rng.standard_normal(n))
             mag[at] = np.nan
             assert np.isnan(kernels.median(mag))
+
+
+def test_strongest_peak_is_the_median_paths_pick_when_it_decides():
+    rng = np.random.default_rng(4)
+    decided = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 80))
+        mag = np.abs(rng.standard_normal(n))
+        if rng.random() < 0.5:
+            mag = np.round(mag, 1)  # plateaus, ties and zeros
+        mag[rng.integers(n)] *= rng.uniform(1.0, 40.0)
+        factor = float(rng.uniform(0.5, 12.0))
+        peak = kernels.strongest_peak(mag, factor)
+        if peak is None:
+            continue
+        bins = np.nonzero(kernels.column_peak_mask(mag, factor * kernels.median(mag)))[0]
+        assert peak == bins[np.lexsort((bins, -mag[bins]))[0]]
+        decided += 1
+    assert 100 < decided < 400

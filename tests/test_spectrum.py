@@ -8,6 +8,8 @@ from ris_nfloc.psp import assign
 from ris_nfloc.spectrum import (
     SpectrumMap,
     ToaGroups,
+    _pencil_groups,
+    _unwrap_inplace,
     extract_toas,
     quadratic_refine,
     spectrum_2d,
@@ -321,6 +323,194 @@ def test_noise_floor_median_matches_numpy_median(monkeypatch):
         assert len(got.toas[1]) == 4
         _assert_same_groups(got, want)
 
+
+
+def _extract_per_column(spec, assignment, threshold_factor=6.0):
+    """extract_toas with every column decided by its median and peak scan,
+    and every peak refined on its own: the reference for the one-tile
+    shortcut."""
+    l = assignment.l_frames
+    toas, mags, under, shared = {}, {}, set(), []
+    for i in sorted(assignment.groups):
+        tiles = assignment.groups[i]
+        v = i % l
+        column = np.abs(spec.grid[:, v])
+        floor = kernels.median(column)
+        if not np.isfinite(floor):
+            raise ValueError(f"slope column {v} has a non-finite median magnitude")
+        threshold = threshold_factor * floor
+        peak_bins = np.nonzero(kernels.column_peak_mask(column, threshold))[0]
+        order = np.lexsort((peak_bins, -column[peak_bins]))
+        if len(tiles) >= 2 and len(peak_bins) and spec.samples is not None:
+            shared.append((i, v, len(tiles), int(peak_bins[order[0]]), threshold))
+        if len(peak_bins) < len(tiles):
+            under.add(i)
+            continue
+        chosen = peak_bins[order[: len(tiles)]]
+        toas[i] = np.array([quadratic_refine(spec, u, v) for u in chosen])
+        mags[i] = column[chosen]
+    for i, (tau, heights) in _pencil_groups(spec, shared).items():
+        toas[i] = tau
+        mags[i] = heights
+        under.discard(i)
+    _unwrap_inplace(toas, 1.0 / spec.cfg.spacing)
+    for i in toas:
+        desc = np.argsort(-toas[i], kind="stable")
+        toas[i] = toas[i][desc]
+        mags[i] = mags[i][desc]
+    return ToaGroups(toas=toas, magnitudes=mags, under_detected=frozenset(under))
+
+
+def _assert_identical_groups(got, want):
+    # bit for bit, dict order included
+    assert got.under_detected == want.under_detected
+    for field in ("toas", "magnitudes"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert list(a) == list(b)
+        for i in b:
+            assert a[i].dtype == b[i].dtype
+            assert a[i].tobytes() == b[i].tobytes()
+
+
+@pytest.fixture
+def shortcut_log(monkeypatch):
+    """Decisions of kernels.strongest_peak during a test: True for each
+    column it left to the median, False for each it decided."""
+    log = []
+    decide = kernels.strongest_peak
+
+    def logged(mag, factor):
+        peak = decide(mag, factor)
+        log.append(peak is None)
+        return peak
+
+    monkeypatch.setattr(kernels, "strongest_peak", logged)
+    return log
+
+
+@pytest.mark.parametrize(
+    "n, l, k, q, noise",
+    [
+        (256, 8, 16, 4, 3e-3),  # desk-like
+        (3200, 16, 64, 4, 1e-2),  # full-like, five tiles per shared group
+        (256, 16, 16, 4, 3e-3),  # L = K: every group holds one tile
+        (256, 32, 16, 4, 3e-3),  # L > K
+        (256, 8, 16, 1, 3e-3),  # oversampling 1
+        (255, 8, 16, 3, 3e-3),  # odd n_bar = 765
+    ],
+)
+def test_extract_toas_equals_per_column_reference(n, l, k, q, noise, shortcut_log):
+    cfg = small_cfg(n=n, l=l, noise=noise)
+    assignment = assign(k, l, 4)
+    period = 1.0 / cfg.spacing
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        taus = rng.uniform(0.0, period, k)
+        # strong to near the noise floor: some one-tile columns are decided
+        # by their strongest bin, others need the median
+        amps = np.exp(2j * np.pi * rng.uniform(size=k)) * rng.uniform(0.05, 1.0, k)
+        frames = frames_from_paths(taus, assignment.beta, amps, cfg, rng)
+        spec = spectrum_2d(frames, q)
+        _assert_identical_groups(
+            extract_toas(spec, assignment), _extract_per_column(spec, assignment)
+        )
+    assert 0 < sum(shortcut_log) < len(shortcut_log)
+
+
+def _one_tile_spectrum(column, l=4):
+    """A samples-free map whose column 1 is ``column`` over quiet noise,
+    with the assignment of one tile per slope."""
+    cfg = small_cfg(n=len(column) // 4, l=l)
+    rng = np.random.default_rng(21)
+    grid = 0.01 * (rng.standard_normal((len(column), l)) + 1j)
+    grid[:, 1] = column
+    return SpectrumMap(grid=grid, oversampling=4, cfg=cfg), assign(l, l, l)
+
+
+def test_plateau_across_the_wrap_falls_back(shortcut_log):
+    # bins 0 and n_bar - 1 share the maximum: bin 0 does not beat its left
+    # neighbor, so the peak is the last bin and the median decides
+    column = 0.1 + 0.01 * np.random.default_rng(22).random(64)
+    column[[0, -1]] = 5.0
+    spec, assignment = _one_tile_spectrum(column)
+    got = extract_toas(spec, assignment)
+    _assert_identical_groups(got, _extract_per_column(spec, assignment))
+    assert shortcut_log[0] is True
+    assert got.magnitudes[1].tolist() == [5.0]
+
+
+def test_maximum_at_exactly_the_admissibility_floor(shortcut_log):
+    rng = np.random.default_rng(23)
+    # a four-bin plateau in the middle makes the median an order statistic
+    parts = [rng.uniform(0.1, 0.6, 30), np.full(4, 0.646), rng.uniform(0.7, 1.0, 30)]
+    column = rng.permutation(np.concatenate(parts))
+    floor = kernels.median(column)
+    assert floor == 0.646
+    # a peak at exactly 6x the median is admissible and taken from its bin
+    column[np.argmax(column)] = 6.0 * floor
+    spec, assignment = _one_tile_spectrum(column)
+    got = extract_toas(spec, assignment)
+    _assert_identical_groups(got, _extract_per_column(spec, assignment))
+    assert shortcut_log[0] is False
+    assert got.magnitudes[1].tolist() == [6.0 * floor]
+    # one step below, no bin is admissible: the group is under-detected,
+    # though the quotient of this peak by 6 rounds back up to the median
+    below = np.nextafter(6.0 * floor, 0.0)
+    assert below / 6.0 == floor
+    column[np.argmax(column)] = below
+    spec, assignment = _one_tile_spectrum(column)
+    shortcut_log.clear()
+    got = extract_toas(spec, assignment)
+    _assert_identical_groups(got, _extract_per_column(spec, assignment))
+    assert shortcut_log[0] is True
+    assert 1 in got.under_detected
+
+
+def test_one_tile_column_with_an_inf_bin_matches_reference():
+    # a single inf leaves the median finite: the inf bin is the peak
+    column = np.random.default_rng(24).uniform(0.1, 1.0, 64)
+    column[9] = np.inf
+    spec, assignment = _one_tile_spectrum(column)
+    _assert_identical_groups(
+        extract_toas(spec, assignment), _extract_per_column(spec, assignment)
+    )
+
+
+@pytest.mark.parametrize("fill", ["nan", "inf", "huge"])
+def test_one_tile_column_without_finite_median_raises(fill):
+    column = np.random.default_rng(25).uniform(0.1, 1.0, 64)
+    if fill == "nan":
+        column[30] = np.nan
+    elif fill == "inf":
+        column[:40] = np.inf
+    else:
+        # every bin beyond half the largest float: the sum of the two middle
+        # values overflows, so the median is inf
+        column = np.full(64, 1.6e308)
+        column[5] = 1.7e308
+    spec, assignment = _one_tile_spectrum(column)
+    for extract in (extract_toas, _extract_per_column):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="slope column 1 has a non-finite"):
+                extract(spec, assignment, threshold_factor=1.0)
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, np.inf])
+def test_factor_that_is_not_finite_and_positive_takes_the_median_path(
+    factor, shortcut_log
+):
+    # the suite turns warnings into errors: no division by the factor runs
+    cfg = small_cfg(noise=3e-3)
+    assignment = assign(8, 8, 8)
+    rng = np.random.default_rng(26)
+    taus = rng.uniform(0.0, 1.0 / cfg.spacing, 8)
+    frames = frames_from_paths(taus, assignment.beta, np.ones(8), cfg, rng)
+    spec = spectrum_2d(frames, 4)
+    _assert_identical_groups(
+        extract_toas(spec, assignment, threshold_factor=factor),
+        _extract_per_column(spec, assignment, threshold_factor=factor),
+    )
+    assert shortcut_log == [True] * 8
 
 def test_toas_sorted_descending_with_magnitudes():
     cfg = small_cfg(l=3)
