@@ -130,22 +130,19 @@ def _link_matrix(
 def realize_channel(
     scene: Scene,
     wavelength: float,
-    mp: MultipathConfig | None = None,
-    forward: tuple[np.ndarray, np.ndarray] | None = None,
+    mp: MultipathConfig,
+    forward: tuple[np.ndarray, np.ndarray],
 ) -> ChannelRealization:
     """Draw forward/backward element channels and per-tile cascade gains.
 
-    With ``mp=None`` (or ``j_paths=0``) the channels are the pure direct
-    components and the realization is deterministic.  Otherwise the multipath
-    draws of the two directions are independent, seeded by ``mp.seed``.
-    ``forward`` is the BS link's :func:`direct_link`, which depends on the
-    deployment only; a deployment holds it, and it is computed when absent.
+    With ``j_paths=0`` the channels are the pure direct components and the
+    realization is deterministic.  Otherwise the multipath draws of the two
+    directions are independent, seeded by ``mp.seed``.  ``forward`` is the
+    BS link's :func:`direct_link`, which depends on the deployment only; a
+    deployment holds it.
     """
-    mp = mp if mp is not None else MultipathConfig(j_paths=0)
     rng = np.random.default_rng(mp.seed)
     elements, centers = scene.elements, scene.tile_centers
-    if forward is None:
-        forward = direct_link(scene.p_bs, elements, centers, wavelength)
     forward = _link_matrix(forward, wavelength, mp, rng)
     backward = _link_matrix(
         direct_link(scene.p_ue, elements, centers, wavelength, scene.phi0),

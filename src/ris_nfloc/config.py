@@ -133,21 +133,14 @@ class ExperimentConfig:
     def wall_normal(self) -> np.ndarray:
         """Horizontal unit normal of the RIS wall.
 
-        Raises ValueError for a vertical RIS axis: such an RIS stands over
-        one floor point, so its arrivals fix only the UE's distance from it.
-        It also raises unless the floor reaches beyond ``wall_margin_m`` on
-        exactly one side of the wall plane: on both sides, a UE and its
-        mirror image across the plane give the same arrivals; on neither,
-        no UE position is left to draw.
+        Raises the ValueError of :meth:`layout` for a layout it rejects, a
+        vertical RIS axis included.  It also raises unless the floor reaches
+        beyond ``wall_margin_m`` on exactly one side of the wall plane: on
+        both sides, a UE and its mirror image across the plane give the same
+        arrivals; on neither, no UE position is left to draw.
         """
-        normal = np.cross(np.asarray(self.ris_axis, dtype=float), [0.0, 0.0, 1.0])
-        norm = np.linalg.norm(normal)
-        if norm < 1e-9:
-            raise ValueError(
-                f"ris_axis = {_point(self.ris_axis)} is vertical: the RIS has no "
-                "wall, and its arrivals fix only the UE's distance from one "
-                "floor point")
-        normal = normal / norm
+        normal = np.cross(self.layout().axis, [0.0, 0.0, 1.0])
+        normal = normal / np.linalg.norm(normal)
         # signed distances of the floor corners from the RIS wall plane
         offsets = (_floor_corners(self) - np.asarray(self.ris_center_m)) @ normal
         margin = self.wall_margin_m
@@ -282,18 +275,24 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     positive ``gain_reference``, a positive ``peak_threshold`` (the
     admissibility floor in column medians), and transmit and noise powers
     that are finite and positive in watts.  The RIS layout, the waveform and
-    the multipath model must pass the constructors a trial builds them with.  The
+    the multipath model must pass the constructors a trial builds them with;
+    :class:`~ris_nfloc.geometry.RisLayout` rejects a vertical RIS axis.  The
     closed room box must contain the BS, every RIS tile center and the floor
     rectangle at z = 0 that UEs are drawn on; the BS must sit at least
     1e-12 m from every tile center.  The RIS wall must pass
     :meth:`ExperimentConfig.wall_normal`, which an unchecked config meets on
-    its first trial: the axis is not vertical, and the floor reaches beyond
-    ``wall_margin_m`` on exactly one side of the wall plane.  The slope
+    its first trial: the floor reaches beyond ``wall_margin_m`` on exactly
+    one side of the wall plane.  The slope
     assignment must exist for (tile_count, frames, exclusive_tiles) and give
     at least three exclusive-slope tiles.
     The wavelength ``c / carrier_hz``, the largest multipath phase
     ``2*pi*excess_max_m / wavelength`` and the multipath power ratio
-    ``10**(power_rel_db / 10)`` must be finite.
+    ``10**(power_rel_db / 10)`` must be finite, and so must the delay
+    arithmetic of a trial: the square of the delay-period range
+    ``c / spacing_hz``, against which the position solve squares range
+    differences; the square of the bandwidth B, which the error bound's
+    delay variance takes; and the largest clock-offset phase
+    ``2*pi*(carrier_hz + B/2)*clock_uncertainty_s`` of the frame synthesis.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -357,14 +356,23 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             build()
         except ValueError as exc:
             raise ConfigError(f"bad [{section}] values: {exc}") from None
-    # the constructors above made carrier_hz and excess_max_m positive
+    # the constructors above made carrier_hz, spacing_hz and excess_max_m
+    # positive; the products below overflow to inf, never raise
     lam = cfg.wavelength_m
+    period_m = SPEED_OF_LIGHT / cfg.spacing_hz  # range of one delay period
+    band_edge = cfg.carrier_hz + cfg.bandwidth_hz / 2.0
     for field, value, what in (
         ("carrier_hz", lam, "wavelength c / carrier_hz"),
         ("multipath_excess_max_m", 2.0 * np.pi * cfg.multipath_excess_max_m / lam,
          "multipath phase 2*pi*excess_max_m / wavelength"),
         ("multipath_power_db", _db_to_ratio(cfg.multipath_power_db),
          "multipath power ratio 10**(power_rel_db / 10)"),
+        ("spacing_hz", period_m * period_m,
+         "squared delay-period range (c / spacing_hz)**2"),
+        ("spacing_hz", cfg.bandwidth_hz * cfg.bandwidth_hz,
+         "squared bandwidth (subcarriers * spacing_hz)**2"),
+        ("clock_uncertainty_s", 2.0 * np.pi * band_edge * cfg.clock_uncertainty_s,
+         "clock-offset phase 2*pi*(carrier_hz + B/2)*clock_uncertainty_s"),
     ):
         if not np.isfinite(value):
             raise ConfigError(

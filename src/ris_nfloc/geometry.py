@@ -28,7 +28,7 @@ class RisLayout:
         tile_count: number of tiles K placed along ``axis``.
         tile_spacing: center-to-center distance between adjacent tiles (m).
         center: midpoint of the tile line (m).
-        axis: unit vector of the tile alignment direction.
+        axis: unit vector of the tile alignment direction, never vertical.
         elements_x / elements_z: element grid shape within one tile.
     """
 
@@ -51,6 +51,11 @@ class RisLayout:
             raise ValueError("tile centers must be distinct (tile_spacing below 1e-12 m)")
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-9:
             raise ValueError("axis must be a unit vector")
+        if np.linalg.norm(self.axis[:2]) < 1e-9:
+            raise ValueError(
+                f"axis = ({', '.join(f'{a:g}' for a in self.axis)}) is vertical: the "
+                "RIS has no wall, and its arrivals fix only the UE's distance "
+                "from one floor point")
         if self.elements_x < 1 or self.elements_z < 1:
             raise ValueError("element grid counts must be >= 1")
 
@@ -97,13 +102,11 @@ class Scene:
 def _grid_directions(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """In-plane directions of the element grid for a wall-mounted tile.
 
-    The grid spans the tile alignment axis and the most-vertical direction
-    orthogonal to it, i.e. the plane of the mounting wall.
+    The grid spans the tile alignment axis (never vertical) and the
+    most-vertical direction orthogonal to it, i.e. the plane of the wall.
     """
     up = np.array([0.0, 0.0, 1.0])
     v = up - np.dot(up, axis) * axis
-    if np.linalg.norm(v) < 1e-9:  # axis is vertical; fall back to global x
-        v = np.array([1.0, 0.0, 0.0]) - axis[0] * axis
     return axis, v / np.linalg.norm(v)
 
 

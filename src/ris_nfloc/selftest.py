@@ -89,7 +89,9 @@ def _check_exact_inversion():
             [(taus[i], i + 1) for i in range(8)], anchors, p_bs
         )
         lattice = seed_lattice(_ROOM, anchors)
-        if np.linalg.norm(solve_position(system, lattice) - ue) > 1e-6:
+        # unit sigmas (7 non-reference rows), no reference term: plain least squares
+        p = solve_position(system, lattice, sigmas=np.ones(7), sigma_ref=0.0)
+        if np.linalg.norm(p - ue) > 1e-6:
             return False, "exact inversion above 1e-6 (general anchors)"
     layout = RisLayout(tile_count=16, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [5, 5, 0], t0=1e-7)
@@ -97,7 +99,8 @@ def _check_exact_inversion():
     system = build_system(
         [(taus[i], i + 1) for i in range(16)], scene.tile_centers, scene.p_bs
     )
-    p = solve_position(system, seed_lattice(_ROOM, scene.tile_centers))
+    lattice = seed_lattice(_ROOM, scene.tile_centers)
+    p = solve_position(system, lattice, sigmas=np.ones(15), sigma_ref=0.0)
     ok = np.linalg.norm(p - scene.p_ue) < 1e-4
     return ok, "exact inversion (general anchors 1e-6, collinear 1e-4)"
 

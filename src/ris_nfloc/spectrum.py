@@ -36,23 +36,18 @@ class SpectrumMap:
 
     ``samples`` are the slope columns the map was built from
     (:attr:`FrameMatrix.s`): column v holds the N subcarrier samples of slope
-    column v, whose zero-padded n_bar-point transform is ``grid[:, v]``.  It
-    is ``None`` for a map built from a grid alone, and then every group is
-    peak-picked.
+    column v, whose zero-padded n_bar-point transform is ``grid[:, v]``.
     """
 
     grid: np.ndarray  # (n_bar, L) complex
     oversampling: int
     cfg: WaveformConfig
-    samples: np.ndarray | None = None  # (N, L) complex
+    samples: np.ndarray  # (N, L) complex
 
     def __post_init__(self):
         if self.grid.shape != (self.n_bar, self.cfg.l_frames):
             raise ValueError("grid shape mismatch")
-        if self.samples is not None and self.samples.shape != (
-            self.cfg.n_subcarriers,
-            self.cfg.l_frames,
-        ):
+        if self.samples.shape != (self.cfg.n_subcarriers, self.cfg.l_frames):
             raise ValueError("samples shape mismatch")
 
     @property
@@ -161,8 +156,8 @@ def extract_toas(
     strongest bin by :func:`kernels.strongest_peak`, which skips the median
     and the peak scan where they cannot change that pick; the result is the
     same either way.  Every chosen peak is refined by a parabola
-    (:func:`quadratic_refine`).  When the map has ``samples``, a group of
-    m >= 2 tiles is also estimated by matrix pencil (see
+    (:func:`quadratic_refine`).  A group of m >= 2 tiles is also estimated
+    from the map's ``samples`` by matrix pencil (see
     :func:`_pencil_groups`); the pencil's m delays and
     isolated-peak heights replace the peak-picker result, under-detection
     included, only when every circular gap between the delays is at least
@@ -198,7 +193,7 @@ def extract_toas(
         mask = kernels.column_peak_mask(column, threshold)
         peak_bins = np.nonzero(mask)[0]
         order = np.lexsort((peak_bins, -column[peak_bins]))
-        if len(tiles) >= 2 and len(peak_bins) and spec.samples is not None:
+        if len(tiles) >= 2 and len(peak_bins):
             strongest = int(peak_bins[order[0]])
             shared.append((i, v, len(tiles), strongest, threshold))
         if len(peak_bins) < len(tiles):

@@ -93,13 +93,10 @@ class _ResidualWhitener:
     covariance is ``diag(sigmas**2) + sigma_ref**2 * 1 1^T``; by the
     Sherman-Morrison identity its inverse is ``D - k * (D 1)(D 1)^T`` with
     ``D = diag(dinv)`` and ``k = sigma_ref**2 / (1 + sigma_ref**2 * sum(dinv))``.
-    With no sigmas the fit takes unit sigmas and no reference term, so
-    ``dinv`` is all ones and ``k`` is zero: plain least squares, bit for bit.
+    Unit sigmas with ``sigma_ref = 0`` give plain least squares.
     """
 
-    def __init__(self, sigmas: np.ndarray | None, sigma_ref: float, n: int):
-        if sigmas is None:
-            sigmas, sigma_ref = np.ones(n), 0.0
+    def __init__(self, sigmas: np.ndarray, sigma_ref: float, n: int):
         sigmas = np.asarray(sigmas, dtype=float)
         if sigmas.shape != (n,):
             raise ValueError("sigmas must have one entry per non-reference anchor")
@@ -210,6 +207,7 @@ def _gn_descend(
 
 
 _SEED_SPACINGS = 20  # lattice spacings per floor axis: 0.5 m on a 10 m room
+_MAX_ITER = 100  # Gauss-Newton iterations per descent, and again per resume
 
 
 @dataclass(frozen=True)
@@ -268,9 +266,8 @@ def solve_position(
     system: TdoaSystem,
     lattice: SeedLattice,
     *,
-    sigmas: np.ndarray | None = None,
-    sigma_ref: float = 0.0,
-    max_iter: int = 100,
+    sigmas: np.ndarray,
+    sigma_ref: float,
 ) -> np.ndarray:
     """Estimate the UE's floor position from a built system.
 
@@ -282,23 +279,23 @@ def solve_position(
     spacings per axis).  Every iterate stays in the room, and a coordinate
     on a wall that the gradient pushes against is held (an active-set step).
     The descent converges once its next clamped step is shorter than 10 nm;
-    if it does not within ``max_iter`` iterations, it is resumed once from
+    if it does not within ``_MAX_ITER`` iterations, it is resumed once from
     its endpoint.  The endpoint is returned with z = 0.  Raises
     :class:`PositionEstimationError` with that endpoint if the resumed
     descent does not converge either, and ValueError before any descent if
     no lattice point has a finite cost: no trial of such a config can be
     run, so it is not a censored fit.
 
-    With ``sigmas`` (per non-reference anchor, ordered like the system rows)
-    and ``sigma_ref`` the fit becomes a generalized least squares: the
-    reference anchor's range error is common mode across residuals, so the
-    covariance is diagonal plus rank one.  Without them the fit is the plain
-    unweighted sum of squares.
+    The fit is a generalized least squares with range-error scales
+    ``sigmas`` (per non-reference anchor, ordered like the system rows) and
+    ``sigma_ref`` (the reference anchor's): the reference anchor's range
+    error is common mode across residuals, so the covariance is diagonal
+    plus rank one.  ``np.ones(rows)`` and ``0.0`` give plain least squares.
     """
     whitener = _ResidualWhitener(sigmas, sigma_ref, len(system.gammas))
     p = _lattice_seed(system, lattice, whitener)
     for _ in range(2):  # the descent, then its one resume
-        p, _, converged = _gn_descend(system, p[:2], lattice.room, max_iter, whitener)
+        p, _, converged = _gn_descend(system, p[:2], lattice.room, _MAX_ITER, whitener)
         if converged:
             return p
     raise PositionEstimationError("position fit did not converge", best_estimate=p)

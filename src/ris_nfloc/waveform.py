@@ -182,16 +182,16 @@ def synthesize_frames(
     cascade: np.ndarray,
     assignment: PspAssignment,
     cfg: WaveformConfig,
-    noise_seed: int | None = 0,
+    noise_seed: int,
 ) -> FrameMatrix:
     """Slope columns for the tiles' delays (``delays[k - 1]`` is tile k's, as
-    from ``geometry.toa_vector``), cascade gains and slope assignment.
-
-    ``noise_seed=None`` disables the noise term regardless of ``noise_psd``.
+    from ``geometry.toa_vector``), cascade gains and slope assignment, with
+    the receiver noise drawn from ``noise_seed`` (none when ``noise_psd`` is
+    zero; :func:`frames_from_paths` without ``rng`` gives noiseless frames).
     """
     if assignment.l_frames != cfg.l_frames:
         raise ValueError("assignment frame count does not match waveform config")
     if len(cascade) != len(delays):
         raise ValueError("cascade length does not match tile count")
-    rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
+    rng = np.random.default_rng(noise_seed)
     return frames_from_paths(delays, assignment.beta, np.conj(cascade), cfg, rng)

@@ -69,7 +69,9 @@ def test_criterion_1_exact_inversion():
         system = build_system(
             [(float(taus[i]), i + 1) for i in range(8)], anchors, p_bs
         )
-        p = solve_position(system, seed_lattice(ROOM, anchors))
+        p = solve_position(
+            system, seed_lattice(ROOM, anchors), sigmas=np.ones(7), sigma_ref=0.0
+        )
         worst_general = max(worst_general, float(np.linalg.norm(p - ue)))
 
     layout = RisLayout(tile_count=64, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
@@ -84,10 +86,8 @@ def test_criterion_1_exact_inversion():
             scene.tile_centers,
             scene.p_bs,
         )
-        worst_collinear = max(
-            worst_collinear,
-            float(np.linalg.norm(solve_position(system, lattice) - ue)),
-        )
+        p = solve_position(system, lattice, sigmas=np.ones(63), sigma_ref=0.0)
+        worst_collinear = max(worst_collinear, float(np.linalg.norm(p - ue)))
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -345,6 +345,7 @@ def test_criterion_7_fim_and_peb():
         scene,
         full.wavelength_m,
         MultipathConfig(j_paths=full.multipath_paths, seed=full.seed),
+        full.deployment.forward,
     )
     cascade = (
         full.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))

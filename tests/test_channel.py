@@ -4,6 +4,7 @@ import pytest
 from ris_nfloc.channel import (
     MultipathConfig,
     backward_direct,
+    direct_link,
     forward_direct,
     realize_channel,
 )
@@ -17,6 +18,12 @@ def make_scene(tile_count=4, phi0=0.0, ue=(3, 4, 0)):
         tile_count=tile_count, tile_spacing=0.2, center=[5, 10, 2], axis=[1, 0, 0]
     )
     return build_scene(layout, [0, 5, 2], ue, phi0=phi0, wavelength=WAVELENGTH)
+
+
+def realize(scene, mp):
+    """The scene's channel, its BS link computed as a deployment computes it."""
+    forward = direct_link(scene.p_bs, scene.elements, scene.tile_centers, WAVELENGTH)
+    return realize_channel(scene, WAVELENGTH, mp, forward)
 
 
 def test_forward_direct_magnitude_and_phase():
@@ -71,7 +78,7 @@ def test_backward_phase_offset():
 
 def test_realize_channel_no_multipath_matches_directs():
     scene = make_scene()
-    ch = realize_channel(scene, WAVELENGTH, MultipathConfig(j_paths=0))
+    ch = realize(scene, MultipathConfig(j_paths=0))
     assert ch.forward[1, 4] == pytest.approx(
         forward_direct(scene, WAVELENGTH, 2, 5), rel=1e-12
     )
@@ -85,19 +92,17 @@ def test_realize_channel_no_multipath_matches_directs():
 def test_realize_channel_deterministic_per_seed():
     scene = make_scene()
     mp = MultipathConfig(j_paths=3, seed=42)
-    a = realize_channel(scene, WAVELENGTH, mp)
-    b = realize_channel(scene, WAVELENGTH, mp)
+    a = realize(scene, mp)
+    b = realize(scene, mp)
     assert np.array_equal(a.cascade, b.cascade)
-    other = realize_channel(scene, WAVELENGTH, MultipathConfig(j_paths=3, seed=43))
+    other = realize(scene, MultipathConfig(j_paths=3, seed=43))
     assert not np.array_equal(a.cascade, other.cascade)
 
 
 def test_zero_amplitude_multipath_equals_direct():
     scene = make_scene()
-    direct = realize_channel(scene, WAVELENGTH, MultipathConfig(j_paths=0))
-    silent = realize_channel(
-        scene, WAVELENGTH, MultipathConfig(j_paths=3, power_rel_db=-400.0, seed=1)
-    )
+    direct = realize(scene, MultipathConfig(j_paths=0))
+    silent = realize(scene, MultipathConfig(j_paths=3, power_rel_db=-400.0, seed=1))
     assert np.allclose(silent.cascade, direct.cascade, rtol=1e-9)
 
 
@@ -112,7 +117,7 @@ def test_cascade_closed_form_single_element():
         elements_z=1,
     )
     scene = build_scene(layout, [0, 5, 2], [3, 4, 0], wavelength=WAVELENGTH)
-    ch = realize_channel(scene, WAVELENGTH, MultipathConfig(j_paths=0))
+    ch = realize(scene, MultipathConfig(j_paths=0))
     for k in (1, 2):
         d_bs = np.linalg.norm(scene.p_bs - scene.tile_centers[k - 1])
         d_ue = np.linalg.norm(scene.p_ue - scene.tile_centers[k - 1])
@@ -134,7 +139,7 @@ def test_coincident_endpoint_rejected():
     with pytest.raises(ValueError):
         forward_direct(scene, WAVELENGTH, 1, 1)
     with pytest.raises(ValueError):
-        realize_channel(scene, WAVELENGTH)
+        realize(scene, MultipathConfig(j_paths=0))
 
 
 def _old_link_matrix(endpoint, elements, centers, mp, rng, extra_phase=0.0):
@@ -170,7 +175,7 @@ def test_multipath_gain_per_tile_matches_per_path_sum(seed):
     # off-axis UE, nonzero phase offset: every element sees its own phase
     scene = make_scene(tile_count=6, phi0=1.3, ue=(2.3, 6.1, 0))
     mp = MultipathConfig(j_paths=3, seed=seed)
-    ch = realize_channel(scene, WAVELENGTH, mp)
+    ch = realize(scene, mp)
     forward, backward, cascade = _old_realization(scene, mp)
     for got, ref in ((ch.forward, forward), (ch.backward, backward)):
         assert got.shape == ref.shape
@@ -184,6 +189,6 @@ def test_multipath_gain_per_tile_matches_per_path_sum(seed):
 def test_no_multipath_equals_per_path_sum_bit_for_bit():
     scene = make_scene(tile_count=6, phi0=1.3, ue=(2.3, 6.1, 0))
     mp = MultipathConfig(j_paths=0, seed=5)
-    ch = realize_channel(scene, WAVELENGTH, mp)
+    ch = realize(scene, mp)
     for got, ref in zip((ch.forward, ch.backward, ch.cascade), _old_realization(scene, mp)):
         assert np.array_equal(got, ref)

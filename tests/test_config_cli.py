@@ -175,6 +175,13 @@ BAD_CONFIGS = {
     "wavelength_overflows": "[waveform]\ncarrier_hz = 1e-300\n",
     "multipath_phase_overflows": "[multipath]\nexcess_max_m = 1e308\n",
     "multipath_power_overflows": "[multipath]\npower_rel_db = 6000\n",
+    # a trial's delay arithmetic overflows a float, which failed the first
+    # trial: the squared delay-period range (c / spacing_hz)**2 left the
+    # position solve no finite cost, the squared bandwidth raised in the
+    # error bound, and the clock-offset phase gave NaN spectra
+    "delay_period_overflows": "[waveform]\nspacing_hz = 1e-300\n",
+    "bandwidth_square_overflows": "[waveform]\nspacing_hz = 1e200\n",
+    "clock_phase_overflows": "[experiment]\nclock_uncertainty_s = 1e300\n",
     # one subcarrier gives every slope column a flat delay profile without a
     # peak, which censored every trial
     "one_subcarrier": "[waveform]\nsubcarriers = 1\n",
@@ -196,6 +203,31 @@ def test_invalid_assignment_rejected_at_load(name, tmp_path, capsys):
         args = ["--config", str(bad), "--out", str(tmp_path / "out")] + command
         assert main(args) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key", [
+    ("delay_period_overflows", "[waveform] spacing_hz = 1e-300"),
+    ("bandwidth_square_overflows", "[waveform] spacing_hz = 1e+200"),
+    ("clock_phase_overflows", "[experiment] clock_uncertainty_s = 1e+300"),
+])
+def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BAD_CONFIGS[name])
+    with pytest.raises(ConfigError, match="overflows") as excinfo:
+        load_config(str(bad))
+    assert str(excinfo.value).startswith(key)
+
+
+@pytest.mark.parametrize("text", [
+    "[waveform]\nspacing_hz = 1e-145\n",
+    "[waveform]\nspacing_hz = 1e150\n",
+    "[experiment]\nclock_uncertainty_s = 5e296\n",
+], ids=["small_spacing", "large_spacing", "large_clock_uncertainty"])
+def test_delay_arithmetic_within_a_decade_of_overflow_loads(text, tmp_path):
+    # each of these runs its trials without a warning
+    path = tmp_path / "edge.ini"
+    path.write_text(text)
+    load_config(str(path))
 
 
 def test_invalid_assignment_from_override_exits_2(desk_config, tmp_path, capsys):
@@ -279,6 +311,8 @@ BAD_ARGUMENTS = {
     "sweep_L": ["sweep", "--var", "L", "--values", "8,4"],
     "sweep_K": ["sweep", "--var", "K", "--values", "2"],
     "sweep_B": ["sweep", "--var", "B", "--values", "0"],
+    # a delay period of 2.6e292 s, whose range squared overflows
+    "sweep_B_tiny": ["sweep", "--var", "B", "--values", "1e-290"],
     # K and L count tiles and frames; a fraction would be truncated
     "sweep_K_fraction": ["sweep", "--var", "K", "--values", "16.7"],
     "sweep_L_fraction": ["sweep", "--var", "L", "--values", "8.5"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ris_nfloc import psp
-from ris_nfloc.channel import MultipathConfig, realize_channel
+from ris_nfloc.channel import MultipathConfig, direct_link, realize_channel
 from ris_nfloc.config import ExperimentConfig, apply_sweep_value
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import build_scene, toa_vector
@@ -50,6 +50,11 @@ def test_sweep_point_builds_its_own_deployment():
     assert sub.deployment is dep
 
 
+def _bs_link(scene, cfg):
+    """The BS link's direct part computed from a scene, not a deployment."""
+    return direct_link(scene.p_bs, scene.elements, scene.tile_centers, cfg.wavelength_m)
+
+
 def test_deployment_arrays_equal_the_per_scene_arithmetic():
     dep = FULL.deployment
     scene = build_scene(
@@ -60,7 +65,7 @@ def test_deployment_arrays_equal_the_per_scene_arithmetic():
     assert np.array_equal(dep.bs_legs, np.linalg.norm(scene.p_bs - scene.tile_centers, axis=1))
     mp = MultipathConfig(j_paths=3, seed=9)
     cached = realize_channel(scene, FULL.wavelength_m, mp, forward=dep.forward)
-    fresh = realize_channel(scene, FULL.wavelength_m, mp)
+    fresh = realize_channel(scene, FULL.wavelength_m, mp, forward=_bs_link(scene, FULL))
     for name in ("forward", "backward", "cascade"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name))
 
@@ -72,7 +77,9 @@ def test_trial_scene_and_cascade_equal_a_bare_build():
         DESK.layout(), DESK.bs_position_m, ue, t0=2e-7, phi0=1.1,
         wavelength=DESK.wavelength_m,
     )
-    channel = realize_channel(bare, DESK.wavelength_m, DESK.multipath(17))
+    channel = realize_channel(
+        bare, DESK.wavelength_m, DESK.multipath(17), forward=_bs_link(bare, DESK)
+    )
     expected = DESK.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))
     assert np.array_equal(cascade, expected)
     assert np.array_equal(toa_vector(scene), toa_vector(bare))

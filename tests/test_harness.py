@@ -417,6 +417,7 @@ def test_full_labeling_never_worse_than_bootstrap_median():
         channel = realize_channel(
             scene, cfg.wavelength_m,
             MultipathConfig(j_paths=3, seed=int(rng.integers(2**63))),
+            cfg.deployment.forward,
         )
         cascade = (
             cfg.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from ris_nfloc.config import ExperimentConfig
+from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import RisLayout, build_scene, toa_vector
 from ris_nfloc.harness import observe
 from ris_nfloc.labeling import (
+    _group_resolvable,
+    _path_lengths,
     bootstrap_position,
     in_region,
     in_region_quadric,
@@ -305,3 +308,26 @@ def test_run_spl_skips_unresolvable_group():
     assert skipped  # tiles 0.1 m apart cannot clear 0.75 m of path gap
     assert len(entries) < scene.n_tiles
     assert np.linalg.norm(p_hat - scene.p_ue) < 1e-4
+
+
+def test_no_desk_shared_group_passes_the_guard():
+    # desk (K = 16, L = 8, 400 MHz): the members of a shared group sit 5 tiles
+    # (0.5 m) apart, so their predicted path lengths differ by less than the
+    # 2c/B = 1.5 m the guard asks for, wherever the fix lies; on desk the
+    # proposed arm is the anchors-only fix
+    cfg = ExperimentConfig(tile_count=16, subcarriers=256, spacing_hz=1.5625e6, frames=8)
+    dep = cfg.deployment
+    min_gap = cfg.resolvability_margin / cfg.bandwidth_hz
+    shared = [t for t in cfg.assignment().groups.values() if len(t) > 1]
+    assert len(shared) == 4
+    widest = 0.0
+    for x, y in dep.lattice.points:
+        fix = np.array([x, y, 0.0])
+        for tiles in shared:
+            # extracted arrivals far apart: only the predicted gaps decide
+            toas = 10.0 * min_gap * np.arange(len(tiles))[::-1]
+            assert not _group_resolvable(tiles, toas, fix, dep, min_gap)
+            lengths = np.sort(_path_lengths(tiles, fix, dep))
+            widest = max(widest, float(np.min(np.diff(lengths))))
+    assert SPEED_OF_LIGHT * min_gap == pytest.approx(1.5, rel=1e-3)
+    assert widest < 0.81  # the widest smallest gap over the lattice: 0.80 m

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ris_nfloc import kernels
+from ris_nfloc import kernels, spectrum
 from ris_nfloc.psp import assign
 from ris_nfloc.spectrum import (
     SpectrumMap,
@@ -26,6 +26,21 @@ def small_cfg(n=64, l=8, noise=0.0, spacing=1e6):
         noise_psd=noise,
         l_frames=l,
     )
+
+
+def grid_map(grid, cfg, q=4):
+    """A map of ``grid`` alone: its slope columns are zero, which only the
+    pencil of a shared group reads."""
+    samples = np.zeros((cfg.n_subcarriers, cfg.l_frames), dtype=complex)
+    return SpectrumMap(grid=grid, oversampling=q, cfg=cfg, samples=samples)
+
+
+def peak_picked(spec, assignment, **kwargs):
+    """extract_toas with the pencil accepting no group: every group keeps
+    the peak-picker result."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectrum, "_pencil_groups", lambda spec, candidates: {})
+        return extract_toas(spec, assignment, **kwargs)
 
 
 def grid_path(cfg, q, u_star, v_star, amp=1.0):
@@ -239,7 +254,7 @@ def test_pencil_resolves_shared_group_across_period_wrap():
     )
     _assert_same_groups(
         extract_toas(spec, assignment),
-        extract_toas(replace(spec, samples=None), assignment),
+        peak_picked(spec, assignment),
     )
 
 
@@ -258,9 +273,7 @@ def test_pencil_resolves_group_the_peak_picker_under_detects():
             # 1.1/B apart in quadrature: one hump, no second admissible peak
             amps.append(-1j if i == shared and j == 1 else 1.0)
     spec = spectrum_2d(frames_from_paths(taus, betas, amps, cfg), q)
-    picked = extract_toas(
-        replace(spec, samples=None), assignment, threshold_factor=30.0
-    )
+    picked = peak_picked(spec, assignment, threshold_factor=30.0)
     assert shared in picked.under_detected
     groups = extract_toas(spec, assignment, threshold_factor=30.0)
     assert shared not in groups.under_detected
@@ -290,7 +303,7 @@ def test_pencil_group_below_floor_keeps_peak_picker_result():
     # the weak tile's fitted height sits below 6x the column median
     _assert_same_groups(
         extract_toas(spec, assignment),
-        extract_toas(replace(spec, samples=None), assignment),
+        peak_picked(spec, assignment),
     )
     # under a lower floor the same fit is taken
     low = extract_toas(spec, assignment, threshold_factor=1.0)
@@ -341,7 +354,7 @@ def _extract_per_column(spec, assignment, threshold_factor=6.0):
         threshold = threshold_factor * floor
         peak_bins = np.nonzero(kernels.column_peak_mask(column, threshold))[0]
         order = np.lexsort((peak_bins, -column[peak_bins]))
-        if len(tiles) >= 2 and len(peak_bins) and spec.samples is not None:
+        if len(tiles) >= 2 and len(peak_bins):
             shared.append((i, v, len(tiles), int(peak_bins[order[0]]), threshold))
         if len(peak_bins) < len(tiles):
             under.add(i)
@@ -418,13 +431,13 @@ def test_extract_toas_equals_per_column_reference(n, l, k, q, noise, shortcut_lo
 
 
 def _one_tile_spectrum(column, l=4):
-    """A samples-free map whose column 1 is ``column`` over quiet noise,
-    with the assignment of one tile per slope."""
+    """A map whose column 1 is ``column`` over quiet noise, with the
+    assignment of one tile per slope."""
     cfg = small_cfg(n=len(column) // 4, l=l)
     rng = np.random.default_rng(21)
     grid = 0.01 * (rng.standard_normal((len(column), l)) + 1j)
     grid[:, 1] = column
-    return SpectrumMap(grid=grid, oversampling=4, cfg=cfg), assign(l, l, l)
+    return grid_map(grid, cfg), assign(l, l, l)
 
 
 def test_plateau_across_the_wrap_falls_back(shortcut_log):
@@ -568,25 +581,23 @@ def test_quadratic_refine_symmetric_and_clamped():
     grid = np.zeros((64, 2))
     grid[10, 0] = 2.0
     grid[9, 0] = grid[11, 0] = 1.0
-    spec = SpectrumMap(
-        grid=grid.astype(complex), oversampling=4, cfg=cfg
-    )
+    spec = grid_map(grid.astype(complex), cfg)
     bin_s = spec.bin_seconds
     assert quadratic_refine(spec, 10, 0) == pytest.approx(10 * bin_s)
     # monotone neighborhood clamps to half a bin
     grid2 = np.zeros((64, 2), dtype=complex)
     grid2[9:12, 1] = [1.0, 2.0, 2.9]
-    spec2 = SpectrumMap(grid=grid2, oversampling=4, cfg=cfg)
+    spec2 = grid_map(grid2, cfg)
     assert quadratic_refine(spec2, 10, 1) == pytest.approx((10 + 0.5) * bin_s)
     # flat neighborhood falls back to the bin center
     grid3 = np.ones((64, 2), dtype=complex)
-    spec3 = SpectrumMap(grid=grid3, oversampling=4, cfg=cfg)
+    spec3 = grid_map(grid3, cfg)
     assert quadratic_refine(spec3, 20, 0) == pytest.approx(20 * bin_s)
     # the delay axis is periodic: an edge bin's neighbors wrap around
     grid4 = np.zeros((64, 2), dtype=complex)
     grid4[[63, 0, 1], 0] = [1.0, 2.0, 1.5]
     grid4[[62, 63, 0], 1] = [1.5, 2.0, 1.0]
-    spec4 = SpectrumMap(grid=grid4, oversampling=4, cfg=cfg)
+    spec4 = grid_map(grid4, cfg)
     assert quadratic_refine(spec4, 0, 0) == pytest.approx(bin_s / 6)
     assert quadratic_refine(spec4, 63, 1) == pytest.approx((63 - 1 / 6) * bin_s)
 
@@ -607,7 +618,7 @@ def test_quadratic_refine_array_equals_per_bin_loop():
     rng = np.random.default_rng(12)
     grid = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
     grid[20:24, 1] = 1.0  # a flat run
-    spec = SpectrumMap(grid=grid, oversampling=4, cfg=cfg)
+    spec = grid_map(grid, cfg)
     for v in (0, 1):
         bins = np.array([0, 1, 21, 22, 40, 62, 63, 5])
         got = quadratic_refine(spec, bins, v)

@@ -112,9 +112,7 @@ def test_synthesize_frames_uses_scene_delays():
     assignment = assign(3, 4, 3)
     cfg = small_cfg(l=4)
     cascade = np.array([1.0, 0.5 - 0.2j, 0.3j])
-    frames = synthesize_frames(
-        toa_vector(scene), cascade, assignment, cfg, noise_seed=None
-    )
+    frames = synthesize_frames(toa_vector(scene), cascade, assignment, cfg, noise_seed=0)
     expected = frames_from_paths(
         toa_vector(scene), assignment.beta, np.conj(cascade), cfg
     )
@@ -126,9 +124,9 @@ def test_synthesize_frames_validation():
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
     assignment = assign(3, 4, 3)
     with pytest.raises(ValueError):
-        synthesize_frames(toa_vector(scene), np.ones(3), assignment, small_cfg(l=8))
+        synthesize_frames(toa_vector(scene), np.ones(3), assignment, small_cfg(l=8), 0)
     with pytest.raises(ValueError):
-        synthesize_frames(toa_vector(scene), np.ones(2), assignment, small_cfg(l=4))
+        synthesize_frames(toa_vector(scene), np.ones(2), assignment, small_cfg(l=4), 0)
 
 
 def test_noise_reproducible_by_seed():
