@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Subcommands cover the Monte Carlo experiments (simulate, sweep, heatmap,
-cdf), the error bound (peb), the timing benchmark (bench) and the built-in
-property suite (selftest).  Flags override config-file keys, and the config
-is checked once with them applied; every output is reproducible from
-(config, seed).  Exit codes: 0 success, 2 configuration error, 3 pipeline
-failure.
+cdf), the error bound (peb) and the timing benchmark (bench).  Flags
+override config-file keys, and the config is checked once with them
+applied; every output is reproducible from (config, seed).  Exit codes:
+0 success, 2 configuration error, 3 pipeline failure.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .config import (
     read_config,
 )
 from .csvfile import write_csv
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="subcarrier counts for the spectrum stage: positive integers, "
         "at least two distinct",
     )
-
-    sub.add_parser("selftest", help="run the built-in property suites")
     return parser
 
 
@@ -169,9 +165,6 @@ def main(argv=None) -> int:
             for stage, size, seconds in rows:
                 print(f"{stage:22s} size={size:<8d} {seconds * 1e3:.3f} ms")
             print(f"spectrum growth exponent vs n*log2(n): {exponent:.3f}")
-        elif args.command == "selftest":
-            if not run_selftest():
-                return EXIT_PIPELINE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -290,9 +290,20 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     ``10**(power_rel_db / 10)`` must be finite, and so must the delay
     arithmetic of a trial: the square of the delay-period range
     ``c / spacing_hz``, against which the position solve squares range
-    differences; the square of the bandwidth B, which the error bound's
-    delay variance takes; and the largest clock-offset phase
+    differences; the error bound's delay information ``8*pi**2*B**2`` per
+    unit SNR (B the bandwidth); and the largest clock-offset phase
     ``2*pi*(carrier_hz + B/2)*clock_uncertainty_s`` of the frame synthesis.
+    The cascade gains have mean magnitude ``gain_reference``, so none
+    exceeds ``K*gain_reference``, and neither a path's SNR
+    ``L*P*|c|**2/(N*N0)`` nor its spectral peak height ``L*P*|c|`` exceeds
+    the value at that gain.  With those bounds these must be finite too:
+    the squared peak height, which bounds every spectrum cell and every
+    entry of the matrix pencil's Gram matrix (sums of at most N/D products
+    of block sums of D samples, each sample at most height/N); the delay
+    information times the SNR; and the position solve's cost, which weights
+    each of at most K squared range differences by a squared peak height,
+    taken at the range resolution ``c/B``: near the seed, where the descent
+    runs, the residuals are extraction errors of that order.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -360,23 +371,40 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     # positive; the products below overflow to inf, never raise
     lam = cfg.wavelength_m
     period_m = SPEED_OF_LIGHT / cfg.spacing_hz  # range of one delay period
-    band_edge = cfg.carrier_hz + cfg.bandwidth_hz / 2.0
-    for field, value, what in (
-        ("carrier_hz", lam, "wavelength c / carrier_hz"),
-        ("multipath_excess_max_m", 2.0 * np.pi * cfg.multipath_excess_max_m / lam,
+    band = cfg.bandwidth_hz
+    band_edge = cfg.carrier_hz + band / 2.0
+    info = 8.0 * np.pi**2 * band * band  # delay information per unit SNR
+    # no tile's cascade gain exceeds K times their mean magnitude, so no
+    # path's SNR or spectral peak height exceeds its value at that gain
+    top_gain = cfg.tile_count * cfg.gain_reference
+    wave = cfg.waveform_config()
+    lp = cfg.frames * wave.tx_power
+    snr = lp * top_gain * top_gain / (cfg.subcarriers * wave.noise_psd)
+    height = lp * top_gain
+    weighted_m = SPEED_OF_LIGHT / band * height
+    for keys, value, what in (
+        (("carrier_hz",), lam, "wavelength c / carrier_hz"),
+        (("multipath_excess_max_m",), 2.0 * np.pi * cfg.multipath_excess_max_m / lam,
          "multipath phase 2*pi*excess_max_m / wavelength"),
-        ("multipath_power_db", _db_to_ratio(cfg.multipath_power_db),
+        (("multipath_power_db",), _db_to_ratio(cfg.multipath_power_db),
          "multipath power ratio 10**(power_rel_db / 10)"),
-        ("spacing_hz", period_m * period_m,
+        (("spacing_hz",), period_m * period_m,
          "squared delay-period range (c / spacing_hz)**2"),
-        ("spacing_hz", cfg.bandwidth_hz * cfg.bandwidth_hz,
-         "squared bandwidth (subcarriers * spacing_hz)**2"),
-        ("clock_uncertainty_s", 2.0 * np.pi * band_edge * cfg.clock_uncertainty_s,
+        (("spacing_hz",), info, "delay information 8*pi**2*B**2 per unit SNR"),
+        (("clock_uncertainty_s",), 2.0 * np.pi * band_edge * cfg.clock_uncertainty_s,
          "clock-offset phase 2*pi*(carrier_hz + B/2)*clock_uncertainty_s"),
+        (("gain_reference", "power_dbm"), height * height,
+         "squared peak height (L*P*K*gain_reference)**2 of the spectrum"),
+        (("gain_reference", "spacing_hz", "power_dbm", "noise_dbm"), info * snr,
+         "delay information 8*pi**2*B**2*L*P*(K*gain_reference)**2/(N*N0)"),
+        (("gain_reference", "spacing_hz", "power_dbm"),
+         cfg.tile_count * weighted_m * weighted_m,
+         "height-weighted solve cost K*(c/B * L*P*K*gain_reference)**2"),
     ):
         if not np.isfinite(value):
-            raise ConfigError(
-                f"{_KEYS[field]} = {getattr(cfg, field):g} overflows the {what}")
+            first, *rest = (f"{_KEYS[f]} = {getattr(cfg, f):g}" for f in keys)
+            named = first + (" with " + ", ".join(rest) if rest else "")
+            raise ConfigError(f"{named} overflows the {what}")
     return cfg
 
 

@@ -4,11 +4,11 @@ shortcut, the noise-floor median and the peak scan.
 ``idft2_dense`` is the literal double sum over a frame-domain symbol matrix,
 the oracle that the frame-axis DFT (``FrameMatrix.from_symbols``) followed by
 the delay-axis FFT (``spectrum_2d``) is tested against, called only by the
-tests and ``selftest``.  During peak extraction ``strongest_peak`` first
-tries to decide the column of a one-tile slope group from its strongest bin
-alone; ``median`` and ``column_peak_mask`` run on the columns it leaves
-undecided and on every shared group's column, the first to set the
-admissibility floor, the second to find the cyclic local maxima above it.
+tests.  During peak extraction ``strongest_peak`` first tries to decide the
+column of a one-tile slope group from its strongest bin alone; ``median``
+and ``column_peak_mask`` run on the columns it leaves undecided and on
+every shared group's column, the first to set the admissibility floor, the
+second to find the cyclic local maxima above it.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The conjugate demodulator of the multi-frame OFDM link is analytic: per
 subcarrier n and frame l the symbol is the sum over tiles of the conjugated
 cascade gain rotated by the subcarrier delay phase and the tile's frame-ramp
-phase, plus circular Gaussian receiver noise of variance P*N0/N per cell.  A
-quadrature test validates that closed form against the integral demodulator
-once on a tiny case.
+phase, plus circular Gaussian receiver noise of variance P*N0/N per cell.
+``test_waveform.py::test_closed_form_matches_quadrature_demodulation``
+checks that closed form against the integral demodulator on a tiny case.
 
 The receiver keeps only the frame-axis DFT of the N x L frames, and a slope
 i/L ramp is one DFT basis vector: slope column v holds, scaled by L, exactly
@@ -67,10 +67,6 @@ class WaveformConfig:
     @property
     def bandwidth(self) -> float:
         return self.n_subcarriers * self.spacing
-
-    @property
-    def frame_duration(self) -> float:
-        return 1.0 / self.spacing
 
     def subcarrier_frequencies(self) -> np.ndarray:
         n = np.arange(1, self.n_subcarriers + 1)

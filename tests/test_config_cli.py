@@ -1,4 +1,6 @@
+import argparse
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -182,6 +184,13 @@ BAD_CONFIGS = {
     "delay_period_overflows": "[waveform]\nspacing_hz = 1e-300\n",
     "bandwidth_square_overflows": "[waveform]\nspacing_hz = 1e200\n",
     "clock_phase_overflows": "[experiment]\nclock_uncertainty_s = 1e300\n",
+    # desk values whose gain-scaled arithmetic overflows a float: the error
+    # bound's delay information warned of overflow, the matrix pencil and the
+    # position solve's seed lattice failed the first trial
+    "gain_snr_overflows": DESK_INI + "gain_reference = 1e150\n",
+    "gain_height_overflows": DESK_INI + "gain_reference = 1e155\n",
+    "gain_weighted_cost_overflows":
+        DESK_INI.replace("1.5625e6", "1e-145") + "gain_reference = 1e4\n",
     # one subcarrier gives every slope column a flat delay profile without a
     # peak, which censored every trial
     "one_subcarrier": "[waveform]\nsubcarriers = 1\n",
@@ -209,6 +218,14 @@ def test_invalid_assignment_rejected_at_load(name, tmp_path, capsys):
     ("delay_period_overflows", "[waveform] spacing_hz = 1e-300"),
     ("bandwidth_square_overflows", "[waveform] spacing_hz = 1e+200"),
     ("clock_phase_overflows", "[experiment] clock_uncertainty_s = 1e+300"),
+    ("gain_snr_overflows", "[experiment] gain_reference = 1e+150 with [waveform] "
+     "spacing_hz = 1.5625e+06, [waveform] power_dbm = 20, [waveform] noise_dbm = -8 "
+     "overflows the delay information"),
+    ("gain_height_overflows", "[experiment] gain_reference = 1e+155 with [waveform] "
+     "power_dbm = 20 overflows the squared peak height"),
+    ("gain_weighted_cost_overflows", "[experiment] gain_reference = 10000 with "
+     "[waveform] spacing_hz = 1e-145, [waveform] power_dbm = 20 overflows the "
+     "height-weighted solve cost"),
 ])
 def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
     bad = tmp_path / "bad.ini"
@@ -220,7 +237,10 @@ def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
 
 @pytest.mark.parametrize("text", [
     "[waveform]\nspacing_hz = 1e-145\n",
-    "[waveform]\nspacing_hz = 1e150\n",
+    # near 2e147 at the defaults the error bound's delay information
+    # 8*pi**2*B**2*SNR overflows, which leaves every tile a zero delay
+    # variance and the PEB infinite
+    "[waveform]\nspacing_hz = 1e147\n",
     "[experiment]\nclock_uncertainty_s = 5e296\n",
 ], ids=["small_spacing", "large_spacing", "large_clock_uncertainty"])
 def test_delay_arithmetic_within_a_decade_of_overflow_loads(text, tmp_path):
@@ -295,11 +315,6 @@ def test_a_pipeline_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_trials", boom)
     assert main(["--trials", "1", "simulate"]) == 3
     assert "pipeline failure: boom" in capsys.readouterr().err
-
-
-def test_a_failed_selftest_exits_3(monkeypatch):
-    monkeypatch.setattr(cli, "run_selftest", lambda: False)
-    assert main(["selftest"]) == 3
 
 
 BAD_ARGUMENTS = {
@@ -456,3 +471,24 @@ def test_cli_print_config(capsys):
     assert main(["--print-config"]) == 0
     out = capsys.readouterr().out
     assert "[scene]" in out and "tile_count" in out
+
+
+def test_readme_cli_block_matches_the_parser():
+    # every `ris-nfloc` line of README's CLI block parses with the real
+    # parser, and together they name every subcommand it defines
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = cli._build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    named = set()
+    for line in block.splitlines():
+        words = shlex.split(line.split("#", 1)[0])
+        assert words[0] == "ris-nfloc", line
+        if ">" in words:  # a shell redirect, not an argument
+            words = words[: words.index(">")]
+        args = parser.parse_args(words[1:])
+        assert args.command is not None or args.print_config, line
+        named.add(args.command)
+    assert named - {None} == set(subparsers.choices)

@@ -39,6 +39,32 @@ def test_single_path_closed_form():
     assert not np.any(np.delete(frames.s, 2, axis=1))
 
 
+def test_closed_form_matches_quadrature_demodulation():
+    # a tile of cascade gain c re-radiates each subcarrier
+    # x_m(t) = sqrt(P/N) exp(j2*pi*f_m*t) delayed by tau and, in frame l,
+    # ramped by exp(-j2*pi*beta*l); the conjugate demodulator averages
+    # conj(rx)*x_n over one frame of 1/spacing.  Left-rule quadrature is exact
+    # for that band-limited product, and the closed form takes conj(c)
+    cfg = WaveformConfig(
+        n_subcarriers=4, spacing=1e6, carrier=1e7, tx_power=0.3, noise_psd=0.0,
+        l_frames=2,
+    )
+    tau, beta, cascade = 123e-9, 0.5, 0.8 + 0.2j
+    t = np.arange(64) / 64 / cfg.spacing
+    freqs = cfg.subcarrier_frequencies()
+    x = np.sqrt(cfg.tx_power / cfg.n_subcarriers) * np.exp(
+        2j * np.pi * np.outer(freqs, t)
+    )  # (N, samples)
+    demods = np.empty((cfg.n_subcarriers, cfg.l_frames), dtype=complex)
+    for ell in range(1, cfg.l_frames + 1):
+        gain = cascade * np.exp(-2j * np.pi * beta * ell)
+        rx = gain * (np.exp(-2j * np.pi * freqs * tau) @ x)
+        demods[:, ell - 1] = np.mean(np.conj(rx) * x, axis=1)
+    quadrature = FrameMatrix.from_symbols(demods, cfg).s
+    closed_form = frames_from_paths([tau], [beta], [np.conj(cascade)], cfg).s
+    assert np.max(np.abs(quadrature - closed_form)) <= 1e-9
+
+
 def test_unmodulated_profile_frame_independent():
     # slope 1 is a constant ramp: frame-independent paths fill column 0 only
     cfg = small_cfg()
