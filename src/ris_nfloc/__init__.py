@@ -9,13 +9,7 @@ from .channel import (
     realize_channel,
 )
 from .geometry import RisLayout, Scene, build_scene, toa_vector
-from .labeling import (
-    bootstrap_position,
-    in_region,
-    in_region_quadric,
-    run_spl,
-    spl_sort,
-)
+from .labeling import in_region, in_region_quadric, run_spl, spl_sort
 from .psp import PspAssignment, assign, psp_list
 from .spectrum import SpectrumMap, ToaGroups, extract_toas, quadratic_refine, spectrum_2d
 from .tdoa import (
@@ -48,7 +42,6 @@ __all__ = [
     "WaveformConfig",
     "assign",
     "backward_direct",
-    "bootstrap_position",
     "build_scene",
     "build_system",
     "cascade_snrs",

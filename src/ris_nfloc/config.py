@@ -273,9 +273,11 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     a flat delay profile without a peak), a non-negative seed, an
     oversampling factor of at least 1, a non-negative clock uncertainty, a
     positive ``gain_reference``, a positive ``peak_threshold`` (the
-    admissibility floor in column medians), and transmit and noise powers
-    that are finite and positive in watts.  The RIS layout, the waveform and
-    the multipath model must pass the constructors a trial builds them with;
+    admissibility floor in column medians), a non-negative
+    ``resolvability_margin`` (0 labels every detected shared group), and
+    transmit and noise powers that are finite and positive in watts.  The RIS
+    layout, the waveform and the multipath model must pass the constructors
+    a trial builds them with;
     :class:`~ris_nfloc.geometry.RisLayout` rejects a vertical RIS axis.  The
     closed room box must contain the BS, every RIS tile center and the floor
     rectangle at z = 0 that UEs are drawn on; the BS must sit at least
@@ -303,7 +305,14 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     information times the SNR; and the position solve's cost, which weights
     each of at most K squared range differences by a squared peak height,
     taken at the range resolution ``c/B``: near the seed, where the descent
-    runs, the residuals are extraction errors of that order.
+    runs, the residuals are extraction errors of that order.  The receiver
+    noise has variance ``P*N0/N`` per frame cell; a slope column sums L
+    frames and a spectrum cell N slope-column samples, so the squared noise
+    scale of a cell is ``L*P*N0``.  It must be finite: it bounds the cell
+    variance the frame synthesis forms, and it is the scale of the noise in
+    the pencil's Gram matrix (at most N/D products of block sums of D
+    samples, each of variance ``D*L*P*N0/N``) and in a squared peak height,
+    which weights the position solve.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -317,6 +326,7 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         ("clock_uncertainty_s", cfg.clock_uncertainty_s >= 0, "must not be negative"),
         ("gain_reference", cfg.gain_reference > 0, "must be positive"),
         ("peak_threshold", cfg.peak_threshold > 0, "must be positive"),
+        ("resolvability_margin", cfg.resolvability_margin >= 0, "must not be negative"),
         ("power_dbm", 0 < _dbm_to_watt(cfg.power_dbm) < np.inf, _NO_WATTS),
         ("noise_dbm", 0 < _dbm_to_watt(cfg.noise_dbm) < np.inf, _NO_WATTS),
     ):
@@ -400,6 +410,8 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         (("gain_reference", "spacing_hz", "power_dbm"),
          cfg.tile_count * weighted_m * weighted_m,
          "height-weighted solve cost K*(c/B * L*P*K*gain_reference)**2"),
+        (("power_dbm", "noise_dbm"), lp * wave.noise_psd,
+         "squared noise scale L*P*N0 of a spectrum cell"),
     ):
         if not np.isfinite(value):
             first, *rest = (f"{_KEYS[f]} = {getattr(cfg, f):g}" for f in keys)

@@ -227,7 +227,7 @@ def _arm(label, cfg: ExperimentConfig, obs: Observation, ue: np.ndarray):
 
     ``label(cfg, obs)`` returns the labeled entries and the fix.  A failed
     fit (:class:`PositionEstimationError`) censors the arm with the error of
-    its descent's endpoint, if any; too few labels (:class:`BootstrapError`)
+    its descent's endpoint; too few labels (:class:`BootstrapError`)
     censor it with NaN.  A censored arm labels nothing; other errors propagate.
     """
     try:
@@ -348,22 +348,24 @@ def heatmap(cfg: ExperimentConfig, grid_resolution_m: float) -> list[tuple[float
     return rows
 
 
-def _time_callables(fns, min_time_s: float = 0.02, repeats: int = 5) -> list[float]:
-    """Per-call seconds of each callable: the minimum over ``repeats`` rounds.
+def _time_callables(fns) -> list[float]:
+    """Per-call seconds of each callable: the minimum over 9 rounds.
 
-    Every round times each callable in turn for at least ``min_time_s``, so a
-    burst of outside load slows one round of all of them rather than every
-    round of one of them, and the minimum discards it.
+    Every round times each callable in turn for at least 50 ms, so a burst
+    of outside load slows one round of all of them rather than every round
+    of one of them, and the minimum discards it.  The growth exponent is
+    fitted to these times: long windows and many interleaved rounds keep
+    outside load from bending the fit.
     """
     for fn in fns:
         fn()  # warm up caches
     best = [float("inf")] * len(fns)
-    for _ in range(repeats):
+    for _ in range(9):
         for i, fn in enumerate(fns):
             calls = 0
             start = time.perf_counter()
             elapsed = 0.0
-            while elapsed < min_time_s:
+            while elapsed < 0.05:
                 fn()
                 calls += 1
                 elapsed = time.perf_counter() - start
@@ -372,18 +374,17 @@ def _time_callables(fns, min_time_s: float = 0.02, repeats: int = 5) -> list[flo
 
 
 def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
-    """Stage timings plus the fitted spectrum growth exponent.
+    """Spectrum-stage timings plus the fitted spectrum growth exponent.
 
-    Returns (rows, exponent) where rows are (stage, size, seconds) entries:
-    the spectrum stage (:func:`spectrum_2d`, the zero-padded delay-axis FFT of
-    slope columns built beforehand) across a 16x range of padded grid sizes
-    and the labeling-plus-solve stage versus tile count, each family timed in
-    interleaved rounds (:func:`_time_callables`).  The exponent fits
-    ``time ~ (n*log2(n))^e`` for the fast path, ``n`` the padded grid size.
-    A tile count the sweep check rejects raises :class:`ConfigError` before
-    any timing.
+    Returns (rows, exponent) where rows are ``("spectrum_fft", size,
+    seconds)`` entries: :func:`spectrum_2d`, the zero-padded delay-axis FFT
+    of slope columns built beforehand, across the padded grid sizes of
+    ``sizes`` subcarriers, timed in interleaved rounds
+    (:func:`_time_callables`).  The exponent fits ``time ~ (n*log2(n))^e``,
+    ``n`` the padded grid size.  Labeling and solve time on real trials is
+    measured by perfbench's traced ``labeling.run_spl`` and
+    ``tdoa.solve_position`` spans.
     """
-    spl_configs = [apply_sweep_value(cfg, "K", k) for k in (8, 16, 32, 64)]
     rng = np.random.default_rng(cfg.seed)
     wcfg_l = 16
     fast_sizes, fast_calls = [], []
@@ -402,23 +403,8 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
         frames = FrameMatrix.from_symbols(s, wcfg)
         fast_sizes.append(cfg.oversampling * n_sub * wcfg_l)
         fast_calls.append(lambda frames=frames: spectrum_2d(frames, cfg.oversampling))
-    # the growth exponent is fitted to these rows: long windows and many
-    # interleaved rounds keep outside load from bending the fit
-    fast_times = _time_callables(fast_calls, min_time_s=0.05, repeats=9)
-
-    # labeling + solve on exact arrivals across tile counts; with no
-    # resolvability gap every shared group is labeled
-    spl_calls = []
-    for sub in spl_configs:
-        dep = sub.deployment
-        assignment = sub.assignment()
-        groups = ToaGroups.from_delays(
-            toa_vector(dep.scene(np.array([3.0, 4.0, 0.0]))), assignment
-        )
-        spl_calls.append(lambda g=groups, a=assignment, d=dep: run_spl(g, a, d))
-    spl_times = _time_callables(spl_calls)
+    fast_times = _time_callables(fast_calls)
     rows = [("spectrum_fft", n, t) for n, t in zip(fast_sizes, fast_times)]
-    rows += [("spl_tdoa", sub.tile_count, t) for sub, t in zip(spl_configs, spl_times)]
 
     x = np.log(np.array(fast_sizes) * np.log2(fast_sizes))
     y = np.log(np.array(fast_times))

@@ -127,18 +127,6 @@ def _exclusive_arrivals(
     return entries, mags, trace
 
 
-def bootstrap_position(
-    toa_groups: ToaGroups, assignment: PspAssignment, dep: Deployment
-) -> np.ndarray:
-    """First position fix from the exclusive-slope tiles alone.
-
-    This is the weighted fix :func:`run_spl` starts from, bit for bit; fewer
-    than three detected exclusive-slope arrivals raise :class:`BootstrapError`.
-    """
-    entries, mags, _ = _exclusive_arrivals(toa_groups, assignment)
-    return solve_labeled(entries, mags, dep)
-
-
 def _group_resolvable(
     tiles, toas: np.ndarray, p_est, dep: Deployment, min_gap: float
 ) -> bool:
@@ -175,7 +163,7 @@ def run_spl(
     toa_groups: ToaGroups,
     assignment: PspAssignment,
     dep: Deployment,
-    min_toa_gap: float | None = None,
+    min_toa_gap: float,
 ) -> tuple[list[tuple[float, int]], np.ndarray, list[TraceRow]]:
     """Label every decomposed arrival and refine the position group by group.
 
@@ -183,9 +171,11 @@ def run_spl(
     groups are processed in ascending duplication order, each re-solving the
     position with all labels gathered so far; :func:`spl_sort` labels each
     shared group.  Under-detected groups are skipped, as are groups failing
-    the decomposability check against ``min_toa_gap`` (pass a mainlobe width,
-    e.g. 2/bandwidth): arrivals closer than that sit inside each other's
-    mainlobes and their peaks carry no trustworthy tile-wise delays.  Every
+    the decomposability check against ``min_toa_gap`` (a mainlobe width in
+    seconds, e.g. 2/bandwidth): arrivals closer than that sit inside each
+    other's mainlobes and their peaks carry no trustworthy tile-wise delays.
+    A gap of 0 labels every detected group; ``np.inf`` skips every shared
+    group and returns the anchors-only fix the refinement starts from.  Every
     position solve runs on the tiles and seed lattice of ``dep`` and weights
     each arrival by its peak height (delay error scales inversely with it;
     see :func:`solve_labeled`).
@@ -205,9 +195,7 @@ def run_spl(
             trace.append(TraceRow(i, dod, "skipped"))
             continue
         toas = toa_groups.toas[i]
-        if min_toa_gap is not None and not _group_resolvable(
-            tiles, toas, p_est, dep, min_toa_gap
-        ):
+        if not _group_resolvable(tiles, toas, p_est, dep, min_toa_gap):
             trace.append(TraceRow(i, dod, "skipped"))
             continue
         seq = spl_sort(tiles, p_est, dep)

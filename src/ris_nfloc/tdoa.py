@@ -29,7 +29,7 @@ class PositionEstimationError(RuntimeError):
     """Raised when the Gauss-Newton descent does not converge within its
     iteration budget, resumed once; ``best_estimate`` holds its endpoint."""
 
-    def __init__(self, message: str, best_estimate: np.ndarray | None = None):
+    def __init__(self, message: str, best_estimate: np.ndarray):
         super().__init__(message)
         self.best_estimate = best_estimate
 

@@ -245,7 +245,7 @@ def test_criterion_4_ground_truth_labeling():
         dep = ExperimentConfig(
             tile_count=k_tiles, tile_spacing_m=layout.tile_spacing
         ).deployment
-        entries, _, _ = run_spl(groups, assignment, dep)
+        entries, _, _ = run_spl(groups, assignment, dep, min_toa_gap=0.0)
         lookup = {k: t for t, k in entries}
         ok = len(entries) == scene.n_tiles
         if ok:

@@ -191,6 +191,12 @@ BAD_CONFIGS = {
     "gain_height_overflows": DESK_INI + "gain_reference = 1e155\n",
     "gain_weighted_cost_overflows":
         DESK_INI.replace("1.5625e6", "1e-145") + "gain_reference = 1e4\n",
+    # desk powers whose product overflows the receiver-noise variance, which
+    # failed the first trial with a non-finite column median
+    "noise_scale_overflows": DESK_INI.replace(
+        "[assignment]", "power_dbm = 1530\nnoise_dbm = 2030\n\n[assignment]"),
+    # a negative resolvability margin switched the guard off as 0 does
+    "negative_resolvability_margin": "[experiment]\nresolvability_margin = -5\n",
     # one subcarrier gives every slope column a flat delay profile without a
     # peak, which censored every trial
     "one_subcarrier": "[waveform]\nsubcarriers = 1\n",
@@ -226,6 +232,8 @@ def test_invalid_assignment_rejected_at_load(name, tmp_path, capsys):
     ("gain_weighted_cost_overflows", "[experiment] gain_reference = 10000 with "
      "[waveform] spacing_hz = 1e-145, [waveform] power_dbm = 20 overflows the "
      "height-weighted solve cost"),
+    ("noise_scale_overflows", "[waveform] power_dbm = 1530 with [waveform] "
+     "noise_dbm = 2030 overflows the squared noise scale"),
 ])
 def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
     bad = tmp_path / "bad.ini"
@@ -233,6 +241,18 @@ def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
     with pytest.raises(ConfigError, match="overflows") as excinfo:
         load_config(str(bad))
     assert str(excinfo.value).startswith(key)
+
+
+def test_resolvability_margin_zero_loads_and_negative_names_its_key(tmp_path):
+    # 0 is the one margin that labels every detected shared group
+    path = tmp_path / "margin.ini"
+    path.write_text("[experiment]\nresolvability_margin = 0\n")
+    assert load_config(str(path)).resolvability_margin == 0.0
+    path.write_text(BAD_CONFIGS["negative_resolvability_margin"])
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(str(path))
+    assert str(excinfo.value) == (
+        "[experiment] resolvability_margin = -5 must not be negative")
 
 
 @pytest.mark.parametrize("text", [
@@ -361,18 +381,20 @@ def test_bad_command_line_value_exits_2(name, desk_config, tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_bench_rejects_its_tile_counts_before_timing(tmp_path, capsys):
+def test_bench_runs_on_every_config_simulate_runs(tmp_path):
     # four tiles and four frames, all exclusive, is a config simulate runs;
-    # bench's labeling rows at K = 8..64 leave no slope for a shared group
+    # bench times the spectrum stage only, so it runs there too
     path = tmp_path / "four.ini"
     path.write_text(DESK_INI.replace("tile_count = 16", "tile_count = 4").replace(
         "frames = 8", "frames = 4\nexclusive_tiles = 4"))
     out = tmp_path / "out"
     args = ["--config", str(path), "--out", str(out)]
-    assert main(args + ["bench", "--sizes", "64,128"]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (out / "timing.csv").exists()
     assert main(args + ["simulate"]) == 0
+    assert main(args + ["bench", "--sizes", "64,128"]) == 0
+    lines = (out / "timing.csv").read_text().splitlines()
+    assert lines[0] == "stage,size,seconds"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["spectrum_fft", "4096"], ["spectrum_fft", "8192"]]
 
 
 def test_config_does_not_import_harness():

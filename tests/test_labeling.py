@@ -8,10 +8,10 @@ from ris_nfloc.harness import observe
 from ris_nfloc.labeling import (
     _group_resolvable,
     _path_lengths,
-    bootstrap_position,
     in_region,
     in_region_quadric,
     run_spl,
+    solve_labeled,
     spl_sort,
 )
 from ris_nfloc.psp import assign
@@ -113,13 +113,13 @@ def test_bootstrap_position_exact():
     layout = RisLayout(tile_count=16, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [3.5, 4.5, 0], t0=2e-7)
     groups = exact_groups(scene, assignment)
-    p = bootstrap_position(groups, assignment, deployment(16, 0.1))
+    _, p, _ = run_spl(groups, assignment, deployment(16, 0.1), min_toa_gap=np.inf)
     assert np.linalg.norm(p - scene.p_ue) < 1e-6
 
 
 def test_bootstrap_is_the_first_fix_of_run_spl():
     # with an infinite gap every shared group is skipped, so run_spl returns
-    # the fix it starts from: the weighted exclusive-slope fix
+    # the fix it starts from: the weighted fix of the exclusive-slope arrivals
     cfg = ExperimentConfig(
         tile_count=16, subcarriers=256, spacing_hz=1.5625e6, frames=8, seed=5
     )
@@ -128,9 +128,15 @@ def test_bootstrap_is_the_first_fix_of_run_spl():
         ue = np.array([rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.0), 0.0])
         obs = observe(cfg, ue, rng)
         args = (obs.toa_groups, obs.assignment, cfg.deployment)
-        _, p_spl, trace = run_spl(*args, min_toa_gap=np.inf)
+        entries, p_spl, trace = run_spl(*args, min_toa_gap=np.inf)
         assert {row.method for row in trace} == {"exclusive", "skipped"}
-        assert np.array_equal(p_spl, bootstrap_position(*args))
+        singles = [i for i in sorted(obs.assignment.groups)
+                   if len(obs.assignment.groups[i]) == 1 and i in obs.toa_groups.toas]
+        anchors = [(float(obs.toa_groups.toas[i][0]), obs.assignment.groups[i][0])
+                   for i in singles]
+        heights = [float(obs.toa_groups.magnitudes[i][0]) for i in singles]
+        assert entries == anchors
+        assert np.array_equal(p_spl, solve_labeled(anchors, heights, cfg.deployment))
 
 
 def test_bootstrap_missing_singletons_raises():
@@ -144,7 +150,7 @@ def test_bootstrap_missing_singletons_raises():
     mags = {i: v for i, v in groups.magnitudes.items() if i not in singles[:2]}
     broken = ToaGroups(toas=toas, magnitudes=mags, under_detected=frozenset(singles[:2]))
     with pytest.raises(ValueError):
-        bootstrap_position(broken, assignment, deployment(16, 0.1))
+        run_spl(broken, assignment, deployment(16, 0.1), min_toa_gap=np.inf)
 
 
 def test_bootstrap_quantized_toas_stay_in_room_scale():
@@ -170,7 +176,7 @@ def test_bootstrap_quantized_toas_stay_in_room_scale():
             toas[i] = vals
             mags[i] = np.ones(len(tiles))
         groups = ToaGroups(toas=toas, magnitudes=mags)
-        p = bootstrap_position(groups, assignment, dep)
+        _, p, _ = run_spl(groups, assignment, dep, min_toa_gap=np.inf)
         errs.append(np.linalg.norm(p - ue))
     assert np.median(errs) < 1.0
 
@@ -272,7 +278,7 @@ def test_run_spl_exact_toas_perfect_labels():
         assignment = assign(k_tiles, l_frames, 4)
         groups = exact_groups(scene, assignment)
         dep = deployment(k_tiles, layout.tile_spacing)
-        entries, p_hat, trace = run_spl(groups, assignment, dep)
+        entries, p_hat, trace = run_spl(groups, assignment, dep, min_toa_gap=0.0)
         assert len(entries) == scene.n_tiles
         true_toas = toa_vector(scene)
         lookup = {k: t for t, k in entries}
@@ -288,7 +294,9 @@ def test_run_spl_sufficient_budget_matches_plain_tdoa():
     scene = build_scene(layout, [0, 5, 2], [4, 6, 0], t0=1e-7)
     assignment = assign(8, 8)
     groups = exact_groups(scene, assignment)
-    entries, p_hat, trace = run_spl(groups, assignment, deployment(8, 0.2))
+    entries, p_hat, trace = run_spl(
+        groups, assignment, deployment(8, 0.2), min_toa_gap=0.0
+    )
     assert len(entries) == scene.n_tiles
     assert all(row.dod == 1 for row in trace)
     assert np.linalg.norm(p_hat - scene.p_ue) < 1e-4
