@@ -93,6 +93,11 @@ def _apply_overrides(cfg, args):
     return replace(cfg, **{k: v for k, v in fields.items() if v is not None})
 
 
+def _rmses(point) -> str:
+    """``rmse_<arm>=<value>`` for every arm of ``harness.ARMS``."""
+    return " ".join(f"rmse_{a}={getattr(point, f'rmse_{a}'):.4g}" for a in harness.ARMS)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -121,8 +126,7 @@ def main(argv=None) -> int:
             harness.write_trials_csv(results, os.path.join(args.out, "trials.csv"))
             point = harness.summarize(cfg, results, 0.0, 0.0)
             print(
-                f"trials={cfg.trials} rmse_proposed={point.rmse_proposed:.4g} "
-                f"rmse_baseline={point.rmse_baseline:.4g} "
+                f"trials={cfg.trials} {_rmses(point)} "
                 f"label_acc={point.label_acc:.4g} "
                 f"censored={point.censored_fraction:.4g}"
             )
@@ -130,10 +134,7 @@ def main(argv=None) -> int:
             table = harness.sweep(cfg, args.var, parse_numbers(args.values))
             harness.write_sweep_csv(table, os.path.join(args.out, "sweep.csv"))
             for p in table.points:
-                print(
-                    f"{args.var}={p.sweep_value:g} rmse_proposed={p.rmse_proposed:.4g} "
-                    f"rmse_baseline={p.rmse_baseline:.4g} peb={p.peb:.4g}"
-                )
+                print(f"{args.var}={p.sweep_value:g} {_rmses(p)} peb={p.peb:.4g}")
         elif args.command == "heatmap":
             rows = harness.heatmap(cfg, args.resolution_m)
             harness.write_heatmap_csv(rows, os.path.join(args.out, "heatmap.csv"))

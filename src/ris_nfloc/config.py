@@ -286,7 +286,8 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     its first trial: the floor reaches beyond ``wall_margin_m`` on exactly
     one side of the wall plane.  The slope
     assignment must exist for (tile_count, frames, exclusive_tiles) and give
-    at least three exclusive-slope tiles.
+    at least three exclusive-slope tiles, and neither they nor the tile
+    centers may be too large to allocate.
     The wavelength ``c / carrier_hz``, the largest multipath phase
     ``2*pi*excess_max_m / wavelength`` and the multipath power ratio
     ``10**(power_rel_db / 10)`` must be finite, and so must the delay
@@ -337,12 +338,13 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         if len(getattr(cfg, field)) != 3:
             raise ConfigError(f"[scene] {field} needs 3 components (x, y, z)")
     try:
-        layout = cfg.layout()
+        centers = cfg.layout().tile_centers()
     except ValueError as exc:
         raise ConfigError(f"bad RIS layout in [scene]: {exc}") from None
+    except MemoryError as exc:
+        raise ConfigError(f"[scene] tile_count = {cfg.tile_count}: {exc}") from None
     _check_in_room(cfg, "[scene] bs_position_m", np.atleast_2d(cfg.bs_position_m))
     tiles = f"[scene] RIS tile {{}} of {cfg.tile_count}"
-    centers = layout.tile_centers()
     _check_in_room(cfg, tiles, centers)
     bs_legs = np.linalg.norm(np.asarray(cfg.bs_position_m) - centers, axis=1)
     if np.min(bs_legs) < 1e-12:
@@ -357,7 +359,7 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"[scene] {exc}") from None
     try:
         assignment = cfg.assignment()
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(
             f"no slope assignment for [scene] tile_count = {cfg.tile_count} "
             f"with [assignment] frames = {cfg.frames}, "

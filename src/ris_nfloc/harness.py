@@ -8,14 +8,13 @@ heatmap runs the same pipeline at fixed UE positions.  What the config fixes
 lattice of the room) comes from the config's deployment
 (:attr:`ExperimentConfig.deployment`), built once per config, so a trial adds
 only its UE, its offsets and its draws, and its true delays are computed
-once.  Two labelers consume the same extraction: the geometric one and the
-fixed-order baseline that models code-collision failure.  Each reads only
-the deployment and the extracted arrivals, never the scene, so no arm can
-see the UE it estimates.  One scorer,
-:func:`_arm`, scores either labeler, in trials and heatmap cells alike, and
-counts a censored arm, never dropping it silently.  The experiment config
-and every check that decides whether it can run live in
-:mod:`ris_nfloc.config`.
+once.  Every arm of :data:`ARMS` labels the same extraction: the geometric
+labeler and the fixed-order baseline that models code-collision failure.
+Each reads only the deployment and the extracted arrivals, never the scene,
+so no arm can see the UE it estimates.  One scorer, :func:`_arm`, scores
+every arm, in trials and heatmap cells alike, and counts a censored arm,
+never dropping it silently.  The experiment config and every check that
+decides whether it can run live in :mod:`ris_nfloc.config`.
 
 Power bookkeeping: the nominal absolute powers are meaningless against raw
 double-bounce path loss, so cascade gains are path-loss-normalized per trial
@@ -46,9 +45,11 @@ from .tdoa import BootstrapError, PositionEstimationError, solve_position  # noq
 from .waveform import FrameMatrix, WaveformConfig, synthesize_frames
 
 
+# TrialResult and SweepPoint keep flat <metric>_<arm> fields: perfbench reads
+# them by name and compares records with astuple
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of one Monte Carlo trial for both labelers."""
+    """Outcome of one Monte Carlo trial for every arm of :data:`ARMS`."""
 
     error_proposed: float
     error_baseline: float
@@ -222,6 +223,12 @@ def _baseline(cfg: ExperimentConfig, obs: Observation):
     return entries, solve_labeled(entries, mags, cfg.deployment)
 
 
+# arm name (the <arm> of the per-arm fields) -> labeler.  These are this
+# module's own labelers, which look up run_spl at each call: perfbench's
+# tracer rebinds module attributes, never a dict entry
+ARMS = {"proposed": _proposed, "baseline": _baseline}
+
+
 def _arm(label, cfg: ExperimentConfig, obs: Observation, ue: np.ndarray):
     """Score one labeler arm on an observation: (entries, error, censored).
 
@@ -242,7 +249,7 @@ def _arm(label, cfg: ExperimentConfig, obs: Observation, ue: np.ndarray):
 
 
 def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
-    """One Monte Carlo trial: shared pipeline, two scored arms, one bound.
+    """One Monte Carlo trial: shared pipeline, each arm scored, one bound.
 
     ``trial_seed`` is any seed accepted by ``numpy.random.default_rng``;
     the harness derives it deterministically from (config seed, trial index).
@@ -251,20 +258,16 @@ def run_trial(cfg: ExperimentConfig, trial_seed) -> TrialResult:
     rng = np.random.default_rng(trial_seed)
     ue = _draw_ue(cfg, rng)
     obs = observe(cfg, ue, rng)
-    entries_p, err_p, cens_p = _arm(_proposed, cfg, obs, ue)
-    entries_b, err_b, cens_b = _arm(_baseline, cfg, obs, ue)
-    acc_p, nlab_p = _label_accuracy(entries_p, obs.assignment, obs.true_toas)
-    acc_b, nlab_b = _label_accuracy(entries_b, obs.assignment, obs.true_toas)
+    arms = {}
+    for name, label in ARMS.items():
+        entries, arms[f"error_{name}"], arms[f"censored_{name}"] = _arm(
+            label, cfg, obs, ue
+        )
+        arms[f"label_acc_{name}"], arms[f"labeled_{name}"] = _label_accuracy(
+            entries, obs.assignment, obs.true_toas
+        )
     return TrialResult(
-        error_proposed=err_p,
-        error_baseline=err_b,
-        label_acc_proposed=acc_p,
-        label_acc_baseline=acc_b,
-        labeled_proposed=nlab_p,
-        labeled_baseline=nlab_b,
-        censored_proposed=cens_p,
-        censored_baseline=cens_b,
-        peb=position_error_bound(cfg, obs.scene, obs.cascade, obs.true_toas),
+        **arms, peb=position_error_bound(cfg, obs.scene, obs.cascade, obs.true_toas)
     )
 
 
@@ -275,6 +278,11 @@ def run_trials(cfg: ExperimentConfig, point_index: int = 0) -> list[TrialResult]
         for t in range(cfg.trials)
     )
     return [run_trial(cfg, s) for s in seeds]
+
+
+def _by_arm(record, metric: str) -> list:
+    """The ``<metric>_<arm>`` field of ``record`` for every arm of :data:`ARMS`."""
+    return [getattr(record, f"{metric}_{arm}") for arm in ARMS]
 
 
 def _rmse(values: np.ndarray) -> float:
@@ -289,18 +297,16 @@ def summarize(cfg: ExperimentConfig, results: list[TrialResult], sweep_value: fl
     """One sweep point.  Each RMSE and the label accuracy average over the
     trials whose arm is not censored (NaN when none is left); a censored
     trial's accuracy of 0.0 records that it labeled nothing."""
-    ep = np.array([r.error_proposed for r in results])
-    eb = np.array([r.error_baseline for r in results])
-    cens_p = np.array([r.censored_proposed for r in results])
-    cens_b = np.array([r.censored_baseline for r in results])
+    errors = np.array([_by_arm(r, "error") for r in results], dtype=float)
+    censored = np.array([_by_arm(r, "censored") for r in results], dtype=bool)
+    rmses = {f"rmse_{a}": _rmse(errors[~censored[:, i], i]) for i, a in enumerate(ARMS)}
     acc = [r.label_acc_proposed for r in results if not r.censored_proposed]
     return SweepPoint(
         sweep_value=sweep_value,
-        rmse_proposed=_rmse(ep[~cens_p]),
-        rmse_baseline=_rmse(eb[~cens_b]),
+        **rmses,
         peb=float(np.nanmean([r.peb for r in results])),
         label_acc=float(np.mean(acc)) if acc else float("nan"),
-        censored_fraction=float(np.mean(cens_p | cens_b)),
+        censored_fraction=float(np.mean(censored.any(axis=1))),
         wall_time_s=wall_time_s,
     )
 
@@ -413,14 +419,11 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
 
 
 def write_sweep_csv(table: MetricsTable, path) -> None:
-    """sweep.csv with the fixed column order."""
+    """sweep.csv; per-arm columns follow :data:`ARMS`."""
     write_csv(
         path,
-        ["sweep_value", "rmse_proposed", "rmse_baseline", "peb", "label_acc"],
-        (
-            (p.sweep_value, p.rmse_proposed, p.rmse_baseline, p.peb, p.label_acc)
-            for p in table.points
-        ),
+        ["sweep_value", *(f"rmse_{a}" for a in ARMS), "peb", "label_acc"],
+        ((p.sweep_value, *_by_arm(p, "rmse"), p.peb, p.label_acc) for p in table.points),
     )
 
 
@@ -445,29 +448,11 @@ def write_timing_csv(rows, path) -> None:
 
 
 def write_trials_csv(results: list[TrialResult], path) -> None:
+    """trials.csv; per-arm columns are metric-major and follow :data:`ARMS`."""
     write_csv(
         path,
-        [
-            "trial",
-            "error_proposed_m",
-            "error_baseline_m",
-            "label_acc_proposed",
-            "label_acc_baseline",
-            "censored_proposed",
-            "censored_baseline",
-            "peb_m",
-        ],
-        (
-            (
-                t,
-                r.error_proposed,
-                r.error_baseline,
-                r.label_acc_proposed,
-                r.label_acc_baseline,
-                int(r.censored_proposed),
-                int(r.censored_baseline),
-                r.peb,
-            )
-            for t, r in enumerate(results)
-        ),
+        ["trial", *(f"error_{a}_m" for a in ARMS), *(f"label_acc_{a}" for a in ARMS),
+         *(f"censored_{a}" for a in ARMS), "peb_m"],
+        ((t, *_by_arm(r, "error"), *_by_arm(r, "label_acc"),
+          *map(int, _by_arm(r, "censored")), r.peb) for t, r in enumerate(results)),
     )

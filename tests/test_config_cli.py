@@ -428,6 +428,60 @@ def test_cli_sweep_row_count(desk_config, tmp_path):
     assert len(lines) == 3
 
 
+def test_cli_summary_lines(monkeypatch, desk_config, tmp_path, capsys):
+    # fixed results pin the simulate and sweep lines: names, order, .4g
+    def trial(error_p, error_b, censored_p):
+        return harness.TrialResult(
+            error_proposed=error_p, error_baseline=error_b,
+            label_acc_proposed=0.0 if censored_p else 2.0 / 3.0,
+            label_acc_baseline=0.5, labeled_proposed=0 if censored_p else 16,
+            labeled_baseline=16, censored_proposed=censored_p,
+            censored_baseline=False, peb=0.25,
+        )
+
+    trials = [trial(1.0 / 3.0, 3.0, False), trial(float("nan"), 4.0, True)]
+    monkeypatch.setattr(harness, "run_trials", lambda cfg: trials)
+    points = tuple(
+        harness.SweepPoint(
+            sweep_value=value, rmse_proposed=rmse_p, rmse_baseline=rmse_b, peb=peb,
+            label_acc=1.0, censored_fraction=0.0, wall_time_s=0.5,
+        )
+        for value, rmse_p, rmse_b, peb in (
+            (8.0, 1.0 / 3.0, 12345.678, 2.0 / 3.0),
+            (16.0, float("nan"), 0.5, 1e-3),
+        )
+    )
+    monkeypatch.setattr(
+        harness, "sweep", lambda cfg, var, values: harness.MetricsTable(var, points)
+    )
+    args = ["--config", desk_config, "--out", str(tmp_path / "out"), "--trials", "2"]
+    assert main(args + ["simulate"]) == 0
+    assert capsys.readouterr().out == (
+        "trials=2 rmse_proposed=0.3333 rmse_baseline=3.536 label_acc=0.6667 "
+        "censored=0.5\n"
+    )
+    assert main(args + ["sweep", "--var", "L", "--values", "8,16"]) == 0
+    assert capsys.readouterr().out == (
+        "L=8 rmse_proposed=0.3333 rmse_baseline=1.235e+04 peb=0.6667\n"
+        "L=16 rmse_proposed=nan rmse_baseline=0.5 peb=0.001\n"
+    )
+
+
+# 10**15 int64 values take 8 PB, beyond any process's address space, so
+# numpy refuses the array at once whatever the memory overcommit policy
+@pytest.mark.parametrize("args, key", [
+    (["--tiles", str(10**15), "simulate"], "[scene] tile_count = 1000000000000000"),
+    (["--frames", str(10**15), "simulate"], "[assignment] frames = 1000000000000000"),
+    (["--trials", "1", "sweep", "--var", "K", "--values", "1e15"],
+     "[scene] tile_count = 1000000000000000"),
+], ids=["tiles", "frames", "sweep_K"])
+def test_a_size_too_large_for_memory_exits_2(args, key, desk_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--config", desk_config, "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+
+
 def test_cli_sweep_over_exclusive_tiles(desk_config, tmp_path):
     assert apply_sweep_value(load_config(desk_config), "K0", 5.0).exclusive_tiles == 5
     out = tmp_path / "out"

@@ -155,8 +155,8 @@ def test_unnamed_value_error_propagates(monkeypatch):
 
 def test_labeler_arms_never_read_the_truth():
     # an observation stripped of its scene, true delays and cascade scores
-    # both arms the same; full scale at L = 32 labels shared groups too
-    from ris_nfloc.harness import _arm, _baseline, _draw_ue, _proposed, observe
+    # every arm the same; full scale at L = 32 labels shared groups too
+    from ris_nfloc.harness import ARMS, _arm, _draw_ue, observe
 
     shared_labeled = False
     for cfg in (DESK, ExperimentConfig(frames=32)):
@@ -165,13 +165,13 @@ def test_labeler_arms_never_read_the_truth():
             ue = _draw_ue(cfg, rng)
             obs = observe(cfg, ue, rng)
             blind = replace(obs, scene=None, true_toas=None, cascade=None)
-            for label in (_proposed, _baseline):
+            for name, label in ARMS.items():
                 entries, error, censored = _arm(label, cfg, obs, ue)
                 blind_entries, blind_error, blind_censored = _arm(label, cfg, blind, ue)
                 assert blind_entries == entries
                 assert np.array_equal(blind_error, error, equal_nan=True)
                 assert blind_censored == censored
-                if label is _proposed:
+                if name == "proposed":
                     shared_labeled |= len(entries) > obs.assignment.k0_size
     assert shared_labeled
 
