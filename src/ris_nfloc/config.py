@@ -286,8 +286,9 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     its first trial: the floor reaches beyond ``wall_margin_m`` on exactly
     one side of the wall plane.  The slope
     assignment must exist for (tile_count, frames, exclusive_tiles) and give
-    at least three exclusive-slope tiles, and neither they nor the tile
-    centers may be too large to allocate.
+    at least three exclusive-slope tiles, and neither they, the tile
+    centers nor a trial's (frames, oversampling * subcarriers) float64
+    spectrum map may be too large to allocate.
     The wavelength ``c / carrier_hz``, the largest multipath phase
     ``2*pi*excess_max_m / wavelength`` and the multipath power ratio
     ``10**(power_rel_db / 10)`` must be finite, and so must the delay
@@ -379,6 +380,14 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             build()
         except ValueError as exc:
             raise ConfigError(f"bad [{section}] values: {exc}") from None
+    try:
+        np.empty((cfg.frames, cfg.oversampling * cfg.subcarriers))
+    except (ValueError, MemoryError) as exc:  # numpy: "array is too big"
+        raise ConfigError(
+            f"[experiment] oversampling = {cfg.oversampling} with [waveform] "
+            f"subcarriers = {cfg.subcarriers}, [assignment] frames = {cfg.frames} "
+            f"gives a spectrum map that cannot be allocated: {exc}"
+        ) from None
     # the constructors above made carrier_hz, spacing_hz and excess_max_m
     # positive; the products below overflow to inf, never raise
     lam = cfg.wavelength_m

@@ -384,7 +384,8 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
 
     Returns (rows, exponent) where rows are ``("spectrum_fft", size,
     seconds)`` entries: :func:`spectrum_2d`, the zero-padded delay-axis FFT
-    of slope columns built beforehand, across the padded grid sizes of
+    of slope columns built beforehand plus the magnitudes it keeps, across
+    the padded grid sizes of
     ``sizes`` subcarriers, timed in interleaved rounds
     (:func:`_time_callables`).  The exponent fits ``time ~ (n*log2(n))^e``,
     ``n`` the padded grid size.  Labeling and solve time on real trials is

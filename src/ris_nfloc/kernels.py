@@ -3,12 +3,12 @@ shortcut, the noise-floor median and the peak scan.
 
 ``idft2_dense`` is the literal double sum over a frame-domain symbol matrix,
 the oracle that the frame-axis DFT (``FrameMatrix.from_symbols``) followed by
-the delay-axis FFT (``spectrum_2d``) is tested against, called only by the
-tests.  During peak extraction ``strongest_peak`` first tries to decide the
-column of a one-tile slope group from its strongest bin alone; ``median``
-and ``column_peak_mask`` run on the columns it leaves undecided and on
-every shared group's column, the first to set the admissibility floor, the
-second to find the cyclic local maxima above it.
+the complex delay-axis FFT of ``spectrum_2d`` is tested against, called only
+by the tests.  During peak extraction ``strongest_peak`` first tries to
+decide the magnitude column of a one-tile slope group from its strongest bin
+alone; ``median`` and ``column_peak_mask`` run on the columns it leaves
+undecided and on every shared group's column, the first to set the
+admissibility floor, the second to find the cyclic local maxima above it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ def idft2_dense(s: np.ndarray, n_bar: int) -> np.ndarray:
 
     ``s`` holds frame-domain symbols, subcarriers along rows and frames
     along columns.  Indices are 1-based inside the sums, matching the frame
-    synthesis model; ``spectrum_2d(FrameMatrix.from_symbols(s, cfg), q)``
-    must agree with this to 1e-9 relative.  Evaluated as two precomputed
+    synthesis model; the complex transform whose magnitudes
+    ``spectrum_2d(FrameMatrix.from_symbols(s, cfg), q)`` keeps must agree
+    with this to 1e-9 relative.  Evaluated as two precomputed
     phase matmuls.
     """
     n, l = s.shape

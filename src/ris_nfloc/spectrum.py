@@ -2,12 +2,12 @@
 
 The slope columns of the demodulated frames (the frame-axis DFT, which the
 frame synthesis produces directly) are transformed along the delay axis into
-an oversampled 2-D map whose columns index the frame-ramp slope and whose
-rows index delay; every path shows up as a sinc mainlobe at its delay bin in
-its slope column.  Peak extraction walks the column of each slope group,
-keeps the required number of local maxima, and converts bins to arrival
-times, refining each peak by a three-point parabola fit on the periodic
-delay axis.
+an oversampled 2-D map of magnitudes whose columns index the frame-ramp
+slope and whose rows index delay; every path shows up as a sinc mainlobe at
+its delay bin in its slope column.  Peak extraction walks the column of each
+slope group, keeps the required number of local maxima, and converts bins to
+arrival times, refining each peak by a three-point parabola fit on the
+periodic delay axis.
 
 A group of several tiles sharing one slope is an exact sum of as many complex
 exponentials over the subcarrier axis, so its delays are also estimated
@@ -32,19 +32,23 @@ from .waveform import FrameMatrix, WaveformConfig
 
 @dataclass(frozen=True)
 class SpectrumMap:
-    """Oversampled joint spectrum of one frame matrix.
+    """Oversampled joint spectrum magnitudes of one frame matrix.
 
     ``samples`` are the slope columns the map was built from
     (:attr:`FrameMatrix.s`): column v holds the N subcarrier samples of slope
-    column v, whose zero-padded n_bar-point transform is ``grid[:, v]``.
+    column v, and ``grid[:, v]`` holds the magnitudes of their zero-padded
+    n_bar-point transform.  The receiver reads only magnitudes, so the grid
+    is real float64; any other grid raises ValueError.
     """
 
-    grid: np.ndarray  # (n_bar, L) complex
+    grid: np.ndarray  # (n_bar, L) float64 magnitudes
     oversampling: int
     cfg: WaveformConfig
     samples: np.ndarray  # (N, L) complex
 
     def __post_init__(self):
+        if self.grid.dtype != np.float64:
+            raise ValueError(f"grid must hold float64 magnitudes, not {self.grid.dtype}")
         if self.grid.shape != (self.n_bar, self.cfg.l_frames):
             raise ValueError("grid shape mismatch")
         if self.samples.shape != (self.cfg.n_subcarriers, self.cfg.l_frames):
@@ -90,30 +94,63 @@ class ToaGroups:
         )
 
 
+# Complex work buffer of one block of slope columns.  Each FFT call costs
+# about 0.05 ms at n_bar = 12800, so larger blocks run faster; at 1.5 MiB a
+# full-scale trial (N = 3200, L = 16, q = 4) holds block and float map in
+# less than the 3.3 MB complex grid, while 2 MiB raised its peak RSS
+_BLOCK_BYTES = 3 << 19
+
+
+def _column_blocks(samples: np.ndarray, oversampling: int):
+    """Zero-padded delay-axis FFTs of the slope columns, a block at a time.
+
+    Yields ``(first column, block)`` with ``block`` a complex
+    (columns, n_bar) array whose row r is the n_bar-point transform of slope
+    column ``first + r``, subcarrier n placed at sample n mod n_bar.  Every
+    block is written into one work buffer of at most ``_BLOCK_BYTES`` (one
+    column when a column is larger), so a block is valid only until the
+    next one is drawn.
+    """
+    n, l = samples.shape
+    n_bar = oversampling * n
+    head = min(n, n_bar - 1)
+    rows = min(l, max(1, _BLOCK_BYTES // (16 * n_bar)))
+    work = np.empty((rows, n_bar), dtype=np.complex128)
+    for first in range(0, l, rows):
+        cols = samples[:, first : first + rows].T
+        block = work[: len(cols)]
+        block[:, 0] = 0.0
+        block[:, head + 1 :] = 0.0
+        block[:, 1 : head + 1] = cols[:, :head]
+        # at oversampling 1, subcarrier N wraps to row 0
+        block[:, : n - head] = cols[:, head:]
+        # pocketfft transforms each row on its own: a block's rows equal
+        # those of one transform over all L columns bit for bit
+        yield first, np.fft.fft(block, axis=1, out=block)
+
+
 def spectrum_2d(frames: FrameMatrix, oversampling: int) -> SpectrumMap:
     """Transform slope columns into the oversampled joint spectrum.
 
-    One zero-padded delay-axis FFT of the slope columns, with the 1-based
-    subcarrier index placing subcarrier n at row n mod n_bar; the columns
-    are kept as ``samples``.  After :meth:`FrameMatrix.from_symbols` it
-    agrees with the literal double sum :func:`kernels.idft2_dense` to 1e-9
-    relative.
+    The zero-padded delay-axis FFT of the slope columns
+    (:func:`_column_blocks`), with the 1-based subcarrier index placing
+    subcarrier n at row n mod n_bar, kept as magnitudes only; the columns
+    are kept as ``samples``.  After :meth:`FrameMatrix.from_symbols` the
+    complex transform agrees with the literal double sum
+    :func:`kernels.idft2_dense` to 1e-9 relative.  The columns are
+    transformed a block at a time in one work buffer, so a trial holds the
+    float map and that buffer, never a complex n_bar x L grid.
     """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
     samples = frames.s
     n, l = samples.shape
-    n_bar = oversampling * n
-    # frame-major padding puts each slope column in contiguous memory; the
-    # FFT runs in place, so a trial allocates one n_bar x L buffer, not two
-    padded = np.zeros((l, n_bar), dtype=np.complex128)
-    # subcarrier n goes to row n mod n_bar: at oversampling 1, N wraps to 0
-    head = min(n, n_bar - 1)
-    padded[:, 1 : head + 1] = samples.T[:, :head]
-    padded[:, : n - head] = samples.T[:, head:]
-    grid = np.fft.fft(padded, axis=1, out=padded).T
+    # frame-major, so each slope column's magnitudes are contiguous
+    mags = np.empty((l, oversampling * n))
+    for first, block in _column_blocks(samples, oversampling):
+        np.abs(block, out=mags[first : first + len(block)])
     return SpectrumMap(
-        grid=grid,
+        grid=mags.T,
         oversampling=oversampling,
         cfg=frames.config,
         samples=samples,
@@ -121,7 +158,8 @@ def spectrum_2d(frames: FrameMatrix, oversampling: int) -> SpectrumMap:
 
 
 def quadratic_refine(spec: SpectrumMap, u, v) -> np.ndarray:
-    """Sub-bin arrival times from three-point parabolas around bins ``u``.
+    """Sub-bin arrival times from three-point parabolas around bins ``u``,
+    fitted to the map's magnitudes.
 
     ``u`` holds delay bins and ``v`` their columns, scalars or arrays that
     broadcast together; the result has their broadcast shape.  The delay
@@ -132,7 +170,7 @@ def quadratic_refine(spec: SpectrumMap, u, v) -> np.ndarray:
     """
     u = np.asarray(u)
     # row -1 is the last row, so only the right neighbor needs the modulo
-    a, b, c = np.abs(spec.grid[np.stack((u - 1, u, (u + 1) % spec.n_bar)), v])
+    a, b, c = spec.grid[np.stack((u - 1, u, (u + 1) % spec.n_bar)), v]
     denom = a - 2.0 * b + c
     fit = np.abs(denom) >= 1e-300
     offset = np.clip(0.5 * (a - c) / np.where(fit, denom, 1.0), -0.5, 0.5)
@@ -146,7 +184,8 @@ def extract_toas(
 ) -> ToaGroups:
     """Pull each slope group's arrival times out of its spectrum column.
 
-    For slope i/L the column is ``i mod L``; the group needs as many
+    For slope i/L the column is ``i mod L``, read as magnitudes straight
+    from the map (a view, never written); the group needs as many
     admissible local maxima (at least ``threshold_factor`` times the column
     median, :func:`kernels.median`) as it has tiles, the largest ones win,
     and ties in magnitude resolve toward the smaller bin.  Columns that
@@ -178,7 +217,7 @@ def extract_toas(
     for i in sorted(assignment.groups):
         tiles = assignment.groups[i]
         v = i % l
-        column = np.abs(spec.grid[:, v])
+        column = spec.grid[:, v]
         if len(tiles) == 1:
             peak = kernels.strongest_peak(column, threshold_factor)
             if peak is not None:

@@ -197,6 +197,10 @@ BAD_CONFIGS = {
         "[assignment]", "power_dbm = 1530\nnoise_dbm = 2030\n\n[assignment]"),
     # a negative resolvability margin switched the guard off as 0 does
     "negative_resolvability_margin": "[experiment]\nresolvability_margin = -5\n",
+    # a spectrum map of 16 x 3.2e18 cells, which passed the load and failed
+    # the first trial with exit 3
+    "oversampling_too_large_for_memory": "[experiment]\noversampling = "
+    + str(10**15) + "\n",
     # one subcarrier gives every slope column a flat delay profile without a
     # peak, which censored every trial
     "one_subcarrier": "[waveform]\nsubcarriers = 1\n",
@@ -241,6 +245,17 @@ def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
     with pytest.raises(ConfigError, match="overflows") as excinfo:
         load_config(str(bad))
     assert str(excinfo.value).startswith(key)
+
+
+def test_unallocatable_spectrum_map_names_its_keys(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BAD_CONFIGS["oversampling_too_large_for_memory"])
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(str(bad))
+    assert str(excinfo.value).startswith(
+        "[experiment] oversampling = 1000000000000000 with [waveform] subcarriers "
+        "= 3200, [assignment] frames = 16 gives a spectrum map that cannot be "
+        "allocated: ")
 
 
 def test_resolvability_margin_zero_loads_and_negative_names_its_key(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,8 +30,8 @@ def small_cfg(n=64, l=8, noise=0.0, spacing=1e6):
 
 
 def grid_map(grid, cfg, q=4):
-    """A map of ``grid`` alone: its slope columns are zero, which only the
-    pencil of a shared group reads."""
+    """A map of the magnitudes ``grid`` alone: its slope columns are zero,
+    which only the pencil of a shared group reads."""
     samples = np.zeros((cfg.n_subcarriers, cfg.l_frames), dtype=complex)
     return SpectrumMap(grid=grid, oversampling=q, cfg=cfg, samples=samples)
 
@@ -56,7 +57,7 @@ def test_on_grid_peak_location_and_value():
     q = 4
     tau, beta, frames = grid_path(cfg, q, 40, 3)
     spec = spectrum_2d(frames, q)
-    mag = np.abs(spec.grid)
+    mag = spec.grid
     u, v = np.unravel_index(np.argmax(mag), mag.shape)
     assert (u, v) == (40, 3)
     # geometric series collapses to N*L in-phase terms of height P/N
@@ -71,16 +72,73 @@ def test_zero_frames_zero_map():
     assert np.all(spec.grid == 0)
 
 
+def block_transform(frames, q):
+    """The complex (n_bar, L) transform whose magnitudes spectrum_2d keeps,
+    assembled from its column blocks."""
+    n, l = frames.s.shape
+    out = np.empty((q * n, l), dtype=complex)
+    for first, block in spectrum._column_blocks(frames.s, q):
+        out[:, first : first + len(block)] = block.T
+    return out
+
+
+def one_shot_transform(frames, q):
+    """One zero-padded FFT over all slope columns at once, subcarrier n at
+    row n mod n_bar, as (L, n_bar)."""
+    n, l = frames.s.shape
+    padded = np.zeros((l, q * n), dtype=complex)
+    padded[:, np.arange(1, n + 1) % (q * n)] = frames.s.T
+    return np.fft.fft(padded, axis=1)
+
+
 def test_fft_matches_dense_sum():
     rng = np.random.default_rng(0)
     cfg = small_cfg(n=48, l=8)
     s = rng.standard_normal((48, 8)) + 1j * rng.standard_normal((48, 8))
     frames = FrameMatrix.from_symbols(s, cfg)
     for q in (1, 2, 4):
-        fast = spectrum_2d(frames, q)
-        dense = kernels.idft2_dense(s, fast.n_bar)
-        rel = np.max(np.abs(fast.grid - dense)) / np.max(np.abs(dense))
+        fast = block_transform(frames, q)
+        dense = kernels.idft2_dense(s, q * 48)
+        rel = np.max(np.abs(fast - dense)) / np.max(np.abs(dense))
         assert rel < 1e-9
+        assert np.array_equal(spectrum_2d(frames, q).grid, np.abs(fast))
+
+
+@pytest.mark.parametrize("q", [4, 1])  # at q = 1 subcarrier N wraps to row 0
+def test_column_blocks_equal_one_shot_transform(q, monkeypatch):
+    rng = np.random.default_rng(2)
+    cfg = small_cfg(n=48, l=8)
+    s = rng.standard_normal((48, 8)) + 1j * rng.standard_normal((48, 8))
+    frames = FrameMatrix.from_symbols(s, cfg)
+    # blocks of 3 columns: 3 + 3 + 2, so L is not a multiple of a block
+    monkeypatch.setattr(spectrum, "_BLOCK_BYTES", 3 * 16 * q * 48)
+    assert [len(b) for _, b in spectrum._column_blocks(frames.s, q)] == [3, 3, 2]
+    whole = one_shot_transform(frames, q)
+    assert block_transform(frames, q).T.tobytes() == whole.tobytes()
+    assert spectrum_2d(frames, q).grid.T.tobytes() == np.abs(whole).tobytes()
+
+
+def test_spectrum_2d_never_holds_the_complex_grid():
+    # full-scale columns at L = 64: the complex n_bar x L grid takes
+    # 16 * n_bar * L = 13.1 MB, the float map half of that
+    cfg = small_cfg(n=3200, l=64)
+    frames = FrameMatrix(s=np.ones((3200, 64), dtype=complex), config=cfg)
+    tracemalloc.start()
+    try:
+        spec = spectrum_2d(frames, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.grid.nbytes == 8 * spec.n_bar * 64
+    assert peak < 16 * spec.n_bar * 64
+
+
+def test_map_of_a_complex_grid_raises():
+    cfg = small_cfg(n=16, l=2)
+    with pytest.raises(ValueError, match="float64 magnitudes"):
+        grid_map(np.ones((64, 2), dtype=complex), cfg)
+    with pytest.raises(ValueError, match="float64 magnitudes"):
+        grid_map(np.ones((64, 2), dtype=np.float32), cfg)
 
 
 def test_samples_are_frame_axis_dft():
@@ -106,7 +164,7 @@ def test_parseval_with_zero_padding():
     s = rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8))
     frames = FrameMatrix.from_symbols(s, cfg)
     spec = spectrum_2d(frames, 4)
-    lhs = np.sum(np.abs(spec.grid) ** 2)
+    lhs = np.sum(spec.grid**2)
     rhs = spec.n_bar * cfg.l_frames * np.sum(np.abs(s) ** 2)
     assert abs(lhs - rhs) / rhs < 1e-9
 
@@ -120,7 +178,7 @@ def test_two_separated_paths_two_maxima():
     taus = np.array([u1, u2]) / (n_bar * cfg.spacing)
     frames = frames_from_paths(taus, [v / 8, v / 8], [1.0, 0.8], cfg)
     spec = spectrum_2d(frames, q)
-    col = np.abs(spec.grid[:, v])
+    col = spec.grid[:, v]
     peaks = [
         u
         for u in range(n_bar)
@@ -347,7 +405,7 @@ def _extract_per_column(spec, assignment, threshold_factor=6.0):
     for i in sorted(assignment.groups):
         tiles = assignment.groups[i]
         v = i % l
-        column = np.abs(spec.grid[:, v])
+        column = spec.grid[:, v]
         floor = kernels.median(column)
         if not np.isfinite(floor):
             raise ValueError(f"slope column {v} has a non-finite median magnitude")
@@ -437,7 +495,7 @@ def _one_tile_spectrum(column, l=4):
     rng = np.random.default_rng(21)
     grid = 0.01 * (rng.standard_normal((len(column), l)) + 1j)
     grid[:, 1] = column
-    return grid_map(grid, cfg), assign(l, l, l)
+    return grid_map(np.abs(grid), cfg), assign(l, l, l)
 
 
 def test_plateau_across_the_wrap_falls_back(shortcut_log):
@@ -581,20 +639,20 @@ def test_quadratic_refine_symmetric_and_clamped():
     grid = np.zeros((64, 2))
     grid[10, 0] = 2.0
     grid[9, 0] = grid[11, 0] = 1.0
-    spec = grid_map(grid.astype(complex), cfg)
+    spec = grid_map(grid, cfg)
     bin_s = spec.bin_seconds
     assert quadratic_refine(spec, 10, 0) == pytest.approx(10 * bin_s)
     # monotone neighborhood clamps to half a bin
-    grid2 = np.zeros((64, 2), dtype=complex)
+    grid2 = np.zeros((64, 2))
     grid2[9:12, 1] = [1.0, 2.0, 2.9]
     spec2 = grid_map(grid2, cfg)
     assert quadratic_refine(spec2, 10, 1) == pytest.approx((10 + 0.5) * bin_s)
     # flat neighborhood falls back to the bin center
-    grid3 = np.ones((64, 2), dtype=complex)
+    grid3 = np.ones((64, 2))
     spec3 = grid_map(grid3, cfg)
     assert quadratic_refine(spec3, 20, 0) == pytest.approx(20 * bin_s)
     # the delay axis is periodic: an edge bin's neighbors wrap around
-    grid4 = np.zeros((64, 2), dtype=complex)
+    grid4 = np.zeros((64, 2))
     grid4[[63, 0, 1], 0] = [1.0, 2.0, 1.5]
     grid4[[62, 63, 0], 1] = [1.5, 2.0, 1.0]
     spec4 = grid_map(grid4, cfg)
@@ -606,7 +664,7 @@ def _refine_one(spec, u, v):
     # per-bin reference: the scalar parabola on the periodic delay axis with
     # its flat fallback
     bin_s = spec.bin_seconds
-    a, b, c = np.abs(spec.grid[[(u - 1) % spec.n_bar, u, (u + 1) % spec.n_bar], v])
+    a, b, c = spec.grid[[(u - 1) % spec.n_bar, u, (u + 1) % spec.n_bar], v]
     denom = a - 2.0 * b + c
     if abs(denom) < 1e-300:
         return u * bin_s
@@ -618,7 +676,7 @@ def test_quadratic_refine_array_equals_per_bin_loop():
     rng = np.random.default_rng(12)
     grid = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
     grid[20:24, 1] = 1.0  # a flat run
-    spec = grid_map(grid, cfg)
+    spec = grid_map(np.abs(grid), cfg)
     for v in (0, 1):
         bins = np.array([0, 1, 21, 22, 40, 62, 63, 5])
         got = quadratic_refine(spec, bins, v)
@@ -636,7 +694,7 @@ def test_quadratic_refine_off_grid_accuracy():
         tau = rng.uniform(30, 220) * bin_s
         frames = frames_from_paths([tau], [0.25], [1.0], cfg)
         spec = spectrum_2d(frames, q)
-        col = np.abs(spec.grid[:, 2])
+        col = spec.grid[:, 2]
         u = int(np.argmax(col))
         refined = quadratic_refine(spec, u, 2)
         assert abs(refined - tau) < 0.05 * bin_s
@@ -652,7 +710,7 @@ def test_quadratic_refine_across_the_wrap(past):
     bin_s = 1.0 / (n_bar * cfg.spacing)
     tau = np.mod(past * bin_s, 1.0 / cfg.spacing)
     spec = spectrum_2d(frames_from_paths([tau], [0.25], [1.0], cfg), q)
-    u = int(np.argmax(np.abs(spec.grid[:, 2])))
+    u = int(np.argmax(spec.grid[:, 2]))
     assert u in (0, n_bar - 1)
     refined = quadratic_refine(spec, u, 2)
     assert abs(refined - past * bin_s) < 0.05 * bin_s
