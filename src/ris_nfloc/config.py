@@ -303,18 +303,14 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     the value at that gain.  With those bounds these must be finite too:
     the squared peak height, which bounds every spectrum cell and every
     entry of the matrix pencil's Gram matrix (sums of at most N/D products
-    of block sums of D samples, each sample at most height/N); the delay
-    information times the SNR; and the position solve's cost, which weights
-    each of at most K squared range differences by a squared peak height,
-    taken at the range resolution ``c/B``: near the seed, where the descent
-    runs, the residuals are extraction errors of that order.  The receiver
+    of block sums of D samples, each sample at most height/N); and the
+    delay information times the SNR.  The receiver
     noise has variance ``P*N0/N`` per frame cell; a slope column sums L
     frames and a spectrum cell N slope-column samples, so the squared noise
     scale of a cell is ``L*P*N0``.  It must be finite: it bounds the cell
     variance the frame synthesis forms, and it is the scale of the noise in
     the pencil's Gram matrix (at most N/D products of block sums of D
-    samples, each of variance ``D*L*P*N0/N``) and in a squared peak height,
-    which weights the position solve.
+    samples, each of variance ``D*L*P*N0/N``) and in a squared peak height.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -402,7 +398,6 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     lp = cfg.frames * wave.tx_power
     snr = lp * top_gain * top_gain / (cfg.subcarriers * wave.noise_psd)
     height = lp * top_gain
-    weighted_m = SPEED_OF_LIGHT / band * height
     for keys, value, what in (
         (("carrier_hz",), lam, "wavelength c / carrier_hz"),
         (("multipath_excess_max_m",), 2.0 * np.pi * cfg.multipath_excess_max_m / lam,
@@ -418,9 +413,6 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
          "squared peak height (L*P*K*gain_reference)**2 of the spectrum"),
         (("gain_reference", "spacing_hz", "power_dbm", "noise_dbm"), info * snr,
          "delay information 8*pi**2*B**2*L*P*(K*gain_reference)**2/(N*N0)"),
-        (("gain_reference", "spacing_hz", "power_dbm"),
-         cfg.tile_count * weighted_m * weighted_m,
-         "height-weighted solve cost K*(c/B * L*P*K*gain_reference)**2"),
         (("power_dbm", "noise_dbm"), lp * wave.noise_psd,
          "squared noise scale L*P*N0 of a spectrum cell"),
     ):

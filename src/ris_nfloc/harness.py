@@ -19,9 +19,10 @@ decides whether it can run live in :mod:`ris_nfloc.config`.
 Power bookkeeping: the nominal absolute powers are meaningless against raw
 double-bounce path loss, so cascade gains are path-loss-normalized per trial
 (transmit power control): gains scaled so the tile-averaged magnitude equals
-``gain_reference``.  The same normalized gains feed the per-tile SNRs for the
-error bound, keeping simulation and bound coherent; the exact convention is
-in :mod:`ris_nfloc.bounds`.
+``gain_reference``; at a fixed SNR the fix does not depend on it, as every
+solve weighs the arrivals relative to the reference arrival.  The same
+normalized gains feed the per-tile SNRs for the error bound, keeping
+simulation and bound coherent; the exact convention is in :mod:`ris_nfloc.bounds`.
 """
 
 from __future__ import annotations

@@ -148,15 +148,18 @@ def solve_labeled(entries, mags, dep: Deployment) -> np.ndarray:
     seed lattice of ``dep`` (see :func:`ris_nfloc.tdoa.solve_position`).
 
     Each arrival's delay-error scale is the inverse of its peak height in
-    ``mags`` (delay error scales inversely with it).
+    ``mags``, relative to the reference arrival's: ``height_ref / height``,
+    and 1 for the reference.  So the fix depends on ratios of heights, not
+    on their common scale.  Every height is positive (a strict local maximum
+    of its column, or a pencil height above the column's noise floor).
     """
     system = build_system(entries, dep.tile_centers, dep.p_bs)
     by_tile = {k: m for (_, k), m in zip(entries, mags)}
-    sigma_ref = 1.0 / max(by_tile[system.ref_tile], 1e-30)
+    ref_height = by_tile[system.ref_tile]
     sigmas = np.array(
-        [1.0 / max(by_tile[k], 1e-30) for _, k in entries if k != system.ref_tile]
+        [ref_height / by_tile[k] for _, k in entries if k != system.ref_tile]
     )
-    return solve_position(system, dep.lattice, sigmas=sigmas, sigma_ref=sigma_ref)
+    return solve_position(system, dep.lattice, sigmas=sigmas, sigma_ref=1.0)
 
 
 def run_spl(

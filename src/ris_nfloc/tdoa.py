@@ -93,7 +93,9 @@ class _ResidualWhitener:
     covariance is ``diag(sigmas**2) + sigma_ref**2 * 1 1^T``; by the
     Sherman-Morrison identity its inverse is ``D - k * (D 1)(D 1)^T`` with
     ``D = diag(dinv)`` and ``k = sigma_ref**2 / (1 + sigma_ref**2 * sum(dinv))``.
-    Unit sigmas with ``sigma_ref = 0`` give plain least squares.
+    Unit sigmas with ``sigma_ref = 0`` give plain least squares.  The descent
+    damps the cost with absolute constants, so callers pass scales near 1,
+    as :func:`~ris_nfloc.labeling.solve_labeled` does.
     """
 
     def __init__(self, sigmas: np.ndarray, sigma_ref: float, n: int):

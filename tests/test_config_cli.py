@@ -1,4 +1,6 @@
 import argparse
+import csv
+import math
 import os
 import shlex
 import subprocess
@@ -185,12 +187,10 @@ BAD_CONFIGS = {
     "bandwidth_square_overflows": "[waveform]\nspacing_hz = 1e200\n",
     "clock_phase_overflows": "[experiment]\nclock_uncertainty_s = 1e300\n",
     # desk values whose gain-scaled arithmetic overflows a float: the error
-    # bound's delay information warned of overflow, the matrix pencil and the
-    # position solve's seed lattice failed the first trial
+    # bound's delay information warned of overflow, the matrix pencil failed
+    # the first trial
     "gain_snr_overflows": DESK_INI + "gain_reference = 1e150\n",
     "gain_height_overflows": DESK_INI + "gain_reference = 1e155\n",
-    "gain_weighted_cost_overflows":
-        DESK_INI.replace("1.5625e6", "1e-145") + "gain_reference = 1e4\n",
     # desk powers whose product overflows the receiver-noise variance, which
     # failed the first trial with a non-finite column median
     "noise_scale_overflows": DESK_INI.replace(
@@ -233,9 +233,6 @@ def test_invalid_assignment_rejected_at_load(name, tmp_path, capsys):
      "overflows the delay information"),
     ("gain_height_overflows", "[experiment] gain_reference = 1e+155 with [waveform] "
      "power_dbm = 20 overflows the squared peak height"),
-    ("gain_weighted_cost_overflows", "[experiment] gain_reference = 10000 with "
-     "[waveform] spacing_hz = 1e-145, [waveform] power_dbm = 20 overflows the "
-     "height-weighted solve cost"),
     ("noise_scale_overflows", "[waveform] power_dbm = 1530 with [waveform] "
      "noise_dbm = 2030 overflows the squared noise scale"),
 ])
@@ -245,6 +242,23 @@ def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
     with pytest.raises(ConfigError, match="overflows") as excinfo:
         load_config(str(bad))
     assert str(excinfo.value).startswith(key)
+
+
+def test_tiny_spacing_with_a_large_gain_runs(tmp_path):
+    # a range resolution c/B near 1e152 m and large peak heights: the solve
+    # weighs each arrival relative to the reference arrival, so its cost
+    # stays finite, and simulate and peb run without a warning
+    path = tmp_path / "weighted.ini"
+    path.write_text(DESK_INI.replace("1.5625e6", "1e-145") + "gain_reference = 1e4\n")
+    load_config(str(path))
+    out = tmp_path / "out"
+    for command in (["--trials", "3", "simulate"], ["peb"]):
+        assert main(["--config", str(path), "--out", str(out), *command]) == 0
+    with open(out / "trials.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 3
+    errors = [float(row[f"error_{arm}_m"]) for row in rows for arm in harness.ARMS]
+    assert all(math.isfinite(e) for e in errors)
 
 
 def test_unallocatable_spectrum_map_names_its_keys(tmp_path):
