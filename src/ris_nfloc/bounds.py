@@ -12,10 +12,10 @@ SNR bookkeeping: the per-cell SNR of a demodulated symbol is
 ``P*|c_k|^2/(N*N0)`` and :func:`cascade_snrs` multiplies it by the
 frame-coherent gain ``L`` only; the subcarrier aggregation is the
 bandwidth-squared factor of :func:`toa_variance`.  The channel gains used here
-are path-loss-normalized by the experiment harness (mean cascade magnitude
-scaled to ``gain_reference``, 2.0 by default), which is disclosed wherever the
-bound is reported; the nominal powers are meaningless against raw
-double-bounce path loss.
+are path-loss-normalized by the experiment harness to unit mean magnitude,
+with P = 1 and N0 the config's ratio N0/(P*gain_reference**2), which is
+disclosed wherever the bound is reported; the nominal powers are
+meaningless against raw double-bounce path loss.
 """
 
 from __future__ import annotations

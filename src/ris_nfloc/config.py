@@ -15,6 +15,7 @@ the harness that runs the trials.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -38,11 +39,6 @@ def _db_to_ratio(db: float) -> float:
         return 10.0 ** (db / 10.0)
     except OverflowError:
         return float("inf")
-
-
-def _dbm_to_watt(dbm: float) -> float:
-    """Watts of a power in dBm; inf where the value overflows a float."""
-    return 1e-3 * _db_to_ratio(dbm)
 
 
 @dataclass(frozen=True)
@@ -98,12 +94,16 @@ class ExperimentConfig:
         return (self.room_min_m, self.room_max_m)
 
     def waveform_config(self) -> WaveformConfig:
+        """A trial's waveform in units of the reference path amplitude: P = 1
+        and N0/(P*gain_reference**2), formed in dB, as N0."""
         return WaveformConfig(
             n_subcarriers=self.subcarriers,
             spacing=self.spacing_hz,
             carrier=self.carrier_hz,
-            tx_power=_dbm_to_watt(self.power_dbm),
-            noise_psd=_dbm_to_watt(self.noise_dbm),
+            tx_power=1.0,
+            noise_psd=_db_to_ratio(
+                self.noise_dbm - self.power_dbm - 20.0 * math.log10(self.gain_reference)
+            ),
             l_frames=self.frames,
         )
 
@@ -262,9 +262,6 @@ def read_config(path) -> ExperimentConfig:
     return ExperimentConfig(**overrides)
 
 
-_NO_WATTS = "is not a finite positive power in watts"
-
-
 def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Reject field combinations no trial can run with; returns ``cfg``.
 
@@ -273,9 +270,8 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     a flat delay profile without a peak), a non-negative seed, an
     oversampling factor of at least 1, a non-negative clock uncertainty, a
     positive ``gain_reference``, a positive ``peak_threshold`` (the
-    admissibility floor in column medians), a non-negative
-    ``resolvability_margin`` (0 labels every detected shared group), and
-    transmit and noise powers that are finite and positive in watts.  The RIS
+    admissibility floor in column medians) and a non-negative
+    ``resolvability_margin`` (0 labels every detected shared group).  The RIS
     layout, the waveform and the multipath model must pass the constructors
     a trial builds them with;
     :class:`~ris_nfloc.geometry.RisLayout` rejects a vertical RIS axis.  The
@@ -297,20 +293,19 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     differences; the error bound's delay information ``8*pi**2*B**2`` per
     unit SNR (B the bandwidth); and the largest clock-offset phase
     ``2*pi*(carrier_hz + B/2)*clock_uncertainty_s`` of the frame synthesis.
-    The cascade gains have mean magnitude ``gain_reference``, so none
-    exceeds ``K*gain_reference``, and neither a path's SNR
-    ``L*P*|c|**2/(N*N0)`` nor its spectral peak height ``L*P*|c|`` exceeds
-    the value at that gain.  With those bounds these must be finite too:
-    the squared peak height, which bounds every spectrum cell and every
-    entry of the matrix pencil's Gram matrix (sums of at most N/D products
-    of block sums of D samples, each sample at most height/N); and the
-    delay information times the SNR.  The receiver
-    noise has variance ``P*N0/N`` per frame cell; a slope column sums L
-    frames and a spectrum cell N slope-column samples, so the squared noise
-    scale of a cell is ``L*P*N0``.  It must be finite: it bounds the cell
-    variance the frame synthesis forms, and it is the scale of the noise in
-    the pencil's Gram matrix (at most N/D products of block sums of D
-    samples, each of variance ``D*L*P*N0/N``) and in a squared peak height.
+    A trial runs in units of the reference path amplitude: its cascade gains
+    have unit mean magnitude and its transmit power is 1, so the powers and
+    ``gain_reference`` enter only as the noise ratio
+    ``nu = N0/(P*gain_reference**2)`` of
+    :meth:`ExperimentConfig.waveform_config`.  It must be positive, or the
+    frames would carry no noise and every SNR would divide by zero, and
+    ``L*nu`` must be finite: the receiver noise has variance ``nu/N`` per
+    frame cell, a slope column sums L frames and a spectrum cell N
+    slope-column samples, so ``L*nu`` is the squared noise scale of a cell
+    and the scale of the noise in the matrix pencil's Gram matrix.  No gain
+    exceeds K, so no path's SNR exceeds ``L*K**2/(N*nu)``, and the delay
+    information times that SNR must be finite too.  A spectral peak is at
+    most ``L*K``, which no float overflows.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -325,8 +320,6 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         ("gain_reference", cfg.gain_reference > 0, "must be positive"),
         ("peak_threshold", cfg.peak_threshold > 0, "must be positive"),
         ("resolvability_margin", cfg.resolvability_margin >= 0, "must not be negative"),
-        ("power_dbm", 0 < _dbm_to_watt(cfg.power_dbm) < np.inf, _NO_WATTS),
-        ("noise_dbm", 0 < _dbm_to_watt(cfg.noise_dbm) < np.inf, _NO_WATTS),
     ):
         if not holds:
             raise ConfigError(f"{_KEYS[field]} = {getattr(cfg, field):g} {rule}")
@@ -384,6 +377,13 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"subcarriers = {cfg.subcarriers}, [assignment] frames = {cfg.frames} "
             f"gives a spectrum map that cannot be allocated: {exc}"
         ) from None
+    nu = cfg.waveform_config().noise_psd  # N0/(P*gain_reference**2)
+    if not (nu > 0 and np.isfinite(cfg.frames * nu)):
+        raise ConfigError(
+            f"{_named(cfg, ('power_dbm', 'noise_dbm', 'gain_reference'))} gives the "
+            f"noise ratio N0/(P*gain_reference**2) = {nu:g}; it must be positive "
+            "and L times it finite"
+        )
     # the constructors above made carrier_hz, spacing_hz and excess_max_m
     # positive; the products below overflow to inf, never raise
     lam = cfg.wavelength_m
@@ -391,13 +391,8 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     band = cfg.bandwidth_hz
     band_edge = cfg.carrier_hz + band / 2.0
     info = 8.0 * np.pi**2 * band * band  # delay information per unit SNR
-    # no tile's cascade gain exceeds K times their mean magnitude, so no
-    # path's SNR or spectral peak height exceeds its value at that gain
-    top_gain = cfg.tile_count * cfg.gain_reference
-    wave = cfg.waveform_config()
-    lp = cfg.frames * wave.tx_power
-    snr = lp * top_gain * top_gain / (cfg.subcarriers * wave.noise_psd)
-    height = lp * top_gain
+    # the cascade gains have mean magnitude 1, so none exceeds K
+    snr = cfg.frames * cfg.tile_count**2 / (cfg.subcarriers * nu)
     for keys, value, what in (
         (("carrier_hz",), lam, "wavelength c / carrier_hz"),
         (("multipath_excess_max_m",), 2.0 * np.pi * cfg.multipath_excess_max_m / lam,
@@ -409,18 +404,18 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         (("spacing_hz",), info, "delay information 8*pi**2*B**2 per unit SNR"),
         (("clock_uncertainty_s",), 2.0 * np.pi * band_edge * cfg.clock_uncertainty_s,
          "clock-offset phase 2*pi*(carrier_hz + B/2)*clock_uncertainty_s"),
-        (("gain_reference", "power_dbm"), height * height,
-         "squared peak height (L*P*K*gain_reference)**2 of the spectrum"),
         (("gain_reference", "spacing_hz", "power_dbm", "noise_dbm"), info * snr,
-         "delay information 8*pi**2*B**2*L*P*(K*gain_reference)**2/(N*N0)"),
-        (("power_dbm", "noise_dbm"), lp * wave.noise_psd,
-         "squared noise scale L*P*N0 of a spectrum cell"),
+         "delay information 8*pi**2*B**2*L*K**2/(N*nu), nu = N0/(P*gain_reference**2)"),
     ):
         if not np.isfinite(value):
-            first, *rest = (f"{_KEYS[f]} = {getattr(cfg, f):g}" for f in keys)
-            named = first + (" with " + ", ".join(rest) if rest else "")
-            raise ConfigError(f"{named} overflows the {what}")
+            raise ConfigError(f"{_named(cfg, keys)} overflows the {what}")
     return cfg
+
+
+def _named(cfg: ExperimentConfig, keys) -> str:
+    """``key = value`` of the first field of ``keys``, then of the others."""
+    first, *rest = (f"{_KEYS[f]} = {getattr(cfg, f):g}" for f in keys)
+    return first + (" with " + ", ".join(rest) if rest else "")
 
 
 def _check_in_room(cfg: ExperimentConfig, what: str, points: np.ndarray) -> None:

@@ -18,11 +18,12 @@ decides whether it can run live in :mod:`ris_nfloc.config`.
 
 Power bookkeeping: the nominal absolute powers are meaningless against raw
 double-bounce path loss, so cascade gains are path-loss-normalized per trial
-(transmit power control): gains scaled so the tile-averaged magnitude equals
-``gain_reference``; at a fixed SNR the fix does not depend on it, as every
-solve weighs the arrivals relative to the reference arrival.  The same
-normalized gains feed the per-tile SNRs for the error bound, keeping
-simulation and bound coherent; the exact convention is in :mod:`ris_nfloc.bounds`.
+(transmit power control) to unit tile-averaged magnitude, and a trial runs in
+units of that reference path amplitude: the powers and ``gain_reference``
+enter only as the noise ratio of :meth:`ExperimentConfig.waveform_config`.
+The same normalized gains feed the per-tile SNRs for the error bound,
+keeping simulation and bound coherent; the exact convention is in
+:mod:`ris_nfloc.bounds`.
 """
 
 from __future__ import annotations
@@ -159,13 +160,13 @@ class Observation:
 def normalized_cascade(
     cfg: ExperimentConfig, ue: np.ndarray, t0: float, phi0: float, multipath_seed: int
 ) -> tuple[Scene, np.ndarray]:
-    """Scene at ``ue`` and its cascade gains scaled to ``gain_reference``."""
+    """Scene at ``ue`` and its cascade gains scaled to unit mean magnitude."""
     dep = cfg.deployment
     scene = dep.scene(ue, t0=t0, phi0=phi0)
     channel = realize_channel(
         scene, dep.wavelength, cfg.multipath(multipath_seed), forward=dep.forward
     )
-    cascade = cfg.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))
+    cascade = channel.cascade / np.mean(np.abs(channel.cascade))
     return scene, cascade
 
 

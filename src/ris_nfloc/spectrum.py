@@ -210,7 +210,6 @@ def extract_toas(
     l = assignment.l_frames
     toas: dict[int, np.ndarray] = {}
     mags: dict[int, np.ndarray] = {}
-    under: set[int] = set()
     shared = []
     picked = []  # (group, column, chosen peak bins)
 
@@ -236,7 +235,6 @@ def extract_toas(
             strongest = int(peak_bins[order[0]])
             shared.append((i, v, len(tiles), strongest, threshold))
         if len(peak_bins) < len(tiles):
-            under.add(i)
             continue
         chosen = peak_bins[order[: len(tiles)]]
         picked.append((i, v, chosen))
@@ -252,14 +250,15 @@ def extract_toas(
     for i, (tau, heights) in _pencil_groups(spec, shared).items():
         toas[i] = tau
         mags[i] = heights
-        under.discard(i)
 
     _unwrap_inplace(toas, 1.0 / spec.cfg.spacing)
     for i in toas:
         desc = np.argsort(-toas[i], kind="stable")
         toas[i] = toas[i][desc]
         mags[i] = mags[i][desc]
-    return ToaGroups(toas=toas, magnitudes=mags, under_detected=frozenset(under))
+    # every group is picked, by the peak picker or the pencil, or under-detected
+    under = frozenset(assignment.groups.keys() - toas.keys())
+    return ToaGroups(toas=toas, magnitudes=mags, under_detected=under)
 
 
 _PENCIL_SAMPLES = 32  # decimated subcarrier samples per pencil

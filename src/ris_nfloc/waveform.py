@@ -44,14 +44,15 @@ class WaveformConfig:
     """OFDM signaling parameters.
 
     ``noise_psd`` is the receiver noise power N0 entering the demodulated
-    cell variance P*N0/N.
+    cell variance P*N0/N, in the unit of P: the experiment config passes
+    P = 1 and its noise ratio N0/(P*gain_reference**2).
     """
 
     n_subcarriers: int
     spacing: float  # subcarrier spacing (Hz)
     carrier: float  # carrier frequency (Hz)
-    tx_power: float  # transmit power (W)
-    noise_psd: float  # noise power N0 (W)
+    tx_power: float  # transmit power P
+    noise_psd: float  # noise power N0, in the unit of P
     l_frames: int
 
     def __post_init__(self):

@@ -347,9 +347,7 @@ def test_criterion_7_fim_and_peb():
         MultipathConfig(j_paths=full.multipath_paths, seed=full.seed),
         full.deployment.forward,
     )
-    cascade = (
-        full.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))
-    )
+    cascade = channel.cascade / np.mean(np.abs(channel.cascade))
     k_ref = int(np.argmin(toa_vector(scene))) + 1
     bound = fim(
         scene, cascade_snrs(cascade, full.waveform_config()), full.bandwidth_hz, k_ref

@@ -5,9 +5,10 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ris_nfloc
@@ -168,11 +169,13 @@ BAD_CONFIGS = {
     # zero or negative factor admitted every local maximum and ran
     "zero_peak_threshold": "[experiment]\npeak_threshold = 0\n",
     "negative_peak_threshold": "[experiment]\npeak_threshold = -1\n",
-    # powers whose value in watts overflows a float (a traceback) or
-    # underflows to 0 W (divide-by-zero warnings and an infinite bound)
+    # powers and gains whose noise ratio N0/(P*gain_reference**2) overflows
+    # a float or underflows to 0, which would run noiseless frames and divide
+    # the SNR by zero
     "huge_power": "[waveform]\npower_dbm = 4000\n",
     "huge_noise": "[waveform]\nnoise_dbm = 4000\n",
     "vanishing_noise": "[waveform]\nnoise_dbm = -4000\n",
+    "noise_ratio_underflows": DESK_INI + "gain_reference = 1e170\n",
     # a trial's channel overflows a float: a wavelength c / carrier_hz, a
     # multipath phase 2*pi*excess/wavelength or a multipath power ratio that
     # is not finite gave NaN spectra, counted as censored trials
@@ -186,15 +189,11 @@ BAD_CONFIGS = {
     "delay_period_overflows": "[waveform]\nspacing_hz = 1e-300\n",
     "bandwidth_square_overflows": "[waveform]\nspacing_hz = 1e200\n",
     "clock_phase_overflows": "[experiment]\nclock_uncertainty_s = 1e300\n",
-    # desk values whose gain-scaled arithmetic overflows a float: the error
-    # bound's delay information warned of overflow, the matrix pencil failed
-    # the first trial
+    # desk gains whose largest SNR times the error bound's delay information
+    # overflows a float: 1e150 warned of overflow in the bound, 1e155 failed
+    # the first trial's matrix pencil
     "gain_snr_overflows": DESK_INI + "gain_reference = 1e150\n",
     "gain_height_overflows": DESK_INI + "gain_reference = 1e155\n",
-    # desk powers whose product overflows the receiver-noise variance, which
-    # failed the first trial with a non-finite column median
-    "noise_scale_overflows": DESK_INI.replace(
-        "[assignment]", "power_dbm = 1530\nnoise_dbm = 2030\n\n[assignment]"),
     # a negative resolvability margin switched the guard off as 0 does
     "negative_resolvability_margin": "[experiment]\nresolvability_margin = -5\n",
     # a spectrum map of 16 x 3.2e18 cells, which passed the load and failed
@@ -232,9 +231,8 @@ def test_invalid_assignment_rejected_at_load(name, tmp_path, capsys):
      "spacing_hz = 1.5625e+06, [waveform] power_dbm = 20, [waveform] noise_dbm = -8 "
      "overflows the delay information"),
     ("gain_height_overflows", "[experiment] gain_reference = 1e+155 with [waveform] "
-     "power_dbm = 20 overflows the squared peak height"),
-    ("noise_scale_overflows", "[waveform] power_dbm = 1530 with [waveform] "
-     "noise_dbm = 2030 overflows the squared noise scale"),
+     "spacing_hz = 1.5625e+06, [waveform] power_dbm = 20, [waveform] noise_dbm = -8 "
+     "overflows the delay information"),
 ])
 def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
     bad = tmp_path / "bad.ini"
@@ -242,6 +240,57 @@ def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
     with pytest.raises(ConfigError, match="overflows") as excinfo:
         load_config(str(bad))
     assert str(excinfo.value).startswith(key)
+
+
+@pytest.mark.parametrize("name, values", [
+    ("huge_power", "power_dbm = 4000 with [waveform] noise_dbm = -8, "
+     "[experiment] gain_reference = 2 gives the noise ratio N0/(P*gain_reference**2) = 0"),
+    ("huge_noise", "power_dbm = 20 with [waveform] noise_dbm = 4000, "
+     "[experiment] gain_reference = 2 gives the noise ratio N0/(P*gain_reference**2) = inf"),
+    ("vanishing_noise", "power_dbm = 20 with [waveform] noise_dbm = -4000, "
+     "[experiment] gain_reference = 2 gives the noise ratio N0/(P*gain_reference**2) = 0"),
+    ("noise_ratio_underflows", "power_dbm = 20 with [waveform] noise_dbm = -8, "
+     "[experiment] gain_reference = 1e+170 gives the noise ratio "
+     "N0/(P*gain_reference**2) = 0"),
+])
+def test_noise_ratio_out_of_range_names_its_keys(name, values, tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BAD_CONFIGS[name])
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(str(bad))
+    assert str(excinfo.value).startswith("[waveform] " + values)
+
+
+def _with_powers(power_dbm, noise_dbm):
+    return DESK_INI.replace(
+        "[assignment]",
+        f"power_dbm = {power_dbm}\nnoise_dbm = {noise_dbm}\n\n[assignment]")
+
+
+def test_trials_see_only_the_noise_ratio(tmp_path):
+    # 3120 dBm is beyond a float in watts; at the default's -28 dB ratio of
+    # noise to transmit power the trials are the default's, bit for bit
+    path = tmp_path / "shifted.ini"
+    path.write_text(_with_powers(3120, 3092))
+    shifted = replace(load_config(str(path)), seed=1, trials=20)
+    path.write_text(DESK_INI)
+    default = replace(load_config(str(path)), seed=1, trials=20)
+    np.testing.assert_array_equal(
+        [astuple(r) for r in harness.run_trials(shifted)],
+        [astuple(r) for r in harness.run_trials(default)],
+    )
+
+
+def test_noise_far_above_the_signal_runs(tmp_path):
+    # an SNR near -508 dB, far below detection: the product of the powers in
+    # watts overflows a float, yet their ratio is finite, so simulate and peb
+    # run
+    path = tmp_path / "noisy.ini"
+    path.write_text(_with_powers(1530, 2030))
+    load_config(str(path))
+    out = tmp_path / "out"
+    for command in (["--trials", "3", "simulate"], ["peb"]):
+        assert main(["--config", str(path), "--out", str(out), *command]) == 0
 
 
 def test_tiny_spacing_with_a_large_gain_runs(tmp_path):

@@ -412,9 +412,7 @@ def test_full_labeling_never_worse_than_bootstrap_median():
             MultipathConfig(j_paths=3, seed=int(rng.integers(2**63))),
             cfg.deployment.forward,
         )
-        cascade = (
-            cfg.gain_reference * channel.cascade / np.mean(np.abs(channel.cascade))
-        )
+        cascade = channel.cascade / np.mean(np.abs(channel.cascade))
         assignment = cfg.assignment()
         frames = synthesize_frames(
             toa_vector(scene), cascade, assignment, cfg.waveform_config(),
