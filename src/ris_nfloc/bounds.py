@@ -8,14 +8,14 @@ information matrix; weakly observable axes (a collinear anchor line barely
 constrains the normal plane) are reported through a restricted pseudo-inverse
 together with the condition number.
 
-SNR bookkeeping: the per-cell SNR of a demodulated symbol is
-``P*|c_k|^2/(N*N0)`` and :func:`cascade_snrs` multiplies it by the
-frame-coherent gain ``L`` only; the subcarrier aggregation is the
-bandwidth-squared factor of :func:`toa_variance`.  The channel gains used here
-are path-loss-normalized by the experiment harness to unit mean magnitude,
-with P = 1 and N0 the config's ratio N0/(P*gain_reference**2), which is
+SNR bookkeeping: a trial runs in units of the reference path amplitude, so
+the per-cell SNR of a demodulated symbol is ``|c_k|^2/(N*nu)``, with the
+channel gains path-loss-normalized by the experiment harness to unit mean
+magnitude and nu the config's noise ratio N0/(P*gain_reference**2), which is
 disclosed wherever the bound is reported; the nominal powers are
-meaningless against raw double-bounce path loss.
+meaningless against raw double-bounce path loss.  :func:`cascade_snrs`
+multiplies that SNR by the frame-coherent gain ``L`` only; the subcarrier
+aggregation is the bandwidth-squared factor of :func:`toa_variance`.
 """
 
 from __future__ import annotations
@@ -66,18 +66,14 @@ def toa_variance(bandwidth: float, snr_k, snr_ref):
 def cascade_snrs(cascade: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     """Per-tile SNR entering the delay variance model.
 
-    Convention: the per-cell demodulated SNR ``P|c_k|^2/(N*N0)`` times the
-    frame-coherent gain ``L``; the subcarrier aggregation is what the
-    bandwidth-squared factor of :func:`toa_variance` models, so it is not
-    double counted here.  This reproduces the reference bound level of the
+    Convention: the per-cell demodulated SNR ``|c_k|^2/(N*nu)``, nu the
+    waveform's ``noise_ratio``, times the frame-coherent gain ``L``; the
+    subcarrier aggregation is what the bandwidth-squared factor of
+    :func:`toa_variance` models, so it is not double counted here.  This reproduces the reference bound level of the
     full-scale setup and is the disclosed bookkeeping wherever the bound is
     reported.
     """
-    cell = (
-        cfg.tx_power
-        * np.abs(cascade) ** 2
-        / (cfg.n_subcarriers * cfg.noise_psd)
-    )
+    cell = np.abs(cascade) ** 2 / (cfg.n_subcarriers * cfg.noise_ratio)
     return cell * cfg.l_frames
 
 

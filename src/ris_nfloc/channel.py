@@ -27,14 +27,14 @@ class MultipathConfig:
     whose mean power sits ``power_rel_db`` below the direct component of its
     link, and an excess propagation length drawn uniformly from
     [``excess_min_m``, ``excess_max_m``].  Draws are independent per tile and
-    per link direction.
+    per link direction; the model holds no seed, since each trial draws its
+    own realization (:func:`realize_channel`).
     """
 
     j_paths: int = 3
     power_rel_db: float = -15.0
     excess_min_m: float = 0.5
     excess_max_m: float = 5.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.j_paths < 0:
@@ -132,16 +132,17 @@ def realize_channel(
     wavelength: float,
     mp: MultipathConfig,
     forward: tuple[np.ndarray, np.ndarray],
+    seed: int,
 ) -> ChannelRealization:
     """Draw forward/backward element channels and per-tile cascade gains.
 
     With ``j_paths=0`` the channels are the pure direct components and the
     realization is deterministic.  Otherwise the multipath draws of the two
-    directions are independent, seeded by ``mp.seed``.  ``forward`` is the
+    directions are independent, drawn from ``seed``.  ``forward`` is the
     BS link's :func:`direct_link`, which depends on the deployment only; a
     deployment holds it.
     """
-    rng = np.random.default_rng(mp.seed)
+    rng = np.random.default_rng(seed)
     elements, centers = scene.elements, scene.tile_centers
     forward = _link_matrix(forward, wavelength, mp, rng)
     backward = _link_matrix(

@@ -94,14 +94,14 @@ class ExperimentConfig:
         return (self.room_min_m, self.room_max_m)
 
     def waveform_config(self) -> WaveformConfig:
-        """A trial's waveform in units of the reference path amplitude: P = 1
-        and N0/(P*gain_reference**2), formed in dB, as N0."""
+        """A trial's waveform in units of the reference path amplitude: unit
+        transmit power and the noise ratio N0/(P*gain_reference**2), formed
+        in dB."""
         return WaveformConfig(
             n_subcarriers=self.subcarriers,
             spacing=self.spacing_hz,
             carrier=self.carrier_hz,
-            tx_power=1.0,
-            noise_psd=_db_to_ratio(
+            noise_ratio=_db_to_ratio(
                 self.noise_dbm - self.power_dbm - 20.0 * math.log10(self.gain_reference)
             ),
             l_frames=self.frames,
@@ -120,14 +120,13 @@ class ExperimentConfig:
     def assignment(self) -> PspAssignment:
         return assign(self.tile_count, self.frames, self.exclusive_tiles)
 
-    def multipath(self, seed: int) -> MultipathConfig:
-        """The multipath model of one trial, drawing from ``seed``."""
+    def multipath(self) -> MultipathConfig:
+        """The multipath model every trial draws its realization from."""
         return MultipathConfig(
             j_paths=self.multipath_paths,
             power_rel_db=self.multipath_power_db,
             excess_min_m=self.multipath_excess_min_m,
             excess_max_m=self.multipath_excess_max_m,
-            seed=seed,
         )
 
     def wall_normal(self) -> np.ndarray:
@@ -272,8 +271,9 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     positive ``gain_reference``, a positive ``peak_threshold`` (the
     admissibility floor in column medians) and a non-negative
     ``resolvability_margin`` (0 labels every detected shared group).  The RIS
-    layout, the waveform and the multipath model must pass the constructors
-    a trial builds them with;
+    layout, the waveform (:meth:`ExperimentConfig.waveform_config`) and the
+    multipath model (:meth:`ExperimentConfig.multipath`, which every trial
+    draws from) must pass their constructors;
     :class:`~ris_nfloc.geometry.RisLayout` rejects a vertical RIS axis.  The
     closed room box must contain the BS, every RIS tile center and the floor
     rectangle at z = 0 that UEs are drawn on; the BS must sit at least
@@ -295,9 +295,8 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     ``2*pi*(carrier_hz + B/2)*clock_uncertainty_s`` of the frame synthesis.
     A trial runs in units of the reference path amplitude: its cascade gains
     have unit mean magnitude and its transmit power is 1, so the powers and
-    ``gain_reference`` enter only as the noise ratio
-    ``nu = N0/(P*gain_reference**2)`` of
-    :meth:`ExperimentConfig.waveform_config`.  It must be positive, or the
+    ``gain_reference`` enter only as the waveform's ``noise_ratio``
+    ``nu = N0/(P*gain_reference**2)``.  It must be positive, or the
     frames would carry no noise and every SNR would divide by zero, and
     ``L*nu`` must be finite: the receiver noise has variance ``nu/N`` per
     frame cell, a slope column sums L frames and a spectrum cell N
@@ -362,8 +361,7 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"{assignment.k0_size} exclusive-slope tiles; a position fix needs at least 3"
         )
     for section, build in (
-        ("waveform", cfg.waveform_config),
-        ("multipath", lambda: cfg.multipath(seed=0)),
+        ("waveform", cfg.waveform_config), ("multipath", cfg.multipath)
     ):
         try:
             build()
@@ -377,7 +375,7 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"subcarriers = {cfg.subcarriers}, [assignment] frames = {cfg.frames} "
             f"gives a spectrum map that cannot be allocated: {exc}"
         ) from None
-    nu = cfg.waveform_config().noise_psd  # N0/(P*gain_reference**2)
+    nu = cfg.waveform_config().noise_ratio  # N0/(P*gain_reference**2)
     if not (nu > 0 and np.isfinite(cfg.frames * nu)):
         raise ConfigError(
             f"{_named(cfg, ('power_dbm', 'noise_dbm', 'gain_reference'))} gives the "

@@ -51,7 +51,7 @@ class Deployment:
         """The forward link's direct part, as ``realize_channel`` takes it."""
         return self.bs_legs, self.forward_phasor
 
-    def scene(self, p_ue, t0: float = 0.0, phi0: float = 0.0) -> Scene:
+    def scene(self, p_ue, t0: float, phi0: float) -> Scene:
         """The scene of one trial: this deployment with a UE and its offsets."""
         return Scene(
             p_bs=self.p_bs,

@@ -19,8 +19,11 @@ decides whether it can run live in :mod:`ris_nfloc.config`.
 Power bookkeeping: the nominal absolute powers are meaningless against raw
 double-bounce path loss, so cascade gains are path-loss-normalized per trial
 (transmit power control) to unit tile-averaged magnitude, and a trial runs in
-units of that reference path amplitude: the powers and ``gain_reference``
-enter only as the noise ratio of :meth:`ExperimentConfig.waveform_config`.
+units of that reference path amplitude, at unit transmit power: the powers
+and ``gain_reference`` enter only as the waveform's ``noise_ratio``
+(:meth:`ExperimentConfig.waveform_config`), and the position solve weighs
+each arrival relative to the reference arrival
+(:func:`ris_nfloc.tdoa.build_system`).
 The same normalized gains feed the per-tile SNRs for the error bound,
 keeping simulation and bound coherent; the exact convention is in
 :mod:`ris_nfloc.bounds`.
@@ -94,12 +97,14 @@ def _draw_ue(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
 def _label_accuracy(
     entries, assignment: PspAssignment, true_toas: np.ndarray
 ) -> tuple[float, int]:
-    """Fraction of labeled arrivals whose tile matches the ground truth, and
+    """Fraction of labeled arrivals whose rank matches the ground truth, and
     the number labeled.
 
     Per group, the descending arrivals correspond position-wise to the tiles
     sorted by descending ``true_toas``; unlabeled (skipped) groups are
-    excluded from the denominator.
+    excluded from the denominator.  This scores each arrival's rank within
+    its group, not its delay: a spurious arrival in the right rank counts as
+    correct (ROADMAP item 1 adds a delay score).
     """
     correct = 0
     labeled = 0
@@ -164,7 +169,7 @@ def normalized_cascade(
     dep = cfg.deployment
     scene = dep.scene(ue, t0=t0, phi0=phi0)
     channel = realize_channel(
-        scene, dep.wavelength, cfg.multipath(multipath_seed), forward=dep.forward
+        scene, dep.wavelength, cfg.multipath(), dep.forward, multipath_seed
     )
     cascade = channel.cascade / np.mean(np.abs(channel.cascade))
     return scene, cascade
@@ -381,7 +386,7 @@ def _time_callables(fns) -> list[float]:
     return best
 
 
-def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
+def timing_benchmark(cfg: ExperimentConfig, sizes):
     """Spectrum-stage timings plus the fitted spectrum growth exponent.
 
     Returns (rows, exponent) where rows are ``("spectrum_fft", size,
@@ -402,8 +407,7 @@ def timing_benchmark(cfg: ExperimentConfig, sizes=(256, 512, 1024, 2048, 4096)):
             n_subcarriers=int(n_sub),
             spacing=cfg.bandwidth_hz / n_sub,
             carrier=cfg.carrier_hz,
-            tx_power=1.0,
-            noise_psd=0.0,
+            noise_ratio=0.0,
             l_frames=wcfg_l,
         )
         s = rng.standard_normal((n_sub, wcfg_l)) + 1j * rng.standard_normal(

@@ -144,22 +144,16 @@ def _group_resolvable(
 
 
 def solve_labeled(entries, mags, dep: Deployment) -> np.ndarray:
-    """Position fix from labeled arrivals ``(toa, tile)`` on the tiles and
-    seed lattice of ``dep`` (see :func:`ris_nfloc.tdoa.solve_position`).
-
-    Each arrival's delay-error scale is the inverse of its peak height in
-    ``mags``, relative to the reference arrival's: ``height_ref / height``,
-    and 1 for the reference.  So the fix depends on ratios of heights, not
-    on their common scale.  Every height is positive (a strict local maximum
-    of its column, or a pencil height above the column's noise floor).
+    """Position fix from labeled arrivals ``(toa, tile)`` with peak heights
+    ``mags`` on the tiles and seed lattice of ``dep``; the system weighs each
+    arrival by its height relative to the reference arrival's
+    (:func:`ris_nfloc.tdoa.build_system`).  Every height is positive (a
+    strict local maximum of its column, or a pencil height above the
+    column's noise floor).
     """
-    system = build_system(entries, dep.tile_centers, dep.p_bs)
-    by_tile = {k: m for (_, k), m in zip(entries, mags)}
-    ref_height = by_tile[system.ref_tile]
-    sigmas = np.array(
-        [ref_height / by_tile[k] for _, k in entries if k != system.ref_tile]
+    return solve_position(
+        build_system(entries, mags, dep.tile_centers, dep.p_bs), dep.lattice
     )
-    return solve_position(system, dep.lattice, sigmas=sigmas, sigma_ref=1.0)
 
 
 def run_spl(
@@ -180,8 +174,7 @@ def run_spl(
     A gap of 0 labels every detected group; ``np.inf`` skips every shared
     group and returns the anchors-only fix the refinement starts from.  Every
     position solve runs on the tiles and seed lattice of ``dep`` and weights
-    each arrival by its peak height (delay error scales inversely with it;
-    see :func:`solve_labeled`).
+    each arrival by its peak height (see :func:`solve_labeled`).
     Returns the labeled entries ``(toa, tile)``, the final position estimate
     and a trace of the method used per group.  Fewer than three detected
     exclusive-slope arrivals raise :class:`BootstrapError` from the first

@@ -180,15 +180,16 @@ def quadratic_refine(spec: SpectrumMap, u, v) -> np.ndarray:
 def extract_toas(
     spec: SpectrumMap,
     assignment: PspAssignment,
-    threshold_factor: float = 6.0,
+    threshold_factor: float,
 ) -> ToaGroups:
     """Pull each slope group's arrival times out of its spectrum column.
 
     For slope i/L the column is ``i mod L``, read as magnitudes straight
     from the map (a view, never written); the group needs as many
-    admissible local maxima (at least ``threshold_factor`` times the column
-    median, :func:`kernels.median`) as it has tiles, the largest ones win,
-    and ties in magnitude resolve toward the smaller bin.  Columns that
+    admissible local maxima (at least ``threshold_factor``, the config's
+    ``peak_threshold``, times the column median, :func:`kernels.median`) as
+    it has tiles, the largest ones win, and ties in magnitude resolve toward
+    the smaller bin.  Columns that
     cannot supply enough peaks mark their group under-detected; a column
     whose median is not finite raises ValueError instead, since no peak can
     be told from its floor.  A one-tile group is first given its column's

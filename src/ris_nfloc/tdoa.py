@@ -1,9 +1,11 @@
 """Position estimation from labeled arrival times.
 
 Differencing every labeled arrival against the smallest one cancels the
-unknown clock offset and leaves range differences to the anchor tiles.  The
-UE lies on the floor (z = 0) of a known room, so the position is fitted over
-the room's floor by one damped Gauss-Newton descent that starts at the lowest
+unknown clock offset and leaves range differences to the anchor tiles, each
+weighted by its arrival's peak height relative to the reference arrival's;
+the system carries those weights, so a solve takes no scales.  The UE lies
+on the floor (z = 0) of a known room, so the position is fitted over the
+room's floor by one damped Gauss-Newton descent that starts at the lowest
 point of the cost on a floor lattice; each step is an active-set Newton step
 that holds a coordinate on a wall the gradient pushes against, and the
 descent stops when its next step would be shorter than 10 nm.  The seed
@@ -40,25 +42,37 @@ class BootstrapError(ValueError):
 
 @dataclass(frozen=True)
 class TdoaSystem:
-    """Range differences of the labeled anchors relative to the reference."""
+    """Range differences of the labeled anchors relative to the reference,
+    and the weights of their residuals."""
 
     ref_tile: int
     ref_pos: np.ndarray
     anchor_positions: np.ndarray  # (rows, 3) non-reference anchors
     gammas: np.ndarray  # (rows,) range differences of non-reference anchors
     anchor_rows: np.ndarray  # (rows,) tile rows (tile index - 1) of the anchors
+    dinv: np.ndarray  # (rows,) inverse squared delay-error scales
+    k: float  # weight of the reference arrival's common-mode term
 
 
-def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
-    """Form the range differences of labeled arrivals.
+def build_system(labels, heights, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
+    """Form the range differences of labeled arrivals and their weights.
 
-    ``labels`` is an iterable of ``(toa_seconds, tile_index)`` pairs;
+    ``labels`` is an iterable of ``(toa_seconds, tile_index)`` pairs and
+    ``heights`` their positive spectral peak heights, in the same order;
     ``tile_positions`` holds all tile centers with tile index k (1-based) at
     row k-1; the system records its anchors' rows.  Fewer than three labels
     raise :class:`BootstrapError`: this is the one check of that rule.  The
     reference is the labeled tile with the smallest arrival time.  Range
     differences are formed as ``c*(toa_k - toa_ref) - (d_bs_k - d_bs_ref)``
     so the clock offset and the known BS legs both cancel.
+
+    A delay error scales inversely with its peak height, so each arrival's
+    error scale is ``height_ref / height``, 1 for the reference, and the fix
+    depends on ratios of heights, not on their common scale.  The reference
+    arrival's error is common to every residual, so their covariance is
+    ``diag(1/dinv) + 1 1^T``; by the Sherman-Morrison identity its inverse is
+    ``D - k * (D 1)(D 1)^T`` with ``D = diag(dinv)`` and
+    ``k = 1 / (1 + sum(dinv))``.
     """
     entries = list(labels)
     if len(entries) < 3:
@@ -68,6 +82,7 @@ def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
         raise ValueError("duplicate tile labels")
     tiles = np.array(tile_list)
     toas = np.array([t for t, _ in entries], dtype=float)
+    heights = np.asarray(heights, dtype=float)
     positions = np.asarray(tile_positions, dtype=float)[tiles - 1]
     to_bs = np.asarray(p_bs, dtype=float) - positions
     d_bs = np.sqrt(np.einsum("ij,ij->i", to_bs, to_bs))
@@ -77,34 +92,16 @@ def build_system(labels, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
     ref_pos = positions[ref_i]
     rest = np.arange(len(entries)) != ref_i
     gammas = (toas[rest] - toas[ref_i]) * SPEED_OF_LIGHT - (d_bs[rest] - d_bs[ref_i])
+    dinv = 1.0 / np.maximum(heights[ref_i] / heights[rest], 1e-30) ** 2
     return TdoaSystem(
         ref_tile=ref_tile,
         ref_pos=ref_pos,
         anchor_positions=positions[rest],
         gammas=gammas,
         anchor_rows=tiles[rest] - 1,
+        dinv=dinv,
+        k=1.0 / (1.0 + float(np.sum(dinv))),
     )
-
-
-class _ResidualWhitener:
-    """Inverse covariance of the range-difference residuals.
-
-    The reference anchor's range error is common to every residual, so the
-    covariance is ``diag(sigmas**2) + sigma_ref**2 * 1 1^T``; by the
-    Sherman-Morrison identity its inverse is ``D - k * (D 1)(D 1)^T`` with
-    ``D = diag(dinv)`` and ``k = sigma_ref**2 / (1 + sigma_ref**2 * sum(dinv))``.
-    Unit sigmas with ``sigma_ref = 0`` give plain least squares.  The descent
-    damps the cost with absolute constants, so callers pass scales near 1,
-    as :func:`~ris_nfloc.labeling.solve_labeled` does.
-    """
-
-    def __init__(self, sigmas: np.ndarray, sigma_ref: float, n: int):
-        sigmas = np.asarray(sigmas, dtype=float)
-        if sigmas.shape != (n,):
-            raise ValueError("sigmas must have one entry per non-reference anchor")
-        self.dinv = 1.0 / np.maximum(sigmas, 1e-30) ** 2
-        s2_ref = float(sigma_ref) ** 2
-        self.k = s2_ref / (1.0 + s2_ref * float(np.sum(self.dinv)))
 
 
 def _gn_descend(
@@ -112,7 +109,6 @@ def _gn_descend(
     start_xy: np.ndarray,
     room,
     max_iter: int,
-    whitener: _ResidualWhitener,
 ) -> tuple[np.ndarray, float, bool]:
     """Clamped, damped Gauss-Newton from one start; returns (p, cost, done).
 
@@ -139,8 +135,8 @@ def _gn_descend(
     ref_x, ref_y, ref_z = system.ref_pos.tolist()
     ref_dz2 = ref_z ** 2
     gammas = system.gammas
-    dinv = whitener.dinv
-    k = whitener.k
+    dinv = system.dinv
+    k = system.k
     dinv_col = dinv[:, None]
 
     def evaluate(x, y):
@@ -241,9 +237,7 @@ def seed_lattice(room, tile_positions) -> SeedLattice:
     return SeedLattice(room=room, points=points, distances=distances)
 
 
-def _lattice_seed(
-    system: TdoaSystem, lattice: SeedLattice, whitener: _ResidualWhitener
-) -> np.ndarray:
+def _lattice_seed(system: TdoaSystem, lattice: SeedLattice) -> np.ndarray:
     """The floor point of the lowest finite cost on a lattice.
 
     The whitened cost of :func:`_gn_descend` is evaluated in one pass on the
@@ -256,21 +250,15 @@ def _lattice_seed(
     d = lattice.distances[:, system.anchor_rows]
     d_ref = lattice.distances[:, system.ref_tile - 1]
     r = system.gammas - (d - d_ref[:, None])
-    q_sum = r @ whitener.dinv
-    cost = (r * r) @ whitener.dinv - whitener.k * q_sum * q_sum
+    q_sum = r @ system.dinv
+    cost = (r * r) @ system.dinv - system.k * q_sum * q_sum
     finite = np.isfinite(cost)
     if not finite.any():
         raise ValueError("the seed lattice has no finite local minimum of the cost")
     return lattice.points[np.argmin(np.where(finite, cost, np.inf))]
 
 
-def solve_position(
-    system: TdoaSystem,
-    lattice: SeedLattice,
-    *,
-    sigmas: np.ndarray,
-    sigma_ref: float,
-) -> np.ndarray:
+def solve_position(system: TdoaSystem, lattice: SeedLattice) -> np.ndarray:
     """Estimate the UE's floor position from a built system.
 
     ``lattice`` is the :func:`seed_lattice` of the room for the tile
@@ -288,16 +276,14 @@ def solve_position(
     no lattice point has a finite cost: no trial of such a config can be
     run, so it is not a censored fit.
 
-    The fit is a generalized least squares with range-error scales
-    ``sigmas`` (per non-reference anchor, ordered like the system rows) and
-    ``sigma_ref`` (the reference anchor's): the reference anchor's range
-    error is common mode across residuals, so the covariance is diagonal
-    plus rank one.  ``np.ones(rows)`` and ``0.0`` give plain least squares.
+    The fit is the generalized least squares of the system's weights
+    (:func:`build_system`): peak heights relative to the reference
+    arrival's, whose error is common to every residual.  The weights carry
+    no absolute scale, which the descent's absolute damping constants need.
     """
-    whitener = _ResidualWhitener(sigmas, sigma_ref, len(system.gammas))
-    p = _lattice_seed(system, lattice, whitener)
+    p = _lattice_seed(system, lattice)
     for _ in range(2):  # the descent, then its one resume
-        p, _, converged = _gn_descend(system, p[:2], lattice.room, _MAX_ITER, whitener)
+        p, _, converged = _gn_descend(system, p[:2], lattice.room, _MAX_ITER)
         if converged:
             return p
     raise PositionEstimationError("position fit did not converge", best_estimate=p)

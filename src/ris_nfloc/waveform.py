@@ -3,7 +3,9 @@
 The conjugate demodulator of the multi-frame OFDM link is analytic: per
 subcarrier n and frame l the symbol is the sum over tiles of the conjugated
 cascade gain rotated by the subcarrier delay phase and the tile's frame-ramp
-phase, plus circular Gaussian receiver noise of variance P*N0/N per cell.
+phase, plus circular Gaussian receiver noise of variance nu/N per cell: a
+trial runs in units of the reference path amplitude, with unit transmit
+power and the noise ratio nu.
 ``test_waveform.py::test_closed_form_matches_quadrature_demodulation``
 checks that closed form against the integral demodulator on a tiny case.
 
@@ -41,27 +43,24 @@ from .psp import PspAssignment
 
 @dataclass(frozen=True)
 class WaveformConfig:
-    """OFDM signaling parameters.
+    """OFDM signaling parameters, in units of the reference path amplitude.
 
-    ``noise_psd`` is the receiver noise power N0 entering the demodulated
-    cell variance P*N0/N, in the unit of P: the experiment config passes
-    P = 1 and its noise ratio N0/(P*gain_reference**2).
+    The transmit power is 1, and ``noise_ratio`` is the noise ratio nu that
+    enters the demodulated cell variance nu/N: the experiment config passes
+    N0/(P*gain_reference**2).
     """
 
     n_subcarriers: int
     spacing: float  # subcarrier spacing (Hz)
     carrier: float  # carrier frequency (Hz)
-    tx_power: float  # transmit power P
-    noise_psd: float  # noise power N0, in the unit of P
+    noise_ratio: float  # noise ratio nu, relative to unit transmit power
     l_frames: int
 
     def __post_init__(self):
         if not (self.spacing > 0 and self.carrier > 0):
             raise ValueError("subcarrier spacing and carrier must be positive")
-        if self.tx_power <= 0:
-            raise ValueError("tx_power must be positive")
-        if self.noise_psd < 0:
-            raise ValueError("noise_psd must be non-negative")
+        if self.noise_ratio < 0:
+            raise ValueError("noise_ratio must be non-negative")
         if self.n_subcarriers < 1 or self.l_frames < 1:
             raise ValueError("grid dimensions must be >= 1")
 
@@ -129,7 +128,9 @@ def frames_from_paths(
     ``amplitudes`` are the conjugated cascade gains; tests use this entry point
     to place paths at arbitrary delays without building a scene.  Every slope
     must be a multiple of 1/L (ValueError otherwise); a path of slope i/L
-    lands in column i mod L.
+    lands in column i mod L, scaled by L/N at unit transmit power.  With
+    ``rng``, each sample adds receiver noise of variance L*nu/N, nu the
+    config's ``noise_ratio``.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
@@ -144,8 +145,8 @@ def frames_from_paths(
     cols = cols.astype(int) % l
 
     noise = None
-    if rng is not None and cfg.noise_psd > 0:
-        var = cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers
+    if rng is not None and cfg.noise_ratio > 0:
+        var = cfg.noise_ratio / cfg.n_subcarriers
         # all real parts before all imaginary parts: the seed's noise stream;
         # transformed before the signal is built, so that at most three N x L
         # arrays are alive at once
@@ -164,7 +165,7 @@ def frames_from_paths(
     coarse = np.zeros((l, blocks, counts.max(initial=0)), dtype=complex)
     coarse[cols, :, rank] = np.exp(2j * np.pi * taus[order, None] * starts)
     fine = np.zeros((l, coarse.shape[2], m), dtype=complex)
-    scale = l * cfg.tx_power / cfg.n_subcarriers  # a column sums L frames
+    scale = l / cfg.n_subcarriers  # a column sums L frames
     fine[cols, rank] = (scale * amplitudes[order, None]) * np.exp(
         2j * np.pi * cfg.spacing * taus[order, None] * np.arange(m)
     )
@@ -183,7 +184,7 @@ def synthesize_frames(
 ) -> FrameMatrix:
     """Slope columns for the tiles' delays (``delays[k - 1]`` is tile k's, as
     from ``geometry.toa_vector``), cascade gains and slope assignment, with
-    the receiver noise drawn from ``noise_seed`` (none when ``noise_psd`` is
+    the receiver noise drawn from ``noise_seed`` (none when ``noise_ratio`` is
     zero; :func:`frames_from_paths` without ``rng`` gives noiseless frames).
     """
     if assignment.l_frames != cfg.l_frames:

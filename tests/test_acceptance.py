@@ -67,11 +67,9 @@ def test_criterion_1_exact_inversion():
             + np.linalg.norm(ue - anchors, axis=1)
         ) / SPEED_OF_LIGHT + rng.uniform(0, 1e-6)
         system = build_system(
-            [(float(taus[i]), i + 1) for i in range(8)], anchors, p_bs
+            [(float(taus[i]), i + 1) for i in range(8)], np.ones(8), anchors, p_bs
         )
-        p = solve_position(
-            system, seed_lattice(ROOM, anchors), sigmas=np.ones(7), sigma_ref=0.0
-        )
+        p = solve_position(system, seed_lattice(ROOM, anchors))
         worst_general = max(worst_general, float(np.linalg.norm(p - ue)))
 
     layout = RisLayout(tile_count=64, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
@@ -83,10 +81,11 @@ def test_criterion_1_exact_inversion():
         taus = toa_vector(scene)
         system = build_system(
             [(float(taus[i]), i + 1) for i in range(64)],
+            np.ones(64),
             scene.tile_centers,
             scene.p_bs,
         )
-        p = solve_position(system, lattice, sigmas=np.ones(63), sigma_ref=0.0)
+        p = solve_position(system, lattice)
         worst_collinear = max(worst_collinear, float(np.linalg.norm(p - ue)))
     elapsed = time.perf_counter() - start
     _report(
@@ -120,7 +119,7 @@ def _two_path_case(cfg, q, tau_bins, betas, amps):
     taus = np.asarray(tau_bins) / (n_bar * cfg.spacing)
     frames = frames_from_paths(taus, betas, amps, cfg)
     spec = spectrum_2d(frames, q)
-    groups = extract_toas(spec, assignment)
+    groups = extract_toas(spec, assignment, 6.0)
     recovered = np.sort([t for toas in groups.toas.values() for t in toas])
     bin_s = 1.0 / (n_bar * cfg.spacing)
     if len(recovered) != 2:
@@ -131,7 +130,7 @@ def _two_path_case(cfg, q, tau_bins, betas, amps):
 def test_criterion_2_resolution_property():
     start = time.perf_counter()
     cfg = WaveformConfig(
-        n_subcarriers=64, spacing=1e6, carrier=1e9, tx_power=0.2, noise_psd=0.0,
+        n_subcarriers=64, spacing=1e6, carrier=1e9, noise_ratio=0.0,
         l_frames=8,
     )
     q = 4
@@ -177,7 +176,7 @@ def test_criterion_2_decomposability_boundary():
     mainlobes clear each other (twice the resolution, the margin the
     labeling stage enforces)."""
     cfg = WaveformConfig(
-        n_subcarriers=64, spacing=1e6, carrier=1e9, tx_power=0.2, noise_psd=0.0,
+        n_subcarriers=64, spacing=1e6, carrier=1e9, noise_ratio=0.0,
         l_frames=8,
     )
     q = 4
@@ -344,8 +343,9 @@ def test_criterion_7_fim_and_peb():
     channel = realize_channel(
         scene,
         full.wavelength_m,
-        MultipathConfig(j_paths=full.multipath_paths, seed=full.seed),
+        MultipathConfig(j_paths=full.multipath_paths),
         full.deployment.forward,
+        full.seed,
     )
     cascade = channel.cascade / np.mean(np.abs(channel.cascade))
     k_ref = int(np.argmin(toa_vector(scene))) + 1
@@ -425,7 +425,9 @@ def test_criterion_8_determinism(tmp_path):
 
 
 def test_criterion_9_complexity_fit():
-    rows, exponent = timing_benchmark(ExperimentConfig(seed=1))
+    rows, exponent = timing_benchmark(
+        ExperimentConfig(seed=1), sizes=(256, 512, 1024, 2048, 4096)
+    )
     sizes = [size for stage, size, _ in rows if stage == "spectrum_fft"]
     assert max(sizes) / min(sizes) >= 16
     _report(

@@ -116,13 +116,13 @@ def test_fim_symmetric_psd():
 
 def test_cascade_snr_convention():
     cfg = WaveformConfig(
-        n_subcarriers=100, spacing=1e6, carrier=1e9, tx_power=0.5, noise_psd=2e-3,
+        n_subcarriers=100, spacing=1e6, carrier=1e9, noise_ratio=2e-3,
         l_frames=8,
     )
     cascade = np.array([1.0, 2.0])
     snrs = cascade_snrs(cascade, cfg)
     # per-cell SNR times the frame-coherent gain
-    cell = 0.5 * np.abs(cascade) ** 2 / (100 * 2e-3)
+    cell = np.abs(cascade) ** 2 / (100 * 2e-3)
     assert np.allclose(snrs, cell * 8)
 
 

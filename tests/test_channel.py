@@ -20,10 +20,10 @@ def make_scene(tile_count=4, phi0=0.0, ue=(3, 4, 0)):
     return build_scene(layout, [0, 5, 2], ue, phi0=phi0, wavelength=WAVELENGTH)
 
 
-def realize(scene, mp):
+def realize(scene, mp, seed=0):
     """The scene's channel, its BS link computed as a deployment computes it."""
     forward = direct_link(scene.p_bs, scene.elements, scene.tile_centers, WAVELENGTH)
-    return realize_channel(scene, WAVELENGTH, mp, forward)
+    return realize_channel(scene, WAVELENGTH, mp, forward, seed)
 
 
 def test_forward_direct_magnitude_and_phase():
@@ -91,18 +91,18 @@ def test_realize_channel_no_multipath_matches_directs():
 
 def test_realize_channel_deterministic_per_seed():
     scene = make_scene()
-    mp = MultipathConfig(j_paths=3, seed=42)
-    a = realize(scene, mp)
-    b = realize(scene, mp)
+    mp = MultipathConfig(j_paths=3)
+    a = realize(scene, mp, 42)
+    b = realize(scene, mp, 42)
     assert np.array_equal(a.cascade, b.cascade)
-    other = realize(scene, MultipathConfig(j_paths=3, seed=43))
+    other = realize(scene, mp, 43)
     assert not np.array_equal(a.cascade, other.cascade)
 
 
 def test_zero_amplitude_multipath_equals_direct():
     scene = make_scene()
     direct = realize(scene, MultipathConfig(j_paths=0))
-    silent = realize(scene, MultipathConfig(j_paths=3, power_rel_db=-400.0, seed=1))
+    silent = realize(scene, MultipathConfig(j_paths=3, power_rel_db=-400.0), 1)
     assert np.allclose(silent.cascade, direct.cascade, rtol=1e-9)
 
 
@@ -162,8 +162,8 @@ def _old_link_matrix(endpoint, elements, centers, mp, rng, extra_phase=0.0):
     return out
 
 
-def _old_realization(scene, mp):
-    rng = np.random.default_rng(mp.seed)
+def _old_realization(scene, mp, seed):
+    rng = np.random.default_rng(seed)
     elements, centers = scene.elements, scene.tile_centers
     forward = _old_link_matrix(scene.p_bs, elements, centers, mp, rng)
     backward = _old_link_matrix(scene.p_ue, elements, centers, mp, rng, scene.phi0)
@@ -174,9 +174,9 @@ def _old_realization(scene, mp):
 def test_multipath_gain_per_tile_matches_per_path_sum(seed):
     # off-axis UE, nonzero phase offset: every element sees its own phase
     scene = make_scene(tile_count=6, phi0=1.3, ue=(2.3, 6.1, 0))
-    mp = MultipathConfig(j_paths=3, seed=seed)
-    ch = realize(scene, mp)
-    forward, backward, cascade = _old_realization(scene, mp)
+    mp = MultipathConfig(j_paths=3)
+    ch = realize(scene, mp, seed)
+    forward, backward, cascade = _old_realization(scene, mp, seed)
     for got, ref in ((ch.forward, forward), (ch.backward, backward)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -188,7 +188,7 @@ def test_multipath_gain_per_tile_matches_per_path_sum(seed):
 
 def test_no_multipath_equals_per_path_sum_bit_for_bit():
     scene = make_scene(tile_count=6, phi0=1.3, ue=(2.3, 6.1, 0))
-    mp = MultipathConfig(j_paths=0, seed=5)
-    ch = realize(scene, mp)
-    for got, ref in zip((ch.forward, ch.backward, ch.cascade), _old_realization(scene, mp)):
+    mp = MultipathConfig(j_paths=0)
+    ch = realize(scene, mp, 5)
+    for got, ref in zip((ch.forward, ch.backward, ch.cascade), _old_realization(scene, mp, 5)):
         assert np.array_equal(got, ref)

@@ -11,13 +11,7 @@ from ris_nfloc.config import ExperimentConfig, apply_sweep_value
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import build_scene, toa_vector
 from ris_nfloc.harness import normalized_cascade, run_trial
-from ris_nfloc.tdoa import (
-    _lattice_seed,
-    _ResidualWhitener,
-    build_system,
-    seed_lattice,
-    solve_position,
-)
+from ris_nfloc.tdoa import _lattice_seed, build_system, seed_lattice, solve_position
 
 DESK = ExperimentConfig(
     tile_count=16, subcarriers=256, spacing_hz=1.5625e6, frames=8, trials=4, seed=5
@@ -63,9 +57,9 @@ def test_deployment_arrays_equal_the_per_scene_arithmetic():
     assert np.array_equal(dep.tile_centers, scene.tile_centers)
     assert np.array_equal(dep.elements, scene.elements)
     assert np.array_equal(dep.bs_legs, np.linalg.norm(scene.p_bs - scene.tile_centers, axis=1))
-    mp = MultipathConfig(j_paths=3, seed=9)
-    cached = realize_channel(scene, FULL.wavelength_m, mp, forward=dep.forward)
-    fresh = realize_channel(scene, FULL.wavelength_m, mp, forward=_bs_link(scene, FULL))
+    mp = MultipathConfig(j_paths=3)
+    cached = realize_channel(scene, FULL.wavelength_m, mp, dep.forward, 9)
+    fresh = realize_channel(scene, FULL.wavelength_m, mp, _bs_link(scene, FULL), 9)
     for name in ("forward", "backward", "cascade"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name))
 
@@ -78,7 +72,7 @@ def test_trial_scene_and_cascade_equal_a_bare_build():
         wavelength=DESK.wavelength_m,
     )
     channel = realize_channel(
-        bare, DESK.wavelength_m, DESK.multipath(17), forward=_bs_link(bare, DESK)
+        bare, DESK.wavelength_m, DESK.multipath(), _bs_link(bare, DESK), 17
     )
     expected = channel.cascade / np.mean(np.abs(channel.cascade))
     assert np.array_equal(cascade, expected)
@@ -101,7 +95,8 @@ def _noisy_system(cfg, tiles, ue, rng):
         np.linalg.norm(cfg.deployment.p_bs - centers, axis=1)
         + np.linalg.norm(ue - centers, axis=1)
     ) / SPEED_OF_LIGHT + rng.normal(0.0, 1e-10, len(centers))
-    return build_system([(float(taus[k - 1]), k) for k in tiles], centers, cfg.bs_position_m)
+    entries = [(float(taus[k - 1]), k) for k in tiles]
+    return build_system(entries, np.ones(len(tiles)), centers, cfg.bs_position_m)
 
 
 @pytest.mark.parametrize("cfg, tiles", [
@@ -124,19 +119,19 @@ def test_deployment_table_rows_give_the_per_solve_distances_and_seeds(cfg, tiles
         assert np.array_equal(lattice.distances[:, system.ref_tile - 1], d_ref_old)
 
         # the seed is the lowest point of the cost on the old distances
+        # weighted as build_system weighs peak heights 1/sigmas and 1/0.7
         sigmas = rng.uniform(0.5, 2.0, rows)
-        whitener = _ResidualWhitener(sigmas, 0.7, rows)
+        dinv = 1.0 / np.maximum((1.0 / 0.7) / (1.0 / sigmas), 1e-30) ** 2
+        system = replace(system, dinv=dinv, k=1.0 / (1.0 + float(np.sum(dinv))))
         r = system.gammas - (d_old - d_ref_old[:, None])
-        q_sum = r @ whitener.dinv
-        cost = (r * r) @ whitener.dinv - whitener.k * q_sum * q_sum
-        seed = _lattice_seed(system, lattice, whitener)
+        q_sum = r @ system.dinv
+        cost = (r * r) @ system.dinv - system.k * q_sum * q_sum
+        seed = _lattice_seed(system, lattice)
         assert np.array_equal(seed, lattice.points[np.argmin(cost)])
         # a lattice the caller builds for the same room and tiles, as the
         # solver's tests do, gives the trial's fix bit for bit
-        kwargs = dict(sigmas=sigmas, sigma_ref=0.7)
         assert np.array_equal(
-            solve_position(system, lattice, **kwargs),
-            solve_position(system, built, **kwargs),
+            solve_position(system, lattice), solve_position(system, built)
         )
 
 

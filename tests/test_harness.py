@@ -409,8 +409,7 @@ def test_full_labeling_never_worse_than_bootstrap_median():
         )
         channel = realize_channel(
             scene, cfg.wavelength_m,
-            MultipathConfig(j_paths=3, seed=int(rng.integers(2**63))),
-            cfg.deployment.forward,
+            MultipathConfig(j_paths=3), cfg.deployment.forward, int(rng.integers(2**63)),
         )
         cascade = channel.cascade / np.mean(np.abs(channel.cascade))
         assignment = cfg.assignment()
@@ -418,7 +417,9 @@ def test_full_labeling_never_worse_than_bootstrap_median():
             toa_vector(scene), cascade, assignment, cfg.waveform_config(),
             noise_seed=int(rng.integers(2**63)),
         )
-        groups = extract_toas(spectrum_2d(frames, cfg.oversampling), assignment)
+        groups = extract_toas(
+            spectrum_2d(frames, cfg.oversampling), assignment, cfg.peak_threshold
+        )
         try:
             _, p_boot, _ = run_spl(
                 groups, assignment, cfg.deployment, min_toa_gap=np.inf

@@ -19,12 +19,13 @@ from ris_nfloc.waveform import FrameMatrix, WaveformConfig, frames_from_paths
 
 
 def small_cfg(n=64, l=8, noise=0.0, spacing=1e6):
+    # ``noise`` is the noise power N0 against a transmit power P of 0.2: in
+    # units of P the noise ratio is N0/P
     return WaveformConfig(
         n_subcarriers=n,
         spacing=spacing,
         carrier=1e9,
-        tx_power=0.2,
-        noise_psd=noise,
+        noise_ratio=noise / 0.2,
         l_frames=l,
     )
 
@@ -36,12 +37,12 @@ def grid_map(grid, cfg, q=4):
     return SpectrumMap(grid=grid, oversampling=q, cfg=cfg, samples=samples)
 
 
-def peak_picked(spec, assignment, **kwargs):
+def peak_picked(spec, assignment, threshold_factor=6.0):
     """extract_toas with the pencil accepting no group: every group keeps
     the peak-picker result."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(spectrum, "_pencil_groups", lambda spec, candidates: {})
-        return extract_toas(spec, assignment, **kwargs)
+        return extract_toas(spec, assignment, threshold_factor)
 
 
 def grid_path(cfg, q, u_star, v_star, amp=1.0):
@@ -60,8 +61,8 @@ def test_on_grid_peak_location_and_value():
     mag = spec.grid
     u, v = np.unravel_index(np.argmax(mag), mag.shape)
     assert (u, v) == (40, 3)
-    # geometric series collapses to N*L in-phase terms of height P/N
-    expected = cfg.tx_power / cfg.n_subcarriers * cfg.n_subcarriers * cfg.l_frames
+    # geometric series collapses to N*L in-phase terms of height 1/N
+    expected = 1.0 / cfg.n_subcarriers * cfg.n_subcarriers * cfg.l_frames
     assert mag[u, v] == pytest.approx(expected, rel=1e-12)
 
 
@@ -202,7 +203,7 @@ def test_extract_exact_on_grid():
         betas.append(i / 8)
     frames = frames_from_paths(taus, betas, np.ones(3), cfg)
     spec = spectrum_2d(frames, q)
-    groups = extract_toas(spec, assignment)
+    groups = extract_toas(spec, assignment, 6.0)
     for i in assignment.groups:
         assert groups.toas[i][0] == pytest.approx(
             u_stars[i] / (n_bar * cfg.spacing), abs=1e-18
@@ -224,7 +225,7 @@ def test_extract_off_grid_within_half_bin():
             betas.append(i / 8)
         frames = frames_from_paths(taus, betas, np.ones(3), cfg)
         spec = spectrum_2d(frames, q)
-        groups = extract_toas(spec, assignment)
+        groups = extract_toas(spec, assignment, 6.0)
         for idx, i in enumerate(sorted(assignment.groups)):
             assert abs(groups.toas[i][0] - taus[idx]) <= bin_s / 2 + 1e-15
 
@@ -237,7 +238,7 @@ def test_non_finite_column_raises_instead_of_under_detecting():
     spec = spectrum_2d(frames, 4)
     spec.grid[7, 3] = np.nan
     with pytest.raises(ValueError, match="slope column 3"):
-        extract_toas(spec, assign(8, 8, 8))
+        extract_toas(spec, assign(8, 8, 8), 6.0)
 
 
 def test_under_detection_flag():
@@ -297,7 +298,7 @@ def test_pencil_resolves_shared_group_across_period_wrap():
     assignment, shared, taus, by_group, spec = _wrapped_shared_case(
         cfg, q, [start, start + 1.3 * q], [n_bar - 5.3, 7.1]
     )
-    groups = extract_toas(spec, assignment)
+    groups = extract_toas(spec, assignment, 6.0)
     assert shared not in groups.under_detected
     unwrapped = np.where(taus < period / 2, taus + period, taus)
     for i in assignment.groups:
@@ -311,7 +312,7 @@ def test_pencil_resolves_shared_group_across_period_wrap():
         cfg, q, [start, start + 0.6 * q], [n_bar - 5.3, 7.1]
     )
     _assert_same_groups(
-        extract_toas(spec, assignment),
+        extract_toas(spec, assignment, 6.0),
         peak_picked(spec, assignment),
     )
 
@@ -337,10 +338,8 @@ def test_pencil_resolves_group_the_peak_picker_under_detects():
     assert shared not in groups.under_detected
     truth = np.sort([t for t, b in zip(taus, betas) if b == shared / 3])
     assert np.max(np.abs(np.sort(groups.toas[shared]) - truth)) < 1e-6 * bin_s
-    # isolated-peak height of a unit path: L frames of P/N over N subcarriers
-    assert groups.magnitudes[shared] == pytest.approx(
-        [cfg.l_frames * cfg.tx_power] * 2, rel=1e-9
-    )
+    # isolated-peak height of a unit path: L frames of 1/N over N subcarriers
+    assert groups.magnitudes[shared] == pytest.approx([cfg.l_frames] * 2, rel=1e-9)
 
 
 def test_pencil_group_below_floor_keeps_peak_picker_result():
@@ -360,7 +359,7 @@ def test_pencil_group_below_floor_keeps_peak_picker_result():
     spec = spectrum_2d(frames, q)
     # the weak tile's fitted height sits below 6x the column median
     _assert_same_groups(
-        extract_toas(spec, assignment),
+        extract_toas(spec, assignment, 6.0),
         peak_picked(spec, assignment),
     )
     # under a lower floor the same fit is taken
@@ -386,10 +385,10 @@ def test_noise_floor_median_matches_numpy_median(monkeypatch):
     for _ in range(3):
         frames = frames_from_paths(taus, betas, np.ones(len(taus)), cfg, rng)
         spec = spectrum_2d(frames, q)
-        got = extract_toas(spec, assignment)
+        got = extract_toas(spec, assignment, 6.0)
         with monkeypatch.context() as m:
             m.setattr(kernels, "median", lambda mag: float(np.median(mag)))
-            want = extract_toas(spec, assignment)
+            want = extract_toas(spec, assignment, 6.0)
         assert got.under_detected == {2}
         assert len(got.toas[1]) == 4
         _assert_same_groups(got, want)
@@ -483,7 +482,7 @@ def test_extract_toas_equals_per_column_reference(n, l, k, q, noise, shortcut_lo
         frames = frames_from_paths(taus, assignment.beta, amps, cfg, rng)
         spec = spectrum_2d(frames, q)
         _assert_identical_groups(
-            extract_toas(spec, assignment), _extract_per_column(spec, assignment)
+            extract_toas(spec, assignment, 6.0), _extract_per_column(spec, assignment)
         )
     assert 0 < sum(shortcut_log) < len(shortcut_log)
 
@@ -504,7 +503,7 @@ def test_plateau_across_the_wrap_falls_back(shortcut_log):
     column = 0.1 + 0.01 * np.random.default_rng(22).random(64)
     column[[0, -1]] = 5.0
     spec, assignment = _one_tile_spectrum(column)
-    got = extract_toas(spec, assignment)
+    got = extract_toas(spec, assignment, 6.0)
     _assert_identical_groups(got, _extract_per_column(spec, assignment))
     assert shortcut_log[0] is True
     assert got.magnitudes[1].tolist() == [5.0]
@@ -520,7 +519,7 @@ def test_maximum_at_exactly_the_admissibility_floor(shortcut_log):
     # a peak at exactly 6x the median is admissible and taken from its bin
     column[np.argmax(column)] = 6.0 * floor
     spec, assignment = _one_tile_spectrum(column)
-    got = extract_toas(spec, assignment)
+    got = extract_toas(spec, assignment, 6.0)
     _assert_identical_groups(got, _extract_per_column(spec, assignment))
     assert shortcut_log[0] is False
     assert got.magnitudes[1].tolist() == [6.0 * floor]
@@ -531,7 +530,7 @@ def test_maximum_at_exactly_the_admissibility_floor(shortcut_log):
     column[np.argmax(column)] = below
     spec, assignment = _one_tile_spectrum(column)
     shortcut_log.clear()
-    got = extract_toas(spec, assignment)
+    got = extract_toas(spec, assignment, 6.0)
     _assert_identical_groups(got, _extract_per_column(spec, assignment))
     assert shortcut_log[0] is True
     assert 1 in got.under_detected
@@ -543,7 +542,7 @@ def test_one_tile_column_with_an_inf_bin_matches_reference():
     column[9] = np.inf
     spec, assignment = _one_tile_spectrum(column)
     _assert_identical_groups(
-        extract_toas(spec, assignment), _extract_per_column(spec, assignment)
+        extract_toas(spec, assignment, 6.0), _extract_per_column(spec, assignment)
     )
 
 
@@ -597,7 +596,7 @@ def test_toas_sorted_descending_with_magnitudes():
             amps.append(1.0 - 0.3 * j)
     frames = frames_from_paths(taus, betas, amps, cfg)
     spec = spectrum_2d(frames, q)
-    groups = extract_toas(spec, assignment)
+    groups = extract_toas(spec, assignment, 6.0)
     arr = groups.toas[shared]
     assert len(arr) == 2 and arr[0] > arr[1]
     assert len(groups.magnitudes[shared]) == 2
@@ -627,7 +626,7 @@ def test_unwrap_recovers_differences_across_period():
     betas = [i / 8 for i in sorted(assignment.groups)]
     frames = frames_from_paths(taus, betas, np.ones(3), cfg)
     spec = spectrum_2d(frames, q)
-    groups = extract_toas(spec, assignment)
+    groups = extract_toas(spec, assignment, 6.0)
     got = np.sort([groups.toas[i][0] for i in assignment.groups])
     diffs = np.diff(got)
     expected = np.diff(np.sort(geo))
@@ -731,7 +730,7 @@ def test_unwrap_keeps_a_refined_time_below_zero_beside_the_period_end():
     spec = spectrum_2d(frames_from_paths(taus, betas, np.ones(3), cfg), q)
     raw = quadratic_refine(spec, 0, 6)
     assert -0.5 * bin_s < raw < 0.0
-    groups = extract_toas(spec, assignment)
+    groups = extract_toas(spec, assignment, 6.0)
     for i, tau in zip(sorted(assignment.groups), taus):
         assert groups.toas[i][0] == pytest.approx(tau, abs=0.05 * bin_s)
         assert groups.toas[i][0] < period

@@ -16,8 +16,7 @@ def small_cfg(noise=0.0, n=64, l=8):
         n_subcarriers=n,
         spacing=1e6,
         carrier=1e9,
-        tx_power=0.2,
-        noise_psd=noise,
+        noise_ratio=noise,
         l_frames=l,
     )
 
@@ -29,30 +28,26 @@ def test_single_path_closed_form():
     frames = frames_from_paths([tau], [beta], [1.0], cfg)
     freqs = cfg.subcarrier_frequencies()
     n = 10
-    expected = (
-        cfg.l_frames
-        * cfg.tx_power
-        / cfg.n_subcarriers
-        * np.exp(2j * np.pi * freqs[n - 1] * tau)
-    )
+    expected = cfg.l_frames / cfg.n_subcarriers * np.exp(2j * np.pi * freqs[n - 1] * tau)
     assert frames.s[n - 1, 2] == pytest.approx(expected, rel=1e-12)
     assert not np.any(np.delete(frames.s, 2, axis=1))
 
 
 def test_closed_form_matches_quadrature_demodulation():
     # a tile of cascade gain c re-radiates each subcarrier
-    # x_m(t) = sqrt(P/N) exp(j2*pi*f_m*t) delayed by tau and, in frame l,
+    # x_m(t) = sqrt(1/N) exp(j2*pi*f_m*t) (unit transmit power) delayed by
+    # tau and, in frame l,
     # ramped by exp(-j2*pi*beta*l); the conjugate demodulator averages
     # conj(rx)*x_n over one frame of 1/spacing.  Left-rule quadrature is exact
     # for that band-limited product, and the closed form takes conj(c)
     cfg = WaveformConfig(
-        n_subcarriers=4, spacing=1e6, carrier=1e7, tx_power=0.3, noise_psd=0.0,
+        n_subcarriers=4, spacing=1e6, carrier=1e7, noise_ratio=0.0,
         l_frames=2,
     )
     tau, beta, cascade = 123e-9, 0.5, 0.8 + 0.2j
     t = np.arange(64) / 64 / cfg.spacing
     freqs = cfg.subcarrier_frequencies()
-    x = np.sqrt(cfg.tx_power / cfg.n_subcarriers) * np.exp(
+    x = np.sqrt(1.0 / cfg.n_subcarriers) * np.exp(
         2j * np.pi * np.outer(freqs, t)
     )  # (N, samples)
     demods = np.empty((cfg.n_subcarriers, cfg.l_frames), dtype=complex)
@@ -74,8 +69,8 @@ def test_unmodulated_profile_frame_independent():
 
 
 def test_noise_variance_statistical():
-    # zero signal: sample variance of the cells approaches L*P*N0/N, the
-    # frame-domain variance P*N0/N summed over L frames
+    # zero signal: sample variance of the cells approaches L*nu/N, the
+    # frame-domain variance nu/N summed over L frames
     cfg = small_cfg(noise=3e-3, n=100, l=10)
     rng = np.random.default_rng(0)
     draws = []
@@ -84,7 +79,7 @@ def test_noise_variance_statistical():
         draws.append(frames.s.ravel())
     cells = np.concatenate(draws)
     var = np.mean(np.abs(cells) ** 2)
-    expected = cfg.l_frames * cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers
+    expected = cfg.l_frames * cfg.noise_ratio / cfg.n_subcarriers
     assert var == pytest.approx(expected, rel=0.05)
 
 
@@ -100,7 +95,7 @@ def test_noise_equals_two_separate_draws(k):
     amps = paths.standard_normal(k) + 1j * paths.standard_normal(k)
     clean = frames_from_paths(taus, betas, amps, cfg).s
     rng = np.random.default_rng(11)
-    sigma = np.sqrt(cfg.tx_power * cfg.noise_psd / cfg.n_subcarriers / 2.0)
+    sigma = np.sqrt(cfg.noise_ratio / cfg.n_subcarriers / 2.0)
     symbols = np.empty(clean.shape, dtype=complex)
     symbols.real = sigma * rng.standard_normal(clean.shape)
     symbols.imag = sigma * rng.standard_normal(clean.shape)
@@ -128,7 +123,7 @@ def test_amplitude_bound():
     frames = frames_from_paths(
         [100e-9, 140e-9, 300e-9], [0.25, 0.5, 0.75], amps, cfg
     )
-    bound = cfg.l_frames * cfg.tx_power / cfg.n_subcarriers * np.sum(np.abs(amps))
+    bound = cfg.l_frames / cfg.n_subcarriers * np.sum(np.abs(amps))
     assert np.max(np.abs(frames.s)) <= bound + 1e-15
 
 
@@ -222,8 +217,7 @@ def test_block_product_matches_direct_exponential(case):
         n_subcarriers=3200,
         spacing=120e3,
         carrier=28e9,
-        tx_power=0.1,
-        noise_psd=0.0,
+        noise_ratio=0.0,
         l_frames=l_frames,
     )
     k = len(slots)
@@ -231,7 +225,7 @@ def test_block_product_matches_direct_exponential(case):
     taus = rng.uniform(1e-6, 1.06e-6, k)
     betas = slots / l_frames
     amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    scale = cfg.tx_power / cfg.n_subcarriers
+    scale = 1.0 / cfg.n_subcarriers
     freqs = cfg.subcarrier_frequencies()
     ramp = np.exp(2j * np.pi * betas[:, None] * np.arange(1, l_frames + 1)[None, :])
     direct = scale * (np.exp(2j * np.pi * freqs[:, None] * taus[None, :]) * amps) @ ramp
