@@ -11,7 +11,7 @@ together with the condition number.
 SNR bookkeeping: a trial runs in units of the reference path amplitude, so
 the per-cell SNR of a demodulated symbol is ``|c_k|^2/(N*nu)``, with the
 channel gains path-loss-normalized by the experiment harness to unit mean
-magnitude and nu the config's noise ratio N0/(P*gain_reference**2), which is
+magnitude and nu the config's noise ratio 10**(noise_ratio_db/10), which is
 disclosed wherever the bound is reported; the nominal powers are
 meaningless against raw double-bounce path loss.  :func:`cascade_snrs`
 multiplies that SNR by the frame-coherent gain ``L`` only; the subcarrier

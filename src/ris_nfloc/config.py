@@ -62,8 +62,9 @@ class ExperimentConfig:
     subcarriers: int = 3200
     spacing_hz: float = 120e3
     carrier_hz: float = 28e9
-    power_dbm: float = 20.0
-    noise_dbm: float = -8.0
+    # the reference setup's -8 dBm noise over 20 dBm transmit power, with
+    # cascade gains of mean magnitude 2
+    noise_ratio_db: float = -8.0 - 20.0 - 20.0 * math.log10(2.0)
     # slope assignment
     frames: int = 16
     exclusive_tiles: int = 4
@@ -78,7 +79,6 @@ class ExperimentConfig:
     oversampling: int = 4
     clock_uncertainty_s: float = 1e-6
     peak_threshold: float = 6.0
-    gain_reference: float = 2.0
     resolvability_margin: float = 2.0
 
     @property
@@ -95,15 +95,12 @@ class ExperimentConfig:
 
     def waveform_config(self) -> WaveformConfig:
         """A trial's waveform in units of the reference path amplitude: unit
-        transmit power and the noise ratio N0/(P*gain_reference**2), formed
-        in dB."""
+        transmit power and the noise ratio of ``noise_ratio_db``."""
         return WaveformConfig(
             n_subcarriers=self.subcarriers,
             spacing=self.spacing_hz,
             carrier=self.carrier_hz,
-            noise_ratio=_db_to_ratio(
-                self.noise_dbm - self.power_dbm - 20.0 * math.log10(self.gain_reference)
-            ),
+            noise_ratio=_db_to_ratio(self.noise_ratio_db),
             l_frames=self.frames,
         )
 
@@ -205,8 +202,7 @@ _SCHEMA = {
     ("waveform", "subcarriers"): ("subcarriers", int),
     ("waveform", "spacing_hz"): ("spacing_hz", float),
     ("waveform", "carrier_hz"): ("carrier_hz", float),
-    ("waveform", "power_dbm"): ("power_dbm", float),
-    ("waveform", "noise_dbm"): ("noise_dbm", float),
+    ("waveform", "noise_ratio_db"): ("noise_ratio_db", float),
     ("assignment", "frames"): ("frames", int),
     ("assignment", "exclusive_tiles"): ("exclusive_tiles", int),
     ("multipath", "paths"): ("multipath_paths", int),
@@ -218,7 +214,6 @@ _SCHEMA = {
     ("experiment", "oversampling"): ("oversampling", int),
     ("experiment", "clock_uncertainty_s"): ("clock_uncertainty_s", float),
     ("experiment", "peak_threshold"): ("peak_threshold", float),
-    ("experiment", "gain_reference"): ("gain_reference", float),
     ("experiment", "resolvability_margin"): ("resolvability_margin", float),
 }
 
@@ -268,13 +263,13 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     trial, at least two subcarriers (one subcarrier gives every slope column
     a flat delay profile without a peak), a non-negative seed, an
     oversampling factor of at least 1, a non-negative clock uncertainty, a
-    positive ``gain_reference``, a positive ``peak_threshold`` (the
-    admissibility floor in column medians) and a non-negative
-    ``resolvability_margin`` (0 labels every detected shared group).  The RIS
-    layout, the waveform (:meth:`ExperimentConfig.waveform_config`) and the
-    multipath model (:meth:`ExperimentConfig.multipath`, which every trial
-    draws from) must pass their constructors;
-    :class:`~ris_nfloc.geometry.RisLayout` rejects a vertical RIS axis.  The
+    positive ``peak_threshold`` (the admissibility floor in column medians)
+    and a non-negative ``resolvability_margin`` (0 labels every detected
+    shared group).  The RIS layout, the waveform
+    (:meth:`ExperimentConfig.waveform_config`) and the multipath model
+    (:meth:`ExperimentConfig.multipath`, which every trial draws from) must
+    pass their constructors; :class:`~ris_nfloc.geometry.RisLayout` rejects
+    a vertical RIS axis.  The
     closed room box must contain the BS, every RIS tile center and the floor
     rectangle at z = 0 that UEs are drawn on; the BS must sit at least
     1e-12 m from every tile center.  The RIS wall must pass
@@ -294,9 +289,9 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     unit SNR (B the bandwidth); and the largest clock-offset phase
     ``2*pi*(carrier_hz + B/2)*clock_uncertainty_s`` of the frame synthesis.
     A trial runs in units of the reference path amplitude: its cascade gains
-    have unit mean magnitude and its transmit power is 1, so the powers and
-    ``gain_reference`` enter only as the waveform's ``noise_ratio``
-    ``nu = N0/(P*gain_reference**2)``.  It must be positive, or the
+    have unit mean magnitude and its transmit power is 1, so the one power
+    quantity it sees is the waveform's ``noise_ratio``
+    ``nu = 10**(noise_ratio_db / 10)``.  It must be positive, or the
     frames would carry no noise and every SNR would divide by zero, and
     ``L*nu`` must be finite: the receiver noise has variance ``nu/N`` per
     frame cell, a slope column sums L frames and a spectrum cell N
@@ -316,7 +311,6 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         ("seed", cfg.seed >= 0, "must not be negative"),
         ("oversampling", cfg.oversampling >= 1, "must be at least 1"),
         ("clock_uncertainty_s", cfg.clock_uncertainty_s >= 0, "must not be negative"),
-        ("gain_reference", cfg.gain_reference > 0, "must be positive"),
         ("peak_threshold", cfg.peak_threshold > 0, "must be positive"),
         ("resolvability_margin", cfg.resolvability_margin >= 0, "must not be negative"),
     ):
@@ -375,12 +369,11 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"subcarriers = {cfg.subcarriers}, [assignment] frames = {cfg.frames} "
             f"gives a spectrum map that cannot be allocated: {exc}"
         ) from None
-    nu = cfg.waveform_config().noise_ratio  # N0/(P*gain_reference**2)
+    nu = cfg.waveform_config().noise_ratio
     if not (nu > 0 and np.isfinite(cfg.frames * nu)):
         raise ConfigError(
-            f"{_named(cfg, ('power_dbm', 'noise_dbm', 'gain_reference'))} gives the "
-            f"noise ratio N0/(P*gain_reference**2) = {nu:g}; it must be positive "
-            "and L times it finite"
+            f"{_named(cfg, ('noise_ratio_db',))} gives the noise ratio "
+            f"nu = {nu:g}; it must be positive and L times it finite"
         )
     # the constructors above made carrier_hz, spacing_hz and excess_max_m
     # positive; the products below overflow to inf, never raise
@@ -402,8 +395,8 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
         (("spacing_hz",), info, "delay information 8*pi**2*B**2 per unit SNR"),
         (("clock_uncertainty_s",), 2.0 * np.pi * band_edge * cfg.clock_uncertainty_s,
          "clock-offset phase 2*pi*(carrier_hz + B/2)*clock_uncertainty_s"),
-        (("gain_reference", "spacing_hz", "power_dbm", "noise_dbm"), info * snr,
-         "delay information 8*pi**2*B**2*L*K**2/(N*nu), nu = N0/(P*gain_reference**2)"),
+        (("noise_ratio_db", "spacing_hz"), info * snr,
+         "delay information 8*pi**2*B**2*L*K**2/(N*nu), nu = 10**(noise_ratio_db / 10)"),
     ):
         if not np.isfinite(value):
             raise ConfigError(f"{_named(cfg, keys)} overflows the {what}")

@@ -19,10 +19,10 @@ decides whether it can run live in :mod:`ris_nfloc.config`.
 Power bookkeeping: the nominal absolute powers are meaningless against raw
 double-bounce path loss, so cascade gains are path-loss-normalized per trial
 (transmit power control) to unit tile-averaged magnitude, and a trial runs in
-units of that reference path amplitude, at unit transmit power: the powers
-and ``gain_reference`` enter only as the waveform's ``noise_ratio``
-(:meth:`ExperimentConfig.waveform_config`), and the position solve weighs
-each arrival relative to the reference arrival
+units of that reference path amplitude, at unit transmit power: the one
+power quantity a trial sees is the config's noise ratio, the waveform's
+``noise_ratio`` (:meth:`ExperimentConfig.waveform_config`), and the position
+solve weighs each arrival relative to the reference arrival
 (:func:`ris_nfloc.tdoa.build_system`).
 The same normalized gains feed the per-tile SNRs for the error bound,
 keeping simulation and bound coherent; the exact convention is in

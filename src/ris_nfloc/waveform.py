@@ -47,7 +47,7 @@ class WaveformConfig:
 
     The transmit power is 1, and ``noise_ratio`` is the noise ratio nu that
     enters the demodulated cell variance nu/N: the experiment config passes
-    N0/(P*gain_reference**2).
+    10**(noise_ratio_db/10).
     """
 
     n_subcarriers: int

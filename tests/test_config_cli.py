@@ -5,10 +5,9 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ris_nfloc
@@ -16,6 +15,7 @@ from ris_nfloc import cli, harness
 from ris_nfloc.cli import main
 from ris_nfloc.config import (
     ConfigError,
+    ExperimentConfig,
     apply_sweep_value,
     config_template,
     floor_point,
@@ -39,6 +39,10 @@ seed = 7
 """
 
 
+def _with_noise_ratio(db):
+    return DESK_INI.replace("[assignment]", f"noise_ratio_db = {db}\n\n[assignment]")
+
+
 @pytest.fixture
 def desk_config(tmp_path):
     path = tmp_path / "desk.ini"
@@ -53,11 +57,29 @@ def test_defaults_match_reference_setup():
     assert cfg.spacing_hz == pytest.approx(120e3)
     assert cfg.bandwidth_hz == pytest.approx(384e6)
     assert cfg.carrier_hz == pytest.approx(28e9)
-    assert cfg.power_dbm == 20.0
-    assert cfg.noise_dbm == -8.0
+    assert cfg.noise_ratio_db == -8.0 - 20.0 - 20.0 * math.log10(2.0)
     assert cfg.oversampling == 4
     assert cfg.clock_uncertainty_s == 1e-6
     assert cfg.exclusive_tiles == 4
+
+
+def test_one_key_states_the_noise_ratio_of_the_reference_powers(tmp_path, capsys):
+    # the reference setup: 20 dBm transmit power and -8 dBm noise, with
+    # cascade gains of mean magnitude 2; a trial sees only their noise ratio,
+    # so the config states that alone and none of the three is a key
+    assert ExperimentConfig().noise_ratio_db == -8.0 - 20.0 - 20.0 * math.log10(2.0)
+    power_dbm, noise_dbm, gain_reference = 20.0, -8.0, 2.0
+    nu = 10.0 ** ((noise_dbm - power_dbm - 20.0 * math.log10(gain_reference)) / 10.0)
+    assert ExperimentConfig().waveform_config().noise_ratio == nu
+    for section, key in (("waveform", "power_dbm"), ("waveform", "noise_dbm"),
+                         ("experiment", "gain_reference")):
+        path = tmp_path / f"{key}.ini"
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        for command in (["simulate"], ["peb"]):
+            args = ["--config", str(path), "--out", str(tmp_path / "out"), *command]
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert f"config error: unknown config key [{section}] {key}" in err
 
 
 def test_load_config_overrides(desk_config):
@@ -160,22 +182,21 @@ BAD_CONFIGS = {
     "negative_multipath_paths": "[multipath]\npaths = -1\n",
     "zero_excess_min": "[multipath]\nexcess_min_m = 0\n",
     "negative_clock_uncertainty": "[experiment]\nclock_uncertainty_s = -1\n",
-    # non-finite values ran to NaN or inf results, and a zero gain reference
-    # censored every trial
-    "nan_noise": "[waveform]\nnoise_dbm = nan\n",
-    "inf_power": "[waveform]\npower_dbm = inf\n",
-    "zero_gain_reference": "[experiment]\ngain_reference = 0\n",
+    # non-finite values ran to NaN or inf results
+    "nan_noise": "[waveform]\nnoise_ratio_db = nan\n",
+    "inf_power": "[waveform]\nnoise_ratio_db = inf\n",
     # the admissibility floor is a positive multiple of the column median; a
     # zero or negative factor admitted every local maximum and ran
     "zero_peak_threshold": "[experiment]\npeak_threshold = 0\n",
     "negative_peak_threshold": "[experiment]\npeak_threshold = -1\n",
-    # powers and gains whose noise ratio N0/(P*gain_reference**2) overflows
-    # a float or underflows to 0, which would run noiseless frames and divide
-    # the SNR by zero
-    "huge_power": "[waveform]\npower_dbm = 4000\n",
-    "huge_noise": "[waveform]\nnoise_dbm = 4000\n",
-    "vanishing_noise": "[waveform]\nnoise_dbm = -4000\n",
-    "noise_ratio_underflows": DESK_INI + "gain_reference = 1e170\n",
+    # a noise ratio that overflows a float or underflows to 0, which would
+    # run noiseless frames and divide the SNR by zero; each is the ratio of
+    # the reference setup with 4000 dBm transmit power, 4000 dBm noise,
+    # -4000 dBm noise, and a desk cascade gain of 1e170
+    "huge_power": "[waveform]\nnoise_ratio_db = -4014.0205999132795\n",
+    "huge_noise": "[waveform]\nnoise_ratio_db = 4000\n",
+    "vanishing_noise": "[waveform]\nnoise_ratio_db = -4026.0205999132795\n",
+    "noise_ratio_underflows": _with_noise_ratio(-3428),
     # a trial's channel overflows a float: a wavelength c / carrier_hz, a
     # multipath phase 2*pi*excess/wavelength or a multipath power ratio that
     # is not finite gave NaN spectra, counted as censored trials
@@ -189,11 +210,11 @@ BAD_CONFIGS = {
     "delay_period_overflows": "[waveform]\nspacing_hz = 1e-300\n",
     "bandwidth_square_overflows": "[waveform]\nspacing_hz = 1e200\n",
     "clock_phase_overflows": "[experiment]\nclock_uncertainty_s = 1e300\n",
-    # desk gains whose largest SNR times the error bound's delay information
-    # overflows a float: 1e150 warned of overflow in the bound, 1e155 failed
-    # the first trial's matrix pencil
-    "gain_snr_overflows": DESK_INI + "gain_reference = 1e150\n",
-    "gain_height_overflows": DESK_INI + "gain_reference = 1e155\n",
+    # desk noise ratios whose largest SNR times the error bound's delay
+    # information overflows a float: -3028 dB warned of overflow in the bound,
+    # -3128 dB failed the first trial's matrix pencil
+    "gain_snr_overflows": _with_noise_ratio(-3028),
+    "gain_height_overflows": _with_noise_ratio(-3128),
     # a negative resolvability margin switched the guard off as 0 does
     "negative_resolvability_margin": "[experiment]\nresolvability_margin = -5\n",
     # a spectrum map of 16 x 3.2e18 cells, which passed the load and failed
@@ -214,8 +235,10 @@ BAD_CONFIGS = {
 def test_invalid_assignment_rejected_at_load(name, tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(BAD_CONFIGS[name])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as excinfo:
         load_config(str(bad))
+    # each case reaches the rule it is named for, not the key lookup
+    assert not str(excinfo.value).startswith("unknown config key")
     # peb runs no trial, so only the load check can reject it
     for command in (["simulate"], ["peb"]):
         args = ["--config", str(bad), "--out", str(tmp_path / "out")] + command
@@ -227,12 +250,10 @@ def test_invalid_assignment_rejected_at_load(name, tmp_path, capsys):
     ("delay_period_overflows", "[waveform] spacing_hz = 1e-300"),
     ("bandwidth_square_overflows", "[waveform] spacing_hz = 1e+200"),
     ("clock_phase_overflows", "[experiment] clock_uncertainty_s = 1e+300"),
-    ("gain_snr_overflows", "[experiment] gain_reference = 1e+150 with [waveform] "
-     "spacing_hz = 1.5625e+06, [waveform] power_dbm = 20, [waveform] noise_dbm = -8 "
-     "overflows the delay information"),
-    ("gain_height_overflows", "[experiment] gain_reference = 1e+155 with [waveform] "
-     "spacing_hz = 1.5625e+06, [waveform] power_dbm = 20, [waveform] noise_dbm = -8 "
-     "overflows the delay information"),
+    ("gain_snr_overflows", "[waveform] noise_ratio_db = -3028 with [waveform] "
+     "spacing_hz = 1.5625e+06 overflows the delay information"),
+    ("gain_height_overflows", "[waveform] noise_ratio_db = -3128 with [waveform] "
+     "spacing_hz = 1.5625e+06 overflows the delay information"),
 ])
 def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
     bad = tmp_path / "bad.ini"
@@ -243,15 +264,10 @@ def test_delay_arithmetic_overflow_names_its_key(name, key, tmp_path):
 
 
 @pytest.mark.parametrize("name, values", [
-    ("huge_power", "power_dbm = 4000 with [waveform] noise_dbm = -8, "
-     "[experiment] gain_reference = 2 gives the noise ratio N0/(P*gain_reference**2) = 0"),
-    ("huge_noise", "power_dbm = 20 with [waveform] noise_dbm = 4000, "
-     "[experiment] gain_reference = 2 gives the noise ratio N0/(P*gain_reference**2) = inf"),
-    ("vanishing_noise", "power_dbm = 20 with [waveform] noise_dbm = -4000, "
-     "[experiment] gain_reference = 2 gives the noise ratio N0/(P*gain_reference**2) = 0"),
-    ("noise_ratio_underflows", "power_dbm = 20 with [waveform] noise_dbm = -8, "
-     "[experiment] gain_reference = 1e+170 gives the noise ratio "
-     "N0/(P*gain_reference**2) = 0"),
+    ("huge_power", "noise_ratio_db = -4014.02 gives the noise ratio nu = 0"),
+    ("huge_noise", "noise_ratio_db = 4000 gives the noise ratio nu = inf"),
+    ("vanishing_noise", "noise_ratio_db = -4026.02 gives the noise ratio nu = 0"),
+    ("noise_ratio_underflows", "noise_ratio_db = -3428 gives the noise ratio nu = 0"),
 ])
 def test_noise_ratio_out_of_range_names_its_keys(name, values, tmp_path):
     bad = tmp_path / "bad.ini"
@@ -261,32 +277,11 @@ def test_noise_ratio_out_of_range_names_its_keys(name, values, tmp_path):
     assert str(excinfo.value).startswith("[waveform] " + values)
 
 
-def _with_powers(power_dbm, noise_dbm):
-    return DESK_INI.replace(
-        "[assignment]",
-        f"power_dbm = {power_dbm}\nnoise_dbm = {noise_dbm}\n\n[assignment]")
-
-
-def test_trials_see_only_the_noise_ratio(tmp_path):
-    # 3120 dBm is beyond a float in watts; at the default's -28 dB ratio of
-    # noise to transmit power the trials are the default's, bit for bit
-    path = tmp_path / "shifted.ini"
-    path.write_text(_with_powers(3120, 3092))
-    shifted = replace(load_config(str(path)), seed=1, trials=20)
-    path.write_text(DESK_INI)
-    default = replace(load_config(str(path)), seed=1, trials=20)
-    np.testing.assert_array_equal(
-        [astuple(r) for r in harness.run_trials(shifted)],
-        [astuple(r) for r in harness.run_trials(default)],
-    )
-
-
 def test_noise_far_above_the_signal_runs(tmp_path):
-    # an SNR near -508 dB, far below detection: the product of the powers in
-    # watts overflows a float, yet their ratio is finite, so simulate and peb
-    # run
+    # an SNR near -508 dB, far below detection, is still a finite noise
+    # ratio, so simulate and peb run
     path = tmp_path / "noisy.ini"
-    path.write_text(_with_powers(1530, 2030))
+    path.write_text(_with_noise_ratio(493.97940008672037))
     load_config(str(path))
     out = tmp_path / "out"
     for command in (["--trials", "3", "simulate"], ["peb"]):
@@ -298,7 +293,7 @@ def test_tiny_spacing_with_a_large_gain_runs(tmp_path):
     # weighs each arrival relative to the reference arrival, so its cost
     # stays finite, and simulate and peb run without a warning
     path = tmp_path / "weighted.ini"
-    path.write_text(DESK_INI.replace("1.5625e6", "1e-145") + "gain_reference = 1e4\n")
+    path.write_text(_with_noise_ratio(-108).replace("1.5625e6", "1e-145"))
     load_config(str(path))
     out = tmp_path / "out"
     for command in (["--trials", "3", "simulate"], ["peb"]):
