@@ -284,8 +284,8 @@ def check_config(cfg: ExperimentConfig) -> ExperimentConfig:
     ``2*pi*excess_max_m / wavelength`` and the multipath power ratio
     ``10**(power_rel_db / 10)`` must be finite, and so must the delay
     arithmetic of a trial: the square of the delay-period range
-    ``c / spacing_hz``, against which the position solve squares range
-    differences; the error bound's delay information ``8*pi**2*B**2`` per
+    ``c / spacing_hz``, against which the position solve squares ranges;
+    the error bound's delay information ``8*pi**2*B**2`` per
     unit SNR (B the bandwidth); and the largest clock-offset phase
     ``2*pi*(carrier_hz + B/2)*clock_uncertainty_s`` of the frame synthesis.
     A trial runs in units of the reference path amplitude: its cascade gains

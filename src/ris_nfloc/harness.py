@@ -22,8 +22,8 @@ double-bounce path loss, so cascade gains are path-loss-normalized per trial
 units of that reference path amplitude, at unit transmit power: the one
 power quantity a trial sees is the config's noise ratio, the waveform's
 ``noise_ratio`` (:meth:`ExperimentConfig.waveform_config`), and the position
-solve weighs each arrival relative to the reference arrival
-(:func:`ris_nfloc.tdoa.build_system`).
+solve weighs each arrival's range relative to the largest peak and
+concentrates out the clock offset (:func:`ris_nfloc.tdoa.build_system`).
 The same normalized gains feed the per-tile SNRs for the error bound,
 keeping simulation and bound coherent; the exact convention is in
 :mod:`ris_nfloc.bounds`.

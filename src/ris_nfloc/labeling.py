@@ -27,8 +27,7 @@ from .constants import SPEED_OF_LIGHT
 from .deployment import Deployment
 from .psp import PspAssignment
 from .spectrum import ToaGroups
-# build_system raises BootstrapError, and callers may import it from here
-from .tdoa import BootstrapError, build_system, solve_position  # noqa: F401
+from .tdoa import build_system, solve_position
 
 
 @dataclass(frozen=True)
@@ -146,10 +145,10 @@ def _group_resolvable(
 def solve_labeled(entries, mags, dep: Deployment) -> np.ndarray:
     """Position fix from labeled arrivals ``(toa, tile)`` with peak heights
     ``mags`` on the tiles and seed lattice of ``dep``; the system weighs each
-    arrival by its height relative to the reference arrival's
-    (:func:`ris_nfloc.tdoa.build_system`).  Every height is positive (a
-    strict local maximum of its column, or a pencil height above the
-    column's noise floor).
+    arrival by its height relative to the largest, and the solve concentrates
+    out the clock offset (:func:`ris_nfloc.tdoa.build_system`).  Every height
+    is positive (a strict local maximum of its column, or a pencil height
+    above the column's noise floor).
     """
     return solve_position(
         build_system(entries, mags, dep.tile_centers, dep.p_bs), dep.lattice
@@ -177,8 +176,8 @@ def run_spl(
     each arrival by its peak height (see :func:`solve_labeled`).
     Returns the labeled entries ``(toa, tile)``, the final position estimate
     and a trace of the method used per group.  Fewer than three detected
-    exclusive-slope arrivals raise :class:`BootstrapError` from the first
-    solve.
+    exclusive-slope arrivals raise :class:`ris_nfloc.tdoa.BootstrapError`
+    from the first solve.
     """
     entries, mags, trace = _exclusive_arrivals(toa_groups, assignment)
     p_est = solve_labeled(entries, mags, dep)

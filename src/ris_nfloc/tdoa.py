@@ -1,17 +1,19 @@
 """Position estimation from labeled arrival times.
 
-Differencing every labeled arrival against the smallest one cancels the
-unknown clock offset and leaves range differences to the anchor tiles, each
-weighted by its arrival's peak height relative to the reference arrival's;
-the system carries those weights, so a solve takes no scales.  The UE lies
-on the floor (z = 0) of a known room, so the position is fitted over the
-room's floor by one damped Gauss-Newton descent that starts at the lowest
-point of the cost on a floor lattice; each step is an active-set Newton step
-that holds a coordinate on a wall the gradient pushes against, and the
-descent stops when its next step would be shorter than 10 nm.  The seed
-lattice carries the room it was built for and its table of lattice-to-tile
-distances, which the lattice cost indexes by the system's tile rows; a
-deployment builds it once per config.
+Each labeled arrival gives one range to its tile: its delay past the
+earliest arrival, less the known BS leg, which leaves the UE-to-tile distance
+plus one offset common to every arrival, ``c*(t0 - min(toa))`` with t0 the
+unknown clock offset.  Each range is weighted by its arrival's peak height
+relative to the largest; the system carries those weights, so a solve takes
+no scales.  The fit is the weighted least squares of the ranges with the
+common offset concentrated out.  The UE lies on the floor (z = 0) of a known
+room, so the position is fitted over the room's floor by one damped
+Gauss-Newton descent that starts at the lowest point of the cost on a floor
+lattice; each step is an active-set Newton step that holds a coordinate on a
+wall the gradient pushes against, and the descent stops when its next step
+would be shorter than 10 nm.  The seed lattice carries the room it was built
+for and its table of lattice-to-tile distances, which the lattice cost
+indexes by the system's tile rows; a deployment builds it once per config.
 This one fit serves every anchor set the simulator builds: a linear RIS gives
 collinear anchors, which leave the classic linear two-step TDoA system rank
 deficient.
@@ -42,37 +44,29 @@ class BootstrapError(ValueError):
 
 @dataclass(frozen=True)
 class TdoaSystem:
-    """Range differences of the labeled anchors relative to the reference,
-    and the weights of their residuals."""
+    """One range per labeled arrival, and the weight of its residual."""
 
-    ref_tile: int
-    ref_pos: np.ndarray
-    anchor_positions: np.ndarray  # (rows, 3) non-reference anchors
-    gammas: np.ndarray  # (rows,) range differences of non-reference anchors
-    anchor_rows: np.ndarray  # (rows,) tile rows (tile index - 1) of the anchors
-    dinv: np.ndarray  # (rows,) inverse squared delay-error scales
-    k: float  # weight of the reference arrival's common-mode term
+    rows: np.ndarray  # (n,) tile rows (tile index - 1) of the arrivals
+    positions: np.ndarray  # (n, 3) their tile centers
+    ranges: np.ndarray  # (n,) ranges to the tiles, up to one common offset
+    w: np.ndarray  # (n,) weights of the range residuals
 
 
 def build_system(labels, heights, tile_positions: np.ndarray, p_bs) -> TdoaSystem:
-    """Form the range differences of labeled arrivals and their weights.
+    """Form the ranges of labeled arrivals and their weights.
 
     ``labels`` is an iterable of ``(toa_seconds, tile_index)`` pairs and
     ``heights`` their positive spectral peak heights, in the same order;
     ``tile_positions`` holds all tile centers with tile index k (1-based) at
-    row k-1; the system records its anchors' rows.  Fewer than three labels
-    raise :class:`BootstrapError`: this is the one check of that rule.  The
-    reference is the labeled tile with the smallest arrival time.  Range
-    differences are formed as ``c*(toa_k - toa_ref) - (d_bs_k - d_bs_ref)``
-    so the clock offset and the known BS legs both cancel.
+    row k-1; the system records each arrival's row.  Fewer than three labels
+    raise :class:`BootstrapError`: this is the one check of that rule.  Each
+    range is ``c*(toa - min(toa)) - d_bs``, with the known BS leg ``d_bs``
+    taken off: the UE-to-tile distance plus the offset ``c*(t0 - min(toa))``
+    common to every arrival, t0 the unknown clock offset.
 
-    A delay error scales inversely with its peak height, so each arrival's
-    error scale is ``height_ref / height``, 1 for the reference, and the fix
-    depends on ratios of heights, not on their common scale.  The reference
-    arrival's error is common to every residual, so their covariance is
-    ``diag(1/dinv) + 1 1^T``; by the Sherman-Morrison identity its inverse is
-    ``D - k * (D 1)(D 1)^T`` with ``D = diag(dinv)`` and
-    ``k = 1 / (1 + sum(dinv))``.
+    A delay error scales inversely with its peak height, so each residual is
+    weighted ``(height / max(height))**2``, and the fix depends on ratios of
+    heights, not on their common scale.
     """
     entries = list(labels)
     if len(entries) < 3:
@@ -86,21 +80,11 @@ def build_system(labels, heights, tile_positions: np.ndarray, p_bs) -> TdoaSyste
     positions = np.asarray(tile_positions, dtype=float)[tiles - 1]
     to_bs = np.asarray(p_bs, dtype=float) - positions
     d_bs = np.sqrt(np.einsum("ij,ij->i", to_bs, to_bs))
-
-    ref_i = int(np.lexsort((tiles, toas))[0])  # smallest ToA, then tile index
-    ref_tile = int(tiles[ref_i])
-    ref_pos = positions[ref_i]
-    rest = np.arange(len(entries)) != ref_i
-    gammas = (toas[rest] - toas[ref_i]) * SPEED_OF_LIGHT - (d_bs[rest] - d_bs[ref_i])
-    dinv = 1.0 / np.maximum(heights[ref_i] / heights[rest], 1e-30) ** 2
     return TdoaSystem(
-        ref_tile=ref_tile,
-        ref_pos=ref_pos,
-        anchor_positions=positions[rest],
-        gammas=gammas,
-        anchor_rows=tiles[rest] - 1,
-        dinv=dinv,
-        k=1.0 / (1.0 + float(np.sum(dinv))),
+        rows=tiles - 1,
+        positions=positions,
+        ranges=(toas - toas.min()) * SPEED_OF_LIGHT - d_bs,
+        w=(heights / heights.max()) ** 2,
     )
 
 
@@ -112,10 +96,17 @@ def _gn_descend(
 ) -> tuple[np.ndarray, float, bool]:
     """Clamped, damped Gauss-Newton from one start; returns (p, cost, done).
 
-    The arrays are tiny (one row per anchor), so the step is written to keep
+    The cost is ``sum(w * (e - mean(e))**2)`` over the range residuals
+    ``e = ranges - |p - tile|``, ``mean`` weighted by ``w``: the weighted
+    least squares of the ranges with their common offset concentrated out
+    (Golub & Pereyra's separable least squares, one linear parameter).  It
+    is formed centered, since every residual carries the metres of that
+    offset.  Its Gauss-Newton model takes the Jacobian rows centered on
+    their weighted mean in the same way.
+
+    The arrays are tiny (one row per arrival), so the step is written to keep
     numpy calls few: distances and residuals of the accepted point are reused
-    for the next Jacobian, the rank-one whitening is folded into the 2x2
-    normal equations, and the damped system is solved in closed form.
+    for the next Jacobian, and the damped 2x2 system is solved in closed form.
 
     ``start_xy`` must lie in the room's floor rectangle, and every trial
     point is clamped to it.  The step is an active-set (projected) Newton
@@ -129,46 +120,35 @@ def _gn_descend(
     comparison cannot resolve a shorter move (Madsen, Nielsen & Tingleff,
     "Methods for Non-Linear Least Squares Problems", 2004, sec. 3.2).
     """
-    anchors = system.anchor_positions
-    anchor_xy = anchors[:, :2]
-    dz2 = anchors[:, 2] ** 2  # the UE is on the floor, z = 0
-    ref_x, ref_y, ref_z = system.ref_pos.tolist()
-    ref_dz2 = ref_z ** 2
-    gammas = system.gammas
-    dinv = system.dinv
-    k = system.k
-    dinv_col = dinv[:, None]
+    tile_xy = system.positions[:, :2]
+    dz2 = system.positions[:, 2] ** 2  # the UE is on the floor, z = 0
+    ranges = system.ranges
+    w = system.w
+    w_mean = w / float(np.sum(w))  # the weights of the weighted mean
+    w_col = w[:, None]
 
     def evaluate(x, y):
-        """Offsets, distances, residuals, whitened residual sum and cost."""
-        diff = np.array((x, y)) - anchor_xy
+        """Offsets, distances, centered residuals and cost."""
+        diff = np.array((x, y)) - tile_xy
         sq = diff * diff
         d = np.sqrt(sq[:, 0] + sq[:, 1] + dz2)
-        d_ref = math.sqrt((x - ref_x) ** 2 + (y - ref_y) ** 2 + ref_dz2)
-        r = gammas - (d - d_ref)
-        q_sum = float(dinv @ r)
-        return diff, d, d_ref, r, q_sum, float((dinv * r) @ r) - k * q_sum * q_sum
+        e = ranges - d
+        e -= w_mean @ e
+        return diff, d, e, float((w * e) @ e)
 
     x, y = float(start_xy[0]), float(start_xy[1])
     lo_x, lo_y = float(room[0][0]), float(room[0][1])
     hi_x, hi_y = float(room[1][0]), float(room[1][1])
 
     lam = 1e-3
-    diff, d, d_ref, r, q_sum, cost = evaluate(x, y)
+    diff, d, e, cost = evaluate(x, y)
     for _ in range(max_iter):
-        # d(residual)/d(p) = -(unit_k - unit_ref), restricted to x, y
-        d_ref = max(d_ref, 1e-12)
-        unit_ref = np.array(((x - ref_x) / d_ref, (y - ref_y) / d_ref))
-        jac = unit_ref - diff / np.maximum(d, 1e-12)[:, None]
-        w = dinv_col * jac
-        (h_xx, h_xy), (_, h_yy) = (w.T @ jac).tolist()
-        g_x, g_y = (r @ w).tolist()
-        s_x, s_y = (dinv @ jac).tolist()
-        h_xx -= k * s_x * s_x
-        h_xy -= k * s_x * s_y
-        h_yy -= k * s_y * s_y
-        g_x -= k * s_x * q_sum
-        g_y -= k * s_y * q_sum
+        # d(residual)/d(p) = -unit_k, restricted to x, y, centered like e
+        jac = diff / np.maximum(d, 1e-12)[:, None]
+        jac -= w_mean @ jac
+        wj = w_col * jac
+        (h_xx, h_xy), (_, h_yy) = (wj.T @ jac).tolist()
+        g_x, g_y = (-(e @ wj)).tolist()
         # the step -g points out of the room across a wall it sits on
         hold_x = (x <= lo_x and g_x > 0.0) or (x >= hi_x and g_x < 0.0)
         hold_y = (y <= lo_y and g_y > 0.0) or (y >= hi_y and g_y < 0.0)
@@ -194,7 +174,7 @@ def _gn_descend(
             trial = evaluate(tx, ty)
             if trial[-1] <= cost:
                 x, y = tx, ty
-                diff, d, d_ref, r, q_sum, cost = trial
+                diff, d, e, cost = trial
                 lam = max(lam / 10.0, 1e-12)
                 break
             lam *= 10.0
@@ -240,18 +220,15 @@ def seed_lattice(room, tile_positions) -> SeedLattice:
 def _lattice_seed(system: TdoaSystem, lattice: SeedLattice) -> np.ndarray:
     """The floor point of the lowest finite cost on a lattice.
 
-    The whitened cost of :func:`_gn_descend` is evaluated in one pass on the
-    points of ``lattice``, whose distance table is indexed by the system's
-    tile rows (``ref_tile - 1`` and ``anchor_rows``).  Ties go to the first
-    point in lattice order, and NaN or infinite costs are skipped.  Raises
-    ValueError when no cost is finite, as when a non-finite arrival makes
-    every cost NaN.
+    The cost of :func:`_gn_descend` is evaluated in one pass on the points of
+    ``lattice``, whose distance table is indexed by the system's tile rows.
+    Ties go to the first point in lattice order, and NaN or infinite costs
+    are skipped.  Raises ValueError when no cost is finite, as when a
+    non-finite arrival makes every cost NaN.
     """
-    d = lattice.distances[:, system.anchor_rows]
-    d_ref = lattice.distances[:, system.ref_tile - 1]
-    r = system.gammas - (d - d_ref[:, None])
-    q_sum = r @ system.dinv
-    cost = (r * r) @ system.dinv - system.k * q_sum * q_sum
+    e = system.ranges - lattice.distances[:, system.rows]
+    e -= (e @ system.w / np.sum(system.w))[:, None]
+    cost = (e * e) @ system.w
     finite = np.isfinite(cost)
     if not finite.any():
         raise ValueError("the seed lattice has no finite local minimum of the cost")
@@ -276,10 +253,11 @@ def solve_position(system: TdoaSystem, lattice: SeedLattice) -> np.ndarray:
     no lattice point has a finite cost: no trial of such a config can be
     run, so it is not a censored fit.
 
-    The fit is the generalized least squares of the system's weights
-    (:func:`build_system`): peak heights relative to the reference
-    arrival's, whose error is common to every residual.  The weights carry
-    no absolute scale, which the descent's absolute damping constants need.
+    The fit is the weighted least squares of the system's ranges with their
+    common offset, which holds the clock offset, concentrated out; the
+    weights are squared peak heights relative to the largest
+    (:func:`build_system`), so they carry no absolute scale, which the
+    descent's absolute damping constants need.
     """
     p = _lattice_seed(system, lattice)
     for _ in range(2):  # the descent, then its one resume

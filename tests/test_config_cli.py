@@ -290,7 +290,7 @@ def test_noise_far_above_the_signal_runs(tmp_path):
 
 def test_tiny_spacing_with_a_large_gain_runs(tmp_path):
     # a range resolution c/B near 1e152 m and large peak heights: the solve
-    # weighs each arrival relative to the reference arrival, so its cost
+    # weighs each arrival relative to the largest peak, so its cost
     # stays finite, and simulate and peb run without a warning
     path = tmp_path / "weighted.ini"
     path.write_text(_with_noise_ratio(-108).replace("1.5625e6", "1e-145"))

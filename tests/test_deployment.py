@@ -81,12 +81,9 @@ def test_trial_scene_and_cascade_equal_a_bare_build():
 
 def _old_lattice_distances(points, system):
     """The per-solve distances the seed lattice was once built with."""
-    anchors = system.anchor_positions
-    diff = points[:, None, :] - anchors[:, :2]
-    d = np.sqrt(np.einsum("pai,pai->pa", diff, diff) + anchors[:, 2] ** 2)
-    ref_diff = points - system.ref_pos[:2]
-    d_ref = np.sqrt(np.einsum("pi,pi->p", ref_diff, ref_diff) + system.ref_pos[2] ** 2)
-    return d, d_ref
+    tiles = system.positions
+    diff = points[:, None, :] - tiles[:, :2]
+    return np.sqrt(np.einsum("pai,pai->pa", diff, diff) + tiles[:, 2] ** 2)
 
 
 def _noisy_system(cfg, tiles, ue, rng):
@@ -102,7 +99,7 @@ def _noisy_system(cfg, tiles, ue, rng):
 @pytest.mark.parametrize("cfg, tiles", [
     (DESK, (16, 1, 6, 11)),  # the anchors, listed out of order
     (DESK, tuple(range(1, 17))),
-    (FULL, tuple(range(1, 65))),  # a baseline solve labels every tile: 63 rows
+    (FULL, tuple(range(1, 65))),  # a baseline solve labels every tile: 64 rows
 ])
 def test_deployment_table_rows_give_the_per_solve_distances_and_seeds(cfg, tiles):
     rng = np.random.default_rng(3)
@@ -111,21 +108,19 @@ def test_deployment_table_rows_give_the_per_solve_distances_and_seeds(cfg, tiles
     built = seed_lattice(cfg.room, cfg.deployment.tile_centers)
     for ue in ([2.0, 7.5, 0.0], [8.8, 1.2, 0.0], [5.0, 5.0, 0.0]):
         system = _noisy_system(cfg, tiles, np.array(ue), rng)
-        rows = len(system.gammas)
-        assert rows == len(tiles) - 1
-        assert [k - 1 for k in tiles if k != system.ref_tile] == list(system.anchor_rows)
-        d_old, d_ref_old = _old_lattice_distances(lattice.points, system)
-        assert np.array_equal(lattice.distances[:, system.anchor_rows], d_old)
-        assert np.array_equal(lattice.distances[:, system.ref_tile - 1], d_ref_old)
+        rows = len(system.ranges)
+        assert rows == len(tiles)
+        assert [k - 1 for k in tiles] == list(system.rows)
+        d_old = _old_lattice_distances(lattice.points, system)
+        assert np.array_equal(lattice.distances[:, system.rows], d_old)
 
         # the seed is the lowest point of the cost on the old distances
-        # weighted as build_system weighs peak heights 1/sigmas and 1/0.7
-        sigmas = rng.uniform(0.5, 2.0, rows)
-        dinv = 1.0 / np.maximum((1.0 / 0.7) / (1.0 / sigmas), 1e-30) ** 2
-        system = replace(system, dinv=dinv, k=1.0 / (1.0 + float(np.sum(dinv))))
-        r = system.gammas - (d_old - d_ref_old[:, None])
-        q_sum = r @ system.dinv
-        cost = (r * r) @ system.dinv - system.k * q_sum * q_sum
+        # weighted as build_system weighs peak heights 1/sigmas
+        heights = 1.0 / rng.uniform(0.5, 2.0, rows)
+        system = replace(system, w=(heights / heights.max()) ** 2)
+        e = system.ranges - d_old
+        e -= (e @ system.w / np.sum(system.w))[:, None]
+        cost = (e * e) @ system.w
         seed = _lattice_seed(system, lattice)
         assert np.array_equal(seed, lattice.points[np.argmin(cost)])
         # a lattice the caller builds for the same room and tiles, as the

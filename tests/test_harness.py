@@ -74,7 +74,7 @@ def _raise(exc):
 
 def test_bootstrap_shortfall_censors_proposed_arm(monkeypatch):
     from ris_nfloc import harness
-    from ris_nfloc.labeling import BootstrapError
+    from ris_nfloc.tdoa import BootstrapError
 
     plain = run_trial(DESK, 1234)
     monkeypatch.setattr(harness, "run_spl", _raise(BootstrapError("too few")))

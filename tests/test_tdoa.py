@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,12 +25,12 @@ def unit_system(entries, tiles, p_bs):
     return build_system(entries, np.ones(len(entries)), tiles, p_bs)
 
 
-def gls_weights(sigmas, sigma_ref):
-    """``dinv`` and ``k`` as :func:`build_system` forms them for arrivals at
-    peak heights ``1/sigmas`` and a reference at ``1/sigma_ref``: the GLS fit
-    with those range-error scales, its cost scaled by ``sigma_ref**2``."""
-    dinv = 1.0 / np.maximum((1.0 / sigma_ref) / (1.0 / np.asarray(sigmas)), 1e-30) ** 2
-    return {"dinv": dinv, "k": 1.0 / (1.0 + float(np.sum(dinv)))}
+def gls_weights(sigmas):
+    """``w`` as :func:`build_system` forms it for arrivals at peak heights
+    ``1/sigmas``: the GLS fit with those range-error scales, its cost scaled
+    by ``min(sigmas)**2``."""
+    heights = 1.0 / np.asarray(sigmas)
+    return {"w": (heights / heights.max()) ** 2}
 
 
 def exact_entries(anchors, p_bs, ue, t0=0.0):
@@ -39,6 +38,13 @@ def exact_entries(anchors, p_bs, ue, t0=0.0):
         np.linalg.norm(p_bs - anchors, axis=1) + np.linalg.norm(ue - anchors, axis=1)
     ) / SPEED_OF_LIGHT + t0
     return [(float(taus[i]), i + 1) for i in range(len(anchors))]
+
+
+def earliest_first(entries):
+    """``entries`` with the earliest arrival moved to the front."""
+    entries = list(entries)
+    entries.insert(0, entries.pop(entries.index(min(entries))))
+    return entries
 
 
 def random_general_anchors(rng, n=8):
@@ -52,25 +58,25 @@ def random_general_anchors(rng, n=8):
     )
 
 
-def test_clock_offset_cancels_in_gammas():
+def test_a_common_clock_offset_leaves_the_ranges_unchanged():
     rng = np.random.default_rng(0)
     anchors = random_general_anchors(rng)
     p_bs = np.array([-2.0, 4.0, 1.5])
     ue = np.array([3.0, 6.0, 0.0])
     s0 = unit_system(exact_entries(anchors, p_bs, ue, t0=0.0), anchors, p_bs)
     s1 = unit_system(exact_entries(anchors, p_bs, ue, t0=1e-6), anchors, p_bs)
-    assert np.allclose(s0.gammas, s1.gammas, atol=1e-9)
+    assert np.allclose(s0.ranges, s1.ranges, atol=1e-9)
 
 
-def test_symmetric_tiles_equal_gammas():
+def test_symmetric_tiles_equal_ranges():
     anchors = np.array([[4.0, 10.0, 2.0], [6.0, 10.0, 2.0], [5.0, 8.0, 1.0]])
     p_bs = np.array([5.0, 0.0, 2.0])  # equidistant from tiles 1 and 2
     ue = np.array([5.0, 5.0, 0.0])  # likewise
     entries = exact_entries(anchors, p_bs, ue)
     system = unit_system(entries, anchors, p_bs)
-    tiles = [k for _, k in entries if k != system.ref_tile]
-    g1 = system.gammas[tiles.index(1)]
-    g2 = system.gammas[tiles.index(2)]
+    tiles = [k for _, k in entries]
+    g1 = system.ranges[tiles.index(1)]
+    g2 = system.ranges[tiles.index(2)]
     assert g1 == pytest.approx(g2, abs=1e-12)
 
 
@@ -95,7 +101,7 @@ def test_linear_ris_anchors_are_collinear(axis):
     system = unit_system(
         [(taus[i], i + 1) for i in range(16)], scene.tile_centers, scene.p_bs
     )
-    offsets = system.anchor_positions - system.ref_pos
+    offsets = system.positions - system.positions[0]
     assert np.linalg.matrix_rank(offsets, tol=1e-9) == 1
     lattice = seed_lattice(ROOM, scene.tile_centers)
     assert np.linalg.norm(solve_position(system, lattice) - ue) < 1e-4
@@ -121,26 +127,25 @@ def test_build_system_matches_loop_reference():
     tiles_xyz = random_general_anchors(rng, n=12)
     p_bs = np.array([-2.0, 4.0, 1.5])
     taus = rng.uniform(1e-8, 2e-8, 12)
-    taus[[4, 9]] = taus.min() - 1e-9  # smallest ToA tied: tile 5 is the reference
+    taus[[4, 9]] = taus.min() - 1e-9  # smallest ToA tied: tiles 5 and 10
     order = rng.permutation(12)
     entries = [(float(taus[i]), int(i) + 1) for i in order]
     system = unit_system(entries, tiles_xyz, p_bs)
 
-    ref_tau, ref_tile = min((tau, k) for tau, k in entries)
-    ref_pos = tiles_xyz[ref_tile - 1]
-    d_ref = np.linalg.norm(p_bs - ref_pos)
-    rows, gammas = [], []
+    first_tau = min(tau for tau, _ in entries)
+    rows, positions, ranges = [], [], []
     for tau, k in entries:
-        if k == ref_tile:
-            continue
         pos = tiles_xyz[k - 1]
-        gamma = (tau - ref_tau) * SPEED_OF_LIGHT - (np.linalg.norm(p_bs - pos) - d_ref)
-        rows.append(pos)
-        gammas.append(gamma)
-    assert system.ref_tile == ref_tile == 5
-    np.testing.assert_array_equal(system.ref_pos, ref_pos)
-    np.testing.assert_array_equal(system.anchor_positions, rows)
-    np.testing.assert_allclose(system.gammas, gammas, rtol=0, atol=1e-12)
+        rows.append(k - 1)
+        positions.append(pos)
+        ranges.append((tau - first_tau) * SPEED_OF_LIGHT - np.linalg.norm(p_bs - pos))
+    tied = [rows.index(4), rows.index(9)]
+    assert np.array_equal(
+        system.ranges[tied], -np.linalg.norm(p_bs - tiles_xyz[[4, 9]], axis=1)
+    )
+    np.testing.assert_array_equal(system.rows, rows)
+    np.testing.assert_array_equal(system.positions, positions)
+    np.testing.assert_allclose(system.ranges, ranges, rtol=0, atol=1e-12)
 
 
 def test_exact_inversion_general_anchors():
@@ -215,9 +220,8 @@ def test_residual_zero_at_truth():
     p_bs = np.array([0.0, 5.0, 2.0])
     ue = np.array([6.0, 2.0, 0.0])
     system = unit_system(exact_entries(anchors, p_bs, ue), anchors, p_bs)
-    d_ref = np.linalg.norm(ue - system.ref_pos)
-    d = np.linalg.norm(ue - system.anchor_positions, axis=1)
-    assert np.sum(np.abs(system.gammas - (d - d_ref))) < 1e-9
+    e = system.ranges - np.linalg.norm(ue - system.positions, axis=1)
+    assert np.sum(np.abs(e - e[0])) < 1e-9  # one common offset
 
 
 def test_extra_anchor_never_hurts_noiseless():
@@ -242,8 +246,8 @@ def test_weighted_solve_matches_unweighted_on_exact_data():
     system = unit_system(entries, anchors, p_bs)
     lattice = seed_lattice(ROOM, anchors)
     p_plain = solve_position(system, lattice)
-    sigmas = rng.uniform(0.5, 2.0, len(system.gammas))
-    p_weighted = solve_position(replace(system, **gls_weights(sigmas, 0.7)), lattice)
+    sigmas = rng.uniform(0.5, 2.0, len(system.ranges))
+    p_weighted = solve_position(replace(system, **gls_weights(sigmas)), lattice)
     assert np.linalg.norm(p_plain - ue) < 1e-6
     assert np.linalg.norm(p_weighted - ue) < 1e-6
 
@@ -264,7 +268,7 @@ def test_weighted_solve_downweights_corrupt_anchor():
         heights = np.ones(8)
         heights[5] = 1.0 / 300.0  # tile 6: 300 times the others' error scale
         weighted = build_system(entries, heights, scene.tile_centers, scene.p_bs)
-        assert weighted.ref_tile != 6
+        assert weighted.w[5] == (1.0 / 300.0) ** 2
         errs["plain"].append(
             np.linalg.norm(solve_position(system, lattice) - scene.p_ue)
         )
@@ -285,24 +289,71 @@ def test_the_system_owns_the_height_weights_and_no_scale_moves_them():
     dep = cfg.deployment
     system = build_system(entries, mags, dep.tile_centers, dep.p_bs)
 
-    # the scales the labeled solve once formed and whitened: height_ref /
-    # height per row, 1 for the reference, diagonal plus rank one
-    by_tile = {k: m for (_, k), m in zip(entries, mags)}
-    ref_height = by_tile[system.ref_tile]
-    sigmas = np.array(
-        [ref_height / by_tile[k] for _, k in entries if k != system.ref_tile]
-    )
-    dinv = 1.0 / np.maximum(sigmas, 1e-30) ** 2
-    s2_ref = float(1.0) ** 2
-    k = s2_ref / (1.0 + s2_ref * float(np.sum(dinv)))
-    assert np.array_equal(system.dinv, dinv) and system.k == k
+    # the weights of the labeled solve: each arrival's height over the
+    # largest, squared, one per arrival in entry order
+    top = max(mags)
+    w = np.array([(m / top) ** 2 for m in mags])
+    assert np.array_equal(system.w, w)
 
     fix = solve_position(system, dep.lattice)
     for j in (-900, 0, 900):
         heights = [m * 2.0**j for m in mags]
         scaled = build_system(entries, heights, dep.tile_centers, dep.p_bs)
-        assert np.array_equal(scaled.dinv, system.dinv) and scaled.k == system.k
+        assert np.array_equal(scaled.w, system.w)
         assert np.array_equal(solve_position(scaled, dep.lattice), fix)
+
+
+def reference_differenced_cost(entries, heights, tile_positions, p_bs, points):
+    """The solve's cost as it was once formed, at floor ``points`` (P, 2):
+    range differences against the earliest arrival (ties to the lower tile),
+    whose error is common to every residual, weighted by the Sherman-Morrison
+    inverse ``D - k (D 1)(D 1)^T`` of their covariance, ``D = diag(dinv)``."""
+    toas = np.array([t for t, _ in entries])
+    tiles = np.array([k for _, k in entries])
+    heights = np.asarray(heights, dtype=float)
+    ref = int(np.lexsort((tiles, toas))[0])
+    rest = np.arange(len(entries)) != ref
+    pos = np.asarray(tile_positions)[tiles - 1]
+    d_bs = np.linalg.norm(np.asarray(p_bs) - pos, axis=1)
+    gammas = (toas[rest] - toas[ref]) * SPEED_OF_LIGHT - (d_bs[rest] - d_bs[ref])
+    dinv = (heights[rest] / heights[ref]) ** 2
+    k = 1.0 / (1.0 + float(np.sum(dinv)))
+    floor = np.column_stack([points, np.zeros(len(points))])
+    d = np.linalg.norm(floor[:, None, :] - pos, axis=2)
+    r = gammas - (d[:, rest] - d[:, [ref]])
+    q_sum = r @ dinv
+    return (r * r) @ dinv - k * q_sum * q_sum, (heights[ref] / heights.max()) ** 2
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["desk", "full"])
+def test_the_offset_free_cost_is_the_reference_differenced_cost(full):
+    # concentrating the common offset out of one range per arrival gives the
+    # reference-differenced weighted cost, scaled by the earliest arrival's
+    # weight; a trial's baseline entries: every detected arrival, each height
+    cfg = ExperimentConfig(seed=5) if full else ExperimentConfig(
+        tile_count=16, subcarriers=256, spacing_hz=1.5625e6, frames=8, seed=5
+    )
+    rng = np.random.default_rng(5)
+    obs = observe(cfg, np.array([3.0, 6.0, 0.0]), rng)
+    entries, mags = label_baseline_dft(obs.toa_groups, obs.assignment)
+    dep = cfg.deployment
+    system = build_system(entries, mags, dep.tile_centers, dep.p_bs)
+    room = dep.lattice.room
+
+    points = rng.uniform(room[0][:2], room[1][:2], (20, 2))
+    expected, scale = reference_differenced_cost(
+        entries, mags, dep.tile_centers, dep.p_bs, points
+    )
+    costs = [_gn_descend(system, xy, room, 0)[1] for xy in points]
+    np.testing.assert_allclose(costs, expected * scale, rtol=1e-9)
+
+    on_lattice, _ = reference_differenced_cost(
+        entries, mags, dep.tile_centers, dep.p_bs, dep.lattice.points
+    )
+    assert np.array_equal(
+        tdoa._lattice_seed(system, dep.lattice),
+        dep.lattice.points[np.argmin(on_lattice)],
+    )
 
 
 # the tile centers of the linear RIS below, and their seed lattice in ROOM
@@ -316,26 +367,35 @@ LINEAR_LATTICE = seed_lattice(ROOM, LINEAR_TILES)
 
 def noisy_linear_system(seed, sigma_ref):
     # a linear RIS: collinear anchors, as in every simulated trial; the
-    # system is weighted as the GLS fit with scales ``sigmas`` and ``sigma_ref``
+    # system is weighted as the GLS fit with scales ``sigma_ref`` for the
+    # earliest arrival, its first, and ``sigmas`` for the rest
     rng = np.random.default_rng(seed)
     layout = RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
     taus = toa_vector(scene) + rng.normal(0, 2e-10, 8)
-    entries = [(float(taus[i]), i + 1) for i in range(8)]
+    entries = earliest_first((float(taus[i]), i + 1) for i in range(8))
     system = unit_system(entries, scene.tile_centers, scene.p_bs)
-    sigmas = rng.uniform(0.02, 0.2, len(system.gammas))
-    return replace(system, **gls_weights(sigmas, sigma_ref)), sigmas
+    sigmas = rng.uniform(0.02, 0.2, len(system.ranges) - 1)
+    return replace(system, **gls_weights(np.r_[sigma_ref, sigmas])), sigmas
+
+
+def differenced_residuals(system, q):
+    """Range residuals at floor point ``q`` differenced against the first
+    arrival: the common offset cancels."""
+    floor = np.array([q[0], q[1], 0.0])
+    e = system.ranges - np.linalg.norm(floor - system.positions, axis=1)
+    return e[1:] - e[0]
 
 
 def dense_gls_gradient(system, p, sigmas, sigma_ref, h=1e-5):
-    """Central-difference floor gradient of the dense GLS cost at ``p``."""
+    """Central-difference floor gradient of the dense GLS cost at ``p``: the
+    residuals differenced against the first arrival, of scale ``sigma_ref``,
+    whose error is common to all of them."""
     n = len(sigmas)
     cov_inv = np.linalg.inv(np.diag(sigmas**2) + sigma_ref**2 * np.ones((n, n)))
 
     def cost(xy):
-        q = np.array([xy[0], xy[1], 0.0])
-        d = np.linalg.norm(q - system.anchor_positions, axis=1)
-        r = system.gammas - (d - np.linalg.norm(q - system.ref_pos))
+        r = differenced_residuals(system, xy)
         return r @ cov_inv @ r
 
     return np.array(
@@ -356,7 +416,7 @@ def test_weighted_fallback_is_stationary_for_dense_gls_cost():
 def test_fallback_out_of_iterations_raises_with_estimate_in_room(monkeypatch):
     system, sigmas = noisy_linear_system(12, 0.05)
     monkeypatch.setattr(tdoa, "_MAX_ITER", 1)
-    unit = replace(system, **gls_weights(np.ones(len(sigmas)), 1.0))
+    unit = replace(system, **gls_weights(np.ones(len(system.ranges))))
     for weighted in (unit, system):
         with pytest.raises(PositionEstimationError) as excinfo:
             solve_position(weighted, LINEAR_LATTICE)
@@ -383,16 +443,17 @@ def test_a_nan_arrival_raises_a_plain_value_error_before_any_descent():
 def _system_beyond_walls(ue):
     # a linear RIS, as in every simulated trial, and a UE outside the room:
     # the unconstrained minimum of the noiseless cost lies at ``ue``; weighted
-    # as the GLS fit with scales ``sigmas`` and 0.05
+    # as the GLS fit with scales 0.05 for the earliest arrival, its first, and
+    # ``sigmas`` for the rest
     layout = RisLayout(tile_count=8, tile_spacing=0.8, center=[5, 10, 2], axis=[1, 0, 0])
     scene = build_scene(layout, [0, 5, 2], [4, 4, 0])
     system = unit_system(
-        exact_entries(scene.tile_centers, scene.p_bs, np.asarray(ue)),
+        earliest_first(exact_entries(scene.tile_centers, scene.p_bs, np.asarray(ue))),
         scene.tile_centers,
         scene.p_bs,
     )
-    sigmas = np.random.default_rng(13).uniform(0.02, 0.2, len(system.gammas))
-    return replace(system, **gls_weights(sigmas, 0.05)), sigmas
+    sigmas = np.random.default_rng(13).uniform(0.02, 0.2, len(system.ranges) - 1)
+    return replace(system, **gls_weights(np.r_[0.05, sigmas])), sigmas
 
 
 def test_minimum_beyond_a_wall_converges_on_the_wall():
@@ -414,20 +475,21 @@ def test_minimum_beyond_a_corner_converges_on_the_corner():
 
 
 def _desk_wall_system():
-    # the weighted bootstrap solve of a desk trial (seed 1, trial solve 292)
+    # the weighted bootstrap solve of a desk trial (seed 1, trial solve 292),
+    # its ranges taken relative to the earliest arrival's
     return TdoaSystem(
-        ref_tile=1,
-        ref_pos=np.array([4.25, 10.0, 2.0]),
-        anchor_positions=np.array(
-            [[4.75, 10.0, 2.0], [5.25, 10.0, 2.0], [5.75, 10.0, 2.0]]
+        rows=np.array([0, 1, 2, 3]),
+        positions=np.array(
+            [[4.25, 10.0, 2.0], [4.75, 10.0, 2.0], [5.25, 10.0, 2.0], [5.75, 10.0, 2.0]]
         ),
-        gammas=np.array(
-            [0.23627843146434357, 0.49129712021605254, 0.7645646330304745]
+        ranges=np.array(
+            [0.0, 0.23627843146434357, 0.49129712021605254, 0.7645646330304745]
         ),
-        anchor_rows=np.array([1, 2, 3]),
         **gls_weights(
-            np.array([0.4139880890734635, 0.6606798533108409, 0.9469221785393026]),
-            0.7085783888743424,
+            np.array(
+                [0.7085783888743424, 0.4139880890734635, 0.6606798533108409,
+                 0.9469221785393026]
+            )
         ),
     )
 
@@ -444,21 +506,21 @@ def test_wall_descent_from_a_desk_trial_converges_quickly():
 def test_descent_stops_on_a_short_step_without_evaluating_it(monkeypatch):
     # the desk system above, from (1, 2): the descent stops before it
     # evaluates a step shorter than 10 nm, which a cost comparison cannot
-    # resolve, and makes 15 cost evaluations
+    # resolve, and makes 16 cost evaluations
     system = _desk_wall_system()
     evaluations = []
 
-    class CountingMath:
-        # each cost evaluation takes one scalar square root: the distance
-        # to the reference anchor
+    class CountingNumpy:
+        # each cost evaluation takes one square root: the distances to the
+        # tiles
         def sqrt(self, value):
             evaluations.append(value)
-            return math.sqrt(value)
+            return np.sqrt(value)
 
         def __getattr__(self, name):
-            return getattr(math, name)
+            return getattr(np, name)
 
-    monkeypatch.setattr(tdoa, "math", CountingMath())
+    monkeypatch.setattr(tdoa, "np", CountingNumpy())
     p, _, done = _gn_descend(system, np.array([1.0, 2.0]), ROOM, 100)
     assert done
     assert p[0] == 0.0 and p[1] == pytest.approx(1.824, abs=1e-3)
@@ -471,16 +533,14 @@ def _mirror_plane_system():
     sigmas = np.array([0.9027465275675126, 0.3426618025046, 0.7998067985317598])
     sigma_ref = 2.7026985222616036
     system = TdoaSystem(
-        ref_tile=1,
-        ref_pos=np.array([4.25, 5.0, 2.0]),
-        anchor_positions=np.array(
-            [[4.75, 5.0, 2.0], [5.25, 5.0, 2.0], [5.75, 5.0, 2.0]]
+        rows=np.array([0, 1, 2, 3]),
+        positions=np.array(
+            [[4.25, 5.0, 2.0], [4.75, 5.0, 2.0], [5.25, 5.0, 2.0], [5.75, 5.0, 2.0]]
         ),
-        gammas=np.array(
-            [-0.21121928337357104, -0.3486304976696608, -0.37277577429165]
+        ranges=np.array(
+            [0.0, -0.21121928337357104, -0.3486304976696608, -0.37277577429165]
         ),
-        anchor_rows=np.array([1, 2, 3]),
-        **gls_weights(sigmas, sigma_ref),
+        **gls_weights(np.r_[sigma_ref, sigmas]),
     )
     return system, sigmas, sigma_ref
 
@@ -490,17 +550,15 @@ def _whitened_costs(system, points, sigmas, sigma_ref):
     cov = np.diag(sigmas**2) + sigma_ref**2
     inv = np.linalg.inv(cov)
     costs = []
-    for x, y in points:
-        p = np.array([x, y, 0.0])
-        d = np.linalg.norm(system.anchor_positions - p, axis=1)
-        r = system.gammas - (d - np.linalg.norm(system.ref_pos - p))
+    for xy in points:
+        r = differenced_residuals(system, xy)
         costs.append(r @ inv @ r)
     return np.array(costs)
 
 
 def test_the_seed_is_the_lowest_finite_cost_with_ties_in_lattice_order():
     mirror, sigmas, sigma_ref = _mirror_plane_system()
-    lattice = seed_lattice(ROOM, np.vstack([mirror.ref_pos, mirror.anchor_positions]))
+    lattice = seed_lattice(ROOM, mirror.positions)
     cost = _whitened_costs(mirror, lattice.points, sigmas, sigma_ref)
     low = np.argmin(cost)
     assert lattice.points[low][1] == 5.0  # on the anchors' mirror plane
@@ -525,10 +583,10 @@ def test_the_seed_is_the_lowest_finite_cost_with_ties_in_lattice_order():
         seed = tdoa._lattice_seed(mirror, holed)
     assert np.array_equal(seed, lattice.points[twins[1]])
 
-    # no finite cost at all: a NaN range difference
-    nan_gamma = replace(mirror, gammas=np.array([np.nan, 0.0, 0.0]))
+    # no finite cost at all: a NaN range
+    nan_range = replace(mirror, ranges=np.array([0.0, np.nan, 0.0, 0.0]))
     with pytest.raises(ValueError, match="no finite local minimum"):
-        tdoa._lattice_seed(nan_gamma, lattice)
+        tdoa._lattice_seed(nan_range, lattice)
 
 
 def test_a_lattice_for_a_smaller_room_bounds_the_fit_to_its_floor():
@@ -551,21 +609,18 @@ def test_slow_approach_to_the_ris_wall_resumes_and_converges():
     sigmas = np.array([2.0440967304442035, 1.401282405339956, 0.2337682381923353])
     sigma_ref = 0.3188841507180317
     system = TdoaSystem(
-        ref_tile=1,
-        ref_pos=np.array([4.25, 10.0, 2.0]),
-        anchor_positions=np.array(
-            [[4.75, 10.0, 2.0], [5.25, 10.0, 2.0], [5.75, 10.0, 2.0]]
+        rows=np.array([0, 1, 2, 3]),
+        positions=np.array(
+            [[4.25, 10.0, 2.0], [4.75, 10.0, 2.0], [5.25, 10.0, 2.0], [5.75, 10.0, 2.0]]
         ),
-        gammas=np.array(
-            [0.39637915646020394, 0.8338318616062865, 1.2707583727074359]
+        ranges=np.array(
+            [0.0, 0.39637915646020394, 0.8338318616062865, 1.2707583727074359]
         ),
-        anchor_rows=np.array([1, 2, 3]),
-        **gls_weights(sigmas, sigma_ref),
+        **gls_weights(np.r_[sigma_ref, sigmas]),
     )
     _, _, done = _gn_descend(system, np.array([1.0, 8.5]), ROOM, 100)
     assert not done
-    tiles = np.vstack([system.ref_pos, system.anchor_positions])  # rows 0..3
-    p = solve_position(system, seed_lattice(ROOM, tiles))
+    p = solve_position(system, seed_lattice(ROOM, system.positions))
     assert p[1] == 10.0
     assert abs(dense_gls_gradient(system, p, sigmas, sigma_ref)[0]) < 1e-6
 
