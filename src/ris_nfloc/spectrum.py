@@ -306,7 +306,7 @@ def _pencil_groups(
 
     circle = spec.n_bar / d  # bins the decimated poles tell apart
     out = {}
-    for m in np.unique(sizes):
+    for m in sorted(set(sizes.tolist())):
         sel = np.nonzero(sizes == m)[0]
         basis = vecs[sel, :, -m:]
         # shift invariance basis[1:] = basis[:-1] @ psi; the columns are

@@ -342,6 +342,32 @@ def test_pencil_resolves_group_the_peak_picker_under_detects():
     assert groups.magnitudes[shared] == pytest.approx([cfg.l_frames] * 2, rel=1e-9)
 
 
+def test_pencil_adds_groups_in_ascending_size_order():
+    cfg = small_cfg(l=4)
+    q = 4
+    assignment = assign(7, 4, 2)
+    assert assignment.groups[1] == (2, 4, 6) and assignment.groups[2] == (3, 5)
+    bin_s = 1.0 / (q * 64 * cfg.spacing)
+    start = {1: 30, 2: 60, 3: 10, 4: 90}  # all within half a period: no unwrap
+    taus, betas, amps = [], [], []
+    for i, tiles in sorted(assignment.groups.items()):
+        for j, _ in enumerate(tiles):
+            # 1.1/B apart with phases a quarter turn apart: one hump per group
+            taus.append((start[i] + 1.1 * q * j) * bin_s)
+            betas.append(i / 4)
+            amps.append((-1j) ** j)
+    spec = spectrum_2d(frames_from_paths(taus, betas, amps, cfg), q)
+    assert peak_picked(spec, assignment, threshold_factor=30.0).under_detected == {1, 2}
+    groups = extract_toas(spec, assignment, threshold_factor=30.0)
+    assert groups.under_detected == frozenset()
+    # the peak picker's groups in group order, then the pencil's: the group of
+    # two tiles before the group of three
+    assert list(groups.toas) == list(groups.magnitudes) == [3, 4, 2, 1]
+    for i in (1, 2):
+        truth = np.sort([t for t, b in zip(taus, betas) if b == i / 4])
+        assert np.max(np.abs(np.sort(groups.toas[i]) - truth)) < 1e-6 * bin_s
+
+
 def test_pencil_group_below_floor_keeps_peak_picker_result():
     cfg = small_cfg(l=3, noise=0.002)
     q = 4
@@ -467,6 +493,7 @@ def shortcut_log(monkeypatch):
         (256, 32, 16, 4, 3e-3),  # L > K
         (256, 8, 16, 1, 3e-3),  # oversampling 1
         (255, 8, 16, 3, 3e-3),  # odd n_bar = 765
+        (256, 9, 16, 4, 3e-3),  # shared groups of 2 and of 3 tiles
     ],
 )
 def test_extract_toas_equals_per_column_reference(n, l, k, q, noise, shortcut_log):
