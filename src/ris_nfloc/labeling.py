@@ -1,17 +1,18 @@
 """Path labeling: matching extracted arrival times to reflecting tiles.
 
-Tiles with exclusive slopes label themselves and seed a first position fix.
+Tiles with exclusive slopes label themselves and give the anchors-only fix.
 Within a slope-sharing group the descending arrival times are matched to the
-tiles geometrically.  The paper's pairwise discriminant (:func:`in_region`)
-asks, at the position estimate, whether one tile's predicted BS -> tile -> UE
-path is longer than the other's; the positions where it is are bounded by a
-hyperboloid with the two tiles as foci (:func:`in_region_quadric`).  Since the
-discriminant compares one scalar per tile, sorting a group by adjacent
-pairwise tests is a sort by predicted path length, and :func:`spl_sort` does
-that sort for groups of every size.  A labeled list is a list of
-``(toa, tile)`` entries; every one :func:`run_spl` returns was last passed
-through :func:`ris_nfloc.tdoa.build_system`, which rejects a repeated tile.
-The one geometry every labeler and solve here takes is the config's
+tiles geometrically, at that one fix, and the labeled set is solved once.
+The paper's pairwise discriminant (:func:`in_region`) asks, at a position
+estimate, whether one tile's predicted BS -> tile -> UE path is longer than
+the other's; the positions where it is are bounded by a hyperboloid with the
+two tiles as foci (:func:`in_region_quadric`).  Since the discriminant
+compares one scalar per tile, sorting a group by adjacent pairwise tests is a
+sort by predicted path length, and :func:`spl_sort` does that sort for groups
+of every size.  A labeled list is a list of ``(toa, tile)`` entries; every
+one :func:`run_spl` returns was last passed through
+:func:`ris_nfloc.tdoa.build_system`, which rejects a repeated tile.  The one
+geometry every labeler and solve here takes is the config's
 :class:`~ris_nfloc.deployment.Deployment`: the tile centers, the BS, its
 legs and the seed lattice, all known before a trial; the UE's true position
 and clock offset never reach them.
@@ -132,8 +133,8 @@ def _group_resolvable(
     """Decomposability check of one group against the delay resolution.
 
     A group fails when its extracted arrivals sit closer than ``min_gap`` or
-    when the arrivals its tiles would produce at the current position
-    estimate do, i.e. the mainlobes overlap and the extracted peaks cannot be
+    when the arrivals its tiles would produce at the position estimate
+    ``p_est`` do, i.e. the mainlobes overlap and the extracted peaks cannot be
     per-tile delays.
     """
     if len(toas) > 1 and float(np.min(-np.diff(toas))) < min_gap:
@@ -161,42 +162,40 @@ def run_spl(
     dep: Deployment,
     min_toa_gap: float,
 ) -> tuple[list[tuple[float, int]], np.ndarray, list[TraceRow]]:
-    """Label every decomposed arrival and refine the position group by group.
+    """Label every decomposed arrival at the anchors-only fix, then solve once.
 
-    Singleton groups label themselves and bootstrap the position; remaining
-    groups are processed in ascending duplication order, each re-solving the
-    position with all labels gathered so far; :func:`spl_sort` labels each
-    shared group.  Under-detected groups are skipped, as are groups failing
-    the decomposability check against ``min_toa_gap`` (a mainlobe width in
-    seconds, e.g. 2/bandwidth): arrivals closer than that sit inside each
-    other's mainlobes and their peaks carry no trustworthy tile-wise delays.
-    A gap of 0 labels every detected group; ``np.inf`` skips every shared
-    group and returns the anchors-only fix the refinement starts from.  Every
-    position solve runs on the tiles and seed lattice of ``dep`` and weights
-    each arrival by its peak height (see :func:`solve_labeled`).
-    Returns the labeled entries ``(toa, tile)``, the final position estimate
-    and a trace of the method used per group.  Fewer than three detected
-    exclusive-slope arrivals raise :class:`ris_nfloc.tdoa.BootstrapError`
-    from the first solve.
+    Singleton groups label themselves and give the anchors-only fix.  Every
+    shared group is decided at that one fix, in ascending duplication order
+    and then slope index: :func:`spl_sort` labels it unless it is
+    under-detected or fails the decomposability check against
+    ``min_toa_gap`` (a mainlobe width in seconds, e.g. 2/bandwidth):
+    arrivals closer than that sit inside each other's mainlobes and their
+    peaks carry no trustworthy tile-wise delays.  If any shared group was
+    labeled, the whole labeled set is solved once more; otherwise the
+    anchors-only fix is returned.  A gap of 0 labels every detected group;
+    ``np.inf`` skips every shared group.  Every position solve runs on the
+    tiles and seed lattice of ``dep`` and weights each arrival by its peak
+    height (see :func:`solve_labeled`).  Returns the labeled entries
+    ``(toa, tile)``, the final position estimate and a trace of the method
+    used per group.  Fewer than three detected exclusive-slope arrivals
+    raise :class:`ris_nfloc.tdoa.BootstrapError` from the first solve.
     """
     entries, mags, trace = _exclusive_arrivals(toa_groups, assignment)
-    p_est = solve_labeled(entries, mags, dep)
+    fix = solve_labeled(entries, mags, dep)
+    anchors = len(entries)
 
     multi = [i for i in assignment.groups if len(assignment.groups[i]) > 1]
     for i in sorted(multi, key=lambda i: (len(assignment.groups[i]), i)):
         tiles = assignment.groups[i]
         dod = len(tiles)
-        if i not in toa_groups.toas:
+        toas = toa_groups.toas.get(i)
+        if toas is None or not _group_resolvable(tiles, toas, fix, dep, min_toa_gap):
             trace.append(TraceRow(i, dod, "skipped"))
             continue
-        toas = toa_groups.toas[i]
-        if not _group_resolvable(tiles, toas, p_est, dep, min_toa_gap):
-            trace.append(TraceRow(i, dod, "skipped"))
-            continue
-        seq = spl_sort(tiles, p_est, dep)
         trace.append(TraceRow(i, dod, "pair" if dod == 2 else "sort"))
-        entries.extend((float(t), k) for t, k in zip(toas, seq))
+        entries.extend((float(t), k) for t, k in zip(toas, spl_sort(tiles, fix, dep)))
         mags.extend(float(m) for m in toa_groups.magnitudes[i])
-        p_est = solve_labeled(entries, mags, dep)
 
-    return entries, p_est, trace
+    if len(entries) > anchors:
+        fix = solve_labeled(entries, mags, dep)
+    return entries, fix, trace

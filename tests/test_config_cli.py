@@ -224,6 +224,9 @@ BAD_CONFIGS = {
     # one subcarrier gives every slope column a flat delay profile without a
     # peak, which censored every trial
     "one_subcarrier": "[waveform]\nsubcarriers = 1\n",
+    # values that do not parse as the key's type
+    "tile_count_not_a_number": "[scene]\ntile_count = twelve\n",
+    "ris_center_not_numbers": "[scene]\nris_center_m = 5,x,2\n",
     # files configparser cannot parse
     "key_before_section": "tile_count = 16\n[scene]\n",
     "key_without_value": "[scene]\ntile_count\n",
@@ -275,6 +278,19 @@ def test_noise_ratio_out_of_range_names_its_keys(name, values, tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         load_config(str(bad))
     assert str(excinfo.value).startswith("[waveform] " + values)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("tile_count_not_a_number", "bad value for [scene] tile_count: 'twelve' ("),
+    ("ris_center_not_numbers", "bad value for [scene] ris_center_m: '5,x,2' "
+     "(expected comma-separated numbers, got '5,x,2')"),
+])
+def test_unparsable_value_names_its_key(name, message, tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BAD_CONFIGS[name])
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(str(bad))
+    assert str(excinfo.value).startswith(message)
 
 
 def test_noise_far_above_the_signal_runs(tmp_path):
@@ -441,6 +457,10 @@ BAD_ARGUMENTS = {
     "bench_size_negative": ["bench", "--sizes", "-4"],
     "bench_size_fraction": ["bench", "--sizes", "2.5"],
     "bench_single_size": ["bench", "--sizes", "256"],
+    # lists that do not parse as numbers
+    "sweep_values_not_numbers": ["sweep", "--var", "L", "--values", "8,x"],
+    "peb_ue_not_numbers": ["peb", "--ue", "5,y"],
+    "bench_sizes_not_numbers": ["bench", "--sizes", "64,z"],
 }
 
 
@@ -452,6 +472,18 @@ def test_bad_command_line_value_exits_2(name, desk_config, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     # rejected before the first trial: no result file is written
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name, text", [
+    ("sweep_values_not_numbers", "8,x"),
+    ("peb_ue_not_numbers", "5,y"),
+    ("bench_sizes_not_numbers", "64,z"),
+])
+def test_unparsable_list_names_its_text(name, text, desk_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--config", desk_config, "--out", str(out)] + BAD_ARGUMENTS[name]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: expected comma-separated numbers, got {text!r}\n")
 
 
 def test_bench_runs_on_every_config_simulate_runs(tmp_path):

@@ -383,8 +383,8 @@ def test_rmse_improves_with_frame_budget():
 
 
 def test_full_labeling_never_worse_than_bootstrap_median():
-    # statistical contract: the group-by-group refinement cannot lose to the
-    # bare anchor fix in the median
+    # statistical contract: labeling the shared groups at the anchors-only fix
+    # and solving the labeled set once cannot lose to that fix in the median
     from ris_nfloc.bounds import cascade_snrs  # noqa: F401  (import sanity)
     from ris_nfloc.channel import MultipathConfig, realize_channel
     from ris_nfloc.geometry import build_scene, toa_vector

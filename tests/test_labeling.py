@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from ris_nfloc import labeling
 from ris_nfloc.config import ExperimentConfig
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import RisLayout, build_scene, toa_vector
-from ris_nfloc.harness import observe
+from ris_nfloc.harness import _draw_ue, observe
 from ris_nfloc.labeling import (
     _group_resolvable,
     _path_lengths,
@@ -287,6 +288,53 @@ def test_run_spl_exact_toas_perfect_labels():
             got = tuple(sorted(tiles, key=lambda k: -lookup[k]))
             assert got == truth
         assert np.linalg.norm(p_hat - scene.p_ue) < 1e-4
+
+
+@pytest.mark.parametrize("gap, solves", [(0.0, 2), (np.inf, 1)])
+def test_run_spl_solves_the_anchors_then_the_labeled_set_once(monkeypatch, gap, solves):
+    # one solve of the exclusive-slope arrivals, and one more of every label
+    # only if a shared group was labeled: never one per labeled group
+    sizes = []
+    solve = labeling.solve_labeled
+
+    def counted(entries, mags, dep):
+        sizes.append(len(entries))
+        return solve(entries, mags, dep)
+
+    monkeypatch.setattr(labeling, "solve_labeled", counted)
+    assignment = assign(16, 8, 4)
+    layout = RisLayout(tile_count=16, tile_spacing=0.1, center=[5, 10, 2], axis=[1, 0, 0])
+    scene = build_scene(layout, [0, 5, 2], [3.5, 4.5, 0], t0=2e-7)
+    entries, _, trace = run_spl(
+        exact_groups(scene, assignment), assignment, deployment(16, 0.1), min_toa_gap=gap
+    )
+    labeled = [row for row in trace if row.method in ("pair", "sort")]
+    assert len(labeled) == (4 if gap == 0.0 else 0)
+    assert sizes == [4, 16][:solves]
+    assert len(entries) == sizes[-1]
+
+
+def test_run_spl_decides_every_shared_group_at_the_anchors_only_fix():
+    # desk seed-1 trial 8 at margin 0: deciding each group at a fix re-solved
+    # after the group before it orders a shared group otherwise than the
+    # anchors-only fix does
+    cfg = ExperimentConfig(
+        tile_count=16, subcarriers=256, spacing_hz=1.5625e6, frames=8,
+        resolvability_margin=0.0,
+    )
+    dep = cfg.deployment
+    rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(0, 8)))
+    obs = observe(cfg, _draw_ue(cfg, rng), rng)
+    args = (obs.toa_groups, obs.assignment, dep)
+    _, fix, _ = run_spl(*args, min_toa_gap=np.inf)
+    entries, _, trace = run_spl(*args, min_toa_gap=0.0)
+    toa_of = {k: toa for toa, k in entries}
+    labeled = [row.group_id for row in trace if row.method in ("pair", "sort")]
+    assert labeled
+    for i in labeled:
+        tiles, toas = obs.assignment.groups[i], obs.toa_groups.toas[i]
+        assert _group_resolvable(tiles, toas, fix, dep, 0.0)
+        assert tuple(sorted(tiles, key=lambda k: -toa_of[k])) == spl_sort(tiles, fix, dep)
 
 
 def test_run_spl_sufficient_budget_matches_plain_tdoa():
