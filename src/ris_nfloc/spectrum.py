@@ -94,10 +94,12 @@ class ToaGroups:
         )
 
 
-# Complex work buffer of one block of slope columns.  Each FFT call costs
-# about 0.05 ms at n_bar = 12800, so larger blocks run faster; at 1.5 MiB a
-# full-scale trial (N = 3200, L = 16, q = 4) holds block and float map in
-# less than the 3.3 MB complex grid, while 2 MiB raised its peak RSS
+# Byte budget of the complex work buffer of one block of slope columns.
+# Blocks come in whole groups of four columns: at n_bar = 12800 an FFT call
+# over 1-3 columns costs 0.18-0.22 ms per column, over 4 or more about
+# 0.09-0.10 ms.  A block is at most the larger of this budget and four
+# columns, so for L >= 8 never larger than the float map; at full scale
+# (N = 3200, q = 4) it is 4 columns, 0.82 MB.
 _BLOCK_BYTES = 3 << 19
 
 
@@ -106,15 +108,16 @@ def _column_blocks(samples: np.ndarray, oversampling: int):
 
     Yields ``(first column, block)`` with ``block`` a complex
     (columns, n_bar) array whose row r is the n_bar-point transform of slope
-    column ``first + r``, subcarrier n placed at sample n mod n_bar.  Every
-    block is written into one work buffer of at most ``_BLOCK_BYTES`` (one
-    column when a column is larger), so a block is valid only until the
-    next one is drawn.
+    column ``first + r``, subcarrier n placed at sample n mod n_bar.  A
+    block holds as many whole groups of four columns as fit
+    ``_BLOCK_BYTES``, at least one group and at most all L columns; only
+    the last block may be shorter.  Every block is written into one work
+    buffer, so a block is valid only until the next one is drawn.
     """
     n, l = samples.shape
     n_bar = oversampling * n
     head = min(n, n_bar - 1)
-    rows = min(l, max(1, _BLOCK_BYTES // (16 * n_bar)))
+    rows = min(l, 4 * max(1, _BLOCK_BYTES // (64 * n_bar)))
     work = np.empty((rows, n_bar), dtype=np.complex128)
     for first in range(0, l, rows):
         cols = samples[:, first : first + rows].T

@@ -108,15 +108,48 @@ def test_fft_matches_dense_sum():
 @pytest.mark.parametrize("q", [4, 1])  # at q = 1 subcarrier N wraps to row 0
 def test_column_blocks_equal_one_shot_transform(q, monkeypatch):
     rng = np.random.default_rng(2)
-    cfg = small_cfg(n=48, l=8)
-    s = rng.standard_normal((48, 8)) + 1j * rng.standard_normal((48, 8))
+    cfg = small_cfg(n=48, l=10)
+    s = rng.standard_normal((48, 10)) + 1j * rng.standard_normal((48, 10))
     frames = FrameMatrix.from_symbols(s, cfg)
-    # blocks of 3 columns: 3 + 3 + 2, so L is not a multiple of a block
-    monkeypatch.setattr(spectrum, "_BLOCK_BYTES", 3 * 16 * q * 48)
-    assert [len(b) for _, b in spectrum._column_blocks(frames.s, q)] == [3, 3, 2]
+    # a budget of one 4-column group: 4 + 4 + 2, so L is not a multiple of
+    # a block
+    monkeypatch.setattr(spectrum, "_BLOCK_BYTES", 4 * 16 * q * 48)
+    assert [len(b) for _, b in spectrum._column_blocks(frames.s, q)] == [4, 4, 2]
     whole = one_shot_transform(frames, q)
     assert block_transform(frames, q).T.tobytes() == whole.tobytes()
     assert spectrum_2d(frames, q).grid.T.tobytes() == np.abs(whole).tobytes()
+
+
+def block_sizes(n, l, q=4):
+    samples = np.zeros((n, l), dtype=complex)
+    return [len(b) for _, b in spectrum._column_blocks(samples, q)]
+
+
+def test_column_blocks_come_in_whole_groups_of_four():
+    # full scale (n_bar = 12800): every FFT call transforms 4 columns
+    for l in (16, 32, 64):
+        assert block_sizes(3200, l) == [4] * (l // 4)
+    # desk (n_bar = 1024, L = 8): one block of all columns
+    assert block_sizes(256, 8) == [8]
+    # bench's sizes at L = 16
+    assert block_sizes(256, 16) == [16]
+    assert block_sizes(1024, 16) == [16]
+    assert block_sizes(2048, 16) == [12, 4]
+    assert block_sizes(4096, 16) == [4, 4, 4, 4]
+
+
+def test_spectrum_2d_holds_the_map_and_one_4_column_block():
+    # full scale at L = 16: the float map and a 4-column complex block,
+    # 8 * n_bar * L + 64 * n_bar = 2.46 MB; a 7-column block takes 3.07 MB
+    cfg = small_cfg(n=3200, l=16)
+    frames = FrameMatrix(s=np.ones((3200, 16), dtype=complex), config=cfg)
+    tracemalloc.start()
+    try:
+        spec = spectrum_2d(frames, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spec.n_bar * 16 + 64 * spec.n_bar + (64 << 10)
 
 
 def test_spectrum_2d_never_holds_the_complex_grid():
