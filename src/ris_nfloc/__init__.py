@@ -37,7 +37,6 @@ _pin_malloc()
 
 from .bounds import FimResult, cascade_snrs, fim, toa_variance
 from .channel import (
-    ChannelRealization,
     MultipathConfig,
     backward_direct,
     forward_direct,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapError",
-    "ChannelRealization",
     "FimResult",
     "FrameMatrix",
     "MultipathConfig",

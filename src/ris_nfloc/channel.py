@@ -12,7 +12,6 @@ The per-tile cascade gain is the inner product of the two element vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,19 +40,6 @@ class MultipathConfig:
             raise ValueError("j_paths must be >= 0")
         if self.excess_min_m <= 0 or self.excess_max_m < self.excess_min_m:
             raise ValueError("excess delays must be positive and ordered")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the element channels and the per-tile cascade gains."""
-
-    forward: np.ndarray  # (K, M) complex
-    backward: np.ndarray  # (K, M) complex
-
-    @cached_property
-    def cascade(self) -> np.ndarray:
-        """(K,) complex cascade gains, the row-wise inner products."""
-        return np.einsum("km,km->k", self.backward, self.forward)
 
 
 def forward_direct(scene: Scene, wavelength: float, k: int, m: int) -> complex:
@@ -133,8 +119,9 @@ def realize_channel(
     mp: MultipathConfig,
     forward: tuple[np.ndarray, np.ndarray],
     seed: int,
-) -> ChannelRealization:
-    """Draw forward/backward element channels and per-tile cascade gains.
+) -> np.ndarray:
+    """Draw forward/backward element channels; return the (K,) complex
+    per-tile cascade gains, the row-wise inner products of the two.
 
     With ``j_paths=0`` the channels are the pure direct components and the
     realization is deterministic.  Otherwise the multipath draws of the two
@@ -149,4 +136,4 @@ def realize_channel(
         direct_link(scene.p_ue, elements, centers, wavelength, scene.phi0),
         wavelength, mp, rng,
     )
-    return ChannelRealization(forward=forward, backward=backward)
+    return np.einsum("km,km->k", backward, forward)

@@ -44,7 +44,7 @@ def _db_to_ratio(db: float) -> float:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment description; defaults follow the reference setup
-    (64-tile linear RIS on the y=10 wall of a 10x10x3 room, 400 MHz OFDM
+    (64-tile linear RIS on the y=10 wall of a 10x10x3 room, 384 MHz OFDM
     at 28 GHz)."""
 
     # scene

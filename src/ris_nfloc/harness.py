@@ -168,11 +168,10 @@ def normalized_cascade(
     """Scene at ``ue`` and its cascade gains scaled to unit mean magnitude."""
     dep = cfg.deployment
     scene = dep.scene(ue, t0=t0, phi0=phi0)
-    channel = realize_channel(
+    cascade = realize_channel(
         scene, dep.wavelength, cfg.multipath(), dep.forward, multipath_seed
     )
-    cascade = channel.cascade / np.mean(np.abs(channel.cascade))
-    return scene, cascade
+    return scene, cascade / np.mean(np.abs(cascade))
 
 
 def position_error_bound(

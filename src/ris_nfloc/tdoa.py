@@ -31,7 +31,7 @@ from .constants import SPEED_OF_LIGHT
 
 class PositionEstimationError(RuntimeError):
     """Raised when the Gauss-Newton descent does not converge within its
-    iteration budget, resumed once; ``best_estimate`` holds its endpoint."""
+    iteration budget; ``best_estimate`` holds its endpoint."""
 
     def __init__(self, message: str, best_estimate: np.ndarray):
         super().__init__(message)
@@ -185,7 +185,7 @@ def _gn_descend(
 
 
 _SEED_SPACINGS = 20  # lattice spacings per floor axis: 0.5 m on a 10 m room
-_MAX_ITER = 100  # Gauss-Newton iterations per descent, and again per resume
+_MAX_ITER = 200  # Gauss-Newton iterations of a solve's one descent
 
 
 @dataclass(frozen=True)
@@ -245,13 +245,12 @@ def solve_position(system: TdoaSystem, lattice: SeedLattice) -> np.ndarray:
     point of the cost on its 19 x 19 lattice of interior floor points (20
     spacings per axis).  Every iterate stays in the room, and a coordinate
     on a wall that the gradient pushes against is held (an active-set step).
-    The descent converges once its next clamped step is shorter than 10 nm;
-    if it does not within ``_MAX_ITER`` iterations, it is resumed once from
-    its endpoint.  The endpoint is returned with z = 0.  Raises
-    :class:`PositionEstimationError` with that endpoint if the resumed
-    descent does not converge either, and ValueError before any descent if
-    no lattice point has a finite cost: no trial of such a config can be
-    run, so it is not a censored fit.
+    The descent converges once its next clamped step is shorter than 10 nm,
+    and its endpoint is returned with z = 0.  Raises
+    :class:`PositionEstimationError` with that endpoint if it does not
+    converge within ``_MAX_ITER`` iterations, and ValueError before any
+    descent if no lattice point has a finite cost: no trial of such a config
+    can be run, so it is not a censored fit.
 
     The fit is the weighted least squares of the system's ranges with their
     common offset, which holds the clock offset, concentrated out; the
@@ -259,9 +258,8 @@ def solve_position(system: TdoaSystem, lattice: SeedLattice) -> np.ndarray:
     (:func:`build_system`), so they carry no absolute scale, which the
     descent's absolute damping constants need.
     """
-    p = _lattice_seed(system, lattice)
-    for _ in range(2):  # the descent, then its one resume
-        p, _, converged = _gn_descend(system, p[:2], lattice.room, _MAX_ITER)
-        if converged:
-            return p
-    raise PositionEstimationError("position fit did not converge", best_estimate=p)
+    seed = _lattice_seed(system, lattice)
+    p, _, converged = _gn_descend(system, seed, lattice.room, _MAX_ITER)
+    if not converged:
+        raise PositionEstimationError("position fit did not converge", best_estimate=p)
+    return p

@@ -340,14 +340,14 @@ def test_criterion_7_fim_and_peb():
         np.array([5.0, 5.0, 0.0]),
         wavelength=full.wavelength_m,
     )
-    channel = realize_channel(
+    cascade = realize_channel(
         scene,
         full.wavelength_m,
         MultipathConfig(j_paths=full.multipath_paths),
         full.deployment.forward,
         full.seed,
     )
-    cascade = channel.cascade / np.mean(np.abs(channel.cascade))
+    cascade = cascade / np.mean(np.abs(cascade))
     k_ref = int(np.argmin(toa_vector(scene))) + 1
     bound = fim(
         scene, cascade_snrs(cascade, full.waveform_config()), full.bandwidth_hz, k_ref

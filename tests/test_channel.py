@@ -3,6 +3,7 @@ import pytest
 
 from ris_nfloc.channel import (
     MultipathConfig,
+    _link_matrix,
     backward_direct,
     direct_link,
     forward_direct,
@@ -20,10 +21,25 @@ def make_scene(tile_count=4, phi0=0.0, ue=(3, 4, 0)):
     return build_scene(layout, [0, 5, 2], ue, phi0=phi0, wavelength=WAVELENGTH)
 
 
+def bs_link(scene):
+    """The BS link's direct part, computed as a deployment computes it."""
+    return direct_link(scene.p_bs, scene.elements, scene.tile_centers, WAVELENGTH)
+
+
 def realize(scene, mp, seed=0):
-    """The scene's channel, its BS link computed as a deployment computes it."""
-    forward = direct_link(scene.p_bs, scene.elements, scene.tile_centers, WAVELENGTH)
-    return realize_channel(scene, WAVELENGTH, mp, forward, seed)
+    """The scene's (K,) cascade gains."""
+    return realize_channel(scene, WAVELENGTH, mp, bs_link(scene), seed)
+
+
+def links(scene, mp, seed=0):
+    """The (K, M) forward and backward link matrices that :func:`realize`
+    draws for ``seed``, in its order: forward first, then backward."""
+    rng = np.random.default_rng(seed)
+    forward = _link_matrix(bs_link(scene), WAVELENGTH, mp, rng)
+    ue_link = direct_link(
+        scene.p_ue, scene.elements, scene.tile_centers, WAVELENGTH, scene.phi0
+    )
+    return forward, _link_matrix(ue_link, WAVELENGTH, mp, rng)
 
 
 def test_forward_direct_magnitude_and_phase():
@@ -78,15 +94,16 @@ def test_backward_phase_offset():
 
 def test_realize_channel_no_multipath_matches_directs():
     scene = make_scene()
-    ch = realize(scene, MultipathConfig(j_paths=0))
-    assert ch.forward[1, 4] == pytest.approx(
+    mp = MultipathConfig(j_paths=0)
+    forward, backward = links(scene, mp)
+    assert forward[1, 4] == pytest.approx(
         forward_direct(scene, WAVELENGTH, 2, 5), rel=1e-12
     )
-    assert ch.backward[1, 4] == pytest.approx(
+    assert backward[1, 4] == pytest.approx(
         backward_direct(scene, WAVELENGTH, 2, 5), rel=1e-12
     )
-    expected = np.einsum("km,km->k", ch.backward, ch.forward)
-    assert np.allclose(ch.cascade, expected, rtol=1e-12)
+    expected = np.einsum("km,km->k", backward, forward)
+    assert np.allclose(realize(scene, mp), expected, rtol=1e-12)
 
 
 def test_realize_channel_deterministic_per_seed():
@@ -94,16 +111,16 @@ def test_realize_channel_deterministic_per_seed():
     mp = MultipathConfig(j_paths=3)
     a = realize(scene, mp, 42)
     b = realize(scene, mp, 42)
-    assert np.array_equal(a.cascade, b.cascade)
+    assert np.array_equal(a, b)
     other = realize(scene, mp, 43)
-    assert not np.array_equal(a.cascade, other.cascade)
+    assert not np.array_equal(a, other)
 
 
 def test_zero_amplitude_multipath_equals_direct():
     scene = make_scene()
     direct = realize(scene, MultipathConfig(j_paths=0))
     silent = realize(scene, MultipathConfig(j_paths=3, power_rel_db=-400.0), 1)
-    assert np.allclose(silent.cascade, direct.cascade, rtol=1e-9)
+    assert np.allclose(silent, direct, rtol=1e-9)
 
 
 def test_cascade_closed_form_single_element():
@@ -117,12 +134,12 @@ def test_cascade_closed_form_single_element():
         elements_z=1,
     )
     scene = build_scene(layout, [0, 5, 2], [3, 4, 0], wavelength=WAVELENGTH)
-    ch = realize(scene, MultipathConfig(j_paths=0))
+    cascade = realize(scene, MultipathConfig(j_paths=0))
     for k in (1, 2):
         d_bs = np.linalg.norm(scene.p_bs - scene.tile_centers[k - 1])
         d_ue = np.linalg.norm(scene.p_ue - scene.tile_centers[k - 1])
         expected = WAVELENGTH**2 / (16 * np.pi**2 * d_bs * d_ue)
-        assert abs(ch.cascade[k - 1]) == pytest.approx(expected, rel=1e-12)
+        assert abs(cascade[k - 1]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_wavelength_scaling_of_direct_magnitudes():
@@ -175,20 +192,19 @@ def test_multipath_gain_per_tile_matches_per_path_sum(seed):
     # off-axis UE, nonzero phase offset: every element sees its own phase
     scene = make_scene(tile_count=6, phi0=1.3, ue=(2.3, 6.1, 0))
     mp = MultipathConfig(j_paths=3)
-    ch = realize(scene, mp, seed)
     forward, backward, cascade = _old_realization(scene, mp, seed)
-    for got, ref in ((ch.forward, forward), (ch.backward, backward)):
+    for got, ref in zip(links(scene, mp, seed), (forward, backward)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the element sum cancels to about 1% of its terms, so the cascade is
     # compared on the scale of its terms, sum_m |b_km f_km|
     scale = np.einsum("km,km->k", np.abs(backward), np.abs(forward))
-    assert np.max(np.abs(ch.cascade - cascade) / scale) <= 1e-12
+    assert np.max(np.abs(realize(scene, mp, seed) - cascade) / scale) <= 1e-12
 
 
 def test_no_multipath_equals_per_path_sum_bit_for_bit():
     scene = make_scene(tile_count=6, phi0=1.3, ue=(2.3, 6.1, 0))
     mp = MultipathConfig(j_paths=0)
-    ch = realize(scene, mp, 5)
-    for got, ref in zip((ch.forward, ch.backward, ch.cascade), _old_realization(scene, mp, 5)):
+    got_all = (*links(scene, mp, 5), realize(scene, mp, 5))
+    for got, ref in zip(got_all, _old_realization(scene, mp, 5)):
         assert np.array_equal(got, ref)

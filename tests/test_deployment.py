@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ris_nfloc import psp
-from ris_nfloc.channel import MultipathConfig, direct_link, realize_channel
+from ris_nfloc.channel import MultipathConfig, _link_matrix, direct_link, realize_channel
 from ris_nfloc.config import ExperimentConfig, apply_sweep_value
 from ris_nfloc.constants import SPEED_OF_LIGHT
 from ris_nfloc.geometry import build_scene, toa_vector
@@ -58,10 +58,16 @@ def test_deployment_arrays_equal_the_per_scene_arithmetic():
     assert np.array_equal(dep.elements, scene.elements)
     assert np.array_equal(dep.bs_legs, np.linalg.norm(scene.p_bs - scene.tile_centers, axis=1))
     mp = MultipathConfig(j_paths=3)
-    cached = realize_channel(scene, FULL.wavelength_m, mp, dep.forward, 9)
-    fresh = realize_channel(scene, FULL.wavelength_m, mp, _bs_link(scene, FULL), 9)
-    for name in ("forward", "backward", "cascade"):
-        assert np.array_equal(getattr(cached, name), getattr(fresh, name))
+    wl = FULL.wavelength_m
+    ue_link = direct_link(scene.p_ue, scene.elements, scene.tile_centers, wl, scene.phi0)
+    draws = []  # (forward, backward, cascade) with the cached and the fresh BS link
+    for bs_link in (dep.forward, _bs_link(scene, FULL)):
+        rng = np.random.default_rng(9)
+        forward = _link_matrix(bs_link, wl, mp, rng)
+        backward = _link_matrix(ue_link, wl, mp, rng)
+        draws.append((forward, backward, realize_channel(scene, wl, mp, bs_link, 9)))
+    for cached, fresh in zip(*draws):
+        assert np.array_equal(cached, fresh)
 
 
 def test_trial_scene_and_cascade_equal_a_bare_build():
@@ -71,10 +77,10 @@ def test_trial_scene_and_cascade_equal_a_bare_build():
         DESK.layout(), DESK.bs_position_m, ue, t0=2e-7, phi0=1.1,
         wavelength=DESK.wavelength_m,
     )
-    channel = realize_channel(
+    gains = realize_channel(
         bare, DESK.wavelength_m, DESK.multipath(), _bs_link(bare, DESK), 17
     )
-    expected = channel.cascade / np.mean(np.abs(channel.cascade))
+    expected = gains / np.mean(np.abs(gains))
     assert np.array_equal(cascade, expected)
     assert np.array_equal(toa_vector(scene), toa_vector(bare))
 

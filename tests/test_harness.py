@@ -407,11 +407,11 @@ def test_full_labeling_never_worse_than_bootstrap_median():
             t0=rng.uniform(0, cfg.clock_uncertainty_s),
             phi0=rng.uniform(0, 2 * np.pi), wavelength=cfg.wavelength_m,
         )
-        channel = realize_channel(
+        cascade = realize_channel(
             scene, cfg.wavelength_m,
             MultipathConfig(j_paths=3), cfg.deployment.forward, int(rng.integers(2**63)),
         )
-        cascade = channel.cascade / np.mean(np.abs(channel.cascade))
+        cascade = cascade / np.mean(np.abs(cascade))
         assignment = cfg.assignment()
         frames = synthesize_frames(
             toa_vector(scene), cascade, assignment, cfg.waveform_config(),
@@ -480,3 +480,34 @@ def test_seed_1_fixes_agree_with_the_longer_descents(name):
     assert not any(r.censored_proposed or r.censored_baseline for r in results)
     errors = np.array([(r.error_proposed, r.error_baseline) for r in results])
     np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-6)
+
+
+def test_full_sample_labels_only_shared_groups_the_pencil_accepted(monkeypatch):
+    # where labeled delays come from: on the first 50 trials of the full
+    # seed-1 sample at 1 GHz every shared group that run_spl labels is one
+    # whose fit the matrix pencil accepted, none the peak picker's (at the
+    # default 384 MHz these trials label no shared group; at 2 and 4 GHz
+    # some labeled groups are peak-picked)
+    from ris_nfloc import harness, spectrum
+
+    accepted, labeled = [], []  # per trial: pencil groups, labeled groups
+    pencil, spl = spectrum._pencil_groups, harness.run_spl
+
+    def pencil_spy(spec, candidates):
+        out = pencil(spec, candidates)
+        accepted.append(set(out))
+        return out
+
+    def spl_spy(*args, **kwargs):
+        entries, fix, trace = spl(*args, **kwargs)
+        shared = {row.group_id for row in trace if row.method in ("pair", "sort")}
+        labeled.append((len(accepted) - 1, shared))
+        return entries, fix, trace
+
+    monkeypatch.setattr(spectrum, "_pencil_groups", pencil_spy)
+    monkeypatch.setattr(harness, "run_spl", spl_spy)
+    run_trials(apply_sweep_value(ExperimentConfig(seed=1, trials=50), "B", 1e9))
+    assert len(accepted) == 50
+    assert sum(len(groups) for _, groups in labeled) > 0
+    for trial, groups in labeled:
+        assert groups <= accepted[trial], trial

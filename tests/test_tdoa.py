@@ -602,10 +602,10 @@ def test_a_lattice_for_a_smaller_room_bounds_the_fit_to_its_floor():
     assert np.linalg.norm(solve_position(system, LINEAR_LATTICE) - ue) < 1e-6
 
 
-def test_slow_approach_to_the_ris_wall_resumes_and_converges():
-    # the weighted bootstrap solve of a desk trial (seed 11, trial 337): the
-    # lattice has one local minimum, and its descent approaches the minimum
-    # on the RIS wall y = 10 so slowly that 100 iterations do not converge
+def slow_approach_system():
+    """The weighted bootstrap solve of a desk trial (seed 11, trial 337): the
+    lattice has one local minimum, and its descent approaches the minimum on
+    the RIS wall y = 10 so slowly that 100 iterations do not converge."""
     sigmas = np.array([2.0440967304442035, 1.401282405339956, 0.2337682381923353])
     sigma_ref = 0.3188841507180317
     system = TdoaSystem(
@@ -618,11 +618,33 @@ def test_slow_approach_to_the_ris_wall_resumes_and_converges():
         ),
         **gls_weights(np.r_[sigma_ref, sigmas]),
     )
+    return system, sigmas, sigma_ref
+
+
+def test_slow_approach_to_the_ris_wall_converges_within_the_budget():
+    system, sigmas, sigma_ref = slow_approach_system()
     _, _, done = _gn_descend(system, np.array([1.0, 8.5]), ROOM, 100)
     assert not done
     p = solve_position(system, seed_lattice(ROOM, system.positions))
     assert p[1] == 10.0
     assert abs(dense_gls_gradient(system, p, sigmas, sigma_ref)[0]) < 1e-6
+
+
+def test_a_solve_is_one_descent_of_200_iterations(monkeypatch):
+    # the slow approach needs more than 100 iterations, and still takes one
+    # descent from the lattice seed: the solve never restarts it
+    system, _, _ = slow_approach_system()
+    lattice = seed_lattice(ROOM, system.positions)
+    calls = []
+
+    def spy(system, start_xy, room, max_iter):
+        calls.append((tuple(start_xy), max_iter))
+        return _gn_descend(system, start_xy, room, max_iter)
+
+    monkeypatch.setattr(tdoa, "_gn_descend", spy)
+    solve_position(system, lattice)
+    seed = tuple(tdoa._lattice_seed(system, lattice))
+    assert calls == [(seed, 200)]
 
 
 def test_noiseless_floor_points_recovered_near_walls():
