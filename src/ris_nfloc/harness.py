@@ -109,13 +109,14 @@ def _label_accuracy(
     correct = 0
     labeled = 0
     by_tile = {k: t for t, k in entries}
+    delays = true_toas.tolist()
     for tiles in assignment.groups.values():
         group_entries = [(by_tile[k], k) for k in tiles if k in by_tile]
         if not group_entries:
             continue
         group_entries.sort(key=lambda e: (-e[0], e[1]))
         estimated = tuple(k for _, k in group_entries)
-        truth = sorted(tiles, key=lambda k: (-true_toas[k - 1], k))
+        truth = sorted(tiles, key=lambda k: (-delays[k - 1], k))
         correct += sum(a == b for a, b in zip(estimated, truth))
         labeled += len(estimated)
     return (correct / labeled if labeled else 0.0), labeled
@@ -138,10 +139,10 @@ def label_baseline_dft(
             continue
         tiles = sorted(assignment.groups[i])
         for tau, k, m in zip(
-            toa_groups.toas[i], tiles, toa_groups.magnitudes[i]
+            toa_groups.toas[i].tolist(), tiles, toa_groups.magnitudes[i].tolist()
         ):
-            entries.append((float(tau), k))
-            mags.append(float(m))
+            entries.append((tau, k))
+            mags.append(m)
     return entries, mags
 
 

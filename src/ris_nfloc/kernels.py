@@ -90,11 +90,14 @@ def column_peak_mask(mag: np.ndarray, threshold: float) -> np.ndarray:
 
     A bin is a peak when it beats its left neighbor strictly and its right
     neighbor at least weakly (plateau ties resolve to the smaller index), and
-    its magnitude reaches ``threshold``.
+    its magnitude reaches ``threshold``.  The neighbors are compared only
+    at the bins that reach the threshold, a few percent of a column on the
+    benchmark configs; the mask is the same as comparing every bin.
     """
     mask = mag >= threshold
-    mask[1:] &= mag[1:] > mag[:-1]
-    mask[:1] &= mag[:1] > mag[-1:]
-    mask[:-1] &= mag[:-1] >= mag[1:]
-    mask[-1:] &= mag[-1:] >= mag[:1]
+    (at,) = mask.nonzero()
+    here = mag[at]
+    keep = here > mag[at - 1]  # bin -1 is the last bin
+    keep &= here >= mag.take(at + 1, mode="wrap")
+    mask[at] = keep
     return mask

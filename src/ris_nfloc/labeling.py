@@ -121,8 +121,8 @@ def _exclusive_arrivals(
     for i in sorted(assignment.groups):
         tiles = assignment.groups[i]
         if len(tiles) == 1 and i in toa_groups.toas:
-            entries.append((float(toa_groups.toas[i][0]), tiles[0]))
-            mags.append(float(toa_groups.magnitudes[i][0]))
+            entries.append((toa_groups.toas[i].item(0), tiles[0]))
+            mags.append(toa_groups.magnitudes[i].item(0))
             trace.append(TraceRow(i, 1, "exclusive"))
     return entries, mags, trace
 
@@ -193,8 +193,8 @@ def run_spl(
             trace.append(TraceRow(i, dod, "skipped"))
             continue
         trace.append(TraceRow(i, dod, "pair" if dod == 2 else "sort"))
-        entries.extend((float(t), k) for t, k in zip(toas, spl_sort(tiles, fix, dep)))
-        mags.extend(float(m) for m in toa_groups.magnitudes[i])
+        entries.extend(zip(toas.tolist(), spl_sort(tiles, fix, dep)))
+        mags.extend(toa_groups.magnitudes[i].tolist())
 
     if len(entries) > anchors:
         fix = solve_labeled(entries, mags, dep)

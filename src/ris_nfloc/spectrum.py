@@ -172,11 +172,16 @@ def quadratic_refine(spec: SpectrumMap, u, v) -> np.ndarray:
     to half a bin.
     """
     u = np.asarray(u)
+    grid = spec.grid
     # row -1 is the last row, so only the right neighbor needs the modulo
-    a, b, c = spec.grid[np.stack((u - 1, u, (u + 1) % spec.n_bar)), v]
+    a = grid[u - 1, v]
+    b = grid[u, v]
+    c = grid[(u + 1) % spec.n_bar, v]
     denom = a - 2.0 * b + c
     fit = np.abs(denom) >= 1e-300
-    offset = np.clip(0.5 * (a - c) / np.where(fit, denom, 1.0), -0.5, 0.5)
+    offset = 0.5 * (a - c) / np.where(fit, denom, 1.0)
+    # np.clip to half a bin, without np.clip's Python wrapper
+    offset = np.minimum(np.maximum(offset, -0.5), 0.5)
     return np.where(fit, u + offset, u) * spec.bin_seconds
 
 
@@ -249,7 +254,10 @@ def extract_toas(
         groups, cols, bins = zip(*picked)
         sizes = [len(b) for b in bins]
         times = quadratic_refine(spec, np.concatenate(bins), np.repeat(cols, sizes))
-        toas.update(zip(groups, np.split(times, np.cumsum(sizes)[:-1])))
+        start = 0
+        for i, size in zip(groups, sizes):
+            toas[i] = times[start : start + size]
+            start += size
 
     for i, (tau, heights) in _pencil_groups(spec, shared).items():
         toas[i] = tau
@@ -257,6 +265,8 @@ def extract_toas(
 
     _unwrap_inplace(toas, 1.0 / spec.cfg.spacing)
     for i in toas:
+        if len(toas[i]) == 1:
+            continue
         desc = np.argsort(-toas[i], kind="stable")
         toas[i] = toas[i][desc]
         mags[i] = mags[i][desc]
@@ -347,10 +357,10 @@ def _unwrap_inplace(toas: dict[int, np.ndarray], period: float) -> None:
     Physical per-trial spreads are far below half a period, so a spread above
     period/2 can only come from the modulo wrap of the common clock offset.
     """
-    values = [t for arr in toas.values() for t in arr]
-    if not values:
+    if not toas:
         return
-    if max(values) - min(values) <= period / 2.0:
+    values = np.concatenate(list(toas.values()))
+    if values.max() - values.min() <= period / 2.0:
         return
     for i, arr in toas.items():
         toas[i] = np.where(arr < period / 2.0, arr + period, arr)

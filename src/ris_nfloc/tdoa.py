@@ -129,7 +129,7 @@ def _gn_descend(
 
     def evaluate(x, y):
         """Offsets, distances, centered residuals and cost."""
-        diff = np.array((x, y)) - tile_xy
+        diff = np.subtract((x, y), tile_xy)
         sq = diff * diff
         d = np.sqrt(sq[:, 0] + sq[:, 1] + dz2)
         e = ranges - d
@@ -148,7 +148,8 @@ def _gn_descend(
         jac -= w_mean @ jac
         wj = w_col * jac
         (h_xx, h_xy), (_, h_yy) = (wj.T @ jac).tolist()
-        g_x, g_y = (-(e @ wj)).tolist()
+        g_x, g_y = (e @ wj).tolist()
+        g_x, g_y = -g_x, -g_y
         # the step -g points out of the room across a wall it sits on
         hold_x = (x <= lo_x and g_x > 0.0) or (x >= hi_x and g_x < 0.0)
         hold_y = (y <= lo_y and g_y > 0.0) or (y >= hi_y and g_y < 0.0)

@@ -511,3 +511,47 @@ def test_full_sample_labels_only_shared_groups_the_pencil_accepted(monkeypatch):
     assert sum(len(groups) for _, groups in labeled) > 0
     for trial, groups in labeled:
         assert groups <= accepted[trial], trial
+
+
+def shared_off(entries, obs, cfg) -> tuple[int, int]:
+    """An arm's labeled shared-group arrivals, and how many of them are off.
+
+    An arrival is off when it lies more than 0.5/B from its tile's true delay
+    (``obs.true_toas``), the miss folded modulo the delay period 1/spacing;
+    exclusive-slope arrivals label themselves and are not counted.
+    """
+    groups = obs.assignment.groups.values()
+    shared = {k for tiles in groups if len(tiles) > 1 for k in tiles}
+    period = 1.0 / cfg.spacing_hz
+    labeled = off = 0
+    for toa, k in entries:
+        if k in shared:
+            miss = (toa - obs.true_toas[k - 1] + period / 2.0) % period - period / 2.0
+            labeled += 1
+            off += bool(abs(miss) > 0.5 / cfg.bandwidth_hz)
+    return labeled, off
+
+
+def test_full_scale_l32_labels_shared_arrivals_on_their_delays():
+    from ris_nfloc.harness import _draw_ue, _proposed, observe
+
+    cfg = apply_sweep_value(ExperimentConfig(seed=1), "L", 32)
+    labeled = off = 0
+    for t in range(30):
+        rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(0, t)))
+        ue = _draw_ue(cfg, rng)
+        obs = observe(cfg, ue, rng)
+        entries, _ = _proposed(cfg, obs)
+        counts = shared_off(entries, obs, cfg)
+        labeled += counts[0]
+        off += counts[1]
+        if counts[0]:
+            # run_spl lists the shared arrivals last: the count sees the last
+            # one moved by a resolution cell, and folds a whole period away
+            toa, k = entries[-1]
+            moved = entries[:-1] + [(toa + 1.0 / cfg.bandwidth_hz, k)]
+            assert shared_off(moved, obs, cfg) == (counts[0], counts[1] + 1)
+            wrapped = [(toa + 1.0 / cfg.spacing_hz, k) for toa, k in entries]
+            assert shared_off(wrapped, obs, cfg) == counts
+    assert labeled > 0
+    assert off == 0

@@ -33,8 +33,13 @@ def test_dense_transform_matches_double_sum():
 
 def test_peak_mask_matches_neighbour_loop():
     rng = np.random.default_rng(1)
-    for _ in range(20):
+    for trial in range(40):
         mag = np.abs(rng.standard_normal(rng.integers(8, 300)))
+        if trial >= 20:
+            # NaN and infinite magnitudes, at the wrap and inside
+            spots = rng.choice(len(mag), 6, replace=False)
+            spots[:2] = (0, len(mag) - 1)
+            mag[spots] = rng.choice([np.nan, np.inf, -np.inf], 6)
         thr = float(rng.uniform(0, 1.5))
         n = len(mag)
         ref = [

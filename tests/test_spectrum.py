@@ -456,8 +456,8 @@ def test_noise_floor_median_matches_numpy_median(monkeypatch):
 
 def _extract_per_column(spec, assignment, threshold_factor=6.0):
     """extract_toas with every column decided by its median and peak scan,
-    and every peak refined on its own: the reference for the one-tile
-    shortcut."""
+    every peak refined on its own, and the unwrap and sort done per arrival:
+    the reference for the one-tile shortcut and the batched steps."""
     l = assignment.l_frames
     toas, mags, under, shared = {}, {}, set(), []
     for i in sorted(assignment.groups):
@@ -482,7 +482,13 @@ def _extract_per_column(spec, assignment, threshold_factor=6.0):
         toas[i] = tau
         mags[i] = heights
         under.discard(i)
-    _unwrap_inplace(toas, 1.0 / spec.cfg.spacing)
+    # the joint unwrap and the descending sort written out on their own:
+    # the spread of a list of every arrival, and an argsort of every group
+    period = 1.0 / spec.cfg.spacing
+    values = [t for arr in toas.values() for t in arr]
+    if values and max(values) - min(values) > period / 2.0:
+        for i, arr in toas.items():
+            toas[i] = np.where(arr < period / 2.0, arr + period, arr)
     for i in toas:
         desc = np.argsort(-toas[i], kind="stable")
         toas[i] = toas[i][desc]
@@ -641,6 +647,20 @@ def test_factor_that_is_not_finite_and_positive_takes_the_median_path(
         _extract_per_column(spec, assignment, threshold_factor=factor),
     )
     assert shortcut_log == [True] * 8
+
+
+def test_all_zero_frames_leave_every_group_under_detected():
+    # a zero map has no strict local maximum: no column yields a peak, the
+    # one-tile shortcut declines (bin 0 ties its left neighbor), and no group
+    # reaches the pencil
+    cfg = small_cfg(n=256, l=8)
+    frames = FrameMatrix(s=np.zeros((256, 8), dtype=complex), config=cfg)
+    assignment = assign(16, 8, 4)
+    groups = extract_toas(spectrum_2d(frames, 4), assignment, 6.0)
+    assert groups.under_detected == frozenset(assignment.groups)
+    assert groups.toas == {}
+    assert groups.magnitudes == {}
+
 
 def test_toas_sorted_descending_with_magnitudes():
     cfg = small_cfg(l=3)
