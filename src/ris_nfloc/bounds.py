@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .geometry import Scene
+from .geometry import Scene, distances
 from .waveform import WaveformConfig
 
 _RCOND = 1e-10  # observable eigenvalue floor, relative to the largest
@@ -84,8 +84,8 @@ def tdoa_gradients(scene: Scene, k_ref: int) -> np.ndarray:
     """
     centers = scene.tile_centers
     p = scene.p_ue
-    d = np.linalg.norm(p - centers, axis=1)
-    if np.min(d) < 1e-12:
+    d = distances(p - centers)
+    if np.minimum.reduce(d) < 1e-12:
         raise ValueError("UE coincides with a tile")
     units = (p[None, :] - centers) / d[:, None]
     grads = (units - units[k_ref - 1]) / SPEED_OF_LIGHT
@@ -116,7 +116,7 @@ def fim(scene: Scene, snrs: np.ndarray, bandwidth: float, k_ref: int) -> FimResu
     var = toa_variance(bandwidth, snrs[others], snrs[k_ref - 1])
     use = np.isfinite(var) & (var > 0)
     g = grads[others][use]
-    j = np.sum(g[:, :, None] * g[:, None, :] / var[use, None, None], axis=0)
+    j = np.add.reduce(g[:, :, None] * g[:, None, :] / var[use, None, None], axis=0)
 
     eigvals, eigvecs = np.linalg.eigh(j)
     top = float(eigvals[-1]) if eigvals[-1] > 0 else 0.0
@@ -126,7 +126,7 @@ def fim(scene: Scene, snrs: np.ndarray, bandwidth: float, k_ref: int) -> FimResu
     if rank == 0:
         peb_obs = float("inf")
     else:
-        peb_obs = float(np.sqrt(np.sum(1.0 / eigvals[observable])))
+        peb_obs = float(np.sqrt(np.add.reduce(1.0 / eigvals[observable])))
     return FimResult(
         fim=j,
         peb_observable=peb_obs,

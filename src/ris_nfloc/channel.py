@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene
+from .geometry import Scene, distances
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def direct_link(
     # (x² + y²) + z² is the order np.linalg.norm sums in, so the distances
     # stay bit for bit; its reduce over a length-3 axis took twice as long
     d_elem = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # (K, M)
-    legs = np.linalg.norm(endpoint[None, :] - centers, axis=-1)  # (K,)
-    if np.min(legs) < 1e-12:
+    legs = distances(endpoint - centers)  # (K,)
+    if np.minimum.reduce(legs) < 1e-12:
         raise ValueError("link endpoint coincides with a tile center")
     return legs, np.exp(-2j * np.pi / wavelength * d_elem + 1j * extra_phase)
 
@@ -109,7 +109,9 @@ def _link_matrix(
     ) / np.sqrt(2.0)
     eps *= sigma[:, None]
     excess = rng.uniform(mp.excess_min_m, mp.excess_max_m, size=(k, mp.j_paths))
-    multipath = np.sum(eps * np.exp(-2j * np.pi / wavelength * excess), axis=1)  # (K,)
+    multipath = np.add.reduce(
+        eps * np.exp(-2j * np.pi / wavelength * excess), axis=1
+    )  # (K,)
     return (mag + multipath)[:, None] * phasor
 
 

@@ -172,7 +172,8 @@ def normalized_cascade(
     cascade = realize_channel(
         scene, dep.wavelength, cfg.multipath(), dep.forward, multipath_seed
     )
-    return scene, cascade / np.mean(np.abs(cascade))
+    magnitudes = np.abs(cascade)
+    return scene, cascade / (np.add.reduce(magnitudes) / len(magnitudes))
 
 
 def position_error_bound(
@@ -180,7 +181,7 @@ def position_error_bound(
 ) -> float:
     """PEB referenced to the earliest of ``true_toas``: the bound over the
     observable subspace, which is the full PEB when the FIM has full rank."""
-    k_ref = int(np.argmin(true_toas)) + 1
+    k_ref = int(true_toas.argmin()) + 1
     snrs = cascade_snrs(cascade, cfg.deployment.waveform)
     return fim(scene, snrs, cfg.bandwidth_hz, k_ref).peb_observable
 
@@ -251,7 +252,11 @@ def _arm(label, cfg: ExperimentConfig, obs: Observation, ue: np.ndarray):
         entries, p_hat, censored = [], exc.best_estimate, True
     except BootstrapError:
         entries, p_hat, censored = [], None, True
-    error = np.nan if p_hat is None else float(np.linalg.norm(p_hat - ue))
+    if p_hat is None:
+        error = np.nan
+    else:
+        d = p_hat - ue
+        error = float(np.sqrt(d.dot(d)))  # np.linalg.norm's own expression
     return entries, error, censored
 
 

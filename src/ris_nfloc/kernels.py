@@ -54,7 +54,7 @@ def strongest_peak(mag: np.ndarray, factor: float) -> int | None:
     factor = float(factor)
     if not 0.0 < factor < np.inf:
         return None
-    b = int(np.argmax(mag))
+    b = int(mag.argmax())
     x = float(mag[b])
     if not x <= _HALF_MAX or (b == 0 and mag[-1] >= x):
         return None
@@ -77,12 +77,13 @@ def median(mag: np.ndarray) -> float:
     NaN, as there.
     """
     h = len(mag) // 2
-    part = np.partition(mag, h)
-    if np.isnan(part[h:].max()):
+    part = mag.copy()  # np.partition(mag, h) without its Python wrapper
+    part.partition(h)
+    if np.isnan(np.maximum.reduce(part[h:])):
         return float("nan")
     if len(mag) % 2:
         return float(part[h])
-    return float((part[:h].max() + part[h]) / 2.0)
+    return float((np.maximum.reduce(part[:h]) + part[h]) / 2.0)
 
 
 def column_peak_mask(mag: np.ndarray, threshold: float) -> np.ndarray:

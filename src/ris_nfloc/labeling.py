@@ -26,6 +26,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .deployment import Deployment
+from .geometry import distances
 from .psp import PspAssignment
 from .spectrum import ToaGroups
 from .tdoa import build_system, solve_position
@@ -94,8 +95,8 @@ def in_region_quadric(p, p_bs, p_k1, p_k2) -> bool:
 def _path_lengths(tiles, p_est, dep: Deployment) -> np.ndarray:
     """Predicted BS -> tile -> UE path length of each tile at ``p_est`` (m)."""
     rows = np.asarray(tiles) - 1
-    return dep.bs_legs[rows] + np.linalg.norm(
-        np.asarray(p_est, dtype=float) - dep.tile_centers[rows], axis=1
+    return dep.bs_legs[rows] + distances(
+        np.asarray(p_est, dtype=float) - dep.tile_centers[rows]
     )
 
 
@@ -108,9 +109,10 @@ def spl_sort(tiles, p_estimate, dep: Deployment) -> tuple[int, ...]:
     order along the RIS), so every ordered pair (a before b) of the result
     passes ``in_region(p_estimate, bs, a, b)``.
     """
-    ordered = np.sort(tiles)
+    ordered = np.array(tiles)
+    ordered.sort()
     lengths = _path_lengths(ordered, p_estimate, dep)
-    return tuple(int(k) for k in ordered[np.argsort(-lengths, kind="stable")])
+    return tuple(int(k) for k in ordered[(-lengths).argsort(kind="stable")])
 
 
 def _exclusive_arrivals(
@@ -137,10 +139,13 @@ def _group_resolvable(
     ``p_est`` do, i.e. the mainlobes overlap and the extracted peaks cannot be
     per-tile delays.
     """
-    if len(toas) > 1 and float(np.min(-np.diff(toas))) < min_gap:
+    # the arrivals descend: their gaps are toas[:-1] - toas[1:]
+    if len(toas) > 1 and float(np.minimum.reduce(toas[:-1] - toas[1:])) < min_gap:
         return False
-    predicted = np.sort(_path_lengths(tiles, p_est, dep)) / SPEED_OF_LIGHT
-    return float(np.min(np.diff(predicted))) >= min_gap
+    lengths = _path_lengths(tiles, p_est, dep)
+    lengths.sort()
+    predicted = lengths / SPEED_OF_LIGHT
+    return float(np.minimum.reduce(predicted[1:] - predicted[:-1])) >= min_gap
 
 
 def solve_labeled(entries, mags, dep: Deployment) -> np.ndarray:

@@ -238,7 +238,7 @@ def extract_toas(
             raise ValueError(f"slope column {v} has a non-finite median magnitude")
         threshold = threshold_factor * floor
         mask = kernels.column_peak_mask(column, threshold)
-        peak_bins = np.nonzero(mask)[0]
+        (peak_bins,) = mask.nonzero()
         order = np.lexsort((peak_bins, -column[peak_bins]))
         if len(tiles) >= 2 and len(peak_bins):
             strongest = int(peak_bins[order[0]])
@@ -253,7 +253,8 @@ def extract_toas(
         # one parabola pass over the chosen peaks of every column
         groups, cols, bins = zip(*picked)
         sizes = [len(b) for b in bins]
-        times = quadratic_refine(spec, np.concatenate(bins), np.repeat(cols, sizes))
+        columns = np.array(cols).repeat(sizes)
+        times = quadratic_refine(spec, np.concatenate(bins), columns)
         start = 0
         for i, size in zip(groups, sizes):
             toas[i] = times[start : start + size]
@@ -267,7 +268,7 @@ def extract_toas(
     for i in toas:
         if len(toas[i]) == 1:
             continue
-        desc = np.argsort(-toas[i], kind="stable")
+        desc = (-toas[i]).argsort(kind="stable")
         toas[i] = toas[i][desc]
         mags[i] = mags[i][desc]
     # every group is picked, by the peak picker or the pencil, or under-detected
@@ -276,6 +277,15 @@ def extract_toas(
 
 
 _PENCIL_SAMPLES = 32  # decimated subcarrier samples per pencil
+_EPS = np.finfo(np.float64).eps
+
+
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """``np.sinc`` of a float64 array, its own expression without its
+    Python wrapper: sin(pi*x)/(pi*x), with pi*x = 0 replaced by eps."""
+    y = np.pi * x
+    y = np.where(y, y, _EPS)
+    return np.sin(y) / y
 
 
 def _pencil_groups(
@@ -310,43 +320,47 @@ def _pencil_groups(
     group, cols, sizes, u0, floor = (np.array(a) for a in zip(*candidates))
     step = -2j * np.pi * u0 / spec.n_bar
     blocks = spec.samples[: j * d, cols].reshape(j, d, len(cols))
-    y = np.einsum("jdg,dg->gj", blocks, np.exp(np.outer(np.arange(d), step)))
-    y *= np.exp(np.outer(step, d * np.arange(j)))
+    y = np.einsum("jdg,dg->gj", blocks, np.exp(np.arange(d)[:, None] * step))
+    y *= np.exp(step[:, None] * (d * np.arange(j)))
     # the top-m eigenvectors of H^T conj(H) span the row space of the Hankel
     # matrix H, which is shift-invariant with the decimated poles
     hankel = y[:, np.arange(j - p)[:, None] + np.arange(p + 1)]
-    vecs = np.linalg.eigh(np.swapaxes(hankel, 1, 2) @ hankel.conj())[1]
+    vecs = np.linalg.eigh(hankel.swapaxes(1, 2) @ hankel.conj())[1]
 
     circle = spec.n_bar / d  # bins the decimated poles tell apart
     out = {}
     for m in sorted(set(sizes.tolist())):
-        sel = np.nonzero(sizes == m)[0]
+        (sel,) = (sizes == m).nonzero()
         basis = vecs[sel, :, -m:]
         # shift invariance basis[1:] = basis[:-1] @ psi; the columns are
         # orthonormal, so the normal matrix is I - r^H r with r the last row
         top, bottom, r = basis[:, :-1], basis[:, 1:], basis[:, -1:]
-        a = np.swapaxes(top.conj(), 1, 2) @ bottom
+        a = top.conj().swapaxes(1, 2) @ bottom
         # (a degenerate subspace with |r| = 1 gets garbage poles, not an error)
-        rr = np.maximum(1.0 - np.sum(np.abs(r) ** 2, axis=(1, 2)), 1e-12)
-        psi = a + np.swapaxes(r.conj(), 1, 2) @ (r @ a) / rr[:, None, None]
-        phi = np.angle(np.linalg.eigvals(psi))
+        rr = np.maximum(1.0 - np.add.reduce(np.abs(r) ** 2, axis=(1, 2)), 1e-12)
+        psi = a + r.conj().swapaxes(1, 2) @ (r @ a) / rr[:, None, None]
+        poles = np.linalg.eigvals(psi)
+        phi = np.arctan2(poles.imag, poles.real)  # np.angle(poles)
         offsets = phi * circle / (2.0 * np.pi)
-        ring = np.sort(offsets, axis=1)
-        gaps = np.diff(np.concatenate([ring, ring[:, :1] + circle], axis=1))
+        ring = offsets.copy()  # np.sort(offsets, axis=1)
+        ring.sort(axis=1)
+        closed = np.concatenate([ring, ring[:, :1] + circle], axis=1)
+        gaps = closed[:, 1:] - closed[:, :-1]
         keep = gaps.min(axis=1) >= spec.oversampling
         sel, phi, offsets = sel[keep], phi[keep], offsets[keep]
         if not len(sel):
             continue
         # distinct poles: the least-squares normal matrix is nonsingular
         vander = np.exp(1j * np.arange(j)[:, None] * phi[:, None, :])
-        vander_h = np.swapaxes(vander.conj(), 1, 2)
+        vander_h = vander.conj().swapaxes(1, 2)
         amps = np.linalg.solve(vander_h @ vander, vander_h @ y[sel, :, None])
         cycles = phi / (2.0 * np.pi)
-        gain = d * np.abs(np.sinc(cycles) / np.sinc(cycles / d))
+        gain = d * np.abs(_sinc(cycles) / _sinc(cycles / d))
         heights = n * np.abs(amps[..., 0]) / gain
         bins = np.mod(u0[sel, None] + offsets, spec.n_bar)
+        admissible = np.logical_and.reduce(heights >= floor[sel, None], axis=1)
         for k, g in enumerate(sel):
-            if np.all(heights[k] >= floor[g]):
+            if admissible[k]:
                 out[int(group[g])] = (bins[k] * spec.bin_seconds, heights[k])
     return out
 

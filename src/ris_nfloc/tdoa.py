@@ -124,7 +124,7 @@ def _gn_descend(
     dz2 = system.positions[:, 2] ** 2  # the UE is on the floor, z = 0
     ranges = system.ranges
     w = system.w
-    w_mean = w / float(np.sum(w))  # the weights of the weighted mean
+    w_mean = w / float(np.add.reduce(w))  # the weights of the weighted mean
     w_col = w[:, None]
 
     def evaluate(x, y):
@@ -228,12 +228,12 @@ def _lattice_seed(system: TdoaSystem, lattice: SeedLattice) -> np.ndarray:
     non-finite arrival makes every cost NaN.
     """
     e = system.ranges - lattice.distances[:, system.rows]
-    e -= (e @ system.w / np.sum(system.w))[:, None]
+    e -= (e @ system.w / np.add.reduce(system.w))[:, None]
     cost = (e * e) @ system.w
     finite = np.isfinite(cost)
     if not finite.any():
         raise ValueError("the seed lattice has no finite local minimum of the cost")
-    return lattice.points[np.argmin(np.where(finite, cost, np.inf))]
+    return lattice.points[np.where(finite, cost, np.inf).argmin()]
 
 
 def solve_position(system: TdoaSystem, lattice: SeedLattice) -> np.ndarray:

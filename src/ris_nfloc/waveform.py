@@ -132,15 +132,16 @@ def frames_from_paths(
     ``rng``, each sample adds receiver noise of variance L*nu/N, nu the
     config's ``noise_ratio``.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
+    # np.atleast_1d(np.asarray(x, dtype)) in one call
+    taus = np.array(taus, dtype=float, copy=None, ndmin=1)
+    betas = np.array(betas, dtype=float, copy=None, ndmin=1)
+    amplitudes = np.array(amplitudes, dtype=complex, copy=None, ndmin=1)
     if not len(taus) == len(betas) == len(amplitudes):
         raise ValueError("taus, betas and amplitudes need one entry per path")
     n, l, k = cfg.n_subcarriers, cfg.l_frames, len(taus)
     slots = betas * l
     cols = np.rint(slots)
-    if np.any(np.abs(slots - cols) > 1e-9):
+    if np.logical_or.reduce(np.abs(slots - cols) > 1e-9):
         raise ValueError(f"every slope must be a multiple of 1/L = 1/{l}")
     cols = cols.astype(int) % l
 
@@ -158,10 +159,10 @@ def frames_from_paths(
     blocks = -(-n // m)
     starts = cfg.carrier + (np.arange(blocks) * m + 1 - (n + 1) / 2.0) * cfg.spacing
     # the tiles sorted by column, each at its rank within its column's group
-    order = np.argsort(cols, kind="stable")
+    order = cols.argsort(kind="stable")
     counts = np.bincount(cols, minlength=l)
     cols = cols[order]
-    rank = np.arange(k) - (np.cumsum(counts) - counts)[cols]
+    rank = np.arange(k) - (counts.cumsum() - counts)[cols]
     coarse = np.zeros((l, blocks, counts.max(initial=0)), dtype=complex)
     coarse[cols, :, rank] = np.exp(2j * np.pi * taus[order, None] * starts)
     fine = np.zeros((l, coarse.shape[2], m), dtype=complex)

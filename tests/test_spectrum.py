@@ -350,6 +350,28 @@ def test_pencil_resolves_shared_group_across_period_wrap():
     )
 
 
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 12: the pencil aliases delays beyond ±16/B"
+)
+def test_pencil_returns_shared_pair_farther_apart_than_its_circle_half():
+    # N = 64 gives D = 2 subcarriers per block, so the decimated poles tell
+    # delays apart only on a circle of n_bar/D bins, 32/B: a partner 20/B from
+    # the strongest peak comes back a whole circle off
+    cfg = small_cfg(n=64, l=3)
+    q = 4
+    inv_b = 1.0 / (cfg.n_subcarriers * cfg.spacing)
+    period = 1.0 / cfg.spacing
+    assignment, shared, taus, by_group, spec = _wrapped_shared_case(
+        cfg, q, [20.3, 20.3 + 20 * q], [50.7, 110.2]
+    )
+    groups = extract_toas(spec, assignment, 6.0)
+    assert shared not in groups.under_detected
+    got = groups.toas[shared]
+    for truth in taus[by_group == shared]:
+        folded = np.abs((got - truth + period / 2) % period - period / 2)
+        assert folded.min() < 0.5 * inv_b
+
+
 def test_pencil_resolves_group_the_peak_picker_under_detects():
     cfg = small_cfg(l=3)
     q = 4
